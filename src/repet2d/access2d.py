@@ -217,10 +217,6 @@ def hop_bound(index: AccessIndex) -> int:
     return (index.rows * index.cols).bit_length() - 1
 
 
-def suffix_forest(index: AccessIndex) -> SuffixForest:
-    return index.forest
-
-
 def hop_bound_check(index: AccessIndex, budget: WorkBudget | None = None) -> int:
     """Max hop count over all cells; callers compare it to hop_bound()."""
     budget = ensure_budget(budget)

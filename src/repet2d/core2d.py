@@ -12,8 +12,9 @@ Conventions used across the whole package:
 
 Distinct-factor counting is exact: windows of a shape are dense-ranked by
 iterated integer rank compression (np.unique), extending the shape one column
-/ one row at a time. No hashing is involved, so there are no collisions to
-resolve and results are deterministic.
+/ one row at a time (``rank_windows`` does this for any number of axes). No
+hashing is involved, so there are no collisions to resolve and results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -53,6 +54,24 @@ class FactorShape:
         return self.k1 * self.k2
 
 
+def encode_tokens(
+    tokens: Iterable[object],
+) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Dense ids of the str()-ed tokens into their sorted alphabet.
+
+    Each distinct token is validated once, in order of first occurrence, so
+    the first invalid token of the sequence is the one reported.
+    """
+    toks = list(map(str, tokens))
+    distinct = dict.fromkeys(toks)
+    for tok in distinct:
+        if tok.split() != [tok]:
+            raise ParseError(f"invalid token {tok!r}")
+    alphabet = tuple(sorted(distinct))
+    index = {tok: i for i, tok in enumerate(alphabet)}
+    return tuple(map(index.__getitem__, toks)), alphabet
+
+
 @dataclass(frozen=True)
 class Matrix2D:
     """An immutable m x n string over an ordered token alphabet.
@@ -76,21 +95,15 @@ class Matrix2D:
         cols = len(grid[0])
         if rows * cols > MAX_CELLS:
             raise TooLarge(f"{rows}x{cols} exceeds the {MAX_CELLS}-cell cap")
-        tokens: list[str] = []
+        flat: list[object] = []
         for r, row in enumerate(grid, start=1):
             if len(row) != cols:
+                encode_tokens(flat)  # a bad token in an earlier row wins
                 raise RowMismatch(
                     f"row {r} has {len(row)} tokens, expected {cols}"
                 )
-            for tok in row:
-                tok = tok if isinstance(tok, str) else str(tok)
-                if not tok or any(ch.isspace() for ch in tok):
-                    raise ParseError(f"invalid token {tok!r}")
-                tokens.append(tok)
-        alphabet = tuple(sorted(set(tokens)))
-        index = {tok: i for i, tok in enumerate(alphabet)}
-        cells = tuple(index[tok] for tok in tokens)
-        return cls(rows, cols, cells, alphabet)
+            flat.extend(row)
+        return cls(rows, cols, *encode_tokens(flat))
 
     @cached_property
     def _grid(self) -> np.ndarray:
@@ -178,6 +191,51 @@ def _pair_rank(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inv.reshape(a.shape).astype(np.int64)
 
 
+def rank_windows(
+    grid: np.ndarray,
+    wanted: Iterable[Sequence[int]],
+    budget: WorkBudget,
+    what: Sequence[str],
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (shape, labels) for every wanted window shape of an id grid
+    with any number of axes.
+
+    ``labels`` holds one dense id per window position; two windows carry the
+    same id iff their contents are equal. The last axis is extended first:
+    each shape comes from its predecessor by one ranking pass along one axis,
+    which charges the new window count to ``budget`` under ``what[axis]``.
+    Shapes are yielded in ascending order of their reversed tuples, and only
+    the passes on the way to a wanted shape are made.
+    """
+    tree: dict = {}  # last extent -> ... -> second extent -> {first: None}
+    for shape in wanted:
+        node = tree
+        for k in reversed(shape[1:]):
+            node = node.setdefault(k, {})
+        node[shape[0]] = None
+
+    def extend(axis: int, base: np.ndarray, node: dict, suffix: tuple):
+        n = base.shape[axis]
+        lead = (slice(None),) * axis  # index prefix reaching ``axis``
+        cur = base
+        for k in range(1, max(node) + 1):
+            if k > 1:
+                width = n - k + 1
+                budget.charge(cur.size // cur.shape[axis] * width, what[axis])
+                cur = _pair_rank(
+                    cur[lead + (slice(0, width),)], base[lead + (slice(k - 1, n),)]
+                )
+            if k not in node:
+                continue
+            if axis == 0:
+                yield (k,) + suffix, cur
+            else:
+                yield from extend(axis - 1, cur, node[k], (k,) + suffix)
+
+    if tree:
+        yield from extend(grid.ndim - 1, grid, tree, ())
+
+
 def _check_shape(m: Matrix2D, k1: int, k2: int) -> None:
     if not (1 <= k1 <= m.rows and 1 <= k2 <= m.cols):
         raise OutOfBounds(
@@ -198,30 +256,13 @@ def iter_shape_labels(
     step charges its window count to the budget.
     """
     budget = ensure_budget(budget)
-    per_k2: dict[int, list[int]] = {}
+    wanted = list(wanted)
     for k1, k2 in wanted:
         _check_shape(m, k1, k2)
-        per_k2.setdefault(k2, []).append(k1)
-    ids = m._grid
-    horiz = ids
-    for k2 in range(1, (max(per_k2) if per_k2 else 0) + 1):
-        if k2 > 1:
-            budget.charge(horiz.shape[0] * (m.cols - k2 + 1), "row ranking")
-            horiz = _pair_rank(horiz[:, : m.cols - k2 + 1], ids[:, k2 - 1 :])
-        k1s = sorted(set(per_k2.get(k2, ())))
-        if not k1s:
-            continue
-        vert = horiz
-        for k1 in range(1, max(k1s) + 1):
-            if k1 > 1:
-                budget.charge(
-                    (m.rows - k1 + 1) * vert.shape[1], "column ranking"
-                )
-                vert = _pair_rank(
-                    vert[: m.rows - k1 + 1, :], horiz[k1 - 1 :, :]
-                )
-            if k1 in k1s:
-                yield k1, k2, vert
+    for (k1, k2), labels in rank_windows(
+        m._grid, wanted, budget, ("column ranking", "row ranking")
+    ):
+        yield k1, k2, labels
 
 
 def shape_labels(
@@ -273,20 +314,6 @@ def distinct_factors(
             Factor2D(FactorShape(k1, k2), content, tuple(occs[lab]))
         )
     return tuple(out)
-
-
-def naive_factor_index(
-    m: Matrix2D, k1: int, k2: int
-) -> dict[TokenGrid, list[Position]]:
-    """Reference implementation: materialize every window. Test oracle only."""
-    _check_shape(m, k1, k2)
-    grid = m.tokens()
-    out: dict[TokenGrid, list[Position]] = {}
-    for i in range(m.rows - k1 + 1):
-        for j in range(m.cols - k2 + 1):
-            content = tuple(row[j : j + k2] for row in grid[i : i + k1])
-            out.setdefault(content, []).append((i + 1, j + 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

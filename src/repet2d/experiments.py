@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -267,9 +266,9 @@ def default_spec(name: str, out_path: str | None = None) -> ExperimentSpec:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Compute the table for ``spec``.
 
-    Rows are computed in parallel but always emitted sorted by their
-    parameter tuple, so output is reproducible.  A row whose computation
-    raises a package error is kept with its error name in ``status``.
+    Rows are computed one after another in order of their parameter tuple,
+    so output is reproducible.  A row whose computation raises a package
+    error is kept with its error name in ``status``.
     """
     if spec.name not in REGISTRY:
         raise BadParam(
@@ -291,15 +290,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             status = type(exc).__name__
         return tuple(str(v) for v in params) + tuple(str(v) for v in values) + (status,)
 
-    ordered = sorted(spec.params)
-    if not ordered:
-        rows: list[tuple[str, ...]] = []
-    elif len(ordered) == 1:
-        rows = [one(ordered[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(4, len(ordered))) as pool:
-            rows = list(pool.map(one, ordered))
-    return ExperimentResult(spec.name, header, tuple(rows))
+    rows = tuple(one(params) for params in sorted(spec.params))
+    return ExperimentResult(spec.name, header, rows)
 
 
 def write_result(result: ExperimentResult, path: str) -> None:

@@ -5,6 +5,10 @@ or vertical concatenation of two variables, or — in run-length grammars — a
 horizontal/vertical run X -> B^k with k >= 2. Size counts 1 per terminal rule
 and 2 per other rule; run exponents are charged separately by bit_size.
 
+The d-dimensional rules (concatenation or run along an explicit axis) live
+here too: validation (resolve_dims) and expansion (expand_ids) read both rule
+families by axis, so a 2D grammar is checked and expanded as the d = 2 case.
+
 g_exact performs an exhaustive branch-and-bound over "closed content sets":
 a grammar of minimum size corresponds to a minimum-cost set of distinct
 factor contents that contains the whole matrix and in which every non-unit
@@ -15,7 +19,8 @@ matters for the size, which keeps the search space manageable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from math import prod
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -64,8 +69,45 @@ class RunV:
 Rule = Union[Terminal, Horiz, Vert, RunH, RunV]
 
 
-def rule_size(rule: Rule) -> int:
-    return 1 if isinstance(rule, Terminal) else 2
+@dataclass(frozen=True)
+class TerminalNd:
+    token: str
+
+
+@dataclass(frozen=True)
+class ConcatNd:
+    axis: int
+    first: str
+    second: str
+
+
+@dataclass(frozen=True)
+class RunNd:
+    axis: int
+    count: int
+    child: str
+
+
+RuleNd = Union[TerminalNd, ConcatNd, RunNd]
+_TERMINALS = (Terminal, TerminalNd)
+
+# Every rule of either family read as (token, axis, count, children): token
+# is None for non-terminals and count is 0 for concatenations. The 2D rules
+# glue or repeat along axis 1 (rows: Vert, RunV) or 2 (columns: Horiz, RunH).
+_RHS = {
+    Terminal: lambda r: (r.token, 0, 0, ()),
+    TerminalNd: lambda r: (r.token, 0, 0, ()),
+    Horiz: lambda r: (None, 2, 0, (r.left, r.right)),
+    Vert: lambda r: (None, 1, 0, (r.top, r.bottom)),
+    RunH: lambda r: (None, 2, r.count, (r.child,)),
+    RunV: lambda r: (None, 1, r.count, (r.child,)),
+    ConcatNd: lambda r: (None, r.axis, 0, (r.first, r.second)),
+    RunNd: lambda r: (None, r.axis, r.count, (r.child,)),
+}
+
+
+def rule_size(rule: Rule | RuleNd) -> int:
+    return 1 if isinstance(rule, _TERMINALS) else 2
 
 
 def rule_bit_size(rule: Rule) -> int:
@@ -75,26 +117,13 @@ def rule_bit_size(rule: Rule) -> int:
     return rule_size(rule)
 
 
-def _children(rule: Rule) -> tuple[str, ...]:
-    if isinstance(rule, Terminal):
-        return ()
-    if isinstance(rule, Horiz):
-        return (rule.left, rule.right)
-    if isinstance(rule, Vert):
-        return (rule.top, rule.bottom)
-    return (rule.child,)
-
-
-def _rhs_key(rule: Rule) -> tuple:
-    if isinstance(rule, Terminal):
-        return ("term", rule.token)
-    if isinstance(rule, Horiz):
-        return ("h", rule.left, rule.right)
-    if isinstance(rule, Vert):
-        return ("v", rule.top, rule.bottom)
-    if isinstance(rule, RunH):
-        return ("rh", rule.count, rule.child)
-    return ("rv", rule.count, rule.child)
+def _rhs_key(rule: Rule | RuleNd) -> tuple:
+    """The rule as (token, axis, count, children); two rules have the same
+    right-hand side iff their keys are equal."""
+    read = _RHS.get(type(rule))
+    if read is None:
+        raise BadParam(f"unknown rule type {type(rule).__name__}")
+    return read(rule)
 
 
 @dataclass(frozen=True, eq=True)
@@ -125,6 +154,145 @@ class GrammarInfo:
     dims: Mapping[str, tuple[int, int]]
 
 
+def _postorder(
+    children: Mapping[str, tuple[str, ...]], roots: Iterable[str]
+) -> Iterator[str]:
+    """Every variable below ``roots`` once, children first (first before
+    second), in the order a recursive walk would finish them. Iterative, so
+    derivation depth is not limited by the interpreter's stack. Raises
+    CycleDetected when a variable derives itself."""
+    done: set[str] = set()
+    for root in roots:
+        if root in done:
+            continue
+        stack = [root]
+        on_path = {root}
+        while stack:
+            name = stack[-1]
+            for child in children[name]:
+                if child not in done:
+                    if child in on_path:
+                        raise CycleDetected(f"variable {child} derives itself")
+                    stack.append(child)
+                    on_path.add(child)
+                    break
+            else:
+                stack.pop()
+                on_path.discard(name)
+                done.add(name)
+                yield name
+
+
+def _mismatch(name: str, rule, d1: tuple, d2: tuple, j: int) -> str:
+    _, axis, _, (first, second) = _rhs_key(rule)
+    if isinstance(rule, ConcatNd):
+        return (
+            f"{name}: children {first} and {second} "
+            f"differ on axis {j + 1} ({d1[j]} vs {d2[j]})"
+        )
+    kind, unit = ("horizontal", "rows") if axis == 2 else ("vertical", "cols")
+    return (
+        f"{name}: {kind} children {first} ({d1[j]} {unit}) "
+        f"and {second} ({d2[j]} {unit}) differ"
+    )
+
+
+def resolve_dims(
+    axiom: str, rules: Mapping[str, Rule | RuleNd], ndim: int
+) -> dict[str, tuple[int, ...]]:
+    """Check a grammar of either rule family over ``ndim`` axes and return
+    the extents of every variable, in the order a recursive resolution
+    started from each rule in insertion order would finish them.
+
+    Rejects: undefined axiom or child (DanglingVariable), axes outside
+    1..ndim and run exponents < 2 (BadParam), two variables with an
+    identical right-hand side (DuplicateRHS), cyclic derivations
+    (CycleDetected), and concatenated extents that differ off the glued axis
+    (DimMismatch).
+    """
+    if axiom not in rules:
+        raise DanglingVariable(f"axiom {axiom!r} has no rule")
+    parts: dict[str, tuple] = {}
+    seen_rhs: dict[tuple, str] = {}
+    for name, rule in rules.items():
+        key = token, axis, count, children = _rhs_key(rule)
+        if token is None and not 1 <= axis <= ndim:
+            raise BadParam(f"rule {name} uses axis {axis}; have 1..{ndim}")
+        if len(children) == 1 and count < 2:
+            raise BadParam(f"run rule {name} has exponent {count}; need >= 2")
+        for child in children:
+            if child not in rules:
+                raise DanglingVariable(
+                    f"rule {name} references undefined variable {child!r}"
+                )
+        if key in seen_rhs:
+            raise DuplicateRHS(
+                f"rules {seen_rhs[key]} and {name} have the same right-hand side"
+            )
+        seen_rhs[key] = name
+        parts[name] = key
+
+    dims: dict[str, tuple[int, ...]] = {}
+    unit = (1,) * ndim
+    kids = {name: key[3] for name, key in parts.items()}
+    for name in _postorder(kids, rules):
+        token, axis, count, children = parts[name]
+        if token is not None:
+            dims[name] = unit
+            continue
+        a = axis - 1
+        if count:
+            ext = list(dims[children[0]])
+            ext[a] *= count
+        else:
+            d1, d2 = dims[children[0]], dims[children[1]]
+            for j in range(ndim):
+                if j != a and d1[j] != d2[j]:
+                    raise DimMismatch(_mismatch(name, rules[name], d1, d2, j))
+            ext = list(d1)
+            ext[a] += d2[a]
+        dims[name] = tuple(ext)
+    return dims
+
+
+def expand_ids(
+    axiom: str,
+    rules: Mapping[str, Rule | RuleNd],
+    dims: Mapping[str, tuple[int, ...]],
+    budget: WorkBudget | None = None,
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The id array derived from the axiom of a grammar checked by
+    resolve_dims, plus the sorted tokens its ids index. Each variable the
+    axiom reaches is built once, children first, charging its cell count."""
+    budget = ensure_budget(budget)
+    shape = dims[axiom]
+    if prod(shape) > MAX_CELLS:
+        raise TooLarge(
+            f"expansion is {'x'.join(map(str, shape))}; refusing more "
+            f"than {MAX_CELLS} cells"
+        )
+    parts = {name: _rhs_key(rule) for name, rule in rules.items()}
+    order = list(_postorder({n: key[3] for n, key in parts.items()}, [axiom]))
+    tokens = tuple(sorted(parts[n][0] for n in order if parts[n][0] is not None))
+    token_id = {t: i for i, t in enumerate(tokens)}
+    arrays: dict[str, np.ndarray] = {}
+    for name in order:
+        token, axis, count, children = parts[name]
+        budget.charge(prod(dims[name]), "grammar expansion")
+        if token is not None:
+            arr = np.full((1,) * len(shape), token_id[token], dtype=np.int64)
+        elif count:
+            reps = [1] * len(shape)
+            reps[axis - 1] = count
+            arr = np.tile(arrays[children[0]], reps)
+        else:
+            arr = np.concatenate(
+                [arrays[children[0]], arrays[children[1]]], axis=axis - 1
+            )
+        arrays[name] = arr
+    return arrays[axiom], tokens
+
+
 def validate_grammar(g: Grammar2D) -> GrammarInfo:
     """Check structural validity and return per-variable dimensions.
 
@@ -133,140 +301,18 @@ def validate_grammar(g: Grammar2D) -> GrammarInfo:
     dimensions (DimMismatch), and two variables with an identical right-hand
     side (DuplicateRHS).
     """
-    if g.axiom not in g.rules:
-        raise DanglingVariable(f"axiom {g.axiom!r} has no rule")
-    seen_rhs: dict[tuple, str] = {}
-    for name, rule in g.rules.items():
-        if isinstance(rule, (RunH, RunV)) and rule.count < 2:
-            raise BadParam(
-                f"run rule {name} has exponent {rule.count}; need >= 2"
-            )
-        for child in _children(rule):
-            if child not in g.rules:
-                raise DanglingVariable(
-                    f"rule {name} references undefined variable {child!r}"
-                )
-        key = _rhs_key(rule)
-        if key in seen_rhs:
-            raise DuplicateRHS(
-                f"rules {seen_rhs[key]} and {name} have the same right-hand side"
-            )
-        seen_rhs[key] = name
-
-    dims: dict[str, tuple[int, int]] = {}
-    state: dict[str, int] = {}  # 1 = in progress, 2 = done
-
-    def resolve(name: str) -> tuple[int, int]:
-        if state.get(name) == 2:
-            return dims[name]
-        if state.get(name) == 1:
-            raise CycleDetected(f"variable {name} derives itself")
-        state[name] = 1
-        rule = g.rules[name]
-        if isinstance(rule, Terminal):
-            dim = (1, 1)
-        elif isinstance(rule, Horiz):
-            (r1, c1), (r2, c2) = resolve(rule.left), resolve(rule.right)
-            if r1 != r2:
-                raise DimMismatch(
-                    f"{name}: horizontal children {rule.left} ({r1} rows) "
-                    f"and {rule.right} ({r2} rows) differ"
-                )
-            dim = (r1, c1 + c2)
-        elif isinstance(rule, Vert):
-            (r1, c1), (r2, c2) = resolve(rule.top), resolve(rule.bottom)
-            if c1 != c2:
-                raise DimMismatch(
-                    f"{name}: vertical children {rule.top} ({c1} cols) "
-                    f"and {rule.bottom} ({c2} cols) differ"
-                )
-            dim = (r1 + r2, c1)
-        elif isinstance(rule, RunH):
-            r, c = resolve(rule.child)
-            dim = (r, c * rule.count)
-        else:
-            r, c = resolve(rule.child)
-            dim = (r * rule.count, c)
-        dims[name] = dim
-        state[name] = 2
-        return dim
-
-    for name in g.rules:
-        resolve(name)
+    dims = resolve_dims(g.axiom, g.rules, 2)
     rows, cols = dims[g.axiom]
     return GrammarInfo(
         g.size, g.bit_size, rows, cols, g.is_runlength, dims
     )
 
 
-def _reachable(g: Grammar2D) -> set[str]:
-    out: set[str] = set()
-    stack = [g.axiom]
-    while stack:
-        name = stack.pop()
-        if name in out:
-            continue
-        out.add(name)
-        stack.extend(_children(g.rules[name]))
-    return out
-
-
 def expand(g: Grammar2D, budget: WorkBudget | None = None) -> Matrix2D:
     """The matrix derived from the axiom."""
     info = validate_grammar(g)
-    budget = ensure_budget(budget)
-    if info.rows * info.cols > MAX_CELLS:
-        raise TooLarge(
-            f"expansion is {info.rows}x{info.cols}; refusing more than "
-            f"{MAX_CELLS} cells"
-        )
-    reachable = _reachable(g)
-    tokens = sorted(
-        r.token
-        for name, r in g.rules.items()
-        if name in reachable and isinstance(r, Terminal)
-    )
-    token_id = {t: i for i, t in enumerate(tokens)}
-
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def topo(name: str) -> None:
-        if name in seen:
-            return
-        seen.add(name)
-        for child in _children(g.rules[name]):
-            topo(child)
-        order.append(name)
-
-    topo(g.axiom)
-    arrays: dict[str, np.ndarray] = {}
-    for name in order:
-        rule = g.rules[name]
-        rows, cols = info.dims[name]
-        budget.charge(rows * cols, "grammar expansion")
-        if isinstance(rule, Terminal):
-            arr = np.full((1, 1), token_id[rule.token], dtype=np.int64)
-        elif isinstance(rule, Horiz):
-            arr = np.concatenate(
-                [arrays[rule.left], arrays[rule.right]], axis=1
-            )
-        elif isinstance(rule, Vert):
-            arr = np.concatenate(
-                [arrays[rule.top], arrays[rule.bottom]], axis=0
-            )
-        elif isinstance(rule, RunH):
-            arr = np.tile(arrays[rule.child], (1, rule.count))
-        else:
-            arr = np.tile(arrays[rule.child], (rule.count, 1))
-        arrays[name] = arr
-    root = arrays[g.axiom]
-    return Matrix2D(
-        rows=info.rows,
-        cols=info.cols,
-        cells=tuple(root.ravel().tolist()),
-        alphabet=tuple(tokens),
-    )
+    root, tokens = expand_ids(g.axiom, g.rules, info.dims, budget)
+    return Matrix2D(info.rows, info.cols, tuple(root.ravel().tolist()), tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -313,42 +359,26 @@ def grammar_tree(g: Grammar2D) -> GrammarTree:
         if name in expanded:
             return GrammarTreeNode(name, "secondary", top, left, rows, cols)
         expanded.add(name)
-        rule = g.rules[name]
-        if isinstance(rule, Terminal):
+        token, axis, runs, children = _rhs_key(g.rules[name])
+        if token is not None:
             count += 1
-            leaf = GrammarTreeNode(rule.token, "terminal", top, left, 1, 1)
+            leaf = GrammarTreeNode(token, "terminal", top, left, 1, 1)
             return GrammarTreeNode(name, "primary", top, left, 1, 1, (leaf,))
-        if isinstance(rule, Horiz):
-            a = visit(rule.left, top, left)
-            b = visit(rule.right, top, left + dims[rule.left][1])
-            return GrammarTreeNode(name, "primary", top, left, rows, cols, (a, b))
-        if isinstance(rule, Vert):
-            a = visit(rule.top, top, left)
-            b = visit(rule.bottom, top + dims[rule.top][0], left)
-            return GrammarTreeNode(name, "primary", top, left, rows, cols, (a, b))
-        first = visit(rule.child, top, left)
-        count += 1
-        if isinstance(rule, RunH):
-            w = dims[rule.child][1]
-            rest = GrammarTreeNode(
-                f"{rule.child}h^{rule.count - 1}",
+        corner = [top, left]  # each child starts where the previous ends
+        kids = []
+        for child in children:
+            kids.append(visit(child, *corner))
+            corner[axis - 1] += dims[child][axis - 1]
+        if runs:
+            count += 1
+            kids.append(GrammarTreeNode(
+                f"{children[0]}{'vh'[axis - 1]}^{runs - 1}",
                 "collapsed",
-                top,
-                left + w,
-                rows,
-                cols - w,
-            )
-        else:
-            h = dims[rule.child][0]
-            rest = GrammarTreeNode(
-                f"{rule.child}v^{rule.count - 1}",
-                "collapsed",
-                top + h,
-                left,
-                rows - h,
-                cols,
-            )
-        return GrammarTreeNode(name, "primary", top, left, rows, cols, (first, rest))
+                *corner,
+                top + rows - corner[0],
+                left + cols - corner[1],
+            ))
+        return GrammarTreeNode(name, "primary", top, left, rows, cols, tuple(kids))
 
     root = visit(g.axiom, 1, 1)
     return GrammarTree(root, count)
@@ -666,32 +696,36 @@ def build_zeros_rlslp(n: int) -> Grammar2D:
     )
 
 
-def _slp_1d(
-    text: str, prefix: str, terminal_names: Mapping[str, str]
-) -> tuple[str, dict[str, Rule], list[tuple[str, str, str]]]:
-    """Balanced SLP for a 1D string by recursive halving with content
-    deduplication. Returns (axiom, rules, binary structure) where the
-    structure lists (name, left, right) in creation order."""
-    rules: dict[str, Rule] = {}
-    structure: list[tuple[str, str, str]] = []
+def balanced_slp(
+    text: str,
+    leaf: Callable[[str], str],
+    join: Callable[[str, str], Rule | RuleNd],
+    prefix: str,
+    rules: dict,
+) -> tuple[str, list[tuple[str, str, str]]]:
+    """Balanced SLP for a 1D string by recursive halving, each distinct
+    piece built once. A one-symbol piece is the variable ``leaf(symbol)``;
+    the i-th join is added to ``rules`` as ``prefix + str(i)`` with right-hand
+    side ``join(first, second)``. Returns the axiom and the joins as
+    (name, first, second) in creation order."""
+    joins: list[tuple[str, str, str]] = []
     memo: dict[str, str] = {}
 
     def build(s: str) -> str:
         if s in memo:
             return memo[s]
         if len(s) == 1:
-            name = terminal_names[s]
-            rules.setdefault(name, Terminal(s))
+            name = leaf(s)
         else:
             mid = len(s) // 2
-            left, right = build(s[:mid]), build(s[mid:])
-            name = f"{prefix}{len(structure) + 1}"
-            rules[name] = Horiz(left, right)
-            structure.append((name, left, right))
+            first, second = build(s[:mid]), build(s[mid:])
+            name = f"{prefix}{len(joins) + 1}"
+            rules[name] = join(first, second)
+            joins.append((name, first, second))
         memo[s] = name
         return name
 
-    return build(text), rules, structure
+    return build(text), joins
 
 
 def build_bk_grammar(k: int) -> Grammar2D:
@@ -704,12 +738,15 @@ def build_bk_grammar(k: int) -> Grammar2D:
     if not 1 <= k <= 12:
         raise BadParam(f"k must be in 1..12, got {k}")
     d = "".join(debruijn1d(k).row_tokens(1))
-    ax0, rules0, struct0 = _slp_1d(d, "H", {"0": "T0", "1": "T1"})
-    d_hi = d.translate(str.maketrans("01", "23"))
-    ax1, rules1, _ = _slp_1d(d_hi, "J", {"2": "T2", "3": "T3"})
     rules: dict[str, Rule] = {}
-    rules.update(rules0)
-    rules.update(rules1)
+
+    def terminal(symbol: str) -> str:
+        rules.setdefault(f"T{symbol}", Terminal(symbol))
+        return f"T{symbol}"
+
+    ax0, struct0 = balanced_slp(d, terminal, Horiz, "H", rules)
+    d_hi = d.translate(str.maketrans("01", "23"))
+    ax1, _ = balanced_slp(d_hi, terminal, Horiz, "J", rules)
     lift_name = {"T0": ax0, "T1": ax1}
     for name, left, right in struct0:
         vname = "V" + name[1:]
@@ -736,7 +773,7 @@ def format_grammar(g: Grammar2D) -> str:
             return
         emitted.add(name)
         order.append(name)
-        for child in _children(g.rules[name]):
+        for child in _rhs_key(g.rules[name])[3]:
             walk(child)
 
     walk(g.axiom)

@@ -87,11 +87,6 @@ def phlin_kind(n: int) -> str:
     return RS if (n.bit_length() - 1) % 2 else DS
 
 
-def phlin_coords(n: int) -> tuple[tuple[int, int], ...]:
-    """Visit order of the plane-filling linearization on an n x n grid."""
-    return scan_coords(n, phlin_kind(n))
-
-
 def phlin(m: Matrix2D) -> Matrix2D:
     """Plane-filling (Hilbert-style) flattening of a 2^k x 2^k matrix.
 

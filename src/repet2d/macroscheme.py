@@ -13,10 +13,12 @@ partitions in row-major order; it is exponential and guarded by cell_limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from math import prod
+from operator import add, le, mul, sub
+from typing import Callable, Mapping, Sequence
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import Matrix2D, Position, factor_count
+from .core2d import MAX_CELLS, Matrix2D, Position, encode_tokens, factor_count
 from .errors import (
     BadParam,
     CyclicMap,
@@ -27,15 +29,7 @@ from .errors import (
     ShapeTooLarge,
     TooLarge,
 )
-from .grammar2d import (
-    Grammar2D,
-    Horiz,
-    RunH,
-    RunV,
-    Terminal,
-    Vert,
-    validate_grammar,
-)
+from .grammar2d import Grammar2D, _rhs_key, validate_grammar
 
 
 @dataclass(frozen=True)
@@ -82,109 +76,173 @@ _ERRORS = {
     "OutOfBoundsSource": OutOfBoundsSource,
     "NotPartition": NotPartition,
     "CyclicMap": CyclicMap,
+    "TooLarge": TooLarge,
 }
+
+_FREE = -2
+_EXPLICIT = -1
+
+
+def walk_chains(source: list[int]) -> tuple[list[int] | None, int | None]:
+    """Follow every cell's copy chain; a negative ``source[c]`` ends the
+    chain at c. Returns ``(root, None)`` where ``root[c]`` is the cell c's
+    chain ends at, or ``(None, cell)`` when some chain never ends: ``cell``
+    is the first cell repeated on the chain of the smallest such cell."""
+    root = [-1] * len(source)  # -1 unseen, -2 on the current chain
+    for start in range(len(source)):
+        if root[start] >= 0:
+            continue
+        path = []
+        cur = start
+        while root[cur] == -1:
+            nxt = source[cur]
+            if nxt < 0:
+                root[cur] = cur
+                break
+            root[cur] = -2
+            path.append(cur)
+            cur = nxt
+        end = root[cur]
+        if end == -2:
+            return None, cur
+        for c in path:
+            root[c] = end
+    return root, None
+
+
+def analyze_boxes(
+    dims: tuple[int, ...],
+    explicit: Mapping[tuple[int, ...], object],
+    boxes: Sequence[tuple[tuple[int, ...], ...]],
+    size: int,
+    describe: Callable[[str, object], tuple[str, str]],
+) -> tuple[SchemeCheck, tuple[list[int], dict[int, str]] | None]:
+    """Checks shared by the 2D and dD schemes over any number of axes.
+
+    ``boxes`` holds (lo, hi, src) corner triples, 1-based and inclusive. The
+    cell cap is checked before anything is allocated, and each box is filled
+    one last-axis run at a time. On success returns the check and
+    ``(root, tokens)``: ``root`` maps each flat cell index to the explicit
+    cell its copy chain ends at, ``tokens`` maps explicit flat indices to
+    their tokens. Otherwise the check carries ``describe(fault, at)``, the
+    error name and message for the first fault found: "dims", "cap",
+    "explicit" (at: position, token, whether the token is invalid, whether
+    the position is outside), "inverted", "target", "source" (at: box
+    index), "overlap", "cycle" (at: flat cell index) or "holes" (at:
+    uncovered count and first uncovered index).
+    """
+
+    def fail(fault: str, at: object = None):
+        return SchemeCheck(False, size, *describe(fault, at)), None
+
+    d = len(dims)
+    if d < 1 or any(n < 1 for n in dims):
+        return fail("dims")
+    total = prod(dims)
+    if total > MAX_CELLS:
+        return fail("cap")
+    strides = [prod(dims[a + 1 :]) for a in range(d)]
+    origin = sum(strides)  # flat index of a position is sum(p * st) - origin
+
+    def inside(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
+        """Are both corners of the box lo..hi (lo <= hi) in the grid?"""
+        return len(lo) == len(hi) == d and min(lo) >= 1 and all(map(le, hi, dims))
+
+    source = [_FREE] * total
+    tokens: dict[int, str] = {}
+    for pos, tok in explicit.items():
+        pos = tuple(pos)
+        bad_token = not tok or str(tok).split() != [str(tok)]
+        if bad_token or not inside(pos, pos):
+            return fail("explicit", (pos, tok, bad_token, not inside(pos, pos)))
+        f = sum(map(mul, pos, strides)) - origin
+        source[f] = _EXPLICIT
+        tokens[f] = str(tok)
+    for index, (lo, hi, src) in enumerate(boxes):
+        ext = tuple(map(sub, hi, lo))
+        if min(ext, default=0) < 0:
+            return fail("inverted", index)
+        if not inside(lo, hi):
+            return fail("target", index)
+        if not inside(src, tuple(map(add, src, ext))):
+            return fail("source", index)
+        t0 = sum(map(mul, lo, strides)) - origin
+        shift = sum(map(mul, src, strides)) - origin - t0
+        run = ext[-1] + 1
+        starts = [t0]  # flat start of each last-axis run, in row-major order
+        for e, st in zip(ext, strides[:-1]):
+            starts = [t + k for t in starts for k in range(0, (e + 1) * st, st)]
+        for t in starts:
+            seg = source[t : t + run]
+            if seg.count(_FREE) != run:
+                taken = next(k for k, v in enumerate(seg) if v != _FREE)
+                return fail("overlap", t + taken)
+            source[t : t + run] = range(t + shift, t + shift + run)
+    holes = source.count(_FREE)
+    if holes:
+        return fail("holes", (holes, source.index(_FREE)))
+    root, cycle = walk_chains(source)
+    if root is None:
+        return fail("cycle", cycle)
+    return SchemeCheck(True, size), (root, tokens)
+
+
+def decoded_cells(
+    root: list[int], tokens: Mapping[int, str]
+) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Cell ids and alphabet of a decoded scheme (see analyze_boxes)."""
+    ids, alphabet = encode_tokens(tokens.values())
+    id_at = dict(zip(tokens, ids))
+    return tuple(map(id_at.__getitem__, root)), alphabet
 
 
 def _analyze(s: MacroScheme2D):
-    """Shared validation: returns (error, message, source_of) where source_of
-    maps the flat index of each phrase-covered cell to its source's flat
-    index and explicit cells to -1."""
-    n = s.cols
-    total = s.rows * s.cols
-    if s.rows < 1 or s.cols < 1:
-        return "BadParam", f"scheme is {s.rows}x{s.cols}", None
-    owner = [0] * total  # 0 free, 1 explicit, 2 phrase
-    source_of = [-1] * total
-    for (i, j), token in s.explicit.items():
-        if not token or any(ch.isspace() for ch in token):
-            return "BadParam", f"bad token {token!r} at ({i},{j})", None
-        if not (1 <= i <= s.rows and 1 <= j <= s.cols):
-            return "OutOfBounds", f"explicit cell ({i},{j}) out of bounds", None
-        owner[(i - 1) * n + (j - 1)] = 1
-    for p in s.phrases:
-        if p.i1 > p.i2 or p.j1 > p.j2:
-            return "BadParam", f"phrase corners inverted: {p}", None
-        if not (1 <= p.i1 and p.i2 <= s.rows and 1 <= p.j1 and p.j2 <= s.cols):
-            return "OutOfBounds", f"phrase target out of bounds: {p}", None
-        h, w = p.i2 - p.i1 + 1, p.j2 - p.j1 + 1
-        if not (
-            1 <= p.si
-            and p.si + h - 1 <= s.rows
-            and 1 <= p.sj
-            and p.sj + w - 1 <= s.cols
-        ):
-            return "OutOfBoundsSource", f"phrase source out of bounds: {p}", None
-        for i in range(p.i1, p.i2 + 1):
-            for j in range(p.j1, p.j2 + 1):
-                idx = (i - 1) * n + (j - 1)
-                if owner[idx]:
-                    return (
-                        "NotPartition",
-                        f"cell ({i},{j}) covered twice",
-                        None,
-                    )
-                owner[idx] = 2
-                source_of[idx] = (p.si + i - p.i1 - 1) * n + (p.sj + j - p.j1 - 1)
-    free = owner.count(0)
-    if free:
-        idx = owner.index(0)
-        return (
-            "NotPartition",
-            f"{free} cells uncovered, first ({idx // n + 1},{idx % n + 1})",
-            None,
-        )
-    state = [0] * total
-    for start in range(total):
-        path = []
-        cur = start
-        while cur >= 0 and state[cur] == 0:
-            state[cur] = 1
-            path.append(cur)
-            cur = source_of[cur]
-            if cur >= 0 and state[cur] == 1:
-                return (
-                    "CyclicMap",
-                    f"copy chain through ({cur // n + 1},{cur % n + 1}) "
-                    "never reaches an explicit cell",
-                    None,
-                )
-        for c in path:
-            state[c] = 2
-    return None, None, source_of
+    """analyze_boxes in 2D terms: cells print as (i,j), phrases as Phrase."""
+
+    def at(pos) -> str:
+        return "(" + ",".join(map(str, pos)) + ")"
+
+    def cell(f: int) -> str:
+        return at((f // s.cols + 1, f % s.cols + 1))
+
+    def describe(fault: str, where) -> tuple[str, str]:
+        if fault == "dims":
+            return "BadParam", f"scheme is {s.rows}x{s.cols}"
+        if fault == "cap":
+            return "TooLarge", f"{s.rows}x{s.cols} exceeds the {MAX_CELLS}-cell cap"
+        if fault == "explicit":
+            pos, token, bad_token, _ = where
+            if bad_token:
+                return "BadParam", f"bad token {token!r} at {at(pos)}"
+            return "OutOfBounds", f"explicit cell {at(pos)} out of bounds"
+        if fault == "inverted":
+            return "BadParam", f"phrase corners inverted: {s.phrases[where]}"
+        if fault == "target":
+            return "OutOfBounds", f"phrase target out of bounds: {s.phrases[where]}"
+        if fault == "source":
+            return "OutOfBoundsSource", f"phrase source out of bounds: {s.phrases[where]}"
+        if fault == "overlap":
+            return "NotPartition", f"cell {cell(where)} covered twice"
+        if fault == "holes":
+            return "NotPartition", f"{where[0]} cells uncovered, first {cell(where[1])}"
+        return "CyclicMap", f"copy chain through {cell(where)} never reaches an explicit cell"
+
+    phrases = [((p.i1, p.j1), (p.i2, p.j2), (p.si, p.sj)) for p in s.phrases]
+    return analyze_boxes((s.rows, s.cols), s.explicit, phrases, s.size, describe)
 
 
 def validate_scheme(s: MacroScheme2D) -> SchemeCheck:
-    error, message, _ = _analyze(s)
-    return SchemeCheck(error is None, s.size, error, message)
+    return _analyze(s)[0]
 
 
 def decode(s: MacroScheme2D, budget: WorkBudget | None = None) -> Matrix2D:
     """The matrix the scheme represents; raises on invalid schemes."""
-    error, message, source_of = _analyze(s)
-    if error is not None:
-        raise _ERRORS[error](message)
+    check, data = _analyze(s)
+    if not check.ok:
+        raise _ERRORS[check.error](check.message)
     budget = ensure_budget(budget)
     budget.charge(s.rows * s.cols, "scheme decode")
-    n = s.cols
-    tokens: list[str | None] = [None] * (s.rows * s.cols)
-    for (i, j), token in s.explicit.items():
-        tokens[(i - 1) * n + (j - 1)] = token
-    assert source_of is not None
-    for start in range(len(tokens)):
-        if tokens[start] is not None:
-            continue
-        path = [start]
-        cur = source_of[start]
-        while tokens[cur] is None:
-            path.append(cur)
-            cur = source_of[cur]
-        value = tokens[cur]
-        for c in path:
-            tokens[c] = value
-    grid = [
-        [tokens[i * n + j] for j in range(n)] for i in range(s.rows)
-    ]
-    return Matrix2D.from_tokens(grid)
+    return Matrix2D(s.rows, s.cols, *decoded_cells(*data))
 
 
 def identity_scheme(n: int) -> MacroScheme2D:
@@ -229,26 +287,16 @@ def from_grammar(g: Grammar2D) -> MacroScheme2D:
             )
             return
         primary[name] = (top, left)
-        rule = g.rules[name]
-        if isinstance(rule, Terminal):
-            explicit[(top, left)] = rule.token
-        elif isinstance(rule, Horiz):
-            visit(rule.left, top, left)
-            visit(rule.right, top, left + dims[rule.left][1])
-        elif isinstance(rule, Vert):
-            visit(rule.top, top, left)
-            visit(rule.bottom, top + dims[rule.top][0], left)
-        elif isinstance(rule, RunH):
-            w = dims[rule.child][1]
-            visit(rule.child, top, left)
+        token, axis, runs, children = _rhs_key(g.rules[name])
+        if token is not None:
+            explicit[(top, left)] = token
+        corner = [top, left]  # each child starts where the previous ends
+        for child in children:
+            visit(child, *corner)
+            corner[axis - 1] += dims[child][axis - 1]
+        if runs:
             phrases.append(
-                Phrase(top, left + w, top + rows - 1, left + cols - 1, top, left)
-            )
-        else:
-            h = dims[rule.child][0]
-            visit(rule.child, top, left)
-            phrases.append(
-                Phrase(top + h, left, top + rows - 1, left + cols - 1, top, left)
+                Phrase(*corner, top + rows - 1, left + cols - 1, top, left)
             )
 
     visit(g.axiom, 1, 1)
@@ -338,21 +386,6 @@ def b_exact(
                 f"scheme search exceeded work_limit={work_limit}"
             )
 
-    def chains_ok(source_of: list[int]) -> bool:
-        state = [0] * total
-        for start in range(total):
-            cur = start
-            path = []
-            while cur >= 0 and state[cur] == 0:
-                state[cur] = 1
-                path.append(cur)
-                cur = source_of[cur]
-                if cur >= 0 and state[cur] == 1:
-                    return False
-            for c in path:
-                state[c] = 2
-        return True
-
     def assign_sources(parts: list) -> list | None:
         copied = [p for p in parts if p[0] == "p"]
         if not copied:
@@ -382,7 +415,7 @@ def b_exact(
             p = copied[pos]
             for src in occurrences(p[1], p[2], p[3], p[4]):
                 fill(p, src)
-                if chains_ok(source_of):
+                if walk_chains(source_of)[0] is not None:
                     chosen.append(src)
                     if rec(pos + 1):
                         return True
@@ -501,7 +534,13 @@ def parse_scheme(text: str) -> MacroScheme2D:
             continue
         try:
             if parts[0] == "exp" and len(parts) == 4:
-                explicit[(int(parts[1]), int(parts[2]))] = parts[3]
+                pos = (int(parts[1]), int(parts[2]))
+                if pos in explicit:
+                    raise ParseError(
+                        f"line {lineno}: explicit cell ({pos[0]},{pos[1]}) "
+                        "given twice"
+                    )
+                explicit[pos] = parts[3]
             elif parts[0] == "phr" and len(parts) == 7:
                 phrases.append(Phrase(*(int(v) for v in parts[1:])))
             else:

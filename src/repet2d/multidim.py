@@ -1,12 +1,15 @@
 """d-dimensional strings: axis concatenation, grammars, window complexity.
 
-Everything in :mod:`core2d` has a d-dimensional counterpart here.  An
-``NdString`` stores a dense id array in generalized row-major order (the
-last axis varies fastest), grammars concatenate along an explicit axis,
-and the window-complexity machinery ranks windows incrementally axis by
-axis exactly like the 2D version.  The 2D types embed losslessly via
-``to_nd``/``to_2d`` and ``grammar_to_nd``; the embeddings are exercised
-as oracles by the test-bed.
+An ``NdString`` stores dense ids in generalized row-major order (the last
+axis varies fastest), like ``Matrix2D`` does for two axes.  The algorithms
+are written once for any number of axes and the 2D functions are their
+d = 2 case: window ranking is ``core2d.rank_windows``, grammar validation
+and expansion are ``grammar2d.resolve_dims`` and ``grammar2d.expand_ids``
+(which read ``ConcatNd``/``RunNd`` and the 2D rules alike), and scheme
+checking and decoding is ``macroscheme.analyze_boxes``.  This module holds
+the dD types and adapters around them, the d-dimensional de Bruijn cube and
+its grammar, and the ``nd`` text format.  The 2D types embed losslessly via
+``to_nd``/``to_2d`` and ``grammar_to_nd``.
 
 Macro schemes generalize to boxes with source corners; only validation
 and decoding are provided in dD (no exact solvers).
@@ -16,28 +19,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 from math import prod
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, _pair_rank
-from .errors import (
-    AxisMismatch,
-    BadParam,
-    CycleDetected,
-    DanglingVariable,
-    DimMismatch,
-    DuplicateRHS,
-    OutOfBounds,
-    ParseError,
-    TooLarge,
-)
+from .core2d import MAX_CELLS, Matrix2D, encode_tokens, rank_windows
+from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError, TooLarge
 from .families import debruijn_bits
-from .grammar2d import Grammar2D, Horiz, RunH, RunV, Terminal, Vert
-from .macroscheme import _ERRORS, SchemeCheck
+from .grammar2d import (
+    ConcatNd,
+    Grammar2D,
+    RuleNd,
+    RunNd,
+    TerminalNd,
+    _rhs_key,
+    balanced_slp,
+    expand_ids,
+    resolve_dims,
+    rule_size,
+)
+from .macroscheme import _ERRORS, SchemeCheck, analyze_boxes, decoded_cells
+
+#: budget label of every dD ranking pass, whatever its axis
+_RANKING = ("window ranking",)
 
 
 @dataclass(frozen=True)
@@ -63,19 +71,12 @@ class NdString:
         total = prod(dims)
         if total > MAX_CELLS:
             raise TooLarge(f"{'x'.join(map(str, dims))} exceeds the {MAX_CELLS}-cell cap")
-        toks: list[str] = []
-        for tok in tokens:
-            tok = tok if isinstance(tok, str) else str(tok)
-            if not tok or any(ch.isspace() for ch in tok):
-                raise ParseError(f"invalid token {tok!r}")
-            toks.append(tok)
-        if len(toks) != total:
+        cells, alphabet = encode_tokens(tokens)
+        if len(cells) != total:
             raise ParseError(
-                f"expected {total} tokens for dims {dims}, got {len(toks)}"
+                f"expected {total} tokens for dims {dims}, got {len(cells)}"
             )
-        alphabet = tuple(sorted(set(toks)))
-        index = {t: i for i, t in enumerate(alphabet)}
-        return cls(dims, tuple(index[t] for t in toks), alphabet)
+        return cls(dims, cells, alphabet)
 
     @cached_property
     def _grid(self) -> np.ndarray:
@@ -142,36 +143,6 @@ def concat_axis(a: NdString, b: NdString, axis: int) -> NdString:
 
 
 @dataclass(frozen=True)
-class TerminalNd:
-    token: str
-
-
-@dataclass(frozen=True)
-class ConcatNd:
-    axis: int
-    first: str
-    second: str
-
-
-@dataclass(frozen=True)
-class RunNd:
-    axis: int
-    count: int
-    child: str
-
-
-RuleNd = Union[TerminalNd, ConcatNd, RunNd]
-
-
-def _children_nd(rule: RuleNd) -> tuple[str, ...]:
-    if isinstance(rule, TerminalNd):
-        return ()
-    if isinstance(rule, ConcatNd):
-        return (rule.first, rule.second)
-    return (rule.child,)
-
-
-@dataclass(frozen=True)
 class GrammarNd:
     ndim: int
     axiom: str
@@ -179,9 +150,7 @@ class GrammarNd:
 
     @property
     def size(self) -> int:
-        return sum(
-            1 if isinstance(r, TerminalNd) else 2 for r in self.rules.values()
-        )
+        return sum(map(rule_size, self.rules.values()))
 
 
 @dataclass(frozen=True)
@@ -200,141 +169,28 @@ def validate_nd(g: GrammarNd) -> NdInfo:
     """
     if g.ndim < 1:
         raise BadParam(f"grammar needs >= 1 axes, got {g.ndim}")
-    if g.axiom not in g.rules:
-        raise DanglingVariable(f"axiom {g.axiom!r} has no rule")
-    seen: dict[tuple, str] = {}
-    for name, rule in g.rules.items():
-        if isinstance(rule, (ConcatNd, RunNd)) and not 1 <= rule.axis <= g.ndim:
-            raise BadParam(f"rule {name} uses axis {rule.axis}; have 1..{g.ndim}")
-        if isinstance(rule, RunNd) and rule.count < 2:
-            raise BadParam(f"run rule {name} has exponent {rule.count}; need >= 2")
-        for child in _children_nd(rule):
-            if child not in g.rules:
-                raise DanglingVariable(
-                    f"rule {name} references undefined variable {child!r}"
-                )
-        if isinstance(rule, TerminalNd):
-            key: tuple = ("term", rule.token)
-        elif isinstance(rule, ConcatNd):
-            key = ("cat", rule.axis, rule.first, rule.second)
-        else:
-            key = ("run", rule.axis, rule.count, rule.child)
-        if key in seen:
-            raise DuplicateRHS(
-                f"rules {seen[key]} and {name} have the same right-hand side"
-            )
-        seen[key] = name
-
-    var_dims: dict[str, tuple[int, ...]] = {}
-    state: dict[str, int] = {}
-
-    def resolve(name: str) -> tuple[int, ...]:
-        if state.get(name) == 2:
-            return var_dims[name]
-        if state.get(name) == 1:
-            raise CycleDetected(f"variable {name} derives itself")
-        state[name] = 1
-        rule = g.rules[name]
-        if isinstance(rule, TerminalNd):
-            dim = (1,) * g.ndim
-        elif isinstance(rule, ConcatNd):
-            d1, d2 = resolve(rule.first), resolve(rule.second)
-            a = rule.axis - 1
-            for j in range(g.ndim):
-                if j != a and d1[j] != d2[j]:
-                    raise DimMismatch(
-                        f"{name}: children {rule.first} and {rule.second} "
-                        f"differ on axis {j + 1} ({d1[j]} vs {d2[j]})"
-                    )
-            dim = tuple(
-                d1[j] + d2[j] if j == a else d1[j] for j in range(g.ndim)
-            )
-        else:
-            d1 = resolve(rule.child)
-            a = rule.axis - 1
-            dim = tuple(
-                d1[j] * rule.count if j == a else d1[j] for j in range(g.ndim)
-            )
-        var_dims[name] = dim
-        state[name] = 2
-        return dim
-
-    for name in g.rules:
-        resolve(name)
+    var_dims = resolve_dims(g.axiom, g.rules, g.ndim)
     return NdInfo(g.size, var_dims[g.axiom], var_dims)
 
 
 def expand_nd(g: GrammarNd, budget: WorkBudget | None = None) -> NdString:
     """The d-dimensional string derived from the axiom."""
     info = validate_nd(g)
-    budget = ensure_budget(budget)
-    if prod(info.dims) > MAX_CELLS:
-        raise TooLarge(
-            f"expansion is {'x'.join(map(str, info.dims))}; refusing more "
-            f"than {MAX_CELLS} cells"
-        )
-    reach: set[str] = set()
-    stack = [g.axiom]
-    while stack:
-        name = stack.pop()
-        if name in reach:
-            continue
-        reach.add(name)
-        stack.extend(_children_nd(g.rules[name]))
-    tokens = sorted(
-        r.token
-        for name, r in g.rules.items()
-        if name in reach and isinstance(r, TerminalNd)
-    )
-    token_id = {t: i for i, t in enumerate(tokens)}
-
-    order: list[str] = []
-    done: set[str] = set()
-
-    def topo(name: str) -> None:
-        if name in done:
-            return
-        done.add(name)
-        for child in _children_nd(g.rules[name]):
-            topo(child)
-        order.append(name)
-
-    topo(g.axiom)
-    arrays: dict[str, np.ndarray] = {}
-    for name in order:
-        rule = g.rules[name]
-        budget.charge(prod(info.var_dims[name]), "grammar expansion")
-        if isinstance(rule, TerminalNd):
-            arr = np.full((1,) * g.ndim, token_id[rule.token], dtype=np.int64)
-        elif isinstance(rule, ConcatNd):
-            arr = np.concatenate(
-                [arrays[rule.first], arrays[rule.second]], axis=rule.axis - 1
-            )
-        else:
-            reps = [1] * g.ndim
-            reps[rule.axis - 1] = rule.count
-            arr = np.tile(arrays[rule.child], reps)
-        arrays[name] = arr
-    root = arrays[g.axiom]
-    return NdString(info.dims, tuple(root.ravel().tolist()), tuple(tokens))
+    root, tokens = expand_ids(g.axiom, g.rules, info.var_dims, budget)
+    return NdString(info.dims, tuple(root.ravel().tolist()), tokens)
 
 
 def grammar_to_nd(g: Grammar2D) -> GrammarNd:
     """Embed a 2D grammar: rows are axis 1, columns axis 2."""
     rules: dict[str, RuleNd] = {}
     for name, rule in g.rules.items():
-        if isinstance(rule, Terminal):
-            rules[name] = TerminalNd(rule.token)
-        elif isinstance(rule, Horiz):
-            rules[name] = ConcatNd(2, rule.left, rule.right)
-        elif isinstance(rule, Vert):
-            rules[name] = ConcatNd(1, rule.top, rule.bottom)
-        elif isinstance(rule, RunH):
-            rules[name] = RunNd(2, rule.count, rule.child)
-        elif isinstance(rule, RunV):
-            rules[name] = RunNd(1, rule.count, rule.child)
+        token, axis, count, children = _rhs_key(rule)
+        if token is not None:
+            rules[name] = TerminalNd(token)
+        elif count:
+            rules[name] = RunNd(axis, count, *children)
         else:
-            raise BadParam(f"unknown rule type for {name}")
+            rules[name] = ConcatNd(axis, *children)
     return GrammarNd(2, g.axiom, rules)
 
 
@@ -384,28 +240,6 @@ def build_bdk_grammar(d: int, k: int) -> GrammarNd:
     dstr = "".join(str(b) for b in _padded_debruijn(k))
     rules: dict[str, RuleNd] = {}
 
-    def slp(text: str, axis: int, prefix: str, leaf: Mapping[str, str]) -> str:
-        """Balanced concatenation along ``axis`` with content deduplication."""
-        memo: dict[str, str] = {}
-        count = 0
-
-        def build(s: str) -> str:
-            nonlocal count
-            if s in memo:
-                return memo[s]
-            if len(s) == 1:
-                name = leaf[s]
-            else:
-                mid = len(s) // 2
-                first, second = build(s[:mid]), build(s[mid:])
-                count += 1
-                name = f"{prefix}N{count}"
-                rules[name] = ConcatNd(axis, first, second)
-            memo[s] = name
-            return name
-
-        return build(text)
-
     def grammar_for(dim: int, tag: int) -> str:
         """Axiom for the dim-cube whose cell ids carry high bits ``tag``."""
         if dim == 1:
@@ -415,10 +249,12 @@ def build_bdk_grammar(d: int, k: int) -> GrammarNd:
                 tname = f"T{tok}"
                 rules.setdefault(tname, TerminalNd(tok))
                 leaf[bit] = tname
-            return slp(dstr, d, f"D1T{tag}", leaf)
-        a0 = grammar_for(dim - 1, tag * 2)
-        a1 = grammar_for(dim - 1, tag * 2 + 1)
-        return slp(dstr, d - dim + 1, f"D{dim}T{tag}", {"0": a0, "1": a1})
+        else:
+            a0 = grammar_for(dim - 1, tag * 2)
+            leaf = {"0": a0, "1": grammar_for(dim - 1, tag * 2 + 1)}
+        # balanced concatenation of the leaves along this dimension's axis
+        join = partial(ConcatNd, d - dim + 1)
+        return balanced_slp(dstr, leaf.__getitem__, join, f"D{dim}T{tag}N", rules)[0]
 
     axiom = grammar_for(d, 0)
     return GrammarNd(d, axiom, rules)
@@ -432,36 +268,12 @@ def build_bdk_grammar(d: int, k: int) -> GrammarNd:
 def iter_shape_labels_nd(
     x: NdString, budget: WorkBudget | None = None
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (shape, labels) for every window shape, in odometer order
-    (last axis fastest).  ``labels`` assigns equal ids to equal windows.
-
-    Each shape is derived from its predecessor by one ranking pass, so the
-    enumeration shares the per-axis passes instead of hashing every window
-    of every shape from scratch.
-    """
-    budget = ensure_budget(budget)
-    d = x.ndim
-
-    def rec(
-        axis: int, base: np.ndarray, prefix: tuple[int, ...]
-    ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-        n_axis = x.dims[axis - 1]
-        cur = base
-        for ka in range(1, n_axis + 1):
-            if ka > 1:
-                w = n_axis - ka + 1
-                lo = [slice(None)] * d
-                hi = [slice(None)] * d
-                lo[axis - 1] = slice(0, w)
-                hi[axis - 1] = slice(ka - 1, ka - 1 + w)
-                budget.charge(cur[tuple(lo)].size, "window ranking")
-                cur = _pair_rank(cur[tuple(lo)], base[tuple(hi)])
-            if axis == d:
-                yield prefix + (ka,), cur
-            else:
-                yield from rec(axis + 1, cur, prefix + (ka,))
-
-    yield from rec(1, x._grid, ())
+    """Yield (shape, labels) for every window shape, in ascending order of
+    the reversed shape tuple (first axis fastest), extending the last axis
+    first as ``rank_windows`` does.  ``labels`` assigns equal ids to equal
+    windows; for a 2-dimensional string they equal the 2D labels."""
+    shapes = product(*(range(1, n + 1) for n in x.dims))
+    return rank_windows(x._grid, shapes, ensure_budget(budget), _RANKING * x.ndim)
 
 
 def shape_labels_nd(
@@ -474,20 +286,9 @@ def shape_labels_nd(
         not 1 <= k <= n for k, n in zip(shape, x.dims)
     ):
         raise OutOfBounds(f"window shape {shape} does not fit in {x.dims}")
-    d = x.ndim
-    cur = x._grid
-    for axis in range(d):
-        base = cur
-        n_axis = x.dims[axis]
-        for ka in range(2, shape[axis] + 1):
-            w = n_axis - ka + 1
-            lo = [slice(None)] * d
-            hi = [slice(None)] * d
-            lo[axis] = slice(0, w)
-            hi[axis] = slice(ka - 1, ka - 1 + w)
-            budget.charge(cur[tuple(lo)].size, "window ranking")
-            cur = _pair_rank(cur[tuple(lo)], base[tuple(hi)])
-    return cur
+    for _, labels in rank_windows(x._grid, [shape], budget, _RANKING * x.ndim):
+        return labels
+    raise AssertionError("unreachable")
 
 
 def factor_count_nd(
@@ -533,145 +334,45 @@ class MacroSchemeNd:
         return len(self.explicit) + len(self.boxes)
 
 
-def _nd_flat(dims: tuple[int, ...], pos: tuple[int, ...]) -> int:
-    idx = 0
-    for p, n in zip(pos, dims):
-        idx = idx * n + (p - 1)
-    return idx
+def _analyze_scheme(s: MacroSchemeNd):
+    """analyze_boxes in dD terms: positions print as tuples, boxes by corners."""
+    boxes = [(tuple(b.lo), tuple(b.hi), tuple(b.src)) for b in s.boxes]
 
+    def describe(fault: str, at) -> tuple[str, str]:
+        if fault == "dims":
+            return "BadParam", f"bad dims {s.dims}"
+        if fault == "cap":
+            return "TooLarge", f"{prod(s.dims)} cells exceed the cap"
+        if fault == "explicit":
+            pos, token, _, outside = at
+            if outside:
+                return "OutOfBounds", f"explicit cell {pos}"
+            return "BadParam", f"invalid token {token!r}"
+        if fault in ("inverted", "target"):
+            return "OutOfBounds", "box {}..{}".format(*boxes[at])
+        if fault == "source":
+            return "OutOfBoundsSource", "box {}..{} from {}".format(*boxes[at])
+        if fault == "overlap":
+            pos = tuple(int(p) + 1 for p in np.unravel_index(at, s.dims))
+            return "NotPartition", f"cell {pos} covered twice"
+        if fault == "holes":
+            return "NotPartition", f"{at[0]} cells uncovered"
+        return "CyclicMap", f"copy cycle through cell {at}"
 
-def _analyze_nd(s: MacroSchemeNd):
-    d = len(s.dims)
-    total = prod(s.dims)
-    if d < 1 or any(n < 1 for n in s.dims):
-        return SchemeCheck(False, s.size, "BadParam", f"bad dims {s.dims}"), None
-    if total > MAX_CELLS:
-        return (
-            SchemeCheck(False, s.size, "TooLarge", f"{total} cells exceed the cap"),
-            None,
-        )
-
-    def in_bounds(pos: tuple[int, ...]) -> bool:
-        return len(pos) == d and all(
-            1 <= p <= n for p, n in zip(pos, s.dims)
-        )
-
-    # source_of[cell] = flat index copied from, or -1 when explicit
-    source_of = np.full(total, -2, dtype=np.int64)
-    tokens: dict[int, str] = {}
-    for pos, tok in s.explicit.items():
-        pos = tuple(pos)
-        if not in_bounds(pos):
-            return (
-                SchemeCheck(False, s.size, "OutOfBounds", f"explicit cell {pos}"),
-                None,
-            )
-        if not tok or any(ch.isspace() for ch in str(tok)):
-            return (
-                SchemeCheck(False, s.size, "BadParam", f"invalid token {tok!r}"),
-                None,
-            )
-        f = _nd_flat(s.dims, pos)
-        if source_of[f] != -2:
-            return (
-                SchemeCheck(False, s.size, "NotPartition", f"cell {pos} covered twice"),
-                None,
-            )
-        source_of[f] = -1
-        tokens[f] = str(tok)
-    for box in s.boxes:
-        lo, hi, src = tuple(box.lo), tuple(box.hi), tuple(box.src)
-        if not (in_bounds(lo) and in_bounds(hi)) or any(
-            a > b for a, b in zip(lo, hi)
-        ):
-            return (
-                SchemeCheck(False, s.size, "OutOfBounds", f"box {lo}..{hi}"),
-                None,
-            )
-        ext = tuple(b - a for a, b in zip(lo, hi))
-        if not in_bounds(src) or not in_bounds(
-            tuple(p + e for p, e in zip(src, ext))
-        ):
-            return (
-                SchemeCheck(
-                    False, s.size, "OutOfBoundsSource", f"box {lo}..{hi} from {src}"
-                ),
-                None,
-            )
-        for off in np.ndindex(*(e + 1 for e in ext)):
-            pos = tuple(a + o for a, o in zip(lo, off))
-            f = _nd_flat(s.dims, pos)
-            if source_of[f] != -2:
-                return (
-                    SchemeCheck(
-                        False, s.size, "NotPartition", f"cell {pos} covered twice"
-                    ),
-                    None,
-                )
-            source_of[f] = _nd_flat(s.dims, tuple(p + o for p, o in zip(src, off)))
-    holes = np.flatnonzero(source_of == -2)
-    if holes.size:
-        return (
-            SchemeCheck(
-                False, s.size, "NotPartition", f"{holes.size} cells uncovered"
-            ),
-            None,
-        )
-    # acyclicity: every chain of copies must reach an explicit cell
-    state = np.zeros(total, dtype=np.int8)  # 0 new, 1 on stack, 2 ok
-    for start in range(total):
-        if state[start] == 2:
-            continue
-        chain = []
-        cell = start
-        while True:
-            if state[cell] == 1:
-                return (
-                    SchemeCheck(
-                        False, s.size, "CyclicMap", f"copy cycle through cell {cell}"
-                    ),
-                    None,
-                )
-            if state[cell] == 2:
-                break
-            state[cell] = 1
-            chain.append(cell)
-            if source_of[cell] == -1:
-                break
-            cell = int(source_of[cell])
-        for c in chain:
-            state[c] = 2
-    return SchemeCheck(True, s.size, None, None), (source_of, tokens)
+    return analyze_boxes(s.dims, s.explicit, boxes, s.size, describe)
 
 
 def validate_nd_scheme(s: MacroSchemeNd) -> SchemeCheck:
     """Partition + bounds + acyclic copy map, reported without raising."""
-    check, _ = _analyze_nd(s)
-    return check
+    return _analyze_scheme(s)[0]
 
 
 def decode_nd_scheme(s: MacroSchemeNd) -> NdString:
     """The unique d-dimensional string the scheme describes."""
-    check, data = _analyze_nd(s)
+    check, data = _analyze_scheme(s)
     if not check.ok:
         raise _ERRORS[check.error](check.message)
-    source_of, tokens = data
-    total = prod(s.dims)
-    out: list[str | None] = [None] * total
-    for f, tok in tokens.items():
-        out[f] = tok
-    for start in range(total):
-        if out[start] is not None:
-            continue
-        chain = [start]
-        cell = int(source_of[start])
-        while out[cell] is None:
-            chain.append(cell)
-            cell = int(source_of[cell])
-        tok = out[cell]
-        for c in reversed(chain):
-            out[c] = tok
-    return NdString.from_tokens(s.dims, out)
+    return NdString(s.dims, *decoded_cells(*data))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,20 @@ def test_macro_roundtrip(tmp_path):
     assert r.stdout.strip() == mpath.read_text().strip()
 
 
+def test_macro_rejects_bad_scheme_files(tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("scheme 100000 100000\n")
+    for action in ("validate", "decode"):
+        r = run("macro", action, "--in", str(huge))
+        assert r.returncode == 2 and "TooLarge" in r.stdout + r.stderr
+        assert "Traceback" not in r.stderr
+    twice = tmp_path / "twice.txt"
+    twice.write_text("scheme 1 2\nexp 1 1 0\nexp 1 2 1\nexp 1 1 1\n")
+    r = run("macro", "validate", "--in", str(twice))
+    assert r.returncode == 4 and "line 4" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_blocktree_and_linearize(tmp_path):
     mpath = tmp_path / "m.txt"
     run("gen", "--family", "identity", "--params", "8", "--out", str(mpath))

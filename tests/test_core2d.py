@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 from repet2d import (
     Matrix2D,
     concat_h,
@@ -18,7 +20,17 @@ from repet2d.errors import (
     TooLarge,
 )
 
-from util import mat, naive_factor_count, naive_factors, random_matrix, raises
+from repet2d.core2d import iter_shape_labels
+
+from util import (
+    Ledger,
+    mat,
+    naive_factor_count,
+    naive_factors,
+    random_matrix,
+    raises,
+    reference_shape_labels,
+)
 
 
 def test_from_tokens_basics():
@@ -81,6 +93,25 @@ def test_factor_count_against_naive_oracle():
             f"{m}\nshape {k1}x{k2}"
         )
     raises(OutOfBounds, factor_count, mat("01"), 2, 1)
+
+
+def test_labels_equal_the_2d_reference():
+    # the d-axis ranking must give the former 2D ranking's ids, order and
+    # budget charges, for all shapes and for the k x 1 / 1 x k subset
+    rng = random.Random(71)
+    for _ in range(40):
+        m = random_matrix(rng, 7, 7, "01" if rng.random() < 0.6 else "abcd")
+        every = [(a, b) for a in range(1, m.rows + 1) for b in range(1, m.cols + 1)]
+        lines = sorted({(k, 1) for k in range(1, m.rows + 1)}
+                       | {(1, k) for k in range(1, m.cols + 1)})
+        for wanted in (every, lines, [(m.rows, m.cols)]):
+            got_ledger, ref_ledger = Ledger(), Ledger()
+            got = list(iter_shape_labels(m, wanted, got_ledger))
+            ref = list(reference_shape_labels(m, wanted, ref_ledger))
+            assert [s[:2] for s in got] == [s[:2] for s in ref]
+            for (_, _, lab), (_, _, want) in zip(got, ref):
+                assert np.array_equal(lab, want)
+            assert got_ledger.steps == ref_ledger.steps
 
 
 def test_distinct_factors_contents_and_occurrences():

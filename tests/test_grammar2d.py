@@ -26,8 +26,9 @@ from repet2d.errors import (
     ParseError,
 )
 from repet2d.grammar2d import Horiz, RunH, Terminal, Vert
+from repet2d.multidim import build_bdk_grammar, expand_nd, grammar_to_nd, validate_nd
 
-from util import mat, random_matrix, raises
+from util import mat, random_matrix, raises, recursive_dims_order
 
 
 def test_validate_reports_sizes_and_dims():
@@ -41,6 +42,39 @@ def test_validate_reports_sizes_and_dims():
     info_rl = validate_grammar(sample_rlslp())
     assert info_rl.size == 8
     assert info_rl.is_runlength
+
+
+def test_dims_keep_the_recursive_resolution_order():
+    grammars = [build_ek_grammar(k) for k in (1, 3, 6)]
+    grammars += [build_bk_grammar(k) for k in (1, 2, 3)]
+    grammars += [build_zeros_rlslp(5), sample_slp(), sample_rlslp()]
+    rng = random.Random(31)
+    grammars += [random_grammar(rng) for _ in range(40)]
+    for g in grammars:
+        assert list(validate_grammar(g).dims) == recursive_dims_order(g.rules)
+        gn = grammar_to_nd(g)
+        assert list(validate_nd(gn).var_dims) == recursive_dims_order(gn.rules)
+    for d, k in ((1, 3), (2, 2), (3, 2)):
+        g = build_bdk_grammar(d, k)
+        assert list(validate_nd(g).var_dims) == recursive_dims_order(g.rules)
+
+
+def test_deep_grammar_needs_no_recursion():
+    # left-deep chain of 3000 concatenations, rules listed axiom first, so
+    # resolving the axiom walks the whole depth before anything is known
+    depth = 3000
+    leaf = ["A" if i % 2 == 0 else "B" for i in range(depth - 1)]
+    rules = {f"X{i}": Horiz(f"X{i + 1}", leaf[i]) for i in range(depth - 1)}
+    rules[f"X{depth - 1}"] = Horiz("A", "B")
+    rules.update(A=Terminal("a"), B=Terminal("b"))
+    g = Grammar2D("X0", rules)
+    want = "ab" + "".join(leaf[::-1]).lower()
+    info = validate_grammar(g)
+    assert (info.rows, info.cols) == (1, depth + 1)
+    assert "".join(expand(g).tokens()[0]) == want
+    gn = grammar_to_nd(g)
+    assert validate_nd(gn).dims == (1, depth + 1)
+    assert "".join(expand_nd(gn).tokens_flat()) == want
 
 
 def test_validate_error_taxonomy():

@@ -182,3 +182,14 @@ def test_scheme_text_roundtrip():
     raises(ParseError, parse_scheme, "scheme 1 1\nexp 1 1\n")
     raises(ParseError, parse_scheme, "scheme 1 1\nfrob 1 1 0\n")
     raises(ParseError, parse_scheme, "scheme 1 2\nexp 1 1 0\nphr 1 2 1 2 1\n")
+    # a cell given twice is an error naming the repeated line
+    exc = raises(ParseError, parse_scheme, "scheme 1 2\nexp 1 1 0\n\nexp 1 1 1\n")
+    assert "line 4" in str(exc)
+
+
+def test_scheme_over_the_cell_cap():
+    # only the header is large: the cap is checked before anything is allocated
+    huge = MacroScheme2D(100000, 100000, {}, ())
+    chk = validate_scheme(huge)
+    assert not chk.ok and chk.error == "TooLarge"
+    raises(TooLarge, decode, huge)

@@ -16,9 +16,11 @@ from repet2d import (
     is_attractor,
     zeros,
 )
+from repet2d import measures
 from repet2d.errors import BadParam, ShapeTooLarge, TooLarge
 
 from util import (
+    Ledger,
     mat,
     naive_delta,
     naive_delta_1d,
@@ -26,6 +28,7 @@ from util import (
     naive_is_attractor,
     random_matrix,
     raises,
+    reference_shape_labels,
     substring_complexity,
 )
 
@@ -76,6 +79,34 @@ def test_delta_table_option():
 
 def test_delta_budget_exhaustion():
     raises(ShapeTooLarge, delta, ek(4), budget=WorkBudget(limit=10))
+
+
+def test_measures_equal_those_on_the_2d_reference_ranking(monkeypatch):
+    rng = random.Random(73)
+    cases = []
+    for _ in range(25):
+        m = random_matrix(rng, 6, 6, "ab")
+        cells = [(i, j) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1)]
+        cases.append((m, rng.sample(cells, rng.randint(1, min(3, len(cells))))))
+
+    def measure_all():
+        out = []
+        for m, cand in cases:
+            ledger = Ledger()
+            out.append((
+                delta(m, with_table=True, budget=ledger),
+                delta_square(m, with_table=True, budget=ledger),
+                is_attractor(m, cand, budget=ledger),
+                is_attractor(m, cand, square_only=True, budget=ledger),
+                gamma_lower_bound_unique(m, budget=ledger),
+                ledger.steps,
+            ))
+        return out
+
+    got = measure_all()
+    assert any(not check for _, _, check, _, _, _ in got)  # failure reports too
+    monkeypatch.setattr(measures, "iter_shape_labels", reference_shape_labels)
+    assert measure_all() == got
 
 
 def test_attractor_set_normalizes():

@@ -3,6 +3,8 @@ wherever both apply, plus the counter-cube family and its grammar."""
 
 import random
 
+import numpy as np
+
 from repet2d import alt, bk, concat_h, concat_v, identity
 from repet2d.errors import (
     AxisMismatch,
@@ -13,6 +15,7 @@ from repet2d.errors import (
     DimMismatch,
     DuplicateRHS,
     ParseError,
+    TooLarge,
 )
 from repet2d.grammar2d import build_bk_grammar, validate_grammar
 from repet2d.measures import delta, iter_shape_labels
@@ -174,11 +177,7 @@ def test_shape_labels_agree_with_2d():
         shapes = sorted(nd)
         assert shapes == [(a, b) for a in range(1, m.rows + 1) for b in range(1, m.cols + 1)]
         for k1, k2, lab in iter_shape_labels(m, shapes):
-            other = nd[(k1, k2)]
-            assert lab.shape == other.shape
-            pairs = set(zip(lab.ravel().tolist(), other.ravel().tolist()))
-            # same partition into equal-content windows, label ids aside
-            assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+            assert np.array_equal(lab, nd[(k1, k2)])
 
 
 def test_scheme_validate_and_decode():
@@ -210,6 +209,10 @@ def test_scheme_validate_and_decode():
     assert validate_nd_scheme(chain).ok
     got = decode_nd_scheme(chain)
     assert [got.at((1, 1)), got.at((2, 1))] == ["1", "0"]
+    # only the dims are large: the cap is checked before anything is allocated
+    huge = MacroSchemeNd((5000, 5000), {}, ())
+    assert err(huge) == "TooLarge"
+    raises(TooLarge, decode_nd_scheme, huge)
 
 
 def test_text_roundtrip():
