@@ -14,15 +14,20 @@ Distinct-factor counting is exact: windows of a shape are dense-ranked by
 iterated integer rank compression (np.unique), extending the shape one column
 / one row at a time (``rank_windows`` does this for any number of axes). No
 hashing is involved, so there are no collisions to resolve and results are
-deterministic.
+deterministic. ``densest_shape`` (delta for any number of axes) walks the
+same passes but ends a chain once the answer is settled, by saturation or by
+a bound stop; both prunings are exact, so it does not rank every shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from math import prod
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +45,9 @@ TokenGrid = tuple[tuple[str, ...], ...]
 
 #: hard cap on cells, matching the documented family caps (~16M)
 MAX_CELLS = 1 << 24
+
+#: budget labels of the 2D ranking passes along axis 1 (rows) and axis 2
+RANKING_2D = ("column ranking", "row ranking")
 
 
 @dataclass(frozen=True)
@@ -196,6 +204,8 @@ def rank_windows(
     wanted: Iterable[Sequence[int]],
     budget: WorkBudget,
     what: Sequence[str],
+    *,
+    _stop: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Yield (shape, labels) for every wanted window shape of an id grid
     with any number of axes.
@@ -206,6 +216,11 @@ def rank_windows(
     which charges the new window count to ``budget`` under ``what[axis]``.
     Shapes are yielded in ascending order of their reversed tuples, and only
     the passes on the way to a wanted shape are made.
+
+    ``_stop`` (private, for ``densest_shape``) is asked before every pass
+    with the shape that pass would rank; when it answers true the chain along
+    that axis ends there, so neither that shape nor any later shape of the
+    chain, nor any shape reached through them, is ranked or yielded.
     """
     tree: dict = {}  # last extent -> ... -> second extent -> {first: None}
     for shape in wanted:
@@ -220,6 +235,8 @@ def rank_windows(
         cur = base
         for k in range(1, max(node) + 1):
             if k > 1:
+                if _stop is not None and _stop((1,) * axis + (k,) + suffix):
+                    return
                 width = n - k + 1
                 budget.charge(cur.size // cur.shape[axis] * width, what[axis])
                 cur = _pair_rank(
@@ -234,6 +251,67 @@ def rank_windows(
 
     if tree:
         yield from extend(grid.ndim - 1, grid, tree, ())
+
+
+def densest_shape(
+    grid: np.ndarray,
+    cubes_only: bool,
+    budget: WorkBudget,
+    what: Sequence[str],
+    with_table: bool = False,
+) -> tuple[Fraction, tuple[int, ...], dict[tuple[int, ...], int] | None]:
+    """(value, shape, table) for the window shape of an id grid with the most
+    distinct windows per unit of volume (cubes (k, ..., k) only if
+    ``cubes_only``).
+
+    ``value`` is count(shape) / vol(shape), maximal over the shapes; ties go
+    to the smallest volume, then to the smallest shape tuple. ``table`` maps
+    every shape to its count, in ascending order of reversed tuples, when
+    ``with_table`` is set, else it is None.
+
+    Windows are ranked by ``rank_windows``, whose chains end as soon as no
+    shape left on them can change the answer. Both prunings are exact:
+
+    * saturation: once every window of shape s is distinct, every shape
+      s' >= s (in all axes) has count W(s') = prod(n_i - k_i + 1), so it
+      needs no pass; its value W(s')/vol(s') is below that of s.
+    * bound stop (not with a table): count(s)/vol(s) <= W(s)/vol(s), which
+      falls along every axis, so a chain ends once that bound is strictly
+      below the best value so far; ties can still reach the smallest shape.
+    """
+    dims = grid.shape
+    if cubes_only:
+        wanted = [(k,) * grid.ndim for k in range(1, min(dims) + 1)]
+    else:
+        wanted = [s[::-1] for s in product(*(range(1, n + 1) for n in dims[::-1]))]
+
+    def windows(shape: tuple[int, ...]) -> int:
+        return prod(n - k + 1 for n, k in zip(dims, shape))
+
+    saturated: list[tuple[int, ...]] = []
+    counts: dict[tuple[int, ...], int] = {}
+    best: tuple[Fraction, int, tuple[int, ...]] | None = None  # smallest wins
+
+    def stop(shape: tuple[int, ...]) -> bool:
+        # every wanted shape left on this chain is >= low
+        low = (max(shape),) * len(shape) if cubes_only else shape
+        if any(all(map(int.__le__, s, low)) for s in saturated):
+            return True
+        return not with_table and Fraction(windows(low), prod(low)) < -best[0]
+
+    for shape, labels in rank_windows(grid, wanted, budget, what, _stop=stop):
+        count = int(labels.max()) + 1
+        if count == labels.size:
+            saturated.append(shape)
+        counts[shape] = count
+        vol = prod(shape)
+        key = (Fraction(-count, vol), vol, shape)
+        if best is None or key < best:
+            best = key
+    table = None
+    if with_table:
+        table = {s: counts[s] if s in counts else windows(s) for s in wanted}
+    return -best[0], best[2], table
 
 
 def _check_shape(m: Matrix2D, k1: int, k2: int) -> None:
@@ -260,7 +338,7 @@ def iter_shape_labels(
     for k1, k2 in wanted:
         _check_shape(m, k1, k2)
     for (k1, k2), labels in rank_windows(
-        m._grid, wanted, budget, ("column ranking", "row ranking")
+        m._grid, wanted, budget, RANKING_2D
     ):
         yield k1, k2, labels
 
@@ -306,10 +384,11 @@ def distinct_factors(
     for idx in range(flat.size):
         occs[flat[idx]].append((idx // width + 1, idx % width + 1))
     order = sorted(range(n_labels), key=lambda lab: occs[lab][0])
+    grid = m.tokens()
     out = []
     for lab in order:
         i, j = occs[lab][0]
-        content = submatrix(m, i, j, i + k1 - 1, j + k2 - 1).tokens()
+        content = tuple(row[j - 1 : j - 1 + k2] for row in grid[i - 1 : i - 1 + k1])
         out.append(
             Factor2D(FactorShape(k1, k2), content, tuple(occs[lab]))
         )

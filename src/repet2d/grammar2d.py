@@ -341,47 +341,77 @@ class GrammarTree:
     node_count: int
 
 
+def first_occurrences(
+    g: Grammar2D, dims: Mapping[str, tuple[int, int]]
+) -> Iterator[tuple[str, str, int, int, tuple, list[int] | None]]:
+    """Walk the derivation from the axiom in preorder (left/top children
+    first), expanding only the first occurrence of each variable; iterative,
+    so the depth of the grammar does not matter.
+
+    Yields (event, name, top, left, key, corner) with the occurrence's
+    1-based top/left corner in the axiom's expansion: "open" before a first
+    occurrence's children and "close" after them, both with the rule's
+    ``_rhs_key`` (and at "close" ``corner``, the position just past the last
+    child, where a run's remaining copies start), and "again" for each later
+    occurrence, with None for both.
+    """
+    expanded: set[str] = set()
+    stack: list[tuple] = []  # open occurrences: (name, top, left, key, children, corner)
+
+    def occur(name: str, top: int, left: int) -> tuple:
+        if name in expanded:
+            return "again", name, top, left, None, None
+        expanded.add(name)
+        key = _rhs_key(g.rules[name])
+        stack.append((name, top, left, key, iter(key[3]), [top, left]))
+        return "open", name, top, left, key, None
+
+    yield occur(g.axiom, 1, 1)
+    while stack:
+        name, top, left, key, children, corner = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            yield "close", name, top, left, key, corner
+            continue
+        yield occur(child, *corner)  # each child starts where the previous ends
+        corner[key[1] - 1] += dims[child][key[1] - 1]
+
+
 def grammar_tree(g: Grammar2D) -> GrammarTree:
     """The derivation tree in which only the preorder-first occurrence of each
     variable is expanded (left/top before right/bottom); later occurrences
     become secondary leaves, and the last k-1 copies of a run collapse into
     one leaf. Every node carries the rectangle it occupies in the expansion
     of the axiom (1-based top/left corner plus its own dimensions)."""
-    info = validate_grammar(g)
-    dims = info.dims
-    expanded: set[str] = set()
+    dims = validate_grammar(g).dims
     count = 0
-
-    def visit(name: str, top: int, left: int) -> GrammarTreeNode:
-        nonlocal count
-        count += 1
+    kids: list[list[GrammarTreeNode]] = [[]]  # one list per open occurrence
+    for event, name, top, left, key, corner in first_occurrences(g, dims):
         rows, cols = dims[name]
-        if name in expanded:
-            return GrammarTreeNode(name, "secondary", top, left, rows, cols)
-        expanded.add(name)
-        token, axis, runs, children = _rhs_key(g.rules[name])
+        if event == "open":
+            kids.append([])
+            continue
+        if event == "again":
+            kids[-1].append(GrammarTreeNode(name, "secondary", top, left, rows, cols))
+            count += 1
+            continue
+        token, axis, runs, children = key
+        leaf: tuple[GrammarTreeNode, ...] = ()
         if token is not None:
-            count += 1
-            leaf = GrammarTreeNode(token, "terminal", top, left, 1, 1)
-            return GrammarTreeNode(name, "primary", top, left, 1, 1, (leaf,))
-        corner = [top, left]  # each child starts where the previous ends
-        kids = []
-        for child in children:
-            kids.append(visit(child, *corner))
-            corner[axis - 1] += dims[child][axis - 1]
-        if runs:
-            count += 1
-            kids.append(GrammarTreeNode(
+            leaf = (GrammarTreeNode(token, "terminal", top, left, 1, 1),)
+        elif runs:
+            leaf = (GrammarTreeNode(
                 f"{children[0]}{'vh'[axis - 1]}^{runs - 1}",
                 "collapsed",
                 *corner,
                 top + rows - corner[0],
                 left + cols - corner[1],
-            ))
-        return GrammarTreeNode(name, "primary", top, left, rows, cols, tuple(kids))
-
-    root = visit(g.axiom, 1, 1)
-    return GrammarTree(root, count)
+            ),)
+        count += 1 + len(leaf)
+        mine = tuple(kids.pop()) + leaf
+        kids[-1].append(GrammarTreeNode(name, "primary", top, left, rows, cols, mine))
+    return GrammarTree(kids[0][0], count)
 
 
 # ---------------------------------------------------------------------------
@@ -768,15 +798,14 @@ def format_grammar(g: Grammar2D) -> str:
     emitted: set[str] = set()
     order: list[str] = []
 
-    def walk(name: str) -> None:
+    stack = [g.axiom]
+    while stack:
+        name = stack.pop()
         if name in emitted or name not in g.rules:
-            return
+            continue
         emitted.add(name)
         order.append(name)
-        for child in _rhs_key(g.rules[name])[3]:
-            walk(child)
-
-    walk(g.axiom)
+        stack.extend(reversed(_rhs_key(g.rules[name])[3]))
     order.extend(sorted(set(g.rules) - emitted))
     for name in order:
         rule = g.rules[name]

@@ -29,7 +29,7 @@ from .errors import (
     ShapeTooLarge,
     TooLarge,
 )
-from .grammar2d import Grammar2D, _rhs_key, validate_grammar
+from .grammar2d import Grammar2D, first_occurrences, validate_grammar
 
 
 @dataclass(frozen=True)
@@ -277,29 +277,21 @@ def from_grammar(g: Grammar2D) -> MacroScheme2D:
     explicit: dict[Position, str] = {}
     phrases: list[Phrase] = []
     primary: dict[str, Position] = {}
-
-    def visit(name: str, top: int, left: int) -> None:
+    for event, name, top, left, key, corner in first_occurrences(g, dims):
         rows, cols = dims[name]
-        if name in primary:
+        if event == "again":
             si, sj = primary[name]
             phrases.append(
                 Phrase(top, left, top + rows - 1, left + cols - 1, si, sj)
             )
-            return
-        primary[name] = (top, left)
-        token, axis, runs, children = _rhs_key(g.rules[name])
-        if token is not None:
-            explicit[(top, left)] = token
-        corner = [top, left]  # each child starts where the previous ends
-        for child in children:
-            visit(child, *corner)
-            corner[axis - 1] += dims[child][axis - 1]
-        if runs:
+        elif event == "open":
+            primary[name] = (top, left)
+            if key[0] is not None:
+                explicit[(top, left)] = key[0]
+        elif key[2]:  # a run: its remaining copies come from its first one
             phrases.append(
                 Phrase(*corner, top + rows - 1, left + cols - 1, top, left)
             )
-
-    visit(g.axiom, 1, 1)
     return MacroScheme2D(info.rows, info.cols, explicit, tuple(phrases))
 
 

@@ -1,9 +1,13 @@
 """Repetitiveness measures on 2D strings: delta, attractors, gamma.
 
 delta is reported as an exact rational (Fraction) so argmax shapes are
-reproducible; gamma is computed exactly by a minimum-hitting-set search over
-distinct factor contents (the problem is NP-hard, so only tiny instances are
-accepted — see the cell_limit parameter).
+reproducible. It is ``core2d.densest_shape``, which skips the ranking passes
+that cannot change the answer (saturated shapes, and shapes whose window
+count bound is below the best value so far) instead of making one pass per
+shape; both prunings are exact. gamma is computed exactly by a
+minimum-hitting-set search over distinct factor contents (the problem is
+NP-hard, so only tiny instances are accepted — see the cell_limit
+parameter).
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from .core2d import (
     FactorShape,
     Matrix2D,
     Position,
+    RANKING_2D,
     TokenGrid,
-    distinct_factors,
+    densest_shape,
     iter_shape_labels,
     submatrix,
 )
@@ -57,34 +62,10 @@ def delta(
     budget: WorkBudget | None = None,
 ) -> DeltaResult:
     """max over factor shapes of P_M(k1, k2) / (k1*k2), as an exact rational."""
-    budget = ensure_budget(budget)
-    best: Fraction | None = None
-    best_shape: tuple[int, int] | None = None
-    table: dict[tuple[int, int], int] = {}
-    for k1, k2, labels in iter_shape_labels(
-        m, _all_shapes(m, square_only), budget
-    ):
-        count = int(labels.max()) + 1
-        if with_table:
-            table[(k1, k2)] = count
-        value = Fraction(count, k1 * k2)
-        if (
-            best is None
-            or value > best
-            or (
-                value == best
-                and (
-                    k1 * k2 < best_shape[0] * best_shape[1]
-                    or (k1 * k2 == best_shape[0] * best_shape[1] and k1 < best_shape[0])
-                )
-            )
-        ):
-            best = value
-            best_shape = (k1, k2)
-    assert best is not None and best_shape is not None
-    return DeltaResult(
-        best, FactorShape(*best_shape), table if with_table else None
+    value, shape, table = densest_shape(
+        m._grid, square_only, ensure_budget(budget), RANKING_2D, with_table
     )
+    return DeltaResult(value, FactorShape(*shape), table)
 
 
 def delta_square(

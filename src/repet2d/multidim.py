@@ -3,7 +3,8 @@
 An ``NdString`` stores dense ids in generalized row-major order (the last
 axis varies fastest), like ``Matrix2D`` does for two axes.  The algorithms
 are written once for any number of axes and the 2D functions are their
-d = 2 case: window ranking is ``core2d.rank_windows``, grammar validation
+d = 2 case: window ranking is ``core2d.rank_windows`` and delta is
+``core2d.densest_shape`` (which prunes the passes), grammar validation
 and expansion are ``grammar2d.resolve_dims`` and ``grammar2d.expand_ids``
 (which read ``ConcatNd``/``RunNd`` and the 2D rules alike), and scheme
 checking and decoding is ``macroscheme.analyze_boxes``.  This module holds
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, encode_tokens, rank_windows
+from .core2d import MAX_CELLS, Matrix2D, densest_shape, encode_tokens, rank_windows
 from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError, TooLarge
 from .families import debruijn_bits
 from .grammar2d import (
@@ -300,12 +301,7 @@ def factor_count_nd(
 
 def delta_nd(x: NdString, budget: WorkBudget | None = None) -> Fraction:
     """max over window shapes of (#distinct windows) / (window volume)."""
-    best = Fraction(0)
-    for shape, labels in iter_shape_labels_nd(x, budget):
-        val = Fraction(int(labels.max()) + 1, prod(shape))
-        if val > best:
-            best = val
-    return best
+    return densest_shape(x._grid, False, ensure_budget(budget), _RANKING * x.ndim)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,22 @@ Exit code contract: 0 success, 2 failure/usage, 3 budget exhausted,
 4 unparsable input.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the children import the package from this checkout, as the tests do
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+)}
 
 
 def run(*args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "repet2d.cli", *args],
-        capture_output=True, text=True, timeout=300, **kw,
+        capture_output=True, text=True, timeout=300, env=ENV, **kw,
     )
 
 
@@ -70,6 +75,24 @@ def test_grammar_subcommands(tmp_path):
     run("gen", "--family", "alt", "--params", "4", "6", "--out", str(mpath))
     r = run("grammar", "minimize", "--in", str(mpath), "--runs")
     assert r.returncode == 0 and "8" in r.stdout
+
+
+def test_deep_grammar_commands_exit_cleanly(tmp_path):
+    # a valid left-deep grammar of depth 3000 (see test_grammar2d)
+    depth = 3000
+    lines = ["axiom X0"]
+    lines += [f"X{i} = h X{i + 1} {'AB'[i % 2]}" for i in range(depth - 1)]
+    lines += [f"X{depth - 1} = h A B", "A = term a", "B = term b"]
+    gpath = tmp_path / "deep.txt"
+    gpath.write_text("\n".join(lines) + "\n")
+    r = run("grammar", "tree", "--in", str(gpath))
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+    assert str(2 * depth + 3) in r.stdout
+    spath = tmp_path / "deep.scheme"
+    r = run("macro", "from-grammar", "--in", str(gpath), "--out", str(spath))
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+    r = run("macro", "validate", "--in", str(spath))
+    assert r.returncode == 0, r.stdout + r.stderr
 
 
 def test_access_verify(tmp_path):

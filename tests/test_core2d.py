@@ -133,6 +133,17 @@ def test_distinct_factors_contents_and_occurrences():
     assert firsts == sorted(firsts)
 
 
+def test_distinct_factors_of_a_larger_matrix_equal_the_naive_ones():
+    rng = random.Random(24)
+    m = Matrix2D.from_tokens([[rng.choice("ab") for _ in range(24)] for _ in range(24)])
+    for k1, k2 in ((1, 1), (3, 3), (2, 5), (24, 1), (7, 24)):
+        expected = naive_factors(m, k1, k2)
+        got = distinct_factors(m, k1, k2)
+        assert [(f.content, list(f.occurrences)) for f in got] == sorted(
+            expected.items(), key=lambda item: item[1][0]
+        )
+
+
 def test_text_roundtrip():
     rng = random.Random(99)
     for _ in range(30):

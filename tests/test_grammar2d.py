@@ -7,9 +7,11 @@ from repet2d import (
     build_bk_grammar,
     build_ek_grammar,
     build_zeros_rlslp,
+    decode,
     ek,
     expand,
     format_grammar,
+    from_grammar,
     g_exact,
     grammar_tree,
     parse_grammar,
@@ -28,7 +30,15 @@ from repet2d.errors import (
 from repet2d.grammar2d import Horiz, RunH, Terminal, Vert
 from repet2d.multidim import build_bdk_grammar, expand_nd, grammar_to_nd, validate_nd
 
-from util import mat, random_matrix, raises, recursive_dims_order
+from util import (
+    mat,
+    random_matrix,
+    raises,
+    recursive_dims_order,
+    recursive_format_grammar,
+    recursive_from_grammar,
+    recursive_grammar_tree,
+)
 
 
 def test_validate_reports_sizes_and_dims():
@@ -59,15 +69,20 @@ def test_dims_keep_the_recursive_resolution_order():
         assert list(validate_nd(g).var_dims) == recursive_dims_order(g.rules)
 
 
-def test_deep_grammar_needs_no_recursion():
-    # left-deep chain of 3000 concatenations, rules listed axiom first, so
-    # resolving the axiom walks the whole depth before anything is known
-    depth = 3000
+def deep_grammar(depth: int) -> Grammar2D:
+    """Left-deep chain of ``depth`` concatenations, rules listed axiom first,
+    so resolving the axiom walks the whole depth before anything is known."""
     leaf = ["A" if i % 2 == 0 else "B" for i in range(depth - 1)]
     rules = {f"X{i}": Horiz(f"X{i + 1}", leaf[i]) for i in range(depth - 1)}
     rules[f"X{depth - 1}"] = Horiz("A", "B")
     rules.update(A=Terminal("a"), B=Terminal("b"))
-    g = Grammar2D("X0", rules)
+    return Grammar2D("X0", rules)
+
+
+def test_deep_grammar_needs_no_recursion():
+    depth = 3000
+    g = deep_grammar(depth)
+    leaf = ["A" if i % 2 == 0 else "B" for i in range(depth - 1)]
     want = "ab" + "".join(leaf[::-1]).lower()
     info = validate_grammar(g)
     assert (info.rows, info.cols) == (1, depth + 1)
@@ -75,6 +90,29 @@ def test_deep_grammar_needs_no_recursion():
     gn = grammar_to_nd(g)
     assert validate_nd(gn).dims == (1, depth + 1)
     assert "".join(expand_nd(gn).tokens_flat()) == want
+    # every variable is primary once; each chain link adds one secondary leaf
+    # and each of the two terminals one terminal leaf
+    assert grammar_tree(g).node_count == 2 * depth + 3
+    text = format_grammar(g)
+    assert text.splitlines()[1:depth + 1] == [
+        f"X{i} = h X{i + 1} {leaf[i]}" for i in range(depth - 1)
+    ] + [f"X{depth - 1} = h A B"]
+    assert parse_grammar(text) == g
+    assert decode(from_grammar(g)) == expand(g)
+
+
+def test_grammar_walks_equal_the_recursive_ones():
+    grammars = [build_ek_grammar(k) for k in (1, 3, 5)]
+    grammars += [build_bk_grammar(k) for k in (1, 2, 3)]
+    grammars += [build_zeros_rlslp(6), sample_slp(), sample_rlslp(), deep_grammar(60)]
+    rng = random.Random(32)
+    grammars += [random_grammar(rng) for _ in range(60)]
+    grammars.append(Grammar2D("S", {"S": Horiz("X", "X"), "X": Terminal("0"),
+                                    "U": Terminal("1"), "T": Vert("X", "X")}))
+    for g in grammars:
+        assert grammar_tree(g) == recursive_grammar_tree(g)
+        assert format_grammar(g) == recursive_format_grammar(g)
+        assert repr(from_grammar(g)) == repr(recursive_from_grammar(g))
 
 
 def test_validate_error_taxonomy():

@@ -5,6 +5,7 @@ from repet2d import (
     AttractorSet,
     Matrix2D,
     WorkBudget,
+    bk,
     delta,
     delta_square,
     diagpad,
@@ -14,6 +15,7 @@ from repet2d import (
     gamma_lower_bound_unique,
     identity,
     is_attractor,
+    staircase,
     zeros,
 )
 from repet2d import measures
@@ -28,6 +30,7 @@ from util import (
     naive_is_attractor,
     random_matrix,
     raises,
+    reference_delta,
     reference_shape_labels,
     substring_complexity,
 )
@@ -94,8 +97,6 @@ def test_measures_equal_those_on_the_2d_reference_ranking(monkeypatch):
         for m, cand in cases:
             ledger = Ledger()
             out.append((
-                delta(m, with_table=True, budget=ledger),
-                delta_square(m, with_table=True, budget=ledger),
                 is_attractor(m, cand, budget=ledger),
                 is_attractor(m, cand, square_only=True, budget=ledger),
                 gamma_lower_bound_unique(m, budget=ledger),
@@ -104,9 +105,73 @@ def test_measures_equal_those_on_the_2d_reference_ranking(monkeypatch):
         return out
 
     got = measure_all()
-    assert any(not check for _, _, check, _, _, _ in got)  # failure reports too
+    assert any(not check for check, _, _, _ in got)  # failure reports too
     monkeypatch.setattr(measures, "iter_shape_labels", reference_shape_labels)
     assert measure_all() == got
+    # delta no longer ranks through iter_shape_labels: compare it with the
+    # full enumeration on the reference ranking instead
+    for m, _ in cases:
+        for square_only in (False, True):
+            want = reference_delta(m, square_only, True, ranking=reference_shape_labels)
+            assert repr(delta(m, square_only, with_table=True)) == repr(want)
+
+
+def _assert_delta_matches_reference(m):
+    for square_only in (False, True):
+        for with_table in (False, True):
+            got_ledger, ref_ledger = Ledger(), Ledger()
+            got = delta(m, square_only, with_table, budget=got_ledger)
+            want = reference_delta(m, square_only, with_table, budget=ref_ledger)
+            assert repr(got) == repr(want), str(m)
+            for label, steps in got_ledger.steps.items():
+                assert steps <= ref_ledger.steps[label]
+
+
+def test_pruned_delta_equals_full_enumeration():
+    rng = random.Random(4041)
+    for trial in range(160):
+        alphabet = ("0", "01", "0123456789abcdef")[trial % 3]
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 8 == 0:
+            rows = 1
+        elif trial % 8 == 1:
+            cols = 1
+        m = Matrix2D.from_tokens(
+            [[rng.choice(alphabet) for _ in range(cols)] for _ in range(rows)]
+        )
+        _assert_delta_matches_reference(m)
+
+
+def test_pruned_delta_equals_full_enumeration_on_families():
+    for m in (identity(12), staircase(10), diagpad(6, 9), diagpad(9, 5), ek(3), bk(2)):
+        _assert_delta_matches_reference(m)
+
+
+def test_pruned_delta_keeps_ties_at_the_bound():
+    # a saturated shape whose value only ties the best one so far, with a
+    # smaller k1: the bound stop must be strict for it to win the tie
+    for rows, k2 in (
+        (("baa", "bba", "abb", "aba", "bbb", "aaa", "aab"), 3),
+        (("21", "12", "20", "00", "01", "02", "22"), 2),
+    ):
+        res = delta(mat(*rows))
+        assert repr(res) == repr(reference_delta(mat(*rows)))
+        assert (res.argmax_shape.k1, res.argmax_shape.k2) == (1, k2)
+
+
+def test_pruned_delta_skips_most_passes_on_random_input():
+    rng = random.Random(64)
+    m = Matrix2D.from_tokens([[rng.choice("01") for _ in range(64)] for _ in range(64)])
+    for with_table in (False, True):  # with a table only saturation prunes
+        got_ledger, ref_ledger = Ledger(), Ledger()
+        got = delta(m, with_table=with_table, budget=got_ledger)
+        assert got == reference_delta(m, False, with_table, budget=ref_ledger)
+        assert 4 * got_ledger.used <= ref_ledger.used
+    # square shapes: the bound of (k, k) already ends the chain towards it
+    # (about 1/63 of the reference steps here, 1/26 with the bound of (1, k))
+    got_ledger, ref_ledger = Ledger(), Ledger()
+    assert delta_square(m, budget=got_ledger) == reference_delta(m, True, budget=ref_ledger)
+    assert 40 * got_ledger.used <= ref_ledger.used
 
 
 def test_attractor_set_normalizes():

@@ -17,6 +17,7 @@ from repet2d.errors import (
     ParseError,
     TooLarge,
 )
+from repet2d.core2d import densest_shape
 from repet2d.grammar2d import build_bk_grammar, validate_grammar
 from repet2d.measures import delta, iter_shape_labels
 from repet2d.multidim import (
@@ -47,7 +48,7 @@ from repet2d.multidim import (
     write_nd,
 )
 
-from util import random_matrix, raises
+from util import Ledger, random_matrix, raises, reference_delta_nd
 
 
 def test_2d_embedding_is_inverse():
@@ -167,6 +168,24 @@ def test_delta_agrees_with_2d():
         m = random_matrix(rng, 8, 8)
         assert delta_nd(to_nd(m)) == delta(m).value
     assert delta_nd(bdk(3, 2)) == 8
+
+
+def test_pruned_delta_nd_equals_full_enumeration():
+    rng = random.Random(54)
+    cases = [bdk(2, 2), bdk(3, 1), to_nd(identity(6))]
+    for trial in range(80):
+        d = 1 + trial % 4
+        dims = tuple(rng.randint(1, (12, 7, 4, 3)[d - 1]) for _ in range(d))
+        alphabet = ("0", "01", "0123456789abcdef")[trial % 3]
+        cells = [rng.choice(alphabet) for _ in range(int(np.prod(dims)))]
+        cases.append(NdString.from_tokens(dims, cells))
+    for x in cases:
+        got_ledger, ref_ledger = Ledger(), Ledger()
+        want = reference_delta_nd(x, ref_ledger)
+        assert delta_nd(x, got_ledger) == want[0]
+        assert got_ledger.used <= ref_ledger.used
+        value, shape, _ = densest_shape(x._grid, False, Ledger(), ("window ranking",) * x.ndim)
+        assert (value, shape) == want
 
 
 def test_shape_labels_agree_with_2d():

@@ -1,19 +1,39 @@
 """Shared test helpers: naive oracles recomputed with dumb nested loops.
 
 Everything here avoids the library's numpy ranking machinery on purpose,
-so the fast implementations are checked against independent code. The one
-exception is ``reference_shape_labels``: the former 2D-only window ranking,
-kept as the oracle that the d-axis ranking must reproduce id for id.
+so the fast implementations are checked against independent code. The
+exceptions are the former implementations kept as oracles:
+``reference_shape_labels``, the 2D-only window ranking that the d-axis
+ranking must reproduce id for id; ``reference_delta``/``reference_delta_nd``,
+the delta that ranks every shape, which the pruned delta must reproduce in
+value, argmax shape and table; and the recursive grammar walks
+``recursive_grammar_tree``, ``recursive_format_grammar`` and
+``recursive_from_grammar``.
 """
 
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
 from repet2d import Matrix2D
 from repet2d.budget import WorkBudget, ensure_budget
+from repet2d.core2d import FactorShape, iter_shape_labels
+from repet2d.grammar2d import (
+    GrammarTree,
+    GrammarTreeNode,
+    Horiz,
+    RunH,
+    Terminal,
+    Vert,
+    _rhs_key,
+    validate_grammar,
+)
+from repet2d.macroscheme import MacroScheme2D, Phrase
+from repet2d.measures import DeltaResult
+from repet2d.multidim import iter_shape_labels_nd
 
 
 def raises(exc_type, fn, *args, **kwargs):
@@ -167,3 +187,137 @@ def recursive_dims_order(rules) -> list:
     for name in rules:
         visit(name)
     return done
+
+
+def reference_delta(m: Matrix2D, square_only=False, with_table=False,
+                    budget=None, ranking=iter_shape_labels) -> DeltaResult:
+    """delta as it was before pruning: ranks every (square) shape with
+    ``ranking`` and keeps the best value, ties to the smallest area and then
+    the smallest k1; the table is filled in ranking order."""
+    budget = ensure_budget(budget)
+    if square_only:
+        shapes = [(k, k) for k in range(1, min(m.rows, m.cols) + 1)]
+    else:
+        shapes = [(k1, k2) for k1 in range(1, m.rows + 1) for k2 in range(1, m.cols + 1)]
+    best = best_shape = None
+    table = {}
+    for k1, k2, labels in ranking(m, shapes, budget):
+        count = int(labels.max()) + 1
+        if with_table:
+            table[(k1, k2)] = count
+        value = Fraction(count, k1 * k2)
+        if best is None or value > best or (
+            value == best and (k1 * k2, k1) < (best_shape[0] * best_shape[1], best_shape[0])
+        ):
+            best, best_shape = value, (k1, k2)
+    return DeltaResult(best, FactorShape(*best_shape), table if with_table else None)
+
+
+def reference_delta_nd(x, budget=None):
+    """(value, shape) of dD delta over every window shape; ties go to the
+    smallest volume, then the smallest shape tuple."""
+    best = None
+    for shape, labels in iter_shape_labels_nd(x, budget):
+        vol = prod(shape)
+        key = (-Fraction(int(labels.max()) + 1, vol), vol, shape)
+        best = key if best is None else min(best, key)
+    return -best[0], best[2]
+
+
+def recursive_grammar_tree(g) -> GrammarTree:
+    """grammar_tree as it was: one Python call per derivation level."""
+    info = validate_grammar(g)
+    dims = info.dims
+    expanded: set = set()
+    count = 0
+
+    def visit(name, top, left):
+        nonlocal count
+        count += 1
+        rows, cols = dims[name]
+        if name in expanded:
+            return GrammarTreeNode(name, "secondary", top, left, rows, cols)
+        expanded.add(name)
+        token, axis, runs, children = _rhs_key(g.rules[name])
+        if token is not None:
+            count += 1
+            leaf = GrammarTreeNode(token, "terminal", top, left, 1, 1)
+            return GrammarTreeNode(name, "primary", top, left, 1, 1, (leaf,))
+        corner = [top, left]
+        kids = []
+        for child in children:
+            kids.append(visit(child, *corner))
+            corner[axis - 1] += dims[child][axis - 1]
+        if runs:
+            count += 1
+            kids.append(GrammarTreeNode(
+                f"{children[0]}{'vh'[axis - 1]}^{runs - 1}",
+                "collapsed",
+                *corner,
+                top + rows - corner[0],
+                left + cols - corner[1],
+            ))
+        return GrammarTreeNode(name, "primary", top, left, rows, cols, tuple(kids))
+
+    root = visit(g.axiom, 1, 1)
+    return GrammarTree(root, count)
+
+
+def recursive_format_grammar(g) -> str:
+    """format_grammar as it was: one Python call per derivation level."""
+    lines = [f"axiom {g.axiom} rl" if g.is_runlength else f"axiom {g.axiom}"]
+    emitted: set = set()
+    order: list = []
+
+    def walk(name):
+        if name in emitted or name not in g.rules:
+            return
+        emitted.add(name)
+        order.append(name)
+        for child in _rhs_key(g.rules[name])[3]:
+            walk(child)
+
+    walk(g.axiom)
+    order.extend(sorted(set(g.rules) - emitted))
+    for name in order:
+        rule = g.rules[name]
+        if isinstance(rule, Terminal):
+            lines.append(f"{name} = term {rule.token}")
+        elif isinstance(rule, Horiz):
+            lines.append(f"{name} = h {rule.left} {rule.right}")
+        elif isinstance(rule, Vert):
+            lines.append(f"{name} = v {rule.top} {rule.bottom}")
+        elif isinstance(rule, RunH):
+            lines.append(f"{name} = rh {rule.count} {rule.child}")
+        else:
+            lines.append(f"{name} = rv {rule.count} {rule.child}")
+    return "\n".join(lines) + "\n"
+
+
+def recursive_from_grammar(g) -> MacroScheme2D:
+    """macroscheme.from_grammar as it was: one Python call per level."""
+    info = validate_grammar(g)
+    dims = info.dims
+    explicit: dict = {}
+    phrases: list = []
+    primary: dict = {}
+
+    def visit(name, top, left):
+        rows, cols = dims[name]
+        if name in primary:
+            si, sj = primary[name]
+            phrases.append(Phrase(top, left, top + rows - 1, left + cols - 1, si, sj))
+            return
+        primary[name] = (top, left)
+        token, axis, runs, children = _rhs_key(g.rules[name])
+        if token is not None:
+            explicit[(top, left)] = token
+        corner = [top, left]
+        for child in children:
+            visit(child, *corner)
+            corner[axis - 1] += dims[child][axis - 1]
+        if runs:
+            phrases.append(Phrase(*corner, top + rows - 1, left + cols - 1, top, left))
+
+    visit(g.axiom, 1, 1)
+    return MacroScheme2D(info.rows, info.cols, explicit, tuple(phrases))
