@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, densest_shape, encode_tokens, rank_windows
+from .core2d import MAX_CELLS, Matrix2D, ShapeBox, densest_shape, encode_tokens, rank_windows
 from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError, TooLarge
 from .families import debruijn_bits
 from .grammar2d import (
@@ -273,8 +272,7 @@ def iter_shape_labels_nd(
     the reversed shape tuple (first axis fastest), extending the last axis
     first as ``rank_windows`` does.  ``labels`` assigns equal ids to equal
     windows; for a 2-dimensional string they equal the 2D labels."""
-    shapes = product(*(range(1, n + 1) for n in x.dims))
-    return rank_windows(x._grid, shapes, ensure_budget(budget), _RANKING * x.ndim)
+    return rank_windows(x._grid, ShapeBox(x.dims), ensure_budget(budget), _RANKING * x.ndim)
 
 
 def shape_labels_nd(

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 
@@ -20,10 +21,12 @@ from repet2d.errors import (
     TooLarge,
 )
 
-from repet2d.core2d import iter_shape_labels
+from repet2d import core2d
+from repet2d.core2d import ShapeBox, _pair_rank, iter_shape_labels, rank_windows
 
 from util import (
     Ledger,
+    _pair_rank as unique_pair_rank,
     mat,
     naive_factor_count,
     naive_factors,
@@ -112,6 +115,54 @@ def test_labels_equal_the_2d_reference():
             for (_, _, lab), (_, _, want) in zip(got, ref):
                 assert np.array_equal(lab, want)
             assert got_ledger.steps == ref_ledger.steps
+
+
+def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
+    # ranges below, at and above the counting threshold, 1 to 1000 pairs,
+    # contiguous arrays and strided slices like the ranking passes take
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    rng = np.random.default_rng(11)
+    limit = core2d._COUNTING_RANGE
+    for n in (1, 2, 7, 64, 1000):
+        for extra in (-1, 0, 1):
+            span = limit * n + extra
+            for a_range, b_range in ((span, 1), (1, span), (span // 3, 3), (5, span // 5)):
+                if min(a_range, b_range) < 1:
+                    continue
+                whole = rng.integers(0, (a_range, b_range), size=(2 * n, 2))
+                for a, b in ((whole[:n, 0], whole[:n, 1]),
+                             (whole[::2, 0], whole[1::2, 1]),
+                             (whole[:, 0].reshape(n, 2)[:, :1], whole[:, 1].reshape(n, 2)[:, 1:])):
+                    sorts.clear()
+                    labels, count = _pair_rank(a, a_range, b, b_range)
+                    assert len(sorts) == (a_range * b_range > limit * n)
+                    assert labels.dtype == np.int64
+                    assert np.array_equal(labels, unique_pair_rank(a, b))
+                    assert count == len(set(zip(a.ravel().tolist(), b.ravel().tolist())))
+
+
+def test_the_lazy_box_equals_the_explicit_list():
+    # the same (shape, labels) sequence and step ledger for every shape of
+    # 1 to 4 axes and for cubes, with shapes listed in another order
+    rng = random.Random(72)
+    for trial in range(24):
+        d = 1 + trial % 4
+        dims = tuple(rng.randint(1, (9, 6, 4, 3)[d - 1]) for _ in range(d))
+        grid = np.array([rng.randrange(1 + trial % 3) for _ in range(np.prod(dims))])
+        grid = grid.reshape(dims)
+        what = [f"axis {i}" for i in range(d)]
+        every = list(product(*(range(1, n + 1) for n in dims)))
+        cubes = [(k,) * d for k in range(min(dims), 0, -1)]
+        for box, listed in ((ShapeBox(dims), every), (ShapeBox(dims, True), cubes)):
+            got_ledger, want_ledger = Ledger(), Ledger()
+            got = list(rank_windows(grid, box, got_ledger, what))
+            want = list(rank_windows(grid, listed, want_ledger, what))
+            assert [s for s, _ in got] == [s for s, _ in want] == list(box)
+            for (_, lab), (_, ref) in zip(got, want):
+                assert lab.dtype == np.int64 and np.array_equal(lab, ref)
+            assert got_ledger.steps == want_ledger.steps
 
 
 def test_distinct_factors_contents_and_occurrences():

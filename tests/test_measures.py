@@ -15,6 +15,7 @@ from repet2d import (
     gamma_lower_bound_unique,
     identity,
     is_attractor,
+    phlin,
     staircase,
     zeros,
 )
@@ -125,6 +126,38 @@ def _assert_delta_matches_reference(m):
             assert repr(got) == repr(want), str(m)
             for label, steps in got_ledger.steps.items():
                 assert steps <= ref_ledger.steps[label]
+            if with_table:  # only saturation prunes with a table
+                assert (got.value, got.argmax_shape) == (untabled.value, untabled.argmax_shape)
+            else:
+                untabled = got
+
+
+def _one_equal_pair_inputs(rng, count):
+    """Matrices with a shape s, not the largest, whose windows hold exactly
+    one pair of equal ones (count W(s) - 1): the first shape of its chains
+    at which saturation applies. Made by copying one window of a matrix over
+    3 or 16 letters onto another place."""
+    found = []
+    while len(found) < count:
+        rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+        if rows * cols < 3:
+            continue
+        letters = rng.choice(("012", "0123456789abcdef"))
+        g = [[rng.choice(letters) for _ in range(cols)] for _ in range(rows)]
+        k1, k2 = rng.randint(1, rows), rng.randint(1, cols)
+        y, x = rng.randint(0, rows - k1), rng.randint(0, cols - k2)
+        ty, tx = rng.randint(0, rows - k1), rng.randint(0, cols - k2)
+        window = [row[x:x + k2] for row in g[y:y + k1]]
+        for i, row in enumerate(window):
+            g[ty + i][tx:tx + k2] = row
+        m = Matrix2D.from_tokens(g)
+        table = reference_delta(m, with_table=True).table
+        if any(
+            c == (rows - a + 1) * (cols - b + 1) - 1 and (a, b) != (rows, cols)
+            for (a, b), c in table.items()
+        ):
+            found.append(m)
+    return found
 
 
 def test_pruned_delta_equals_full_enumeration():
@@ -139,6 +172,10 @@ def test_pruned_delta_equals_full_enumeration():
         m = Matrix2D.from_tokens(
             [[rng.choice(alphabet) for _ in range(cols)] for _ in range(rows)]
         )
+        _assert_delta_matches_reference(m)
+    # one pair of equal windows: the shapes past it are saturated, the shape
+    # itself keeps its count in the value and the table
+    for m in _one_equal_pair_inputs(rng, 80):
         _assert_delta_matches_reference(m)
 
 
@@ -172,6 +209,29 @@ def test_pruned_delta_skips_most_passes_on_random_input():
     got_ledger, ref_ledger = Ledger(), Ledger()
     assert delta_square(m, budget=got_ledger) == reference_delta(m, True, budget=ref_ledger)
     assert 40 * got_ledger.used <= ref_ledger.used
+
+
+def test_delta_steps_stay_at_most_the_recorded_ledger():
+    # the ranking passes delta makes on these inputs, as recorded when the
+    # saturation at count >= W - 1 came in: a change that brings pruned
+    # passes back fails here, however fast the machine is
+    rng = random.Random(64)
+    random64 = Matrix2D.from_tokens([[rng.choice("01") for _ in range(64)] for _ in range(64)])
+    recorded = {
+        "identity(64)": (identity(64), {"row ranking": 128960, "column ranking": 2970487},
+                         {"row ranking": 129024, "column ranking": 4189249}),
+        "phlin(identity(64))": (phlin(identity(64)), {"row ranking": 4656014},
+                                {"row ranking": 6288384}),
+        "random 64x64": (random64, {"row ranking": 44160, "column ranking": 111241},
+                         {"row ranking": 76544, "column ranking": 210524}),
+    }
+    for name, (m, plain, tabled) in recorded.items():
+        for with_table, pinned in ((False, plain), (True, tabled)):
+            ledger = Ledger()
+            delta(m, with_table=with_table, budget=ledger)
+            assert set(ledger.steps) <= set(pinned), name
+            for label, steps in ledger.steps.items():
+                assert steps <= pinned[label], (name, with_table, label, steps)
 
 
 def test_attractor_set_normalizes():
