@@ -1,7 +1,9 @@
 """Deterministic generator families used throughout the test-beds.
 
 Every generator is pure: same parameters, bit-identical output. Caps keep
-instances at desk scale (at most ~16M cells).
+instances at desk scale (at most ~16M cells). The binary families build
+their cell ids directly; the result equals the ``Matrix2D.from_tokens``
+build of the same token grid.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable
 
-from .core2d import Matrix2D
-from .errors import BadParam
+from .core2d import MAX_CELLS, Matrix2D
+from .errors import BadParam, TooLarge
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -19,12 +21,29 @@ def _check(cond: bool, msg: str) -> None:
         raise BadParam(msg)
 
 
+def _fits(rows: int, cols: int) -> None:
+    """The cell cap, checked before the cells are built (as from_tokens)."""
+    if rows * cols > MAX_CELLS:
+        raise TooLarge(f"{rows}x{cols} exceeds the {MAX_CELLS}-cell cap")
+
+
+def _bits(rows: int, cols: int, cells: list[int]) -> Matrix2D:
+    """The matrix of row-major 0/1 ``cells`` over the tokens "0" and "1"
+    that occur in it."""
+    if 1 not in cells:
+        return Matrix2D(rows, cols, tuple(cells), ("0",))
+    if 0 not in cells:
+        return Matrix2D(rows, cols, (0,) * len(cells), ("1",))
+    return Matrix2D(rows, cols, tuple(cells), ("0", "1"))
+
+
 def identity(n: int) -> Matrix2D:
     """n x n identity: 1 on the main diagonal, 0 elsewhere."""
     _check(n >= 1, f"identity needs n >= 1, got {n}")
-    return Matrix2D.from_tokens(
-        [["1" if i == j else "0" for j in range(n)] for i in range(n)]
-    )
+    _fits(n, n)
+    cells = [0] * (n * n)
+    cells[:: n + 1] = [1] * n
+    return _bits(n, n, cells)
 
 
 def zeros(m: int, n: int) -> Matrix2D:
@@ -36,33 +55,29 @@ def zeros(m: int, n: int) -> Matrix2D:
 def alt(m: int, n: int) -> Matrix2D:
     """m x n matrix whose every row is 0101..."""
     _check(m >= 1 and n >= 1, f"alt needs m,n >= 1, got {m},{n}")
-    row = [str(j % 2) for j in range(n)]
-    return Matrix2D.from_tokens([row] * m)
+    _fits(m, n)
+    return _bits(m, n, [j % 2 for j in range(n)] * m)
 
 
 def diagpad(m: int, n: int) -> Matrix2D:
     """Identity of order min(m,n) in the top-left corner, zeros elsewhere."""
     _check(m >= 1 and n >= 1, f"diagpad needs m,n >= 1, got {m},{n}")
+    _fits(m, n)
     k = min(m, n)
-    return Matrix2D.from_tokens(
-        [
-            ["1" if i == j and i < k else "0" for j in range(n)]
-            for i in range(m)
-        ]
-    )
+    cells = [0] * (m * n)
+    cells[: k * (n + 1) : n + 1] = [1] * k
+    return _bits(m, n, cells)
 
 
 def staircase(n: int) -> Matrix2D:
     """Identity of order n-1, a row of 0's appended below, then a column of
     1's appended at the right; the result is n x n."""
     _check(n >= 2, f"staircase needs n >= 2, got {n}")
-    grid = [
-        ["1" if i == j else "0" for j in range(n - 1)] for i in range(n - 1)
-    ]
-    grid.append(["0"] * (n - 1))
-    for row in grid:
-        row.append("1")
-    return Matrix2D.from_tokens(grid)
+    _fits(n, n)
+    cells = [0] * (n * n)
+    cells[:: n + 1] = [1] * n  # the last diagonal cell is in the 1's column
+    cells[n - 1 :: n] = [1] * n
+    return _bits(n, n, cells)
 
 
 def ek(k: int) -> Matrix2D:
@@ -70,11 +85,12 @@ def ek(k: int) -> Matrix2D:
     least-significant bit in row 1; equivalently row i is the periodic string
     (0^(2^(i-1)) 1^(2^(i-1)))^(2^(k-i))."""
     _check(1 <= k <= 20, f"ek needs 1 <= k <= 20, got {k}")
-    rows = []
+    _fits(k, 1 << k)
+    cells: list[int] = []
     for i in range(1, k + 1):
         half = 1 << (i - 1)
-        rows.append((["0"] * half + ["1"] * half) * (1 << (k - i)))
-    return Matrix2D.from_tokens(rows)
+        cells += ([0] * half + [1] * half) * (1 << (k - i))
+    return _bits(k, 1 << k, cells)
 
 
 def debruijn_bits(k: int) -> list[int]:

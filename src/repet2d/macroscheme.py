@@ -6,6 +6,17 @@ scheme is valid when targets plus explicit cells partition the grid, sources
 stay in bounds, and following cell -> source-cell pointers always reaches an
 explicit cell (no cycles). Size = #explicit + #phrases.
 
+analyze_boxes checks and resolves schemes over any number of axes. It writes
+each box's copy offset into an int32 array with one slice, checks the
+partition once (the part volumes add up to the grid and no cell is left
+free), then resolves every chain at once by pointer jumping, as in list
+ranking: each round replaces every cell's pointer by its pointer's pointer,
+so a scheme of N cells whose longest chain has L hops is resolved in
+O(N log L) array work. Only when a check fails does it replay the boxes in
+order, to name the same overlap, hole or cycle cell (the first repeated cell
+on the chain of the smallest cell that never reaches an explicit one) as a
+box-by-box, cell-by-cell check would.
+
 b_exact finds a smallest valid scheme by branch-and-bound over rectangle
 partitions in row-major order; it is exponential and guarded by cell_limit.
 """
@@ -16,6 +27,8 @@ from dataclasses import dataclass
 from math import prod
 from operator import add, le, mul, sub
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .budget import WorkBudget, ensure_budget
 from .core2d import MAX_CELLS, Matrix2D, Position, encode_tokens, factor_count
@@ -79,15 +92,20 @@ _ERRORS = {
     "TooLarge": TooLarge,
 }
 
-_FREE = -2
-_EXPLICIT = -1
+_FREE = -(1 << 31)  # no shift between two cells of the cap is this small
 
 
 def walk_chains(source: list[int]) -> tuple[list[int] | None, int | None]:
     """Follow every cell's copy chain; a negative ``source[c]`` ends the
     chain at c. Returns ``(root, None)`` where ``root[c]`` is the cell c's
     chain ends at, or ``(None, cell)`` when some chain never ends: ``cell``
-    is the first cell repeated on the chain of the smallest such cell."""
+    is the first cell repeated on the chain of the smallest such cell.
+
+    Its caller is ``b_exact``, which checks a copy map of at most
+    ``cell_limit`` cells after every source choice; on lists that short
+    this scalar walk is faster than the array code of ``analyze_boxes``.
+    The tests' list-filling oracle of ``analyze_boxes`` uses it too.
+    """
     root = [-1] * len(source)  # -1 unseen, -2 on the current chain
     for start in range(len(source)):
         if root[start] >= 0:
@@ -116,20 +134,20 @@ def analyze_boxes(
     boxes: Sequence[tuple[tuple[int, ...], ...]],
     size: int,
     describe: Callable[[str, object], tuple[str, str]],
-) -> tuple[SchemeCheck, tuple[list[int], dict[int, str]] | None]:
+) -> tuple[SchemeCheck, tuple[np.ndarray, dict[int, str]] | None]:
     """Checks shared by the 2D and dD schemes over any number of axes.
 
     ``boxes`` holds (lo, hi, src) corner triples, 1-based and inclusive. The
-    cell cap is checked before anything is allocated, and each box is filled
-    one last-axis run at a time. On success returns the check and
-    ``(root, tokens)``: ``root`` maps each flat cell index to the explicit
-    cell its copy chain ends at, ``tokens`` maps explicit flat indices to
-    their tokens. Otherwise the check carries ``describe(fault, at)``, the
-    error name and message for the first fault found: "dims", "cap",
-    "explicit" (at: position, token, whether the token is invalid, whether
-    the position is outside), "inverted", "target", "source" (at: box
-    index), "overlap", "cycle" (at: flat cell index) or "holes" (at:
-    uncovered count and first uncovered index).
+    cell cap is checked before anything is allocated. On success returns
+    the check and ``(root, tokens)``: ``root`` is an int32 array that maps
+    each flat cell index to the explicit cell its copy chain ends at,
+    ``tokens`` maps explicit flat indices to their tokens. Otherwise the
+    check carries ``describe(fault, at)``, the error name and message for
+    the first fault found: "dims", "cap", "explicit" (at: position, token,
+    whether the token is invalid, whether the position is outside),
+    "inverted", "target", "source" (at: box index), "overlap", "cycle" (at:
+    flat cell index) or "holes" (at: uncovered count and first uncovered
+    index).
     """
 
     def fail(fault: str, at: object = None):
@@ -148,52 +166,105 @@ def analyze_boxes(
         """Are both corners of the box lo..hi (lo <= hi) in the grid?"""
         return len(lo) == len(hi) == d and min(lo) >= 1 and all(map(le, hi, dims))
 
-    source = [_FREE] * total
     tokens: dict[int, str] = {}
     for pos, tok in explicit.items():
         pos = tuple(pos)
         bad_token = not tok or str(tok).split() != [str(tok)]
         if bad_token or not inside(pos, pos):
             return fail("explicit", (pos, tok, bad_token, not inside(pos, pos)))
-        f = sum(map(mul, pos, strides)) - origin
-        source[f] = _EXPLICIT
-        tokens[f] = str(tok)
-    for index, (lo, hi, src) in enumerate(boxes):
+        tokens[sum(map(mul, pos, strides)) - origin] = str(tok)
+    cells = list(tokens)
+    step = np.full(total, _FREE, dtype=np.int32)  # source cell minus cell
+    step[cells] = 0  # an explicit cell ends its chain at itself
+    grid = step.reshape(dims)
+    cuts: list[tuple[slice, ...]] = []  # the boxes written so far
+    loops = False  # has a box copied itself?
+
+    def first_overlap() -> int | None:
+        """The cell an in-order fill of ``cuts`` finds taken: in the first
+        box that meets an earlier part, the first such cell in row-major
+        order."""
+        taken = np.zeros(dims, dtype=bool)
+        taken.flat[cells] = True
+        for cut in cuts:
+            view = taken[cut]
+            if view.any():
+                at = np.unravel_index(int(view.argmax()), view.shape)
+                return int(sum((c.start + a) * st for c, a, st in zip(cut, at, strides)))
+            view[...] = True
+        return None
+
+    def bounds_fault(k: int, lo, hi, src):
+        """Box k fails a bounds check: its fault, unless an earlier box
+        overlaps."""
+        cell = first_overlap()
+        if cell is not None:
+            return fail("overlap", cell)
         ext = tuple(map(sub, hi, lo))
         if min(ext, default=0) < 0:
-            return fail("inverted", index)
-        if not inside(lo, hi):
-            return fail("target", index)
-        if not inside(src, tuple(map(add, src, ext))):
-            return fail("source", index)
-        t0 = sum(map(mul, lo, strides)) - origin
-        shift = sum(map(mul, src, strides)) - origin - t0
-        run = ext[-1] + 1
-        starts = [t0]  # flat start of each last-axis run, in row-major order
-        for e, st in zip(ext, strides[:-1]):
-            starts = [t + k for t in starts for k in range(0, (e + 1) * st, st)]
-        for t in starts:
-            seg = source[t : t + run]
-            if seg.count(_FREE) != run:
-                taken = next(k for k, v in enumerate(seg) if v != _FREE)
-                return fail("overlap", t + taken)
-            source[t : t + run] = range(t + shift, t + shift + run)
-    holes = source.count(_FREE)
-    if holes:
-        return fail("holes", (holes, source.index(_FREE)))
-    root, cycle = walk_chains(source)
-    if root is None:
-        return fail("cycle", cycle)
+            return fail("inverted", k)
+        return fail("source" if inside(lo, hi) else "target", k)
+
+    covered = len(cells)
+    ones = (1,) * d
+    for k, (lo, hi, src) in enumerate(boxes):
+        ext = tuple(map(sub, hi, lo))
+        if not (
+            len(lo) == len(hi) == len(src) == d
+            and min(ext) >= 0
+            and min(lo) >= 1
+            and min(src) >= 1
+            and all(map(le, hi, dims))
+            and all(map(le, map(add, src, ext), dims))
+        ):
+            return bounds_fault(k, lo, hi, src)
+        cut = tuple(map(slice, map(sub, lo, ones), hi))
+        view = grid[cut]
+        shift = sum(map(mul, map(sub, src, lo), strides))
+        view[...] = shift
+        loops = loops or not shift
+        covered += view.size
+        cuts.append(cut)
+    # the parts partition the grid iff their volumes add up and none is free
+    if covered != total or step.min() == _FREE:
+        cell = first_overlap()
+        if cell is not None:
+            return fail("overlap", cell)
+        free = np.flatnonzero(step == _FREE)
+        return fail("holes", (len(free), int(free[0])))
+    # Pointer jumping: after t rounds root[c] is 2^t hops down c's chain, or
+    # its end, so chains (shorter than total) end after total.bit_length()
+    # rounds and the next one changes nothing. A cycle whose length is not a
+    # power of two keeps moving; any other cycle settles on a copied cell.
+    root = np.arange(total, dtype=np.int32)
+    root += step
+    spare = np.empty_like(root)
+    for _ in range(total.bit_length() + 1):
+        root.take(root, out=spare, mode="clip")  # "clip" writes unbuffered
+        if (spare == root).all():
+            break
+        root, spare = spare, root
+    # without self-copies only explicit cells take no step, so every chain
+    # ends at one iff no root takes a step
+    if loops or step.take(root, out=spare, mode="clip").any():
+        ends = np.zeros(total, dtype=bool)
+        ends[cells] = True
+        cur, seen = int(np.argmin(ends[root])), set()  # the first cell that misses
+        while cur not in seen:
+            seen.add(cur)
+            cur += int(step[cur])
+        return fail("cycle", cur)
     return SchemeCheck(True, size), (root, tokens)
 
 
 def decoded_cells(
-    root: list[int], tokens: Mapping[int, str]
+    root: np.ndarray, tokens: Mapping[int, str]
 ) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """Cell ids and alphabet of a decoded scheme (see analyze_boxes)."""
     ids, alphabet = encode_tokens(tokens.values())
-    id_at = dict(zip(tokens, ids))
-    return tuple(map(id_at.__getitem__, root)), alphabet
+    lookup = np.zeros(len(root), dtype=np.int32)
+    lookup[list(tokens)] = ids
+    return tuple(lookup.take(root).tolist()), alphabet
 
 
 def _analyze(s: MacroScheme2D):

@@ -125,6 +125,11 @@ def test_macro_rejects_bad_scheme_files(tmp_path):
         r = run("macro", action, "--in", str(huge))
         assert r.returncode == 2 and "TooLarge" in r.stdout + r.stderr
         assert "Traceback" not in r.stderr
+    cycle = tmp_path / "cycle.txt"  # cells 2 -> 3 -> 4 -> 2 never reach cell 1
+    cycle.write_text("scheme 1 4\nexp 1 1 0\nphr 1 2 1 2 1 3\nphr 1 3 1 3 1 4\nphr 1 4 1 4 1 2\n")
+    r = run("macro", "decode", "--in", str(cycle))
+    assert r.returncode == 2 and "CyclicMap" in r.stdout + r.stderr
+    assert "(1,2)" in r.stdout + r.stderr and "Traceback" not in r.stderr
     twice = tmp_path / "twice.txt"
     twice.write_text("scheme 1 2\nexp 1 1 0\nexp 1 2 1\nexp 1 1 1\n")
     r = run("macro", "validate", "--in", str(twice))

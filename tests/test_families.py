@@ -12,7 +12,8 @@ from repet2d import (
     staircase,
     zeros,
 )
-from repet2d.errors import BadParam
+from repet2d import Matrix2D
+from repet2d.errors import BadParam, TooLarge
 
 from util import mat, naive_factor_count, raises
 
@@ -26,6 +27,40 @@ def test_identity_zeros_alt():
         raises(BadParam, identity, bad)
         raises(BadParam, zeros, bad, 2)
         raises(BadParam, alt, 2, bad)
+
+
+def test_binary_families_equal_their_token_grids():
+    # the token grids the families were built from before they built ids
+    grids = {
+        identity: lambda n: [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+        alt: lambda m, n: [[str(j % 2) for j in range(n)]] * m,
+        diagpad: lambda m, n: [
+            ["1" if i == j and i < min(m, n) else "0" for j in range(n)] for i in range(m)
+        ],
+        staircase: lambda n: [
+            ["1" if i == j or j == n - 1 else "0" for j in range(n)] for i in range(n - 1)
+        ] + [["0"] * (n - 1) + ["1"]],
+        ek: lambda k: [
+            (["0"] * (1 << i) + ["1"] * (1 << i)) * (1 << (k - 1 - i)) for i in range(k)
+        ],
+    }
+    params = {
+        identity: [(n,) for n in range(1, 9)],
+        alt: [(m, n) for m in range(1, 5) for n in range(1, 6)],
+        diagpad: [(m, n) for m in range(1, 6) for n in range(1, 6)],
+        staircase: [(n,) for n in range(2, 9)],
+        ek: [(k,) for k in range(1, 7)],
+    }
+    for family, grid in grids.items():
+        for args in params[family]:
+            want = Matrix2D.from_tokens(grid(*args))
+            assert repr(family(*args)) == repr(want), (family.__name__, args)
+    assert identity(1).alphabet == ("1",) and alt(3, 1).alphabet == ("0",)
+    # the cap is checked before any cell is built
+    for family, args in ((identity, (4097,)), (staircase, (4097,)), (ek, (20,)),
+                         (alt, (5000, 5000)), (diagpad, (1 << 20, 17))):
+        exc = raises(TooLarge, family, *args)
+        assert "cell cap" in str(exc)
 
 
 def test_diagpad_shape():

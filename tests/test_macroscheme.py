@@ -1,10 +1,15 @@
 import random
+from math import prod
+
+import numpy as np
+import pytest
 
 from repet2d import (
     MacroScheme2D,
     Phrase,
     b_exact,
     bk,
+    build_ek_grammar,
     decode,
     expand,
     format_scheme,
@@ -17,7 +22,9 @@ from repet2d import (
     validate_scheme,
     zeros,
 )
+from repet2d import macroscheme, multidim
 from repet2d.accept import random_grammar
+from repet2d.core2d import MAX_CELLS
 from repet2d.errors import (
     CyclicMap,
     NotPartition,
@@ -25,9 +32,17 @@ from repet2d.errors import (
     ParseError,
     TooLarge,
 )
-from repet2d.macroscheme import square_phrase_bound
+from repet2d.macroscheme import _ERRORS, analyze_boxes, square_phrase_bound
+from repet2d.multidim import BoxNd, MacroSchemeNd, decode_nd_scheme, validate_nd_scheme
 
-from util import mat, random_matrix, raises
+from util import (
+    Ledger,
+    mat,
+    random_matrix,
+    raises,
+    reference_analyze_boxes,
+    reference_decoded_cells,
+)
 
 
 def naive_decode(s: MacroScheme2D) -> list[list[str]]:
@@ -193,3 +208,240 @@ def test_scheme_over_the_cell_cap():
     chk = validate_scheme(huge)
     assert not chk.ok and chk.error == "TooLarge"
     raises(TooLarge, decode, huge)
+
+
+# ---------------------------------------------------------------------------
+# pointer-jumping analysis against the list-filling oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def against_oracle(monkeypatch):
+    """Run every scheme check through both analyze_boxes and the oracle with
+    the same describe; assert the same check and the same chain ends. Yields
+    the list of checks made."""
+    checks = []
+
+    def both(dims, explicit, boxes, size, describe):
+        got = analyze_boxes(dims, explicit, boxes, size, describe)
+        want = reference_analyze_boxes(dims, explicit, boxes, size, describe)
+        assert repr(got[0]) == repr(want[0]), (dims, explicit, boxes)
+        if want[1] is None:
+            assert got[1] is None
+        else:
+            (root, tokens), (want_root, want_tokens) = got[1], want[1]
+            assert root.dtype == np.int32 and root.tolist() == want_root
+            assert list(tokens.items()) == list(want_tokens.items())
+        checks.append(got[0])
+        return got
+
+    monkeypatch.setattr(macroscheme, "analyze_boxes", both)
+    monkeypatch.setattr(multidim, "analyze_boxes", both)
+    return checks
+
+
+def _unravel(flat, dims):
+    pos = []
+    for n in reversed(dims):
+        flat, r = divmod(flat, n)
+        pos.append(r + 1)
+    return tuple(reversed(pos))
+
+
+def _ravel(pos, dims):
+    flat = 0
+    for p, n in zip(pos, dims):
+        flat = flat * n + p - 1
+    return flat
+
+
+def _box_cells(lo, hi):
+    out = [()]
+    for a, b in zip(lo, hi):
+        out = [c + (v,) for c in out for v in range(a, b + 1)]
+    return out
+
+
+def random_parts(rng, dims, acyclic):
+    """A random partition of the grid into explicit cells and boxes. With
+    ``acyclic`` every source starts before its target in row-major order,
+    so the scheme is valid; otherwise sources are anywhere in bounds."""
+    d = len(dims)
+    taken = set()
+    explicit, boxes = {}, []
+    for flat in range(prod(dims)):
+        lo = _unravel(flat, dims)
+        if lo in taken:
+            continue
+        ext = [0] * d
+        for a in rng.sample(range(d), d):
+            want = rng.choice([0, 0, 1, 2, dims[a]])
+            while ext[a] < want and lo[a] + ext[a] < dims[a]:
+                grown = ext[:]
+                grown[a] += 1
+                hi = tuple(p + e for p, e in zip(lo, grown))
+                if any(c in taken for c in _box_cells(lo, hi)):
+                    break
+                ext = grown
+        if acyclic:
+            sources = [
+                c for c in _box_cells((1,) * d, tuple(n - e for n, e in zip(dims, ext)))
+                if _ravel(c, dims) < flat
+            ]
+            if not sources:
+                ext = [0] * d
+                sources = [_unravel(f, dims) for f in range(flat)]
+        hi = tuple(p + e for p, e in zip(lo, ext))
+        taken.update(_box_cells(lo, hi))
+        if not any(ext) and (not sources if acyclic else rng.random() < 0.4):
+            explicit[lo] = rng.choice("ab")
+        elif acyclic:
+            boxes.append((lo, hi, rng.choice(sources)))
+        else:
+            src = tuple(rng.randint(1, n - e) for n, e in zip(dims, ext))
+            boxes.append((lo, hi, src))
+    return explicit, boxes
+
+
+def _break(rng, dims, explicit, boxes):
+    """One random fault: a bad dims, an explicit cell with a bad token or
+    outside the grid, an inverted/out-of-bounds box, a bad source, a second
+    cover of some part, or a missing part."""
+    explicit, boxes = dict(explicit), list(boxes)
+    d = len(dims)
+    kind = rng.choice(["dims", "token", "outside", "inverted", "target", "source",
+                       "overlap", "overlap", "holes", "holes"])
+    if kind == "dims":
+        dims = tuple(rng.choice([0, -1]) if a == 0 else n for a, n in enumerate(dims))
+    elif kind == "token":
+        explicit[_unravel(rng.randrange(prod(dims)), dims)] = rng.choice(["", "a b"])
+    elif kind == "outside":
+        pos = list(_unravel(rng.randrange(prod(dims)), dims))
+        pos[rng.randrange(d)] = rng.choice([0, dims[0] + 1, 99])
+        explicit[tuple(pos)] = "a"
+    elif kind in ("inverted", "target", "source") and boxes:
+        k = rng.randrange(len(boxes))
+        lo, hi, src = boxes[k]
+        a = rng.randrange(d)
+        if kind == "inverted":
+            hi = hi[:a] + (lo[a] - 1,) + hi[a + 1:]
+        elif kind == "target":
+            lo, hi = lo[:a] + (lo[a] + dims[a],) + lo[a + 1:], hi[:a] + (hi[a] + dims[a],) + hi[a + 1:]
+        else:
+            src = src[:a] + (rng.choice([0, dims[a] + 1]),) + src[a + 1:]
+        boxes[k] = (lo, hi, src)
+    elif kind == "overlap":
+        lo = _unravel(rng.randrange(prod(dims)), dims)
+        boxes.insert(rng.randint(0, len(boxes)), (lo, lo, (1,) * d))
+    elif kind == "holes":
+        if boxes and (not explicit or rng.random() < 0.5):
+            boxes.pop(rng.randrange(len(boxes)))
+        elif explicit:
+            explicit.pop(rng.choice(list(explicit)))
+    return dims, explicit, boxes
+
+
+def _check_both_ways(dims, explicit, boxes):
+    """validate and decode, 2D (when d = 2) and dD; returns the dD check.
+    A valid scheme must decode to the oracle's cells."""
+    nd = MacroSchemeNd(dims, explicit, tuple(BoxNd(*b) for b in boxes))
+    schemes = [(nd, validate_nd_scheme, decode_nd_scheme)]
+    if len(dims) == 2:
+        phrases = tuple(Phrase(*lo, *hi, *src) for lo, hi, src in boxes)
+        schemes.append((MacroScheme2D(*dims, explicit, phrases), validate_scheme, decode))
+    for s, validate, dec in schemes:
+        check = validate(s)
+        if not check.ok:
+            with pytest.raises(_ERRORS[check.error]) as err:
+                dec(s)
+            assert str(err.value) == check.message
+            continue
+        got = dec(s)
+        _, (root, tokens) = reference_analyze_boxes(
+            dims, explicit, boxes, s.size, lambda fault, at: (fault, at)
+        )
+        cells, alphabet = reference_decoded_cells(root, tokens)
+        assert (got.cells, got.alphabet) == (cells, alphabet)
+        assert type(got.cells) is tuple
+    return validate_nd_scheme(nd)
+
+
+def _random_dims(rng):
+    d = rng.randint(1, 3)
+    return tuple(rng.randint(1, (9, 5, 3)[d - 1]) for _ in range(d))
+
+
+def test_analysis_equals_the_oracle_on_random_schemes(against_oracle):
+    rng = random.Random(606)
+    errors = set()
+    for _ in range(300):
+        dims = _random_dims(rng)
+        explicit, boxes = random_parts(rng, dims, acyclic=rng.random() < 0.5)
+        errors.add(_check_both_ways(dims, explicit, boxes).error)
+    assert {None, "CyclicMap"} <= errors
+    assert all(c.error in (None, "CyclicMap") for c in against_oracle)
+
+
+def test_analysis_names_the_first_of_one_or_two_faults(against_oracle):
+    rng = random.Random(607)
+    errors = set()
+    for _ in range(500):
+        dims = _random_dims(rng)
+        explicit, boxes = random_parts(rng, dims, acyclic=rng.random() < 0.7)
+        faulty = _break(rng, dims, explicit, boxes)
+        if rng.random() < 0.5 and min(faulty[0]) >= 1:
+            faulty = _break(rng, *faulty)
+        errors.add(_check_both_ways(*faulty).error)
+    assert errors >= {"BadParam", "OutOfBounds", "OutOfBoundsSource", "NotPartition", "CyclicMap"}
+
+
+def test_analysis_of_oversized_headers(against_oracle):
+    side = MAX_CELLS.bit_length()
+    for dims in ((MAX_CELLS + 1,), (side, MAX_CELLS), (MAX_CELLS, 2, 2)):
+        explicit = {(1,) * len(dims): "a"}
+        boxes = [((1,) * len(dims), (2,) * len(dims), (1,) * len(dims))]
+        assert _check_both_ways(dims, explicit, boxes).error == "TooLarge"
+
+
+def cycle_parts(rng, dims, length, lead):
+    """Unit boxes that copy around one cycle of ``length`` cells (1 is a
+    self-copy) plus ``lead`` cells whose chain runs into it; every other
+    cell explicit, the cells placed at random."""
+    cells = [_unravel(f, dims) for f in range(prod(dims))]
+    rng.shuffle(cells)
+    ring, tail = cells[:length], cells[length:length + lead]
+    boxes = [(c, c, ring[(i + 1) % length]) for i, c in enumerate(ring)]
+    boxes += [(c, c, nxt) for c, nxt in zip(tail, tail[1:] + [ring[0]])]
+    rng.shuffle(boxes)
+    explicit = {c: rng.choice("ab") for c in cells[length + lead:]}
+    return explicit, boxes
+
+
+def test_cycles_pointer_jumping_cannot_settle(against_oracle):
+    rng = random.Random(608)
+    for dims in ((12,), (3, 4), (4, 5), (2, 3, 2)):
+        for length in (1, 2, 3, 5, 6, 7):
+            for lead in (0, 1, 3):
+                for _ in range(4):
+                    explicit, boxes = cycle_parts(rng, dims, length, lead)
+                    check = _check_both_ways(dims, explicit, boxes)
+                    assert check.error == "CyclicMap", check
+    # a self-copying box and boxes that swap halves: cycles of whole boxes
+    assert _check_both_ways((1, 5), {(1, 1): "a"}, [((1, 2), (1, 5), (1, 2))]).error == "CyclicMap"
+    swap = [((1, 2), (1, 3), (1, 4)), ((1, 4), (1, 5), (1, 2))]
+    assert _check_both_ways((1, 5), {(1, 1): "a"}, swap).error == "CyclicMap"
+    # a random copy map over unit boxes: cycles of every length at once
+    for _ in range(100):
+        dims = _random_dims(rng)
+        cells = [_unravel(f, dims) for f in range(prod(dims))]
+        explicit = {c: "a" for c in rng.sample(cells, rng.randint(1, len(cells)))}
+        boxes = [(c, c, rng.choice(cells)) for c in cells if c not in explicit]
+        _check_both_ways(dims, explicit, boxes)
+    assert {c.error for c in against_oracle} == {"CyclicMap", None}
+
+
+def test_decode_charges_one_step_per_cell():
+    for s in (identity_scheme(64), from_grammar(build_ek_grammar(7))):
+        ledger = Ledger()
+        decode(s, ledger)
+        assert ledger.steps == {"scheme decode": s.rows * s.cols}

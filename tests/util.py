@@ -8,19 +8,22 @@ ranking must reproduce id for id; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
 value, argmax shape and table; and the recursive grammar walks
 ``recursive_grammar_tree``, ``recursive_format_grammar`` and
-``recursive_from_grammar``.
+``recursive_from_grammar``; and ``reference_analyze_boxes``, the scheme
+check that fills a Python list box by box and walks every copy chain cell
+by cell, which the pointer-jumping check must match fault for fault.
 """
 
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import add, le, mul, sub
 
 import numpy as np
 
 from repet2d import Matrix2D
 from repet2d.budget import WorkBudget, ensure_budget
-from repet2d.core2d import FactorShape, iter_shape_labels
+from repet2d.core2d import MAX_CELLS, FactorShape, encode_tokens, iter_shape_labels
 from repet2d.grammar2d import (
     GrammarTree,
     GrammarTreeNode,
@@ -31,7 +34,7 @@ from repet2d.grammar2d import (
     _rhs_key,
     validate_grammar,
 )
-from repet2d.macroscheme import MacroScheme2D, Phrase
+from repet2d.macroscheme import MacroScheme2D, Phrase, SchemeCheck, walk_chains
 from repet2d.measures import DeltaResult
 from repet2d.multidim import iter_shape_labels_nd
 
@@ -321,3 +324,72 @@ def recursive_from_grammar(g) -> MacroScheme2D:
 
     visit(g.axiom, 1, 1)
     return MacroScheme2D(info.rows, info.cols, explicit, tuple(phrases))
+
+
+def reference_analyze_boxes(dims, explicit, boxes, size, describe):
+    """macroscheme.analyze_boxes as it was: a Python list filled one box and
+    one last-axis run at a time, checked for overlap run by run and for
+    holes at the end, then every chain walked cell by cell with the scalar
+    ``walk_chains``. Returns the check and (root list, {flat index: token})
+    like analyze_boxes."""
+
+    def fail(fault, at=None):
+        return SchemeCheck(False, size, *describe(fault, at)), None
+
+    d = len(dims)
+    if d < 1 or any(n < 1 for n in dims):
+        return fail("dims")
+    total = prod(dims)
+    if total > MAX_CELLS:
+        return fail("cap")
+    strides = [prod(dims[a + 1:]) for a in range(d)]
+    origin = sum(strides)
+
+    def inside(lo, hi):
+        return len(lo) == len(hi) == d and min(lo) >= 1 and all(map(le, hi, dims))
+
+    free, explicit_cell = -2, -1
+    source = [free] * total
+    tokens = {}
+    for pos, tok in explicit.items():
+        pos = tuple(pos)
+        bad_token = not tok or str(tok).split() != [str(tok)]
+        if bad_token or not inside(pos, pos):
+            return fail("explicit", (pos, tok, bad_token, not inside(pos, pos)))
+        f = sum(map(mul, pos, strides)) - origin
+        source[f] = explicit_cell
+        tokens[f] = str(tok)
+    for index, (lo, hi, src) in enumerate(boxes):
+        ext = tuple(map(sub, hi, lo))
+        if min(ext, default=0) < 0:
+            return fail("inverted", index)
+        if not inside(lo, hi):
+            return fail("target", index)
+        if not inside(src, tuple(map(add, src, ext))):
+            return fail("source", index)
+        t0 = sum(map(mul, lo, strides)) - origin
+        shift = sum(map(mul, src, strides)) - origin - t0
+        run = ext[-1] + 1
+        starts = [t0]
+        for e, st in zip(ext, strides[:-1]):
+            starts = [t + k for t in starts for k in range(0, (e + 1) * st, st)]
+        for t in starts:
+            seg = source[t:t + run]
+            if seg.count(free) != run:
+                taken = next(k for k, v in enumerate(seg) if v != free)
+                return fail("overlap", t + taken)
+            source[t:t + run] = range(t + shift, t + shift + run)
+    holes = source.count(free)
+    if holes:
+        return fail("holes", (holes, source.index(free)))
+    root, cycle = walk_chains(source)
+    if root is None:
+        return fail("cycle", cycle)
+    return SchemeCheck(True, size), (root, tokens)
+
+
+def reference_decoded_cells(root, tokens):
+    """Cell ids and alphabet of a decoded scheme, one dict lookup a cell."""
+    ids, alphabet = encode_tokens(tokens.values())
+    id_at = dict(zip(tokens, ids))
+    return tuple(map(id_at.__getitem__, root)), alphabet
