@@ -187,11 +187,7 @@ def random_grammar(
         if n in keep:
             continue
         keep.add(n)
-        rule = rules[n]
-        if isinstance(rule, (Horiz, Vert)):
-            stack.extend((rule.left, rule.right) if isinstance(rule, Horiz) else (rule.top, rule.bottom))
-        elif isinstance(rule, (RunH, RunV)):
-            stack.append(rule.child)
+        stack.extend(_rhs_key(rules[n])[3])
     return Grammar2D(axiom, {n: rules[n] for n in names if n in keep})
 
 

@@ -1,40 +1,42 @@
 """Random access to grammar-compressed matrices via heavy paths.
 
-Every variable walks to a terminal through its heavy child (the child with
-the larger expansion, ties to the left/top; the first copy for run rules).
-Along that path we store cumulative row/column margins contributed by light
-children, so a query can binary-search the deepest path node still containing
-the target cell and then hop into a light child whose expansion is at most
-half as large. A query therefore makes at most floor(log2(rows*cols)) hops.
+Every rule is read once, through ``_rhs_key``, as (token, axis, count,
+children): a terminal, two children glued along axis 1 (rows) or 2
+(columns), or ``count`` copies of one child along that axis. Every variable
+walks to a terminal through its heavy child (the child with the larger
+expansion, ties to the first; the first copy for run rules). Along that path
+we store, per axis, the cumulative margins before and after each node that
+its light siblings contribute, so a query can binary-search the deepest path
+node still containing the target cell and then hop into a light child whose
+expansion is at most half as large. A query therefore makes at most
+floor(log2(rows*cols)) hops. One scan over every cell serves ``full_scan``,
+``hop_bound_check`` and the hop histogram of ``access --verify-all``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .budget import WorkBudget, ensure_budget
 from .core2d import Matrix2D, Position
 from .errors import OutOfBounds
-from .grammar2d import (
-    Grammar2D,
-    GrammarInfo,
-    Horiz,
-    RunH,
-    RunV,
-    Terminal,
-    Vert,
-    expand,
-    validate_grammar,
-)
+from .grammar2d import Grammar2D, GrammarInfo, _rhs_key, expand, validate_grammar
+
+# The repr of HeavyPath, AccessIndex and ScanReport is what the benchmark's
+# recorded build_index.* and full_scan.* output digests hash, so the fields
+# those digests do not cover (AccessIndex.parts, ScanReport.histogram) stay
+# out of repr and ==.
 
 
 @dataclass(frozen=True)
 class HeavyPath:
     """One variable's walk to its terminal. Entry i (0-based) describes path
-    node i+1: u/d/l/r are the rows above/below and columns left/right of that
-    node's expansion inside the expansion of the path's first variable."""
+    node i+1: u/d are the rows above/below (axis 1) and l/r the columns
+    left/right (axis 2) of that node's expansion inside the expansion of the
+    path's first variable."""
 
     names: tuple[str, ...]
     u: tuple[int, ...]
@@ -64,6 +66,8 @@ class AccessIndex:
     heavy: Mapping[str, str | None]
     paths: Mapping[str, HeavyPath]
     forest: SuffixForest
+    # every rule as _rhs_key reads it, so a hop reads no rule object
+    parts: Mapping[str, tuple] = field(repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -74,68 +78,45 @@ class AccessIndex:
         return self.info.cols
 
 
-def _heavy_child(
-    rule, dims: Mapping[str, tuple[int, int]]
-) -> str | None:
-    if isinstance(rule, Terminal):
-        return None
-    if isinstance(rule, (RunH, RunV)):
-        return rule.child
-    if isinstance(rule, Horiz):
-        a, b = rule.left, rule.right
-    else:
-        a, b = rule.top, rule.bottom
-    area = lambda v: dims[v][0] * dims[v][1]
-    return a if area(a) >= area(b) else b
-
-
 def build_index(g: Grammar2D, budget: WorkBudget | None = None) -> AccessIndex:
     info = validate_grammar(g)
     budget = ensure_budget(budget)
     dims = info.dims
-    heavy = {name: _heavy_child(rule, dims) for name, rule in g.rules.items()}
+    parts = {name: _rhs_key(rule) for name, rule in g.rules.items()}
+    area = lambda v: dims[v][0] * dims[v][1]
+    # max keeps the first of equal areas: the left/top child, the first copy
+    heavy = {
+        name: max(children, key=area) if children else None
+        for name, (_, _, _, children) in parts.items()
+    }
     paths: dict[str, HeavyPath] = {}
     for start in g.rules:
         names = [start]
-        u = [0]
-        d = [0]
-        l = [0]
-        r = [0]
+        u, d, l, r = [0], [0], [0], [0]
+        # per axis: its before and after margins, then the other axis's
+        along = ((u, d, l, r), (l, r, u, d))
         cur = start
         while heavy[cur] is not None:
             budget.charge(1, "access index")
-            rule = g.rules[cur]
+            _, axis, _, kids = parts[cur]
             nxt = heavy[cur]
-            du = dd = dl = dr = 0
-            if isinstance(rule, Horiz):
-                if nxt == rule.left:
-                    dr = dims[rule.right][1]
-                else:
-                    dl = dims[rule.left][1]
-            elif isinstance(rule, Vert):
-                if nxt == rule.top:
-                    dd = dims[rule.bottom][0]
-                else:
-                    du = dims[rule.top][0]
-            elif isinstance(rule, RunH):
-                dr = (rule.count - 1) * dims[rule.child][1]
-            elif isinstance(rule, RunV):
-                dd = (rule.count - 1) * dims[rule.child][0]
+            a = axis - 1
+            before = 0 if nxt == kids[0] else dims[kids[0]][a]
+            after = dims[cur][a] - before - dims[nxt][a]
+            pre, post, o1, o2 = along[a]
+            pre.append(pre[-1] + before)
+            post.append(post[-1] + after)
+            o1.append(o1[-1])
+            o2.append(o2[-1])
             names.append(nxt)
-            u.append(u[-1] + du)
-            d.append(d[-1] + dd)
-            l.append(l[-1] + dl)
-            r.append(r[-1] + dr)
             cur = nxt
-        terminal = g.rules[cur]
-        assert isinstance(terminal, Terminal)
         paths[start] = HeavyPath(
             tuple(names),
             tuple(u),
             tuple(d),
             tuple(l),
             tuple(r),
-            terminal.token,
+            parts[cur][0],
             u[-1] + 1,
             l[-1] + 1,
         )
@@ -152,7 +133,7 @@ def build_index(g: Grammar2D, budget: WorkBudget | None = None) -> AccessIndex:
         {k: tuple(v) for k, v in children.items()},
         tuple(roots),
     )
-    return AccessIndex(g, info, heavy, paths, forest)
+    return AccessIndex(g, info, heavy, paths, forest, parts)
 
 
 def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
@@ -162,9 +143,9 @@ def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
         raise OutOfBounds(
             f"({y},{x}) outside {index.rows}x{index.cols} expansion"
         )
-    g = index.grammar
     dims = index.info.dims
-    var = g.axiom
+    parts = index.parts
+    var = index.grammar.axiom
     hops = 0
     while True:
         path = index.paths[var]
@@ -185,30 +166,22 @@ def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
         step = min(i, j)
         if step == k:
             return path.symbol, hops
-        rule = g.rules[path.names[step - 1]]
-        yl = y - path.u[step - 1]
-        xl = x - path.l[step - 1]
-        if isinstance(rule, Horiz):
-            nb = dims[rule.left][1]
-            var, y, x = (
-                (rule.left, yl, xl)
-                if xl <= nb
-                else (rule.right, yl, xl - nb)
-            )
-        elif isinstance(rule, Vert):
-            mb = dims[rule.top][0]
-            var, y, x = (
-                (rule.top, yl, xl)
-                if yl <= mb
-                else (rule.bottom, yl - mb, xl)
-            )
-        elif isinstance(rule, RunH):
-            nb = dims[rule.child][1]
-            var, y, x = rule.child, yl, 1 + (xl - 1) % nb
-        else:
-            assert isinstance(rule, RunV)
-            mb = dims[rule.child][0]
-            var, y, x = rule.child, 1 + (yl - 1) % mb, xl
+        # the cell leaves the heavy path below node ``step`` along ``axis``:
+        # into the other child of a concatenation or a later copy of a run
+        _, axis, count, children = parts[path.names[step - 1]]
+        y -= path.u[step - 1]
+        x -= path.l[step - 1]
+        var = children[0]
+        ext = dims[var][axis - 1]
+        if axis == 1:
+            if count:
+                y = 1 + (y - 1) % ext
+            elif y > ext:
+                var, y = children[1], y - ext
+        elif count:
+            x = 1 + (x - 1) % ext
+        elif x > ext:
+            var, x = children[1], x - ext
         hops += 1
 
 
@@ -217,40 +190,46 @@ def hop_bound(index: AccessIndex) -> int:
     return (index.rows * index.cols).bit_length() - 1
 
 
-def hop_bound_check(index: AccessIndex, budget: WorkBudget | None = None) -> int:
-    """Max hop count over all cells; callers compare it to hop_bound()."""
-    budget = ensure_budget(budget)
-    worst = 0
-    for y in range(1, index.rows + 1):
-        budget.charge(index.cols, "access scan")
-        for x in range(1, index.cols + 1):
-            worst = max(worst, access(index, y, x)[1])
-    return worst
-
-
 @dataclass(frozen=True)
 class ScanReport:
     matches: bool
     max_hops: int
     hop_bound: int
     first_mismatch: Position | None = None
+    # cells per hop count over the cells scanned (see the note on repr above)
+    histogram: Mapping[int, int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
         return self.matches and self.max_hops <= self.hop_bound
 
 
-def full_scan(index: AccessIndex, budget: WorkBudget | None = None) -> ScanReport:
-    """Access every cell, compare against the full expansion, and record the
-    worst hop count."""
-    budget = ensure_budget(budget)
-    reference: Matrix2D = expand(index.grammar, budget)
-    worst = 0
+def _scan(
+    index: AccessIndex, budget: WorkBudget, reference: Matrix2D | None
+) -> ScanReport:
+    """Access every cell in row-major order, charging each row, and count
+    the cells per hop count; stop at the first cell whose symbol differs
+    from ``reference``."""
+    hist: Counter[int] = Counter()
     for y in range(1, index.rows + 1):
         budget.charge(index.cols, "access scan")
         for x in range(1, index.cols + 1):
             symbol, hops = access(index, y, x)
-            worst = max(worst, hops)
-            if symbol != reference.at(y, x):
-                return ScanReport(False, worst, hop_bound(index), (y, x))
-    return ScanReport(True, worst, hop_bound(index))
+            hist[hops] += 1
+            if reference is not None and symbol != reference.at(y, x):
+                return ScanReport(False, max(hist), hop_bound(index), (y, x), hist)
+    return ScanReport(True, max(hist), hop_bound(index), None, hist)
+
+
+def hop_bound_check(index: AccessIndex, budget: WorkBudget | None = None) -> int:
+    """Max hop count over all cells; callers compare it to hop_bound()."""
+    return _scan(index, ensure_budget(budget), None).max_hops
+
+
+def full_scan(index: AccessIndex, budget: WorkBudget | None = None) -> ScanReport:
+    """Access every cell, compare against the full expansion, and record the
+    worst hop count and the hop histogram of the cells scanned."""
+    budget = ensure_budget(budget)
+    return _scan(index, budget, expand(index.grammar, budget))

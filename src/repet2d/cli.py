@@ -83,6 +83,13 @@ def _emit(args: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequen
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
+def _need(value, flag: str, command: str):
+    """``value`` of a flag the command cannot run without."""
+    if value is None:
+        raise BadParam(f"{command} needs {flag}")
+    return value
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -150,6 +157,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_grammar(args: argparse.Namespace) -> int:
+    if args.action != "family":
+        _need(args.infile, "--in FILE", f"grammar {args.action}")
     if args.action == "validate":
         info = validate_grammar(read_grammar(args.infile))
         _emit(args, ("property", "value"), [
@@ -192,7 +201,7 @@ def _cmd_grammar(args: argparse.Namespace) -> int:
     builders = {"ek": build_ek_grammar, "bk": build_bk_grammar, "zeros": build_zeros_rlslp}
     if args.name not in builders:
         raise BadParam(f"--name must be one of {', '.join(builders)}, got {args.name!r}")
-    g = builders[args.name](args.param)
+    g = builders[args.name](_need(args.param, "--param INT", "grammar family"))
     _write_or_print(format_grammar(g), args.out)
     return EXIT_OK
 
@@ -208,18 +217,12 @@ def _cmd_access(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.verify_all:
         raise BadParam("access needs --query Y X or --verify-all")
-    budget = _budget(args)
-    report = full_scan(index, budget)
-    hist: Counter[int] = Counter()
-    for y in range(1, index.rows + 1):
-        budget.charge(index.cols, "access scan")
-        for x in range(1, index.cols + 1):
-            hist[access(index, y, x)[1]] += 1
+    report = full_scan(index, _budget(args))
     print(
         f"cells {index.rows * index.cols}  matches {'yes' if report.matches else 'no'}  "
         f"max_hops {report.max_hops}  hop_bound {report.hop_bound}"
     )
-    _emit(args, ("hops", "cells"), sorted(hist.items()))
+    _emit(args, ("hops", "cells"), sorted(report.histogram.items()))
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -286,7 +289,7 @@ def _cmd_nd(args: argparse.Namespace) -> int:
         _write_or_print(nd.format_nd(nd.bdk(d, k)), args.out)
         return EXIT_OK
     if args.action == "measure":
-        x = nd.read_nd(args.infile)
+        x = nd.read_nd(_need(args.infile, "--in FILE", "nd measure"))
         budget = _budget(args)
         rows: list[tuple[str, object]] = [
             ("dims", " ".join(map(str, x.dims))),

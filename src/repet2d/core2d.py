@@ -418,10 +418,11 @@ def _check_shape(m: Matrix2D, k1: int, k2: int) -> None:
 
 def iter_shape_labels(
     m: Matrix2D,
-    wanted: Iterable[tuple[int, int]],
+    wanted: Iterable[tuple[int, int]] | ShapeBox,
     budget: WorkBudget | None = None,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (k1, k2, labels) for every requested shape.
+    """Yield (k1, k2, labels) for every requested shape, or for every shape
+    of a ``ShapeBox`` of m's extents.
 
     ``labels`` is the (rows-k1+1) x (cols-k2+1) array of dense factor ids:
     two windows carry the same label iff their contents are equal. Shapes are
@@ -429,7 +430,8 @@ def iter_shape_labels(
     step charges its window count to the budget.
     """
     budget = ensure_budget(budget)
-    wanted = list(wanted)
+    if not isinstance(wanted, ShapeBox):
+        wanted = list(wanted)
     for k1, k2 in wanted:
         _check_shape(m, k1, k2)
     for (k1, k2), labels in rank_windows(

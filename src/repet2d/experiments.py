@@ -77,10 +77,6 @@ class ExperimentResult:
         return buf.getvalue()
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 # --- row builders -----------------------------------------------------------
 # Each returns the column values after the parameter columns; the harness
 # prepends the parameters and appends the status.
@@ -92,7 +88,7 @@ def _row_gap_gamma(m: int) -> tuple:
     return (
         m + 2,
         mat.area,
-        _frac(delta(mat).value),
+        str(delta(mat).value),
         len(att),
         "yes" if is_attractor(mat, att) else "no",
         gamma_lower_bound_unique(mat),
@@ -104,8 +100,8 @@ def _row_gap_g(k: int) -> tuple:
     return (
         mat.area,
         build_ek_grammar(k).size,
-        _frac(delta(mat).value),
-        _frac(Fraction(2**k, k)),
+        str(delta(mat).value),
+        str(Fraction(2**k, k)),
     )
 
 
@@ -126,9 +122,9 @@ def _row_lin_row(n: int) -> tuple:
     mat = staircase(n)
     return (
         mat.area,
-        _frac(delta(mat).value),
-        _frac(delta(rlin(mat)).value),
-        _frac(Fraction(n - 1, 2)),
+        str(delta(mat).value),
+        str(delta(rlin(mat)).value),
+        str(Fraction(n - 1, 2)),
     )
 
 
@@ -137,8 +133,8 @@ def _row_lin_hilbert(k: int) -> tuple:
     flat = phlin(mat)
     return (
         2**k,
-        _frac(delta(mat).value),
-        _frac(delta(flat).value),
+        str(delta(mat).value),
+        str(delta(flat).value),
         "yes" if scan(mat, "rs") == scan(mat, "ds") else "no",
         "yes" if onerun_certificate(flat, k) else "no",
     )
@@ -173,7 +169,7 @@ def _row_nd(d: int, k: int) -> tuple:
         cube.dims[0],
         cube.area,
         g.size,
-        _frac(nd.delta_nd(cube)),
+        str(nd.delta_nd(cube)),
         "yes" if nd.expand_nd(g) == cube else "no",
     )
 

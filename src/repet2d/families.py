@@ -49,6 +49,7 @@ def identity(n: int) -> Matrix2D:
 def zeros(m: int, n: int) -> Matrix2D:
     """All-zero m x n matrix."""
     _check(m >= 1 and n >= 1, f"zeros needs m,n >= 1, got {m},{n}")
+    _fits(m, n)
     return Matrix2D(m, n, (0,) * (m * n), ("0",))
 
 

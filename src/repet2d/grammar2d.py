@@ -112,9 +112,8 @@ def rule_size(rule: Rule | RuleNd) -> int:
 
 def rule_bit_size(rule: Rule) -> int:
     """Like rule_size but additionally charges the bits of run exponents."""
-    if isinstance(rule, (RunH, RunV)):
-        return 2 + rule.count.bit_length()
-    return rule_size(rule)
+    count = _rhs_key(rule)[2]
+    return 2 + count.bit_length() if count else rule_size(rule)
 
 
 def _rhs_key(rule: Rule | RuleNd) -> tuple:
@@ -141,7 +140,7 @@ class Grammar2D:
 
     @property
     def is_runlength(self) -> bool:
-        return any(isinstance(r, (RunH, RunV)) for r in self.rules.values())
+        return any(_rhs_key(r)[2] for r in self.rules.values())
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .core2d import (
     Matrix2D,
     Position,
     RANKING_2D,
+    ShapeBox,
     TokenGrid,
     densest_shape,
     iter_shape_labels,
@@ -45,16 +46,6 @@ class DeltaResult:
     value: Fraction
     argmax_shape: FactorShape
     table: Mapping[tuple[int, int], int] | None = None
-
-
-def _all_shapes(m: Matrix2D, square_only: bool) -> list[tuple[int, int]]:
-    if square_only:
-        return [(k, k) for k in range(1, min(m.rows, m.cols) + 1)]
-    return [
-        (k1, k2)
-        for k1 in range(1, m.rows + 1)
-        for k2 in range(1, m.cols + 1)
-    ]
 
 
 def delta(
@@ -139,7 +130,7 @@ def is_attractor(
     prefix[1:, 1:] = grid.cumsum(0).cumsum(1)
     worst: tuple[int, int, int] | None = None  # (k1, k2, first occurrence)
     for k1, k2, labels in iter_shape_labels(
-        m, _all_shapes(m, square_only), budget
+        m, ShapeBox((m.rows, m.cols), square_only), budget
     ):
         rows_w = m.rows - k1 + 1
         cols_w = m.cols - k2 + 1
@@ -183,7 +174,7 @@ def _coverage_masks(
     n = m.cols
     masks: set[int] = set()
     for k1, k2, labels in iter_shape_labels(
-        m, _all_shapes(m, square_only), budget
+        m, ShapeBox((m.rows, m.cols), square_only), budget
     ):
         seg = ((1 << k2) - 1)
         height, width = labels.shape

@@ -3,6 +3,7 @@ import random
 from repet2d import (
     WorkBudget,
     access,
+    build_bk_grammar,
     build_ek_grammar,
     build_index,
     build_zeros_rlslp,
@@ -15,7 +16,14 @@ from repet2d.accept import random_grammar, sample_rlslp, sample_slp
 from repet2d.errors import DanglingVariable, OutOfBounds, ShapeTooLarge
 from repet2d.grammar2d import Grammar2D, Horiz, Terminal
 
-from util import raises
+from util import (
+    Ledger,
+    raises,
+    reference_access,
+    reference_build_index,
+    reference_full_scan,
+    reference_histogram,
+)
 
 
 def test_access_equals_expansion_on_fixtures():
@@ -37,6 +45,30 @@ def test_access_random_grammars():
         rep = full_scan(idx)
         assert rep.ok, format(g)
         assert rep.max_hops == hop_bound_check(idx)
+
+
+def test_index_and_scans_equal_the_class_switching_oracle():
+    rng = random.Random(7)
+    grammars = [build_ek_grammar(k) for k in range(1, 7)]
+    grammars += [build_bk_grammar(k) for k in (1, 2)]
+    grammars += [build_zeros_rlslp(n) for n in (2, 3, 16)]
+    grammars += [sample_slp(), sample_rlslp()]
+    grammars += [random_grammar(rng, allow_runs=i % 4 != 0) for i in range(200)]
+    for g in grammars:
+        got_ledger, want_ledger = Ledger(), Ledger()
+        idx = build_index(g, got_ledger)
+        want = reference_build_index(g, want_ledger)
+        assert repr(idx) == repr(want), format(g)
+        assert got_ledger.steps == want_ledger.steps
+        for y in range(1, idx.rows + 1):
+            for x in range(1, idx.cols + 1):
+                assert access(idx, y, x) == reference_access(want, y, x), (y, x)
+        got_ledger, want_ledger = Ledger(), Ledger()
+        scan = full_scan(idx, got_ledger)
+        assert repr(scan) == repr(reference_full_scan(want, want_ledger))
+        assert got_ledger.steps == want_ledger.steps
+        assert scan.histogram == reference_histogram(want)
+        assert hop_bound_check(idx) == scan.max_hops
 
 
 def test_hop_bound_is_floor_log2_area():

@@ -61,6 +61,15 @@ def test_exit_codes(tmp_path):
     assert run("experiment", "--name", "nosuch").returncode == 2
 
 
+def test_missing_required_flags(tmp_path):
+    calls = [("grammar", action) for action in ("validate", "expand", "tree", "minimize")]
+    calls += [("nd", "measure"), ("grammar", "family", "--name", "ek")]
+    for args in calls:
+        r = run(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert "Traceback" not in r.stderr and "BadParam" in r.stderr, r.stderr
+
+
 def test_grammar_subcommands(tmp_path):
     gpath = tmp_path / "g.txt"
     r = run("grammar", "family", "--name", "ek", "--param", "3", "--out", str(gpath))
@@ -102,6 +111,15 @@ def test_access_verify(tmp_path):
     assert r.returncode == 0 and "0" in r.stdout
     r = run("access", "--grammar", str(gpath), "--verify-all")
     assert r.returncode == 0, r.stderr
+    assert r.stdout == (
+        "cells 256  matches yes  max_hops 2  hop_bound 8\n"
+        "hops  cells\n0     1\n1     30\n2     225\n"
+    )
+    # one scan: 273 steps to expand the grammar, then 256 cells
+    r = run("access", "--grammar", str(gpath), "--verify-all", "--budget", "529")
+    assert r.returncode == 0 and r.stdout.startswith("cells 256"), r.stderr
+    r = run("access", "--grammar", str(gpath), "--verify-all", "--budget", "528")
+    assert r.returncode == 3 and "Traceback" not in r.stderr
     r = run("access", "--grammar", str(gpath), "--query", "99", "1")
     assert r.returncode == 2
 

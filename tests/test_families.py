@@ -58,7 +58,8 @@ def test_binary_families_equal_their_token_grids():
     assert identity(1).alphabet == ("1",) and alt(3, 1).alphabet == ("0",)
     # the cap is checked before any cell is built
     for family, args in ((identity, (4097,)), (staircase, (4097,)), (ek, (20,)),
-                         (alt, (5000, 5000)), (diagpad, (1 << 20, 17))):
+                         (alt, (5000, 5000)), (diagpad, (1 << 20, 17)),
+                         (zeros, (4097, 4097))):
         exc = raises(TooLarge, family, *args)
         assert "cell cap" in str(exc)
 

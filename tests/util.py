@@ -8,11 +8,16 @@ ranking must reproduce id for id; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
 value, argmax shape and table; and the recursive grammar walks
 ``recursive_grammar_tree``, ``recursive_format_grammar`` and
-``recursive_from_grammar``; and ``reference_analyze_boxes``, the scheme
+``recursive_from_grammar``; ``reference_analyze_boxes``, the scheme
 check that fills a Python list box by box and walks every copy chain cell
-by cell, which the pointer-jumping check must match fault for fault.
+by cell, which the pointer-jumping check must match fault for fault; and
+``reference_build_index``/``reference_access``/``reference_full_scan``, the
+heavy-path index that switches over the 2D rule classes, which the index
+reading rules by axis must reproduce in repr, answers and hop counts.
 """
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -22,16 +27,20 @@ from operator import add, le, mul, sub
 import numpy as np
 
 from repet2d import Matrix2D
+from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, hop_bound
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import MAX_CELLS, FactorShape, encode_tokens, iter_shape_labels
+from repet2d.errors import OutOfBounds
 from repet2d.grammar2d import (
     GrammarTree,
     GrammarTreeNode,
     Horiz,
     RunH,
+    RunV,
     Terminal,
     Vert,
     _rhs_key,
+    expand,
     validate_grammar,
 )
 from repet2d.macroscheme import MacroScheme2D, Phrase, SchemeCheck, walk_chains
@@ -393,3 +402,133 @@ def reference_decoded_cells(root, tokens):
     ids, alphabet = encode_tokens(tokens.values())
     id_at = dict(zip(tokens, ids))
     return tuple(map(id_at.__getitem__, root)), alphabet
+
+
+def reference_build_index(g, budget=None) -> AccessIndex:
+    """The heavy-path index built by switching over the rule classes. Its
+    ``parts`` table is left empty: ``reference_access`` reads the rules."""
+    info = validate_grammar(g)
+    budget = ensure_budget(budget)
+    dims = info.dims
+    area = lambda v: dims[v][0] * dims[v][1]
+    heavy = {}
+    for name, rule in g.rules.items():
+        if isinstance(rule, Terminal):
+            heavy[name] = None
+        elif isinstance(rule, (RunH, RunV)):
+            heavy[name] = rule.child
+        else:
+            a, b = (rule.left, rule.right) if isinstance(rule, Horiz) else (rule.top, rule.bottom)
+            heavy[name] = a if area(a) >= area(b) else b
+    paths = {}
+    for start in g.rules:
+        names, u, d, l, r = [start], [0], [0], [0], [0]
+        cur = start
+        while heavy[cur] is not None:
+            budget.charge(1, "access index")
+            rule = g.rules[cur]
+            nxt = heavy[cur]
+            du = dd = dl = dr = 0
+            if isinstance(rule, Horiz):
+                if nxt == rule.left:
+                    dr = dims[rule.right][1]
+                else:
+                    dl = dims[rule.left][1]
+            elif isinstance(rule, Vert):
+                if nxt == rule.top:
+                    dd = dims[rule.bottom][0]
+                else:
+                    du = dims[rule.top][0]
+            elif isinstance(rule, RunH):
+                dr = (rule.count - 1) * dims[rule.child][1]
+            elif isinstance(rule, RunV):
+                dd = (rule.count - 1) * dims[rule.child][0]
+            names.append(nxt)
+            u.append(u[-1] + du)
+            d.append(d[-1] + dd)
+            l.append(l[-1] + dl)
+            r.append(r[-1] + dr)
+            cur = nxt
+        paths[start] = HeavyPath(
+            tuple(names), tuple(u), tuple(d), tuple(l), tuple(r),
+            g.rules[cur].token, u[-1] + 1, l[-1] + 1,
+        )
+    children = {name: [] for name in g.rules}
+    roots = []
+    for name in sorted(g.rules):
+        if heavy[name] is None:
+            roots.append(name)
+        else:
+            children[heavy[name]].append(name)
+    forest = SuffixForest(
+        dict(heavy), {k: tuple(v) for k, v in children.items()}, tuple(roots)
+    )
+    return AccessIndex(g, info, heavy, paths, forest, {})
+
+
+def reference_access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
+    """Symbol and hop count at (y, x), hopping by the rule classes."""
+    if not (1 <= y <= index.rows and 1 <= x <= index.cols):
+        raise OutOfBounds(f"({y},{x}) outside {index.rows}x{index.cols} expansion")
+    g, dims = index.grammar, index.info.dims
+    var, hops = g.axiom, 0
+    while True:
+        path = index.paths[var]
+        m1, n1 = dims[var]
+        k = len(path.names)
+        if y == path.y0:
+            i = k
+        elif y > path.y0:
+            i = bisect_right(path.d, m1 - y)
+        else:
+            i = bisect_right(path.u, y - 1)
+        if x == path.x0:
+            j = k
+        elif x > path.x0:
+            j = bisect_right(path.r, n1 - x)
+        else:
+            j = bisect_right(path.l, x - 1)
+        step = min(i, j)
+        if step == k:
+            return path.symbol, hops
+        rule = g.rules[path.names[step - 1]]
+        yl, xl = y - path.u[step - 1], x - path.l[step - 1]
+        if isinstance(rule, Horiz):
+            nb = dims[rule.left][1]
+            var, y, x = (rule.left, yl, xl) if xl <= nb else (rule.right, yl, xl - nb)
+        elif isinstance(rule, Vert):
+            mb = dims[rule.top][0]
+            var, y, x = (rule.top, yl, xl) if yl <= mb else (rule.bottom, yl - mb, xl)
+        elif isinstance(rule, RunH):
+            nb = dims[rule.child][1]
+            var, y, x = rule.child, yl, 1 + (xl - 1) % nb
+        else:
+            mb = dims[rule.child][0]
+            var, y, x = rule.child, 1 + (yl - 1) % mb, xl
+        hops += 1
+
+
+def reference_full_scan(index: AccessIndex, budget=None) -> ScanReport:
+    """The former full_scan: expand, then access every cell and stop at the
+    first mismatch."""
+    budget = ensure_budget(budget)
+    reference = expand(index.grammar, budget)
+    worst = 0
+    for y in range(1, index.rows + 1):
+        budget.charge(index.cols, "access scan")
+        for x in range(1, index.cols + 1):
+            symbol, hops = reference_access(index, y, x)
+            worst = max(worst, hops)
+            if symbol != reference.at(y, x):
+                return ScanReport(False, worst, hop_bound(index), (y, x))
+    return ScanReport(True, worst, hop_bound(index))
+
+
+def reference_histogram(index: AccessIndex) -> Counter:
+    """Cells per hop count, from the second scan ``access --verify-all``
+    used to make."""
+    return Counter(
+        reference_access(index, y, x)[1]
+        for y in range(1, index.rows + 1)
+        for x in range(1, index.cols + 1)
+    )
