@@ -13,12 +13,20 @@ g_exact performs an exhaustive branch-and-bound over "closed content sets":
 a grammar of minimum size corresponds to a minimum-cost set of distinct
 factor contents that contains the whole matrix and in which every non-unit
 content can be split (or de-run) into members of the set. Only the set
-matters for the size, which keeps the search space manageable.
+matters for the size, which keeps the search space manageable. Each call
+interns the contents it meets as int ids in one table, which holds per id
+the cost, the sort key and the options as tuples of part ids. For every
+option it keeps a missing cost, the summed cost of its parts outside the
+member set. A watch list from each part to its options updates these
+counts as members come and go, so a member is closed iff one of its options
+misses nothing, and a node's bound is the largest smallest missing cost
+over the open members. The search runs on an explicit stack, so its depth
+is not limited by the interpreter's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -466,152 +474,183 @@ def _cost(c: Content) -> int:
     return 1 if len(c) == 1 and len(c[0]) == 1 else 2
 
 
-class _WorkLimitHit(Exception):
-    """Internal: unwinds the search when work_limit is exhausted."""
+class _ContentTable:
+    """Every content one g_exact call meets, interned once as an int id, and
+    a member set over those ids that keeps its closure counts incrementally.
 
+    Per id: the content, its cost and its ``_content_key``. Once fetched, its
+    options are the slots ``span[i]`` of ``slots``: those of ``_options`` in
+    order, each as a tuple of distinct part ids, without an option whose
+    part set an earlier one already has. Each fetch counts toward
+    content_limit. Per slot, ``missing`` holds the summed cost of its parts
+    that are not members. Adding or removing a member updates the slots in
+    its ``watch`` list, so a content is closed iff one of its slots reads 0,
+    and no node rescans the member set."""
 
-@dataclass
-class _SearchState:
-    allow_runs: bool
-    work_limit: int
-    content_limit: int
-    budget: WorkBudget
-    option_cache: dict[Content, list[tuple[str, int, tuple[Content, ...]]]] = field(
-        default_factory=dict
-    )
-    work: int = 0
+    def __init__(self, allow_runs: bool, content_limit: int):
+        self.allow_runs = allow_runs
+        self.content_limit = content_limit
+        self.ids: dict[Content, int] = {}
+        self.contents: list[Content] = []
+        self.cost: list[int] = []
+        self.key: list[tuple] = []
+        self.span: list[tuple[int, int] | None] = []
+        self.watch: list[list[int]] = []
+        self.slots: list[tuple[int, ...]] = []
+        self.missing: list[int] = []
+        self.members: set[int] = set()
+        self.fetched = 0
 
-    def options(self, c: Content) -> list[tuple[str, int, tuple[Content, ...]]]:
-        cached = self.option_cache.get(c)
-        if cached is None:
-            cached = _options(c, self.allow_runs)
-            self.option_cache[c] = cached
-            if len(self.option_cache) > self.content_limit:
-                raise TooLarge(
-                    f"grammar search visited more than {self.content_limit} "
-                    "distinct factor contents"
-                )
-        return cached
+    def intern(self, c: Content) -> int:
+        i = self.ids.get(c)
+        if i is None:
+            i = self.ids[c] = len(self.contents)
+            self.contents.append(c)
+            self.cost.append(_cost(c))
+            self.key.append(_content_key(c))
+            self.span.append(None)
+            self.watch.append([])
+        return i
 
-    def tick(self) -> None:
-        self.work += 1
-        self.budget.charge(1, "grammar search")
-        if self.work > self.work_limit:
-            raise _WorkLimitHit
-
-
-def _close_and_bound(
-    state: _SearchState, members: set[Content], closed: set[Content]
-) -> tuple[list[Content], int, list[Content]]:
-    """Close every content that already splits within the set; return the
-    still-open contents, an admissible lower bound on the extra cost to close
-    them, and the list of contents newly marked closed (for undo)."""
-    newly: list[Content] = []
-    changed = True
-    while changed:
-        changed = False
-        for c in list(members):
-            if _cost(c) == 1 or c in closed:
+    def fetch(self, i: int) -> None:
+        cost, members, slots = self.cost, self.members, self.slots
+        lo = len(slots)
+        seen: set[frozenset[int]] = set()
+        for _, _, parts in _options(self.contents[i], self.allow_runs):
+            ids = tuple(dict.fromkeys(map(self.intern, parts)))
+            part_set = frozenset(ids)
+            if part_set in seen:
                 continue
-            for _, _, parts in state.options(c):
-                if all(p in members for p in parts):
-                    closed.add(c)
-                    newly.append(c)
-                    changed = True
-                    break
-    opens = [
-        c for c in members if _cost(c) == 2 and c not in closed
-    ]
-    bound = 0
-    for c in opens:
-        best = None
-        for _, _, parts in state.options(c):
-            added = sum(_cost(p) for p in set(parts) if p not in members)
-            if best is None or added < best:
-                best = added
-        if best is None:  # non-unit content with no option cannot happen
-            best = 0
-        bound = max(bound, best)
-    return opens, bound, newly
-
-
-def _search(
-    state: _SearchState,
-    members: set[Content],
-    closed: set[Content],
-    cost: int,
-    best: list,
-) -> None:
-    state.tick()
-    opens, bound, newly = _close_and_bound(state, members, closed)
-    if not opens:
-        if cost < best[0]:
-            best[0] = cost
-            best[1] = set(members)
-        for c in newly:
-            closed.discard(c)
-        return
-    if cost + max(bound, 1) >= best[0]:
-        for c in newly:
-            closed.discard(c)
-        return
-    pivot = max(opens, key=_content_key)
-    branches: list[tuple[int, int, tuple[Content, ...]]] = []
-    seen_parts: set[tuple[Content, ...]] = set()
-    for rank, (_, _, parts) in enumerate(state.options(pivot)):
-        new = tuple(
-            sorted(
-                {p for p in parts if p not in members}, key=_content_key
+            seen.add(part_set)
+            for p in ids:
+                self.watch[p].append(len(slots))
+            slots.append(ids)
+            self.missing.append(sum([cost[p] for p in ids if p not in members]))
+        self.span[i] = (lo, len(slots))
+        self.fetched += 1
+        if self.fetched > self.content_limit:
+            raise TooLarge(
+                f"grammar search visited more than {self.content_limit} "
+                "distinct factor contents"
             )
-        )
-        if not new or new in seen_parts:
-            if not new:
-                raise AssertionError("open content has a zero-cost option")
-            continue
-        seen_parts.add(new)
-        branches.append((sum(_cost(p) for p in new), rank, new))
-    branches.sort(key=lambda b: (b[0], b[1]))
-    for added_cost, _, new in branches:
-        if cost + added_cost >= best[0]:
-            continue
+
+    def add(self, new: tuple[int, ...]) -> None:
+        missing = self.missing
         for p in new:
-            members.add(p)
-        _search(state, members, closed, cost + added_cost, best)
+            step = self.cost[p]
+            for s in self.watch[p]:
+                missing[s] -= step
+            self.members.add(p)
+
+    def remove(self, new: tuple[int, ...]) -> None:
+        missing = self.missing
         for p in new:
-            members.discard(p)
-    for c in newly:
-        closed.discard(c)
+            self.members.discard(p)
+            step = self.cost[p]
+            for s in self.watch[p]:
+                missing[s] += step
+
+    def enter(
+        self, new: tuple[int, ...], opens: list[int]
+    ) -> tuple[list[int], int]:
+        """Fetch the options of the members of cost 2 in ``new``, which were
+        just added. Return the members among them and ``opens`` (the
+        parent's open members: closed ones stay closed as the set grows)
+        that are still open, and the largest of their smallest missing
+        costs, an admissible bound on the cost still to add."""
+        span, missing = self.span, self.missing
+        entering = [p for p in new if self.cost[p] == 2]
+        for p in entering:
+            if span[p] is None:
+                self.fetch(p)
+        still: list[int] = []
+        bound = 0
+        for c in opens + entering:
+            lo, hi = span[c]
+            least = min(missing[lo:hi])
+            if least:
+                still.append(c)
+                if least > bound:
+                    bound = least
+        return still, bound
+
+    def branches(self, opens: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
+        """The ways to complete the pivot, the open member of largest key:
+        (added cost, option slot, new parts) by added cost then option
+        order, one per distinct set of new parts."""
+        members = self.members
+        lo, hi = self.span[max(opens, key=self.key.__getitem__)]
+        seen: set[frozenset[int]] = set()
+        out = []
+        for s in range(lo, hi):
+            new = tuple(p for p in self.slots[s] if p not in members)
+            part_set = frozenset(new)
+            if part_set not in seen:
+                seen.add(part_set)
+                out.append((self.missing[s], s, new))
+        out.sort()
+        return out
 
 
-def _greedy_upper(state: _SearchState, root: Content) -> tuple[int, set[Content]]:
-    members: set[Content] = {root}
-    cost = _cost(root)
+def _greedy_upper(table: _ContentTable, root: int) -> tuple[int, set[int]]:
+    """Close {root} by always taking the first branch of the pivot; the
+    table is left with no members."""
+    cost, new, opens = table.cost[root], (root,), []
     while True:
-        opens = [
-            c
-            for c in members
-            if _cost(c) == 2
-            and not any(
-                all(p in members for p in parts)
-                for _, _, parts in state.options(c)
-            )
-        ]
+        table.add(new)
+        opens, _ = table.enter(new, opens)
         if not opens:
+            members = set(table.members)
+            table.remove(tuple(members))
             return cost, members
-        c = max(opens, key=_content_key)
-        best_new: tuple[Content, ...] | None = None
-        best_added = None
-        for _, _, parts in state.options(c):
-            new = tuple(
-                sorted({p for p in parts if p not in members}, key=_content_key)
-            )
-            added = sum(_cost(p) for p in new)
-            if best_added is None or added < best_added:
-                best_added = added
-                best_new = new
-        assert best_new is not None and best_added is not None
-        members.update(best_new)
-        cost += best_added
+        added, _, new = table.branches(opens)[0]
+        cost += added
+
+
+def _branch_and_bound(
+    table: _ContentTable,
+    root: int,
+    upper: tuple[int, set[int]],
+    work_limit: int,
+    budget: WorkBudget,
+) -> tuple[set[int], int, bool]:
+    """Depth-first search for a cheapest closed member set containing root,
+    starting from the bound ``upper`` = (cost, set). Every node ticks the
+    budget first. It runs on an explicit stack of frames (cost, open members,
+    remaining branches, ids the node added), so depth does not matter.
+    Returns the best set, the nodes ticked, and whether the search ended
+    before work_limit."""
+    best_cost, best_set = upper
+    cost, new, opens = table.cost[root], (root,), []
+    table.add(new)
+    stack: list[tuple] = []
+    work = 0
+    while True:
+        work += 1
+        budget.charge(1, "grammar search")
+        if work > work_limit:
+            return best_set, work, False
+        opens, bound = table.enter(new, opens)
+        if opens and cost + max(bound, 1) < best_cost:
+            stack.append((cost, opens, iter(table.branches(opens)), new))
+        else:
+            if not opens and cost < best_cost:
+                best_cost, best_set = cost, set(table.members)
+            table.remove(new)
+        while stack:
+            cost, opens, branches, added = stack[-1]
+            for step, _, new in branches:
+                if cost + step < best_cost:
+                    break
+            else:
+                stack.pop()
+                table.remove(added)
+                continue
+            cost += step
+            table.add(new)
+            break
+        else:
+            return best_set, work, True
 
 
 def _grammar_from_contents(
@@ -673,24 +712,18 @@ def g_exact(
     allow_runs). Exponential-time branch and bound; raises TooLarge once more
     than content_limit distinct factor contents have been considered, and
     stops with optimal=False when work_limit search steps run out."""
-    state = _SearchState(
-        allow_runs, work_limit, content_limit, ensure_budget(budget)
-    )
+    budget = ensure_budget(budget)
     root = m.tokens()
     if _cost(root) == 1:
         g = Grammar2D("X1", {"X1": Terminal(root[0][0])})
         return GrammarSearchResult(g, True, 0)
-    upper_cost, upper_set = _greedy_upper(state, root)
-    best: list = [upper_cost, upper_set]
-    members: set[Content] = {root}
-    closed: set[Content] = set()
-    optimal = True
-    try:
-        _search(state, members, closed, _cost(root), best)
-    except _WorkLimitHit:
-        optimal = False
-    grammar = _grammar_from_contents(root, best[1], allow_runs)
-    return GrammarSearchResult(grammar, optimal, state.work)
+    table = _ContentTable(allow_runs, content_limit)
+    root_id = table.intern(root)
+    upper = _greedy_upper(table, root_id)
+    best, work, optimal = _branch_and_bound(table, root_id, upper, work_limit, budget)
+    members = {table.contents[i] for i in best}
+    grammar = _grammar_from_contents(root, members, allow_runs)
+    return GrammarSearchResult(grammar, optimal, work)
 
 
 # ---------------------------------------------------------------------------

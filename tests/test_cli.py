@@ -6,6 +6,7 @@ Exit code contract: 0 success, 2 failure/usage, 3 budget exhausted,
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -102,6 +103,20 @@ def test_deep_grammar_commands_exit_cleanly(tmp_path):
     assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
     r = run("macro", "validate", "--in", str(spath))
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+def test_grammar_minimize_deep_search_exits_on_budget(tmp_path):
+    # a random binary square (seeded by its side) just large enough that the
+    # first dive of the grammar search went deeper than Python's recursion
+    # limit when the search was recursive (24 to 34 do not)
+    rng = random.Random(35)
+    rows = [" ".join(rng.choice("01") for _ in range(35)) for _ in range(35)]
+    mpath = tmp_path / "m.txt"
+    mpath.write_text("2d 35 35\n" + "\n".join(rows) + "\n")
+    r = run("grammar", "minimize", "--in", str(mpath), "--budget", "1500")
+    assert r.returncode == 3, r.stderr
+    assert "work budget exceeded during grammar search" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_access_verify(tmp_path):

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 from repet2d import (
     Grammar2D,
+    Matrix2D,
     alt,
     bk,
     build_bk_grammar,
@@ -26,11 +28,13 @@ from repet2d.errors import (
     DimMismatch,
     DuplicateRHS,
     ParseError,
+    Repet2dError,
 )
 from repet2d.grammar2d import Horiz, RunH, Terminal, Vert
 from repet2d.multidim import build_bdk_grammar, expand_nd, grammar_to_nd, validate_nd
 
 from util import (
+    Ledger,
     mat,
     random_matrix,
     raises,
@@ -38,6 +42,7 @@ from util import (
     recursive_format_grammar,
     recursive_from_grammar,
     recursive_grammar_tree,
+    reference_g_exact,
 )
 
 
@@ -259,6 +264,101 @@ def test_g_exact_work_limit_flags_nonoptimal():
     res = g_exact(bk(2), allow_runs=True, work_limit=50)
     assert not res.optimal
     assert expand(res.grammar) == bk(2)  # still a correct upper bound
+
+
+def _random_grid(rng, rows, cols, alphabet):
+    return Matrix2D.from_tokens(
+        [[rng.choice(alphabet) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def _search_outcome(search, m, allow_runs, limit=None, **kw):
+    """The result of a grammar search, or its exception, with the budget
+    used and the steps charged per label."""
+    ledger = Ledger()
+    if limit is not None:
+        ledger.limit = limit
+    try:
+        res = search(m, allow_runs, budget=ledger, **kw)
+        got = (repr(res), res.work)
+    except Repet2dError as exc:
+        got = (type(exc).__name__, str(exc))
+    return got, ledger.used, ledger.steps
+
+
+def test_g_exact_equals_the_reference_search():
+    cases = []
+    for rows in range(1, 4):
+        for cols in range(1, 4):
+            for bits in itertools.product("01", repeat=rows * cols):
+                cells = [bits[i * cols:(i + 1) * cols] for i in range(rows)]
+                cases.append((Matrix2D.from_tokens(cells), {}))
+    assert len(cases) == 682
+    rng = random.Random(2026)
+    for shape in ((4, 4), (5, 4)):
+        for alphabet in ("01", "012"):
+            m = _random_grid(rng, *shape, alphabet)
+            cases += [(m, {"work_limit": w}) for w in (50, 300, 1000, 2_000_000)]
+    for m, kw in cases:
+        for runs in (False, True):
+            want = _search_outcome(reference_g_exact, m, runs, **kw)
+            assert _search_outcome(g_exact, m, runs, **kw) == want, (m, runs, kw)
+
+
+def test_g_exact_limits_fire_as_in_the_reference():
+    # TooLarge from content_limit, ShapeTooLarge from the budget and the
+    # work_limit stop must come in the same order, at the same budget.used
+    # (each visits fewer than 40 distinct contents, so the sweep crosses
+    # from raising to finishing)
+    rng = random.Random(7)
+    inputs = [
+        _random_grid(rng, *shape) for shape in ((3, 3, "012"), (3, 4, "01"), (2, 6, "01"))
+    ]
+    for m in inputs:
+        for runs in (False, True):
+            (_, work), total, _ = _search_outcome(reference_g_exact, m, runs)
+            for content_limit in range(1, 41):
+                for kw in ({}, {"work_limit": 20}):
+                    want = _search_outcome(
+                        reference_g_exact, m, runs, content_limit=content_limit, **kw
+                    )
+                    got = _search_outcome(g_exact, m, runs, content_limit=content_limit, **kw)
+                    assert got == want, (m, runs, content_limit, kw)
+            for limit in (1, 2, total // 2, total - 1, total, total + 1):
+                for kw in ({}, {"work_limit": work - 1}, {"content_limit": 12}):
+                    want = _search_outcome(reference_g_exact, m, runs, limit, **kw)
+                    assert _search_outcome(g_exact, m, runs, limit, **kw) == want, (
+                        m, runs, limit, kw,
+                    )
+
+
+def test_g_exact_steps_stay_at_most_the_recorded_ledger():
+    # the search nodes g_exact ticks on these inputs, as recorded when the
+    # search moved onto content ids: a change that adds nodes fails here
+    rng = random.Random(44)
+    first, second = _random_grid(rng, 4, 4, "01"), _random_grid(rng, 4, 4, "012")
+    recorded = [
+        ("alt(4, 6)", alt(4, 6), {}, 63),
+        ("alt(4, 6) rl", alt(4, 6), {"allow_runs": True}, 26),
+        ("bk(2) rl, work_limit 50", bk(2), {"allow_runs": True, "work_limit": 50}, 51),
+        ("random 4x4 over 01", first, {}, 316),
+        ("random 4x4 over 012 rl", second, {"allow_runs": True}, 4448),
+    ]
+    for name, m, kw, pinned in recorded:
+        ledger = Ledger()
+        g_exact(m, budget=ledger, **kw)
+        assert set(ledger.steps) == {"grammar search"}, name
+        assert ledger.steps["grammar search"] <= pinned, (name, ledger.steps)
+
+
+def test_g_exact_deep_first_dive_stops_at_work_limit():
+    # the first dive on this input (see test_cli) is deeper than Python's
+    # recursion limit
+    rng = random.Random(35)
+    m = _random_grid(rng, 35, 35, "01")
+    res = g_exact(m, work_limit=1200)
+    assert not res.optimal and res.work == 1201
+    assert expand(res.grammar) == m
 
 
 def test_format_parse_roundtrip():

@@ -13,12 +13,15 @@ check that fills a Python list box by box and walks every copy chain cell
 by cell, which the pointer-jumping check must match fault for fault; and
 ``reference_build_index``/``reference_access``/``reference_full_scan``, the
 heavy-path index that switches over the 2D rule classes, which the index
-reading rules by axis must reproduce in repr, answers and hop counts.
+reading rules by axis must reproduce in repr, answers and hop counts; and
+``reference_g_exact``, the recursive grammar search that recomputes the
+closure of its member set at every node, which the search over content ids
+must reproduce in result, work and step ledger.
 """
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -30,8 +33,10 @@ from repet2d import Matrix2D
 from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, hop_bound
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import MAX_CELLS, FactorShape, encode_tokens, iter_shape_labels
-from repet2d.errors import OutOfBounds
+from repet2d.errors import OutOfBounds, TooLarge
 from repet2d.grammar2d import (
+    Grammar2D,
+    GrammarSearchResult,
     GrammarTree,
     GrammarTreeNode,
     Horiz,
@@ -39,6 +44,10 @@ from repet2d.grammar2d import (
     RunV,
     Terminal,
     Vert,
+    _content_key,
+    _cost,
+    _grammar_from_contents,
+    _options,
     _rhs_key,
     expand,
     validate_grammar,
@@ -532,3 +541,147 @@ def reference_histogram(index: AccessIndex) -> Counter:
         for y in range(1, index.rows + 1)
         for x in range(1, index.cols + 1)
     )
+
+
+class _ReferenceWorkLimitHit(Exception):
+    """Unwinds reference_g_exact when work_limit is exhausted."""
+
+
+@dataclass
+class _ReferenceSearchState:
+    allow_runs: bool
+    work_limit: int
+    content_limit: int
+    budget: WorkBudget
+    option_cache: dict = field(default_factory=dict)
+    work: int = 0
+
+    def options(self, c):
+        cached = self.option_cache.get(c)
+        if cached is None:
+            cached = _options(c, self.allow_runs)
+            self.option_cache[c] = cached
+            if len(self.option_cache) > self.content_limit:
+                raise TooLarge(
+                    f"grammar search visited more than {self.content_limit} "
+                    "distinct factor contents"
+                )
+        return cached
+
+    def tick(self) -> None:
+        self.work += 1
+        self.budget.charge(1, "grammar search")
+        if self.work > self.work_limit:
+            raise _ReferenceWorkLimitHit
+
+
+def _reference_close_and_bound(state, members, closed):
+    """Close every content that already splits within the set; return the
+    still-open contents, an admissible lower bound on the extra cost to close
+    them, and the list of contents newly marked closed (for undo)."""
+    newly = []
+    changed = True
+    while changed:
+        changed = False
+        for c in list(members):
+            if _cost(c) == 1 or c in closed:
+                continue
+            for _, _, parts in state.options(c):
+                if all(p in members for p in parts):
+                    closed.add(c)
+                    newly.append(c)
+                    changed = True
+                    break
+    opens = [c for c in members if _cost(c) == 2 and c not in closed]
+    bound = 0
+    for c in opens:
+        best = None
+        for _, _, parts in state.options(c):
+            added = sum(_cost(p) for p in set(parts) if p not in members)
+            if best is None or added < best:
+                best = added
+        if best is None:  # non-unit content with no option cannot happen
+            best = 0
+        bound = max(bound, best)
+    return opens, bound, newly
+
+
+def _reference_search(state, members, closed, cost, best) -> None:
+    state.tick()
+    opens, bound, newly = _reference_close_and_bound(state, members, closed)
+    if not opens:
+        if cost < best[0]:
+            best[0] = cost
+            best[1] = set(members)
+        for c in newly:
+            closed.discard(c)
+        return
+    if cost + max(bound, 1) >= best[0]:
+        for c in newly:
+            closed.discard(c)
+        return
+    pivot = max(opens, key=_content_key)
+    branches = []
+    seen_parts = set()
+    for rank, (_, _, parts) in enumerate(state.options(pivot)):
+        new = tuple(sorted({p for p in parts if p not in members}, key=_content_key))
+        if not new or new in seen_parts:
+            if not new:
+                raise AssertionError("open content has a zero-cost option")
+            continue
+        seen_parts.add(new)
+        branches.append((sum(_cost(p) for p in new), rank, new))
+    branches.sort(key=lambda b: (b[0], b[1]))
+    for added_cost, _, new in branches:
+        if cost + added_cost >= best[0]:
+            continue
+        for p in new:
+            members.add(p)
+        _reference_search(state, members, closed, cost + added_cost, best)
+        for p in new:
+            members.discard(p)
+    for c in newly:
+        closed.discard(c)
+
+
+def _reference_greedy_upper(state, root):
+    members = {root}
+    cost = _cost(root)
+    while True:
+        opens = [
+            c
+            for c in members
+            if _cost(c) == 2
+            and not any(all(p in members for p in parts) for _, _, parts in state.options(c))
+        ]
+        if not opens:
+            return cost, members
+        c = max(opens, key=_content_key)
+        best_new = None
+        best_added = None
+        for _, _, parts in state.options(c):
+            new = tuple(sorted({p for p in parts if p not in members}, key=_content_key))
+            added = sum(_cost(p) for p in new)
+            if best_added is None or added < best_added:
+                best_added = added
+                best_new = new
+        members.update(best_new)
+        cost += best_added
+
+
+def reference_g_exact(m, allow_runs=False, work_limit=2_000_000, content_limit=5000,
+                      budget=None) -> GrammarSearchResult:
+    """The former g_exact: a recursive branch and bound over sets of token
+    grids that recomputes the closure of the whole member set, and the bound,
+    at every node."""
+    state = _ReferenceSearchState(allow_runs, work_limit, content_limit, ensure_budget(budget))
+    root = m.tokens()
+    if _cost(root) == 1:
+        return GrammarSearchResult(Grammar2D("X1", {"X1": Terminal(root[0][0])}), True, 0)
+    best = list(_reference_greedy_upper(state, root))
+    optimal = True
+    try:
+        _reference_search(state, {root}, set(), _cost(root), best)
+    except _ReferenceWorkLimitHit:
+        optimal = False
+    return GrammarSearchResult(_grammar_from_contents(root, best[1], allow_runs), optimal, state.work)
