@@ -6,11 +6,26 @@ children): a terminal, two children glued along axis 1 (rows) or 2
 walks to a terminal through its heavy child (the child with the larger
 expansion, ties to the first; the first copy for run rules). Along that path
 we store, per axis, the cumulative margins before and after each node that
-its light siblings contribute, so a query can binary-search the deepest path
-node still containing the target cell and then hop into a light child whose
-expansion is at most half as large. A query therefore makes at most
-floor(log2(rows*cols)) hops. One scan over every cell serves ``full_scan``,
-``hop_bound_check`` and the hop histogram of ``access --verify-all``.
+its light siblings contribute.
+
+A point query (``access``) binary-searches the deepest path node still
+containing the target cell and then hops into a light child whose expansion
+is at most half as large, so it makes at most floor(log2(rows*cols)) hops.
+
+A batch of queries (``access_many``, and the scans ``full_scan`` and
+``hop_bound_check``) takes the same hops in rounds, one numpy pass per hop
+count, so floor(log2(rows*cols)) + 1 rounds answer every query (Bille et
+al., "Random access to grammar-compressed strings and trees", SICOMP 2015).
+Each call concatenates the margin arrays of every path into one sorted table
+keyed by (path, margin array, margin), so one ``searchsorted`` per round
+finds the exit node of every active query along both axes; finished queries
+leave the batch.
+
+A scan charges ``cols`` steps of "access scan" per row, as a cell-by-cell
+scan that charges each row before reading it would: it reads the cells of
+the rows the budget can still afford, in row-major blocks of at most
+``_BLOCK`` cells, charges the rows it read up to the first mismatching cell,
+and charges the next row, which then raises, only when no row is affordable.
 """
 
 from __future__ import annotations
@@ -18,12 +33,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import Matrix2D, Position
-from .errors import OutOfBounds
-from .grammar2d import Grammar2D, GrammarInfo, _rhs_key, expand, validate_grammar
+from .core2d import Position
+from .errors import OutOfBounds, TooLarge
+from .grammar2d import Grammar2D, GrammarInfo, _rhs_key, expand_ids, validate_grammar
 
 # The repr of HeavyPath, AccessIndex and ScanReport is what the benchmark's
 # recorded build_index.* and full_scan.* output digests hash, so the fields
@@ -136,13 +153,15 @@ def build_index(g: Grammar2D, budget: WorkBudget | None = None) -> AccessIndex:
     return AccessIndex(g, info, heavy, paths, forest, parts)
 
 
+def _out_of_bounds(index: AccessIndex, y: int, x: int) -> OutOfBounds:
+    return OutOfBounds(f"({y},{x}) outside {index.rows}x{index.cols} expansion")
+
+
 def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
     """Symbol at 1-based (y, x) of the expansion, plus the number of
     light-child hops the query needed."""
     if not (1 <= y <= index.rows and 1 <= x <= index.cols):
-        raise OutOfBounds(
-            f"({y},{x}) outside {index.rows}x{index.cols} expansion"
-        )
+        raise _out_of_bounds(index, y, x)
     dims = index.info.dims
     parts = index.parts
     var = index.grammar.axiom
@@ -185,6 +204,130 @@ def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
         hops += 1
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """The index as int arrays for batched descents. Variables are numbered
+    in rule order, symbols by their position in ``tokens`` (sorted).
+
+    ``keys`` concatenates per variable its u, d, l and r margins, the a-th
+    of its four arrays raised by (4·variable + a)·``width``, so the table is
+    sorted and no array's keys reach the next one's. ``path`` has one row
+    per variable: the keys searched for y - 1 above y0 (``+ y``) and for
+    rows - y below it (``- y``), the same for x, the table positions of its
+    four arrays, y0, x0, the path length k, the row of its first node in
+    ``node``, and its symbol id. ``node`` has one row per path node: the u
+    and l margins, whether the node's rule glues rows, the first child's
+    extent along the rule's axis, the modulus that maps a run's copies onto
+    the first (``width`` for a concatenation, where it changes nothing), and
+    the first and second child (the first again for runs)."""
+
+    axiom: int
+    tokens: tuple[str, ...]
+    keys: np.ndarray
+    path: np.ndarray
+    node: np.ndarray
+
+
+def _tables(index: AccessIndex) -> _Tables:
+    dims, paths = index.info.dims, index.paths
+    vid = {name: v for v, name in enumerate(paths)}
+    tokens = tuple(sorted({p.symbol for p in paths.values()}))
+    tid = {t: i for i, t in enumerate(tokens)}
+    # every margin and every searched value is below the largest extent
+    width = max(max(d) for d in dims.values()) + 2
+    if 4 * len(paths) * width > np.iinfo(np.int64).max:
+        raise TooLarge(
+            f"{index.rows}x{index.cols} expansion is too large for batched access"
+        )
+    moves = {}
+    for name, (_, axis, count, kids) in index.parts.items():
+        if kids:
+            ext = dims[kids[0]][axis - 1]
+            moves[name] = (axis == 1, ext, ext if count else width, vid[kids[0]], vid[kids[-1]])
+        else:
+            moves[name] = (0, 0, width, 0, 0)
+    path, node, margins = [], [], []
+    for v, (name, p) in enumerate(paths.items()):
+        (rows, cols), k, at = dims[name], len(p.names), 4 * len(node)
+        key = 4 * v * width
+        path.append((
+            key - 1, key + width + rows, key + 2 * width - 1, key + 3 * width + cols,
+            at, at + k, at + 2 * k, at + 3 * k,
+            p.y0, p.x0, k, len(node), tid[p.symbol],
+        ))
+        node += [(u, l, *moves[n]) for n, u, l in zip(p.names, p.u, p.l)]
+        margins += p.u + p.d + p.l + p.r
+    path = np.array(path, dtype=np.int64)
+    keys = np.array(margins, dtype=np.int64) + np.repeat(
+        np.arange(4 * len(paths), dtype=np.int64) * width, np.repeat(path[:, 10], 4)
+    )
+    return _Tables(
+        vid[index.grammar.axiom], tokens, keys, path, np.array(node, dtype=np.int64)
+    )
+
+
+def _descend(t: _Tables, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol ids and hop counts of the 1-based cells (y, x), by the rules
+    of ``access`` applied to every query still active, one hop a round."""
+    n = y.size
+    sym = np.empty(n, dtype=np.int64)
+    hops = np.empty(n, dtype=np.int64)
+    at = np.arange(n)
+    var = np.full(n, t.axiom, dtype=np.int64)
+    h = 0
+    while True:
+        above, below, left, right, su, sd, sl, sr, y0, x0, k, first, s = t.path.take(var, 0).T
+        down, across = y > y0, x > x0
+        pos = np.searchsorted(t.keys, np.concatenate((
+            np.where(down, below - y, above + y),
+            np.where(across, right - x, left + x),
+        )), "right")
+        i = np.where(y == y0, k, pos[:n] - np.where(down, sd, su))
+        j = np.where(x == x0, k, pos[n:] - np.where(across, sr, sl))
+        step = np.minimum(i, j)
+        end = step == k
+        node = first + step - 1
+        if end.any():
+            sym[at[end]] = s[end]
+            hops[at[end]] = h
+            go = ~end
+            at = at[go]
+            n = at.size
+            if not n:
+                return sym, hops
+            y, x, node = y[go], x[go], node[go]
+        # the cell leaves the heavy path below node ``step`` along the axis of
+        # its rule: into the other child of a concatenation or a later copy
+        # of a run
+        du, dl, rows, ext, mod, var, other = t.node.take(node, 0).T
+        y, x = y - du, x - dl
+        rows = rows > 0
+        c = (np.where(rows, y, x) - 1) % mod + 1
+        later = c > ext
+        c -= later * ext
+        y, x = np.where(rows, c, y), np.where(rows, x, c)
+        var = np.where(later, other, var)
+        h += 1
+
+
+def access_many(
+    index: AccessIndex, queries: Iterable[tuple[int, int]]
+) -> list[tuple[str, int]]:
+    """``access`` for every 1-based (y, x) pair, in order, answered in at
+    most floor(log2(rows*cols)) + 1 batched rounds. Every pair is checked
+    before the first round: the first one outside the expansion raises."""
+    queries = list(queries)
+    for y, x in queries:
+        if not (1 <= y <= index.rows and 1 <= x <= index.cols):
+            raise _out_of_bounds(index, y, x)
+    if not queries:
+        return []
+    t = _tables(index)
+    yx = np.array(queries, dtype=np.int64)
+    sym, hops = _descend(t, yx[:, 0], yx[:, 1])
+    return list(zip(map(t.tokens.__getitem__, sym.tolist()), hops.tolist()))
+
+
 def hop_bound(index: AccessIndex) -> int:
     """floor(log2(rows * cols)): no query hops more often than this."""
     return (index.rows * index.cols).bit_length() - 1
@@ -206,21 +349,50 @@ class ScanReport:
         return self.matches and self.max_hops <= self.hop_bound
 
 
+# cells a scan descends at once: bounds its working memory on any grammar
+_BLOCK = 1 << 16
+
+
 def _scan(
-    index: AccessIndex, budget: WorkBudget, reference: Matrix2D | None
+    index: AccessIndex,
+    budget: WorkBudget,
+    expected: tuple[np.ndarray, tuple[str, ...]] | None,
 ) -> ScanReport:
     """Access every cell in row-major order, charging each row, and count
     the cells per hop count; stop at the first cell whose symbol differs
-    from ``reference``."""
-    hist: Counter[int] = Counter()
-    for y in range(1, index.rows + 1):
-        budget.charge(index.cols, "access scan")
-        for x in range(1, index.cols + 1):
-            symbol, hops = access(index, y, x)
-            hist[hops] += 1
-            if reference is not None and symbol != reference.at(y, x):
-                return ScanReport(False, max(hist), hop_bound(index), (y, x), hist)
-    return ScanReport(True, max(hist), hop_bound(index), None, hist)
+    from ``expected`` (the expansion's ids and their tokens)."""
+    t = _tables(index)
+    rows, cols = index.rows, index.cols
+    if expected is not None:
+        ids, tokens = expected
+        ids = ids.ravel()
+        mine = {token: i for i, token in enumerate(t.tokens)}
+        to_mine = np.array([mine.get(token, -1) for token in tokens], dtype=np.int64)
+    counts = np.zeros(0, dtype=np.int64)
+    charged = cell = 0
+    mismatch = None
+    while cell < rows * cols and mismatch is None:
+        affordable = (budget.limit - budget.used) // cols
+        stop = min(rows * cols, cell + _BLOCK, (charged + affordable) * cols)
+        if stop <= cell:
+            budget.charge(cols, "access scan")  # the next row is over the limit
+        flat = np.arange(cell, stop, dtype=np.int64)
+        sym, hops = _descend(t, flat // cols + 1, flat % cols + 1)
+        if expected is not None:
+            bad = np.flatnonzero(sym != to_mine[ids[cell:stop]])
+            if bad.size:
+                stop = cell + int(bad[0]) + 1
+                hops = hops[: bad[0] + 1]
+                mismatch = ((stop - 1) // cols + 1, (stop - 1) % cols + 1)
+        seen = np.bincount(hops, minlength=counts.size)
+        seen[: counts.size] += counts
+        counts = seen
+        read = -(-stop // cols)  # rows read so far, the last one maybe in part
+        for _ in range(charged, read):
+            budget.charge(cols, "access scan")
+        charged, cell = read, stop
+    hist = Counter({h: n for h, n in enumerate(counts.tolist()) if n})
+    return ScanReport(mismatch is None, max(hist), hop_bound(index), mismatch, hist)
 
 
 def hop_bound_check(index: AccessIndex, budget: WorkBudget | None = None) -> int:
@@ -232,4 +404,5 @@ def full_scan(index: AccessIndex, budget: WorkBudget | None = None) -> ScanRepor
     """Access every cell, compare against the full expansion, and record the
     worst hop count and the hop histogram of the cells scanned."""
     budget = ensure_budget(budget)
-    return _scan(index, budget, expand(index.grammar, budget))
+    g = index.grammar
+    return _scan(index, budget, expand_ids(g.axiom, g.rules, index.info.dims, budget))

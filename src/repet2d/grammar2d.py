@@ -206,9 +206,10 @@ def _mismatch(name: str, rule, d1: tuple, d2: tuple, j: int) -> str:
 
 def resolve_dims(
     axiom: str, rules: Mapping[str, Rule | RuleNd], ndim: int
-) -> dict[str, tuple[int, ...]]:
-    """Check a grammar of either rule family over ``ndim`` axes and return
-    the extents of every variable, in the order a recursive resolution
+) -> tuple[dict[str, tuple], dict[str, tuple[int, ...]]]:
+    """Check a grammar of either rule family over ``ndim`` axes. Return
+    every rule as ``_rhs_key`` reads it (each is read once), in rule order,
+    and the extents of every variable, in the order a recursive resolution
     started from each rule in insertion order would finish them.
 
     Rejects: undefined axiom or child (DanglingVariable), axes outside
@@ -259,7 +260,7 @@ def resolve_dims(
             ext = list(d1)
             ext[a] += d2[a]
         dims[name] = tuple(ext)
-    return dims
+    return parts, dims
 
 
 def expand_ids(
@@ -308,11 +309,12 @@ def validate_grammar(g: Grammar2D) -> GrammarInfo:
     dimensions (DimMismatch), and two variables with an identical right-hand
     side (DuplicateRHS).
     """
-    dims = resolve_dims(g.axiom, g.rules, 2)
+    parts, dims = resolve_dims(g.axiom, g.rules, 2)
     rows, cols = dims[g.axiom]
-    return GrammarInfo(
-        g.size, g.bit_size, rows, cols, g.is_runlength, dims
-    )
+    size = sum(1 if token is not None else 2 for token, _, _, _ in parts.values())
+    counts = [count for _, _, count, _ in parts.values()]
+    bit_size = size + sum(count.bit_length() for count in counts)
+    return GrammarInfo(size, bit_size, rows, cols, any(counts), dims)
 
 
 def expand(g: Grammar2D, budget: WorkBudget | None = None) -> Matrix2D:
@@ -657,34 +659,43 @@ def _grammar_from_contents(
     root: Content, members: set[Content], allow_runs: bool
 ) -> Grammar2D:
     """Deterministic reconstruction: each content takes its first applicable
-    option; variables are named X1, X2, ... in preorder from the axiom."""
+    option; variables are named X1, X2, ... in preorder from the axiom, and
+    each rule is added after its children's rules. Runs on an explicit stack
+    of (name, kind, param, parts), so the nesting depth of the set is not
+    limited by the interpreter's."""
     names: dict[Content, str] = {}
     rules: dict[str, Rule] = {}
+    stack: list[tuple[str, str, int, tuple[Content, ...]]] = []
 
-    def build(c: Content) -> str:
-        if c in names:
-            return names[c]
-        name = f"X{len(names) + 1}"
-        names[c] = name
+    def visit(c: Content) -> None:
+        name = names[c] = f"X{len(names) + 1}"
         if _cost(c) == 1:
             rules[name] = Terminal(c[0][0])
-            return name
+            return
         for kind, param, parts in _options(c, allow_runs):
-            if not all(p in members for p in parts):
-                continue
-            if kind == "h":
-                rules[name] = Horiz(build(parts[0]), build(parts[1]))
-            elif kind == "v":
-                rules[name] = Vert(build(parts[0]), build(parts[1]))
-            elif kind == "rh":
-                rules[name] = RunH(param, build(parts[0]))
-            else:
-                rules[name] = RunV(param, build(parts[0]))
-            return name
+            if all(p in members for p in parts):
+                stack.append((name, kind, param, parts))
+                return
         raise AssertionError("content set is not closed")
 
-    axiom = build(root)
-    return Grammar2D(axiom, rules)
+    visit(root)
+    while stack:
+        name, kind, param, parts = stack[-1]
+        todo = next((p for p in parts if p not in names), None)
+        if todo is not None:
+            visit(todo)
+            continue
+        stack.pop()
+        kids = [names[p] for p in parts]
+        if kind == "h":
+            rules[name] = Horiz(*kids)
+        elif kind == "v":
+            rules[name] = Vert(*kids)
+        elif kind == "rh":
+            rules[name] = RunH(param, *kids)
+        else:
+            rules[name] = RunV(param, *kids)
+    return Grammar2D(names[root], rules)
 
 
 @dataclass(frozen=True)

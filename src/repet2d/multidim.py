@@ -169,7 +169,7 @@ def validate_nd(g: GrammarNd) -> NdInfo:
     """
     if g.ndim < 1:
         raise BadParam(f"grammar needs >= 1 axes, got {g.ndim}")
-    var_dims = resolve_dims(g.axiom, g.rules, g.ndim)
+    _, var_dims = resolve_dims(g.axiom, g.rules, g.ndim)
     return NdInfo(g.size, var_dims[g.axiom], var_dims)
 
 

@@ -1,8 +1,11 @@
 import random
+import tracemalloc
+from dataclasses import replace
 
 from repet2d import (
     WorkBudget,
     access,
+    access_many,
     build_bk_grammar,
     build_ek_grammar,
     build_index,
@@ -12,8 +15,9 @@ from repet2d import (
     hop_bound,
     hop_bound_check,
 )
+from repet2d import access2d
 from repet2d.accept import random_grammar, sample_rlslp, sample_slp
-from repet2d.errors import DanglingVariable, OutOfBounds, ShapeTooLarge
+from repet2d.errors import DanglingVariable, OutOfBounds, ShapeTooLarge, TooLarge
 from repet2d.grammar2d import Grammar2D, Horiz, Terminal
 
 from util import (
@@ -22,7 +26,7 @@ from util import (
     reference_access,
     reference_build_index,
     reference_full_scan,
-    reference_histogram,
+    reference_scan,
 )
 
 
@@ -47,6 +51,44 @@ def test_access_random_grammars():
         assert rep.max_hops == hop_bound_check(idx)
 
 
+def _outcome(fn, index, budget):
+    """The report of a scan, or the text of the budget fault it raised, with
+    the steps used either way."""
+    try:
+        out = fn(index, budget)
+    except ShapeTooLarge as exc:
+        return f"raised {exc}", budget.used
+    return repr(out), sorted(getattr(out, "histogram", {}).items()), budget.used
+
+
+def _corruptions(index, rng):
+    """Copies of ``index`` with one path changed: a margin moved by one
+    between its neighbours (so each margin array stays sorted), y0 moved by
+    one, or the symbol replaced."""
+    name = rng.choice(sorted(index.paths))
+    path = index.paths[name]
+    rows, cols = index.info.dims[name]
+    options = [replace(path, symbol="?"), replace(path, symbol=rng.choice("01"))]
+    options += [replace(path, y0=y0) for y0 in (path.y0 - 1, path.y0 + 1) if 1 <= y0 <= rows]
+    for axis in "udlr":
+        margins = getattr(path, axis)
+        for e in range(1, len(margins)):
+            for v in (margins[e] - 1, margins[e] + 1):
+                if margins[e - 1] <= v <= (margins[e + 1] if e + 1 < len(margins) else max(rows, cols)):
+                    options.append(replace(path, **{axis: margins[:e] + (v,) + margins[e + 1 :]}))
+    for bad in rng.sample(options, min(3, len(options))):
+        yield replace(index, paths={**index.paths, name: bad})
+
+
+def _answers(index):
+    """``access`` of every cell in row-major order, or None when a cell
+    makes it fail, as a corrupted index can."""
+    try:
+        return [access(index, y, x) for y in range(1, index.rows + 1) for x in range(1, index.cols + 1)]
+    except (IndexError, KeyError):
+        return None
+
+
 def test_index_and_scans_equal_the_class_switching_oracle():
     rng = random.Random(7)
     grammars = [build_ek_grammar(k) for k in range(1, 7)]
@@ -54,21 +96,90 @@ def test_index_and_scans_equal_the_class_switching_oracle():
     grammars += [build_zeros_rlslp(n) for n in (2, 3, 16)]
     grammars += [sample_slp(), sample_rlslp()]
     grammars += [random_grammar(rng, allow_runs=i % 4 != 0) for i in range(200)]
-    for g in grammars:
+    corrupted = mismatched = faults = 0
+    for n, g in enumerate(grammars):
         got_ledger, want_ledger = Ledger(), Ledger()
         idx = build_index(g, got_ledger)
         want = reference_build_index(g, want_ledger)
         assert repr(idx) == repr(want), format(g)
         assert got_ledger.steps == want_ledger.steps
-        for y in range(1, idx.rows + 1):
-            for x in range(1, idx.cols + 1):
-                assert access(idx, y, x) == reference_access(want, y, x), (y, x)
+        cells = [(y, x) for y in range(1, idx.rows + 1) for x in range(1, idx.cols + 1)]
+        answers = [reference_access(want, y, x) for y, x in cells]
+        assert [access(idx, y, x) for y, x in cells] == answers
+        assert access_many(idx, cells) == answers
         got_ledger, want_ledger = Ledger(), Ledger()
         scan = full_scan(idx, got_ledger)
-        assert repr(scan) == repr(reference_full_scan(want, want_ledger))
+        ref = reference_full_scan(want, want_ledger, reference_access)
+        assert repr(scan) == repr(ref)
         assert got_ledger.steps == want_ledger.steps
-        assert scan.histogram == reference_histogram(want)
+        assert scan.histogram == ref.histogram
         assert hop_bound_check(idx) == scan.max_hops
+        # the batched scan also agrees with the cell-by-cell scan on indexes
+        # that give wrong answers, and stops at the same budget fault
+        indexes = [idx]
+        for bad in _corruptions(idx, rng):
+            bad_answers = _answers(bad)
+            if bad_answers is not None:
+                assert access_many(bad, cells) == bad_answers
+                indexes.append(bad)
+                corrupted += 1
+        expansion = want_ledger.steps["grammar expansion"]
+        for index in indexes:
+            got = _outcome(full_scan, index, Ledger())
+            assert got == _outcome(reference_full_scan, index, Ledger()), format(g)
+            mismatched += "matches=False" in got[0]
+            if n % 8:
+                continue
+            for k in range(idx.rows + 1):
+                for limit in {expansion + k * idx.cols + d for d in (-1, 0, 1)} - {0}:
+                    got = _outcome(full_scan, index, WorkBudget(limit=limit))
+                    assert got == _outcome(reference_full_scan, index, WorkBudget(limit=limit))
+                    faults += got[0].startswith("raised")
+                scan_limit = k * idx.cols + 1
+                assert _outcome(hop_bound_check, index, WorkBudget(limit=scan_limit)) == _outcome(
+                    lambda i, b: reference_scan(i, b, None).max_hops, index, WorkBudget(limit=scan_limit)
+                )
+    # 516 corrupted indexes, 192 scans that stop at a mismatch, 824 faults
+    assert corrupted > 400 and mismatched > 150 and faults > 600, (corrupted, mismatched, faults)
+
+
+def test_scan_step_ledger_is_pinned():
+    # one expansion, then one "access scan" charge of cols steps per row
+    for g, pinned in (
+        (build_ek_grammar(10), {"grammar expansion": 38912, "access scan": 10240}),
+        (build_zeros_rlslp(64), {"grammar expansion": 4161, "access scan": 4096}),
+    ):
+        ledger = Ledger()
+        assert full_scan(build_index(g), ledger).ok
+        assert ledger.steps == pinned
+
+
+def test_scan_reads_one_block_at_a_time(monkeypatch):
+    # 2^24 cells: the scan reads only the rows the budget affords and stops
+    # at the first row over it, without holding more than a block of cells
+    idx = build_index(build_zeros_rlslp(4096))
+    read = []
+    descend = access2d._descend
+
+    def counted(t, y, x):
+        read.append(y.size)
+        return descend(t, y, x)
+
+    monkeypatch.setattr(access2d, "_descend", counted)
+    exc = raises(ShapeTooLarge, hop_bound_check, idx, WorkBudget(limit=3 * 4096 + 1))
+    assert str(exc) == "work budget exceeded during access scan: 16384 > limit 12289"
+    assert read == [3 * 4096]
+    tracemalloc.start()
+    try:
+        exc = raises(ShapeTooLarge, hop_bound_check, idx, WorkBudget(limit=40 * 4096 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc) == "work budget exceeded during access scan: 167936 > limit 163841"
+    assert read[1:] == [1 << 16, 1 << 16, 40 * 4096 - (2 << 16)]
+    # the scan's working set for one block, far below one int64 array of
+    # the 2^24 cells (128 MiB)
+    assert peak < 32 << 20, peak
 
 
 def test_hop_bound_is_floor_log2_area():
@@ -84,6 +195,15 @@ def test_access_bounds_checked():
     raises(OutOfBounds, access, idx, 0, 1)
     raises(OutOfBounds, access, idx, 5, 1)
     raises(OutOfBounds, access, idx, 1, 7)
+    assert access_many(idx, []) == []
+    assert access_many(idx, [(4, 6), (1, 1)]) == [access(idx, 4, 6), access(idx, 1, 1)]
+    # every pair is checked first; the first bad one names itself as access does
+    exc = raises(OutOfBounds, access_many, idx, [(1, 1), (1, 7), (0, 1)])
+    assert str(exc) == str(raises(OutOfBounds, access, idx, 1, 7))
+    # margins keyed per path must stay below 2^63
+    huge = build_index(build_zeros_rlslp(2**62))
+    assert access(huge, 2**62, 1) == ("0", 1)
+    raises(TooLarge, access_many, huge, [(1, 1)])
 
 
 def test_build_index_validates():

@@ -137,6 +137,13 @@ def test_access_verify(tmp_path):
     assert r.returncode == 3 and "Traceback" not in r.stderr
     r = run("access", "--grammar", str(gpath), "--query", "99", "1")
     assert r.returncode == 2
+    # 2^20 cells: the expansion fits, the fourth row of the scan does not
+    run("grammar", "family", "--name", "zeros", "--param", "1024", "--out", str(gpath))
+    expansion = 1 + 1024 + 1024 * 1024
+    r = run("access", "--grammar", str(gpath), "--verify-all",
+            "--budget", str(expansion + 3 * 1024 + 1))
+    assert r.returncode == 3 and "Traceback" not in r.stderr
+    assert f"during access scan: {expansion + 4 * 1024} > limit" in r.stderr
 
 
 def test_macro_roundtrip(tmp_path):

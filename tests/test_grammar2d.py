@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 from repet2d import (
     Grammar2D,
@@ -8,6 +10,7 @@ from repet2d import (
     bk,
     build_bk_grammar,
     build_ek_grammar,
+    build_index,
     build_zeros_rlslp,
     decode,
     ek,
@@ -30,7 +33,8 @@ from repet2d.errors import (
     ParseError,
     Repet2dError,
 )
-from repet2d.grammar2d import Horiz, RunH, Terminal, Vert
+from repet2d import access2d, grammar2d
+from repet2d.grammar2d import Horiz, RunH, Terminal, Vert, _grammar_from_contents
 from repet2d.multidim import build_bdk_grammar, expand_nd, grammar_to_nd, validate_nd
 
 from util import (
@@ -57,6 +61,31 @@ def test_validate_reports_sizes_and_dims():
     info_rl = validate_grammar(sample_rlslp())
     assert info_rl.size == 8
     assert info_rl.is_runlength
+
+
+def test_validation_reads_each_rule_once(monkeypatch):
+    reads = []
+    read = grammar2d._rhs_key
+
+    def counted(rule):
+        reads.append(rule)
+        return read(rule)
+
+    monkeypatch.setattr(grammar2d, "_rhs_key", counted)
+    monkeypatch.setattr(access2d, "_rhs_key", counted)
+    g = build_ek_grammar(10)
+    assert len(g.rules) == 48
+    info = validate_grammar(g)
+    assert len(reads) == 48
+    assert (info.size, info.bit_size, info.is_runlength) == (g.size, g.size, False)
+    reads.clear()
+    build_index(g)
+    assert len(reads) == 96  # the validation's reads, then the index's table
+    g = sample_rlslp()
+    reads.clear()
+    info = validate_grammar(g)
+    assert len(reads) == len(g.rules)
+    assert (info.size, info.bit_size, info.is_runlength) == (8, g.bit_size, True)
 
 
 def test_dims_keep_the_recursive_resolution_order():
@@ -359,6 +388,23 @@ def test_g_exact_deep_first_dive_stops_at_work_limit():
     res = g_exact(m, work_limit=1200)
     assert not res.optimal and res.work == 1201
     assert expand(res.grammar) == m
+
+
+def test_grammar_from_contents_needs_no_recursion():
+    # a 1 x 300 string whose member set holds its suffixes: the first option
+    # of each suffix peels one cell, so the set nests 300 deep
+    rng = random.Random(12)
+    row = tuple(rng.choice("01") for _ in range(300))
+    root = (row,)
+    members = {(row[i:],) for i in range(300)} | {(("0",),), (("1",),)}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        g = _grammar_from_contents(root, members, False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert expand(g).tokens() == root
+    assert g.axiom == "X1" and len(g.rules) == 301
 
 
 def test_format_parse_roundtrip():

@@ -8,12 +8,17 @@ ranking must reproduce id for id; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
 value, argmax shape and table; and the recursive grammar walks
 ``recursive_grammar_tree``, ``recursive_format_grammar`` and
-``recursive_from_grammar``; ``reference_analyze_boxes``, the scheme
+``recursive_from_grammar``, and ``recursive_grammar_from_contents``, which
+the grammar search's result must reproduce name for name and rule for rule;
+``reference_analyze_boxes``, the scheme
 check that fills a Python list box by box and walks every copy chain cell
 by cell, which the pointer-jumping check must match fault for fault; and
-``reference_build_index``/``reference_access``/``reference_full_scan``, the
-heavy-path index that switches over the 2D rule classes, which the index
-reading rules by axis must reproduce in repr, answers and hop counts; and
+``reference_build_index``/``reference_access``, the heavy-path index that
+switches over the 2D rule classes, which the index reading rules by axis
+must reproduce in repr, answers and hop counts; ``reference_scan``/
+``reference_full_scan``, the scan that calls ``access`` cell by cell, which
+the batched scan must match in report, histogram, step ledger and budget
+fault; and
 ``reference_g_exact``, the recursive grammar search that recomputes the
 closure of its member set at every node, which the search over content ids
 must reproduce in result, work and step ledger.
@@ -30,7 +35,7 @@ from operator import add, le, mul, sub
 import numpy as np
 
 from repet2d import Matrix2D
-from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, hop_bound
+from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, access, hop_bound
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import MAX_CELLS, FactorShape, encode_tokens, iter_shape_labels
 from repet2d.errors import OutOfBounds, TooLarge
@@ -46,7 +51,6 @@ from repet2d.grammar2d import (
     Vert,
     _content_key,
     _cost,
-    _grammar_from_contents,
     _options,
     _rhs_key,
     expand,
@@ -315,6 +319,35 @@ def recursive_format_grammar(g) -> str:
     return "\n".join(lines) + "\n"
 
 
+def recursive_grammar_from_contents(root, members, allow_runs) -> Grammar2D:
+    """The former recursive reconstruction of a grammar from a closed content
+    set: preorder names X1, X2, ..., each rule added after its children's."""
+    names, rules = {}, {}
+
+    def build(c) -> str:
+        if c in names:
+            return names[c]
+        name = names[c] = f"X{len(names) + 1}"
+        if _cost(c) == 1:
+            rules[name] = Terminal(c[0][0])
+            return name
+        for kind, param, parts in _options(c, allow_runs):
+            if all(p in members for p in parts):
+                if kind == "h":
+                    rules[name] = Horiz(build(parts[0]), build(parts[1]))
+                elif kind == "v":
+                    rules[name] = Vert(build(parts[0]), build(parts[1]))
+                elif kind == "rh":
+                    rules[name] = RunH(param, build(parts[0]))
+                else:
+                    rules[name] = RunV(param, build(parts[0]))
+                return name
+        raise AssertionError("content set is not closed")
+
+    axiom = build(root)
+    return Grammar2D(axiom, rules)
+
+
 def recursive_from_grammar(g) -> MacroScheme2D:
     """macroscheme.from_grammar as it was: one Python call per level."""
     info = validate_grammar(g)
@@ -517,30 +550,25 @@ def reference_access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
         hops += 1
 
 
-def reference_full_scan(index: AccessIndex, budget=None) -> ScanReport:
-    """The former full_scan: expand, then access every cell and stop at the
-    first mismatch."""
-    budget = ensure_budget(budget)
-    reference = expand(index.grammar, budget)
-    worst = 0
+def reference_scan(index: AccessIndex, budget, reference, access=access) -> ScanReport:
+    """The former cell-by-cell scan: charge each row, then ``access`` every
+    cell of it in row-major order, counting the cells per hop count; stop at
+    the first cell whose symbol differs from the Matrix2D ``reference``."""
+    hist: Counter[int] = Counter()
     for y in range(1, index.rows + 1):
         budget.charge(index.cols, "access scan")
         for x in range(1, index.cols + 1):
-            symbol, hops = reference_access(index, y, x)
-            worst = max(worst, hops)
-            if symbol != reference.at(y, x):
-                return ScanReport(False, worst, hop_bound(index), (y, x))
-    return ScanReport(True, worst, hop_bound(index))
+            symbol, hops = access(index, y, x)
+            hist[hops] += 1
+            if reference is not None and symbol != reference.at(y, x):
+                return ScanReport(False, max(hist), hop_bound(index), (y, x), hist)
+    return ScanReport(True, max(hist), hop_bound(index), None, hist)
 
 
-def reference_histogram(index: AccessIndex) -> Counter:
-    """Cells per hop count, from the second scan ``access --verify-all``
-    used to make."""
-    return Counter(
-        reference_access(index, y, x)[1]
-        for y in range(1, index.rows + 1)
-        for x in range(1, index.cols + 1)
-    )
+def reference_full_scan(index: AccessIndex, budget=None, access=access) -> ScanReport:
+    """The former full_scan: expand, then scan every cell with ``access``."""
+    budget = ensure_budget(budget)
+    return reference_scan(index, budget, expand(index.grammar, budget), access)
 
 
 class _ReferenceWorkLimitHit(Exception):
@@ -684,4 +712,6 @@ def reference_g_exact(m, allow_runs=False, work_limit=2_000_000, content_limit=5
         _reference_search(state, {root}, set(), _cost(root), best)
     except _ReferenceWorkLimitHit:
         optimal = False
-    return GrammarSearchResult(_grammar_from_contents(root, best[1], allow_runs), optimal, state.work)
+    return GrammarSearchResult(
+        recursive_grammar_from_contents(root, best[1], allow_runs), optimal, state.work
+    )
