@@ -6,187 +6,133 @@ repetitiveness measures lifted to matrices — substring complexity
 without run-length rules (g, g_rl), bidirectional macro schemes (b) —
 plus block trees, heavy-path direct access on grammars, Hilbert-style
 linearizations, and d-dimensional generalizations of all of the above.
+
+Importing the package loads none of its submodules: each public name
+(and each submodule, as ``repet2d.<submodule>``) is imported on first
+access, so a caller pays only for the parts it uses.
 """
 
-from .budget import WorkBudget
-from .core2d import (
-    Matrix2D,
-    concat_h,
-    concat_v,
-    distinct_factors,
-    factor_count,
-    format_matrix,
-    parse_matrix,
-    read_matrix,
-    submatrix,
-    write_matrix,
-)
-from .errors import Repet2dError
-from .families import (
-    FAMILIES,
-    FamilySpec,
-    alt,
-    bk,
-    cmblocks,
-    debruijn1d,
-    diagpad,
-    ek,
-    identity,
-    small_instances,
-    staircase,
-    zeros,
-)
-from .measures import (
-    AttractorSet,
-    delta,
-    delta_square,
-    diagpad_attractor,
-    gamma_exact,
-    gamma_lower_bound_unique,
-    is_attractor,
-)
-from .grammar2d import (
-    Grammar2D,
-    build_bk_grammar,
-    build_ek_grammar,
-    build_zeros_rlslp,
-    expand,
-    format_grammar,
-    g_exact,
-    grammar_tree,
-    parse_grammar,
-    read_grammar,
-    validate_grammar,
-    write_grammar,
-)
-from .access2d import (
-    access,
-    access_many,
-    build_index,
-    full_scan,
-    hop_bound,
-    hop_bound_check,
-)
-from .macroscheme import (
-    MacroScheme2D,
-    Phrase,
-    b_exact,
-    decode,
-    format_scheme,
-    from_grammar,
-    identity_scheme,
-    parse_scheme,
-    read_scheme,
-    unique_square_certificate,
-    validate_scheme,
-    write_scheme,
-)
-from .blocktree2d import BlockTree, build_blocktree, count_pruned, node_count
-from .linearize import (
-    ek_rlin_attractor,
-    onerun_certificate,
-    phlin,
-    rlin,
-    scan,
-    scan_coords,
-)
-from .multidim import (
-    GrammarNd,
-    NdString,
-    bdk,
-    build_bdk_grammar,
-    concat_axis,
-    delta_nd,
-    expand_nd,
-    factor_count_nd,
-    to_2d,
-    to_nd,
-    validate_nd,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttractorSet",
-    "BlockTree",
-    "FamilySpec",
-    "FAMILIES",
-    "Grammar2D",
-    "GrammarNd",
-    "MacroScheme2D",
-    "Matrix2D",
-    "NdString",
-    "Phrase",
-    "Repet2dError",
-    "WorkBudget",
-    "access",
-    "access_many",
-    "alt",
-    "b_exact",
-    "bdk",
-    "bk",
-    "build_bdk_grammar",
-    "build_bk_grammar",
-    "build_blocktree",
-    "build_ek_grammar",
-    "build_index",
-    "build_zeros_rlslp",
-    "concat_axis",
-    "cmblocks",
-    "concat_h",
-    "concat_v",
-    "count_pruned",
-    "debruijn1d",
-    "decode",
-    "delta",
-    "delta_nd",
-    "delta_square",
-    "diagpad",
-    "diagpad_attractor",
-    "distinct_factors",
-    "ek",
-    "ek_rlin_attractor",
-    "expand",
-    "expand_nd",
-    "factor_count",
-    "factor_count_nd",
-    "format_grammar",
-    "format_matrix",
-    "format_scheme",
-    "from_grammar",
-    "full_scan",
-    "g_exact",
-    "gamma_exact",
-    "gamma_lower_bound_unique",
-    "grammar_tree",
-    "hop_bound",
-    "hop_bound_check",
-    "identity",
-    "identity_scheme",
-    "is_attractor",
-    "node_count",
-    "onerun_certificate",
-    "parse_grammar",
-    "parse_matrix",
-    "parse_scheme",
-    "phlin",
-    "read_grammar",
-    "read_matrix",
-    "read_scheme",
-    "rlin",
-    "scan",
-    "scan_coords",
-    "small_instances",
-    "staircase",
-    "submatrix",
-    "to_2d",
-    "to_nd",
-    "unique_square_certificate",
-    "validate_grammar",
-    "validate_nd",
-    "validate_scheme",
-    "write_grammar",
-    "write_matrix",
-    "write_scheme",
-    "zeros",
-]
+# every public name, listed under the submodule that defines it
+_EXPORTS = {
+    "budget": ("WorkBudget",),
+    "core2d": (
+        "Matrix2D",
+        "concat_h",
+        "concat_v",
+        "distinct_factors",
+        "factor_count",
+        "format_matrix",
+        "parse_matrix",
+        "read_matrix",
+        "submatrix",
+        "write_matrix",
+    ),
+    "errors": ("Repet2dError",),
+    "families": (
+        "FAMILIES",
+        "FamilySpec",
+        "alt",
+        "bk",
+        "cmblocks",
+        "debruijn1d",
+        "diagpad",
+        "ek",
+        "identity",
+        "small_instances",
+        "staircase",
+        "zeros",
+    ),
+    "measures": (
+        "AttractorSet",
+        "delta",
+        "delta_square",
+        "diagpad_attractor",
+        "gamma_exact",
+        "gamma_lower_bound_unique",
+        "is_attractor",
+    ),
+    "grammar2d": (
+        "Grammar2D",
+        "build_bk_grammar",
+        "build_ek_grammar",
+        "build_zeros_rlslp",
+        "expand",
+        "format_grammar",
+        "g_exact",
+        "grammar_tree",
+        "parse_grammar",
+        "read_grammar",
+        "validate_grammar",
+        "write_grammar",
+    ),
+    "access2d": (
+        "access",
+        "access_many",
+        "build_index",
+        "full_scan",
+        "hop_bound",
+        "hop_bound_check",
+    ),
+    "macroscheme": (
+        "MacroScheme2D",
+        "Phrase",
+        "b_exact",
+        "decode",
+        "format_scheme",
+        "from_grammar",
+        "identity_scheme",
+        "parse_scheme",
+        "read_scheme",
+        "unique_square_certificate",
+        "validate_scheme",
+        "write_scheme",
+    ),
+    "blocktree2d": ("BlockTree", "build_blocktree", "count_pruned", "node_count"),
+    "linearize": (
+        "ek_rlin_attractor",
+        "onerun_certificate",
+        "phlin",
+        "rlin",
+        "scan",
+        "scan_coords",
+    ),
+    "multidim": (
+        "GrammarNd",
+        "NdString",
+        "bdk",
+        "build_bdk_grammar",
+        "concat_axis",
+        "delta_nd",
+        "expand_nd",
+        "factor_count_nd",
+        "to_2d",
+        "to_nd",
+        "validate_nd",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name from its submodule, or a submodule, imported now."""
+    home = _HOME.get(name)
+    if home is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+        globals()[name] = value
+        return value
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

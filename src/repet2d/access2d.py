@@ -39,7 +39,7 @@ import numpy as np
 
 from .budget import WorkBudget, ensure_budget
 from .core2d import Position
-from .errors import OutOfBounds, TooLarge
+from .errors import BadParam, OutOfBounds, TooLarge
 from .grammar2d import Grammar2D, GrammarInfo, _rhs_key, expand_ids, validate_grammar
 
 # The repr of HeavyPath, AccessIndex and ScanReport is what the benchmark's
@@ -308,6 +308,14 @@ def _descend(t: _Tables, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
         y, x = np.where(rows, c, y), np.where(rows, x, c)
         var = np.where(later, other, var)
         h += 1
+        # each hop moves into a proper descendant of the variable, so a
+        # descent takes at most one round per variable unless the index's
+        # paths disagree with its grammar
+        if h == len(t.path):
+            raise BadParam(
+                f"access index paths disagree with the grammar: {n} cell(s) "
+                f"still unresolved after {h} rounds, one per variable"
+            )
 
 
 def access_many(
@@ -315,7 +323,9 @@ def access_many(
 ) -> list[tuple[str, int]]:
     """``access`` for every 1-based (y, x) pair, in order, answered in at
     most floor(log2(rows*cols)) + 1 batched rounds. Every pair is checked
-    before the first round: the first one outside the expansion raises."""
+    before the first round: the first one outside the expansion raises.
+    An index whose paths disagree with its grammar raises ``BadParam`` once
+    a descent outlasts one round per variable."""
     queries = list(queries)
     for y, x in queries:
         if not (1 <= y <= index.rows and 1 <= x <= index.cols):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .errors import ShapeTooLarge
+from .errors import BadParam, ShapeTooLarge
 
 DEFAULT_BUDGET = 10**9
 ENV_VAR = "REPET2D_BUDGET"
@@ -24,9 +24,9 @@ def default_limit() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ShapeTooLarge(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise BadParam(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ShapeTooLarge(f"{ENV_VAR} must be positive, got {value}")
+        raise BadParam(f"{ENV_VAR} must be positive, got {value}")
     return value
 
 

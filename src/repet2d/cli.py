@@ -19,37 +19,8 @@ import time
 from collections import Counter
 from typing import Sequence
 
-from . import accept, experiments
-from .access2d import access, build_index, full_scan
-from .blocktree2d import build_blocktree, count_pruned, node_count
 from .budget import WorkBudget
-from .core2d import factor_count, format_matrix, read_matrix, write_matrix
 from .errors import BadParam, ParseError, Repet2dError, ShapeTooLarge
-from .families import FAMILIES
-from .grammar2d import (
-    build_bk_grammar,
-    build_ek_grammar,
-    build_zeros_rlslp,
-    expand,
-    format_grammar,
-    g_exact,
-    grammar_tree,
-    read_grammar,
-    validate_grammar,
-    write_grammar,
-)
-from .linearize import phlin, rlin
-from .macroscheme import (
-    b_exact,
-    decode,
-    format_scheme,
-    from_grammar,
-    read_scheme,
-    validate_scheme,
-    write_scheme,
-)
-from .measures import delta, delta_square, gamma_exact, gamma_lower_bound_unique
-from . import multidim as nd
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -99,11 +70,15 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each imports the modules it uses, so that a command loads only
+# those (the package's modules take longer to import than most commands run)
 # ---------------------------------------------------------------------------
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .core2d import Matrix2D, format_matrix
+    from .families import FAMILIES
+
     if args.list:
         _emit(args, ("family", "parameters"), [
             (name, " ".join(params)) for name, (params, _) in FAMILIES.items()
@@ -120,12 +95,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             f"got {len(args.params)} value(s)"
         )
     obj = builder(*args.params)
-    text = nd.format_nd(obj) if isinstance(obj, nd.NdString) else format_matrix(obj)
+    if isinstance(obj, Matrix2D):
+        text = format_matrix(obj)
+    else:
+        from .multidim import format_nd
+
+        text = format_nd(obj)
     _write_or_print(text, args.out)
     return EXIT_OK
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from .core2d import factor_count, read_matrix
+    from .measures import delta, delta_square, gamma_exact, gamma_lower_bound_unique
+
     m = read_matrix(args.infile)
     budget = _budget(args)
     wanted = args.delta or args.delta_square or args.gamma_exact or args.gamma_lb or args.pm
@@ -157,6 +140,20 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_grammar(args: argparse.Namespace) -> int:
+    from .core2d import format_matrix, read_matrix
+    from .grammar2d import (
+        build_bk_grammar,
+        build_ek_grammar,
+        build_zeros_rlslp,
+        expand,
+        format_grammar,
+        g_exact,
+        grammar_tree,
+        read_grammar,
+        validate_grammar,
+        write_grammar,
+    )
+
     if args.action != "family":
         _need(args.infile, "--in FILE", f"grammar {args.action}")
     if args.action == "validate":
@@ -207,6 +204,9 @@ def _cmd_grammar(args: argparse.Namespace) -> int:
 
 
 def _cmd_access(args: argparse.Namespace) -> int:
+    from .access2d import access, build_index, full_scan
+    from .grammar2d import read_grammar
+
     index = build_index(read_grammar(args.grammar), _budget(args))
     if args.query:
         y, x = args.query
@@ -227,6 +227,18 @@ def _cmd_access(args: argparse.Namespace) -> int:
 
 
 def _cmd_macro(args: argparse.Namespace) -> int:
+    from .core2d import format_matrix, read_matrix
+    from .grammar2d import read_grammar
+    from .macroscheme import (
+        b_exact,
+        decode,
+        format_scheme,
+        from_grammar,
+        read_scheme,
+        validate_scheme,
+        write_scheme,
+    )
+
     if args.action == "validate":
         check = validate_scheme(read_scheme(args.infile))
         _emit(args, ("property", "value"), [
@@ -258,6 +270,9 @@ def _cmd_macro(args: argparse.Namespace) -> int:
 
 
 def _cmd_blocktree(args: argparse.Namespace) -> int:
+    from .blocktree2d import build_blocktree, count_pruned, node_count
+    from .core2d import read_matrix
+
     m = read_matrix(args.infile)
     bt = build_blocktree(m, args.arity, pad_to=args.pad_to, budget=_budget(args))
     side = bt.padded_side
@@ -275,6 +290,9 @@ def _cmd_blocktree(args: argparse.Namespace) -> int:
 
 
 def _cmd_linearize(args: argparse.Namespace) -> int:
+    from .core2d import format_matrix, read_matrix
+    from .linearize import phlin, rlin
+
     m = read_matrix(args.infile)
     flat = rlin(m) if args.method == "row" else phlin(m)
     _write_or_print(format_matrix(flat), args.out)
@@ -282,6 +300,8 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def _cmd_nd(args: argparse.Namespace) -> int:
+    from . import multidim as nd
+
     if args.action == "gen":
         if args.family != "bdk":
             raise BadParam(f"nd gen supports the bdk family, got {args.family!r}")
@@ -332,6 +352,8 @@ def _parse_experiment_params(tokens: Sequence[str]) -> tuple[tuple[int, ...], ..
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from . import experiments
+
     if args.list:
         _emit(args, ("experiment", "rows", "description"), [
             (name, len(experiments.REGISTRY[name].default_params), experiments.REGISTRY[name].blurb)
@@ -353,6 +375,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from . import accept
+
     started = time.time()
     results = accept.run_all(quick=args.quick, seed=args.seed)
     for res in results:

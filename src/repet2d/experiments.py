@@ -19,26 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .blocktree2d import build_blocktree, count_pruned, node_count
 from .errors import BadParam, Repet2dError
-from .families import bk, diagpad, ek, identity, staircase
-from .grammar2d import build_bk_grammar, build_ek_grammar, expand
-from .linearize import onerun_certificate, phlin, rlin, scan
-from .macroscheme import (
-    decode,
-    from_grammar,
-    identity_scheme,
-    square_phrase_bound,
-    unique_square_certificate,
-)
-from .measures import (
-    delta,
-    delta_square,
-    diagpad_attractor,
-    gamma_lower_bound_unique,
-    is_attractor,
-)
-from . import multidim as nd
 
 Params = tuple[int, ...]
 
@@ -79,10 +60,14 @@ class ExperimentResult:
 
 # --- row builders -----------------------------------------------------------
 # Each returns the column values after the parameter columns; the harness
-# prepends the parameters and appends the status.
+# prepends the parameters and appends the status. Each imports what it uses,
+# so the registry (and ``experiment --list``) loads no measure code.
 
 
 def _row_gap_gamma(m: int) -> tuple:
+    from .families import diagpad
+    from .measures import delta, diagpad_attractor, gamma_lower_bound_unique, is_attractor
+
     mat = diagpad(m, m + 2)
     att = diagpad_attractor(m, m + 2)
     return (
@@ -96,6 +81,10 @@ def _row_gap_gamma(m: int) -> tuple:
 
 
 def _row_gap_g(k: int) -> tuple:
+    from .families import ek
+    from .grammar2d import build_ek_grammar
+    from .measures import delta
+
     mat = ek(k)
     return (
         mat.area,
@@ -106,6 +95,10 @@ def _row_gap_g(k: int) -> tuple:
 
 
 def _row_blocktree(k: int) -> tuple:
+    from .blocktree2d import build_blocktree, count_pruned, node_count
+    from .families import bk
+    from .grammar2d import build_bk_grammar
+
     mat = bk(k)
     pad = 1 << (mat.rows - 1).bit_length()
     bt = build_blocktree(mat, 2, pad_to=pad)
@@ -119,6 +112,10 @@ def _row_blocktree(k: int) -> tuple:
 
 
 def _row_lin_row(n: int) -> tuple:
+    from .families import staircase
+    from .linearize import rlin
+    from .measures import delta
+
     mat = staircase(n)
     return (
         mat.area,
@@ -129,6 +126,10 @@ def _row_lin_row(n: int) -> tuple:
 
 
 def _row_lin_hilbert(k: int) -> tuple:
+    from .families import identity
+    from .linearize import onerun_certificate, phlin, scan
+    from .measures import delta
+
     mat = identity(2**k)
     flat = phlin(mat)
     return (
@@ -141,6 +142,9 @@ def _row_lin_hilbert(k: int) -> tuple:
 
 
 def _row_b_identity(n: int) -> tuple:
+    from .families import identity
+    from .macroscheme import decode, identity_scheme
+
     s = identity_scheme(n)
     return (
         n * n,
@@ -150,6 +154,10 @@ def _row_b_identity(n: int) -> tuple:
 
 
 def _row_bsq(k: int) -> tuple:
+    from .families import bk
+    from .grammar2d import build_bk_grammar
+    from .macroscheme import decode, from_grammar, square_phrase_bound, unique_square_certificate
+
     mat = bk(k)
     scheme = from_grammar(build_bk_grammar(k))
     return (
@@ -163,6 +171,8 @@ def _row_bsq(k: int) -> tuple:
 
 
 def _row_nd(d: int, k: int) -> tuple:
+    from . import multidim as nd
+
     cube = nd.bdk(d, k)
     g = nd.build_bdk_grammar(d, k)
     return (

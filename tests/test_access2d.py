@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -20,6 +22,7 @@ from repet2d.accept import random_grammar, sample_rlslp, sample_slp
 from repet2d.errors import DanglingVariable, OutOfBounds, ShapeTooLarge, TooLarge
 from repet2d.grammar2d import Grammar2D, Horiz, Terminal
 
+from test_cli import ENV
 from util import (
     Ledger,
     raises,
@@ -217,3 +220,32 @@ def test_build_index_validates():
 def test_budget_applies_to_scan():
     idx = build_index(build_ek_grammar(5))
     raises(ShapeTooLarge, full_scan, idx, WorkBudget(limit=8))
+
+
+def test_descent_on_an_index_that_disagrees_with_its_grammar_stops():
+    # the axiom's y0 moved below its expansion: a cell's step comes out 0,
+    # so a descent without a round bound would cycle forever; run in a child
+    # so that a hang fails the test instead of stalling the suite
+    code = """
+from dataclasses import replace
+from repet2d import build_ek_grammar, build_index, access_many, full_scan, hop_bound_check
+from repet2d.errors import BadParam
+idx = build_index(build_ek_grammar(3))
+path = idx.paths[idx.grammar.axiom]
+bad = replace(idx, paths={**idx.paths, idx.grammar.axiom: replace(path, y0=path.y0 + 5)})
+for fn, arg in ((access_many, [(1, 1), (2, 3)]), (full_scan, None), (hop_bound_check, None)):
+    try:
+        fn(bad, arg)
+    except BadParam as exc:
+        print(exc)
+"""
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
+    )
+    assert r.returncode == 0, r.stderr
+    rounds = len(build_index(build_ek_grammar(3)).paths)
+    assert r.stdout.splitlines() == [
+        f"access index paths disagree with the grammar: {n} cell(s) still unresolved "
+        f"after {rounds} rounds, one per variable"
+        for n in (1, 10, 10)
+    ], r.stdout

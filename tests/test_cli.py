@@ -17,11 +17,22 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 )}
 
 
-def run(*args, **kw):
+def run(*args, env=None, **kw):
     return subprocess.run(
         [sys.executable, "-m", "repet2d.cli", *args],
-        capture_output=True, text=True, timeout=300, env=ENV, **kw,
+        capture_output=True, text=True, timeout=300, env={**ENV, **(env or {})}, **kw,
     )
+
+
+# runs the cli as ``python -m repet2d.cli`` does, then prints the package's
+# modules in sys.modules as the last line of stderr
+PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("repet2d.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(*sorted(m for m in sys.modules if m.split(".")[0] == "repet2d"), file=sys.stderr)
+"""
 
 
 def test_gen_and_measure_pipeline(tmp_path):
@@ -60,6 +71,37 @@ def test_exit_codes(tmp_path):
     assert run("measure", "--in", str(tmp_path / "missing.txt")).returncode == 2
     assert run("gen", "--family", "nosuch", "--params", "1").returncode == 2
     assert run("experiment", "--name", "nosuch").returncode == 2
+
+
+def test_malformed_budget_variable_is_a_usage_error(tmp_path):
+    m = tmp_path / "m.txt"
+    m.write_text("2d 2 2\n0 1\n1 0\n")
+    for raw in ("abc", "0", "-5"):
+        r = run("measure", "--in", str(m), env={"REPET2D_BUDGET": raw})
+        assert r.returncode == 2, (raw, r.stderr)
+        assert "BadParam" in r.stderr and "REPET2D_BUDGET" in r.stderr, r.stderr
+        assert "Traceback" not in r.stderr, r.stderr
+
+
+def test_commands_import_only_the_modules_they_use(tmp_path):
+    m = tmp_path / "m.txt"
+    m.write_text("2d 2 2\n0 1\n1 0\n")
+    for args, used in (
+        (("--help",), ()),
+        (("measure", "--in", str(m)), ("core2d", "measures")),
+        (("experiment", "--list"), ("experiments",)),
+        (
+            ("experiment", "--name", "gap-gamma-vs-delta"),
+            ("core2d", "experiments", "families", "measures"),
+        ),
+    ):
+        r = subprocess.run(
+            [sys.executable, "-c", PROBE, *args],
+            capture_output=True, text=True, timeout=300, env=ENV,
+        )
+        assert r.returncode == 0, r.stderr
+        want = sorted(("repet2d", "repet2d.budget", "repet2d.errors") + tuple(f"repet2d.{u}" for u in used))
+        assert r.stderr.splitlines()[-1].split() == want, args
 
 
 def test_missing_required_flags(tmp_path):
