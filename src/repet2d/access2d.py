@@ -159,9 +159,12 @@ def _out_of_bounds(index: AccessIndex, y: int, x: int) -> OutOfBounds:
 
 def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
     """Symbol at 1-based (y, x) of the expansion, plus the number of
-    light-child hops the query needed."""
+    light-child hops the query needed. An index whose paths disagree with
+    its grammar raises ``BadParam`` once the cell falls outside the variable
+    it is in or the descent outlasts one hop per variable."""
     if not (1 <= y <= index.rows and 1 <= x <= index.cols):
         raise _out_of_bounds(index, y, x)
+    qy, qx = y, x
     dims = index.info.dims
     parts = index.parts
     var = index.grammar.axiom
@@ -185,6 +188,13 @@ def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
         step = min(i, j)
         if step == k:
             return path.symbol, hops
+        # a consistent index keeps the cell inside the variable (step >= 1),
+        # and each hop moves into a proper descendant
+        if step == 0 or hops == len(index.paths):
+            raise BadParam(
+                f"access index paths disagree with the grammar at cell ({qy}, {qx}) "
+                f"after {hops} hop(s)"
+            )
         # the cell leaves the heavy path below node ``step`` along ``axis``:
         # into the other child of a concatenation or a later copy of a run
         _, axis, count, children = parts[path.names[step - 1]]

@@ -449,6 +449,64 @@ def shape_labels(
     raise AssertionError("unreachable")
 
 
+class WindowIds:
+    """The content id of every window of a matrix, ranked lazily one shape
+    at a time and charged to no budget.
+
+    ``labels(h, w)[i][j]`` is the label of the h x w window whose top-left
+    cell is (i + 1, j + 1), as ``iter_shape_labels`` gives it: two windows
+    of a shape share a label iff their contents are equal, and labels follow
+    the row-major order of the token tuples, so ``(h, w, label)`` sorts like
+    ``(h, w, token grid)``. Shape (1, w) is ranked from (1, w - 1) and the
+    cells, shape (h, w) from (h - 1, w) and (1, w), by the pass
+    ``rank_windows`` makes; each shape is ranked once and kept as lists."""
+
+    def __init__(self, m: Matrix2D):
+        grid = m._grid
+        self._ranked: dict[tuple[int, int], tuple[np.ndarray, int]] = {
+            (1, 1): (grid, int(grid.max()) + 1)
+        }
+        self._lists: dict[tuple[int, int], list[list[int]]] = {}
+
+    def _rank(self, h: int, w: int) -> tuple[np.ndarray, int]:
+        """(labels, count) of shape (h, w). The shapes on its way are ranked
+        too, each going on from the longest one of its chain ranked so far."""
+        ranked = self._ranked
+        if (h, w) in ranked:
+            return ranked[h, w]
+        cells, cell_range = ranked[1, 1]
+        rows, cols = cells.shape
+        k = w
+        while (1, k) not in ranked:
+            k -= 1
+        cur, count = ranked[1, k]
+        for k in range(k + 1, w + 1):
+            cur, count = ranked[1, k] = _pair_rank(
+                cur[:, : cols - k + 1], count, cells[:, k - 1 :], cell_range
+            )
+        base, base_range = ranked[1, w]
+        k = h
+        while (k, w) not in ranked:
+            k -= 1
+        cur, count = ranked[k, w]
+        for k in range(k + 1, h + 1):
+            cur, count = ranked[k, w] = _pair_rank(
+                cur[: rows - k + 1], count, base[k - 1 :], base_range
+            )
+        return cur, count
+
+    def labels(self, h: int, w: int) -> list[list[int]]:
+        """The labels of shape (h, w), one list per row of positions."""
+        got = self._lists.get((h, w))
+        if got is None:
+            got = self._lists[h, w] = self._rank(h, w)[0].tolist()
+        return got
+
+    def count(self, h: int, w: int) -> int:
+        """The number of distinct h x w windows."""
+        return self._rank(h, w)[1]
+
+
 def factor_count(
     m: Matrix2D, k1: int, k2: int, budget: WorkBudget | None = None
 ) -> int:

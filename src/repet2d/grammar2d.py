@@ -13,15 +13,18 @@ g_exact performs an exhaustive branch-and-bound over "closed content sets":
 a grammar of minimum size corresponds to a minimum-cost set of distinct
 factor contents that contains the whole matrix and in which every non-unit
 content can be split (or de-run) into members of the set. Only the set
-matters for the size, which keeps the search space manageable. Each call
-interns the contents it meets as int ids in one table, which holds per id
-the cost, the sort key and the options as tuples of part ids. For every
-option it keeps a missing cost, the summed cost of its parts outside the
-member set. A watch list from each part to its options updates these
-counts as members come and go, so a member is closed iff one of its options
-misses nothing, and a node's bound is the largest smallest missing cost
-over the open members. The search runs on an explicit stack, so its depth
-is not limited by the interpreter's.
+matters for the size, which keeps the search space manageable. A content is
+a window of the matrix, named by its shape and its label in a window-id
+table (``core2d.WindowIds``), so the parts of a split are read off the
+labels and no token grid is sliced or hashed. Each call interns the
+contents it meets as int ids in one table, which holds per id the cost, the
+sort key and the options as tuples of part ids. For every option it keeps a
+missing cost, the summed cost of its parts outside the member set. A watch
+list from each part to its options updates these counts as members come
+and go, so a member is closed iff one of its options misses nothing, and a
+node's bound is the largest smallest missing cost over the open members. A
+node reads that bound only as far as its prune decision needs. The search
+runs on an explicit stack, so its depth is not limited by the interpreter's.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, TokenGrid
+from .core2d import MAX_CELLS, Matrix2D, TokenGrid, WindowIds
 from .errors import (
     BadParam,
     CycleDetected,
@@ -427,108 +430,99 @@ def grammar_tree(g: Grammar2D) -> GrammarTree:
 # exact smallest grammar
 # ---------------------------------------------------------------------------
 
-Content = TokenGrid
-
-
-def _content_key(c: Content) -> tuple:
-    return (len(c), len(c[0]), c)
-
-
-def _h_split(c: Content, w: int) -> tuple[Content, Content]:
-    return tuple(r[:w] for r in c), tuple(r[w:] for r in c)
-
-
-def _v_split(c: Content, h: int) -> tuple[Content, Content]:
-    return c[:h], c[h:]
-
-
-def _options(
-    c: Content, allow_runs: bool
-) -> list[tuple[str, int, tuple[Content, ...]]]:
-    rows, cols = len(c), len(c[0])
-    opts: list[tuple[str, int, tuple[Content, ...]]] = []
-    for w in range(1, cols):
-        opts.append(("h", w, _h_split(c, w)))
-    for h in range(1, rows):
-        opts.append(("v", h, _v_split(c, h)))
-    if allow_runs:
-        for ell in range(2, cols + 1):
-            if cols % ell:
-                continue
-            w = cols // ell
-            base = tuple(r[:w] for r in c)
-            if all(
-                tuple(r[i * w : (i + 1) * w] for r in c) == base
-                for i in range(1, ell)
-            ):
-                opts.append(("rh", ell, (base,)))
-        for ell in range(2, rows + 1):
-            if rows % ell:
-                continue
-            h = rows // ell
-            base = c[:h]
-            if all(c[i * h : (i + 1) * h] == base for i in range(1, ell)):
-                opts.append(("rv", ell, (base,)))
-    return opts
-
-
-def _cost(c: Content) -> int:
-    return 1 if len(c) == 1 and len(c[0]) == 1 else 2
-
 
 class _ContentTable:
     """Every content one g_exact call meets, interned once as an int id, and
     a member set over those ids that keeps its closure counts incrementally.
 
-    Per id: the content, its cost and its ``_content_key``. Once fetched, its
-    options are the slots ``span[i]`` of ``slots``: those of ``_options`` in
-    order, each as a tuple of distinct part ids, without an option whose
-    part set an earlier one already has. Each fetch counts toward
-    content_limit. Per slot, ``missing`` holds the summed cost of its parts
-    that are not members. Adding or removing a member updates the slots in
-    its ``watch`` list, so a content is closed iff one of its slots reads 0,
-    and no node rescans the member set."""
+    A content is a window of the matrix, named by its shape and its label in
+    a ``WindowIds`` table, so no token grid is sliced or hashed. Per id: its
+    cost, its key (an int that sorts like (rows, cols, token grid)) and the
+    shape and first position it was met at. Once fetched, its options are
+    the slots ``span[i]`` of ``slots``: those of ``options`` in order, each
+    as a tuple of distinct part ids. Each fetch counts toward content_limit.
+    Per slot, ``missing`` holds the summed cost of its parts that are not
+    members, and ``watch`` lists per id the slots it is a part of, so adding
+    or removing a member updates only those, and a content is closed iff
+    one of its slots reads 0. A cell's span is slot 0, which has no parts
+    and always reads 0, so a cell is never open and never fetched."""
 
-    def __init__(self, allow_runs: bool, content_limit: int):
+    def __init__(self, m: Matrix2D, allow_runs: bool, content_limit: int):
+        self._labels = WindowIds(m).labels
         self.allow_runs = allow_runs
         self.content_limit = content_limit
-        self.ids: dict[Content, int] = {}
-        self.contents: list[Content] = []
+        # an h x w window's key (h * (cols + 1) + w) * area + label sorts
+        # like (h, w, label): w <= cols and every label is below the area
+        self._shapes, self._area = m.cols + 1, m.area
+        self.ids: dict[int, int] = {}
+        self.key: list[int] = []
+        self.at: list[tuple[int, int, int, int]] = []
         self.cost: list[int] = []
-        self.key: list[tuple] = []
         self.span: list[tuple[int, int] | None] = []
         self.watch: list[list[int]] = []
-        self.slots: list[tuple[int, ...]] = []
-        self.missing: list[int] = []
+        self.slots: list[tuple[int, ...]] = [()]
+        self.missing: list[int] = [0]
         self.members: set[int] = set()
         self.fetched = 0
 
-    def intern(self, c: Content) -> int:
-        i = self.ids.get(c)
-        if i is None:
-            i = self.ids[c] = len(self.contents)
-            self.contents.append(c)
-            self.cost.append(_cost(c))
-            self.key.append(_content_key(c))
-            self.span.append(None)
+    def intern(self, h: int, w: int, i: int, j: int) -> int:
+        """The id of the h x w window at 0-based (i, j)."""
+        key = (h * self._shapes + w) * self._area + self._labels(h, w)[i][j]
+        c = self.ids.get(key)
+        if c is None:
+            c = self.ids[key] = len(self.key)
+            self.key.append(key)
+            self.at.append((h, w, i, j))
+            cell = h == w == 1
+            self.cost.append(1 if cell else 2)
+            self.span.append((0, 1) if cell else None)
             self.watch.append([])
-        return i
+        return c
 
-    def fetch(self, i: int) -> None:
-        cost, members, slots = self.cost, self.members, self.slots
+    def options(self, c: int) -> Iterator[tuple[str, int, tuple[int, ...]]]:
+        """The ways to build content c as (kind, param, part ids), interning
+        the parts: every horizontal split ("h", left width), every vertical
+        split ("v", top height), then with runs every horizontal and every
+        vertical run ("rh"/"rv", copies) of a base that tiles c."""
+        h, w, i, j = self.at[c]
+        intern = self.intern
+        for v in range(1, w):
+            yield "h", v, (intern(h, v, i, j), intern(h, w - v, i, j + v))
+        for u in range(1, h):
+            yield "v", u, (intern(u, w, i, j), intern(h - u, w, i + u, j))
+        if not self.allow_runs:
+            return
+        labels = self._labels
+        for ell in range(2, w + 1):
+            if w % ell == 0:
+                v = w // ell
+                row = labels(h, v)[i]
+                if all(row[j + t * v] == row[j] for t in range(1, ell)):
+                    yield "rh", ell, (intern(h, v, i, j),)
+        for ell in range(2, h + 1):
+            if h % ell == 0:
+                u = h // ell
+                grid = labels(u, w)
+                if all(grid[i + t * u][j] == grid[i][j] for t in range(1, ell)):
+                    yield "rv", ell, (intern(u, w, i, j),)
+
+    def fetch(self, c: int) -> None:
+        cost, members, watch = self.cost, self.members, self.watch
+        slots, missing = self.slots, self.missing
         lo = len(slots)
-        seen: set[frozenset[int]] = set()
-        for _, _, parts in _options(self.contents[i], self.allow_runs):
-            ids = tuple(dict.fromkeys(map(self.intern, parts)))
-            part_set = frozenset(ids)
-            if part_set in seen:
-                continue
-            seen.add(part_set)
-            for p in ids:
-                self.watch[p].append(len(slots))
-            slots.append(ids)
-            self.missing.append(sum([cost[p] for p in ids if p not in members]))
-        self.span[i] = (lo, len(slots))
+        for _, _, parts in self.options(c):
+            a, b = parts[0], parts[-1]
+            if a == b:
+                parts = (a,)
+            s = len(slots)
+            slots.append(parts)
+            watch[a].append(s)
+            miss = 0 if a in members else cost[a]
+            if a != b:
+                watch[b].append(s)
+                miss += 0 if b in members else cost[b]
+            missing.append(miss)
+        self.span[c] = (lo, len(slots))
         self.fetched += 1
         if self.fetched > self.content_limit:
             raise TooLarge(
@@ -552,60 +546,49 @@ class _ContentTable:
             for s in self.watch[p]:
                 missing[s] += step
 
-    def enter(
-        self, new: tuple[int, ...], opens: list[int]
-    ) -> tuple[list[int], int]:
-        """Fetch the options of the members of cost 2 in ``new``, which were
-        just added. Return the members among them and ``opens`` (the
-        parent's open members: closed ones stay closed as the set grows)
-        that are still open, and the largest of their smallest missing
-        costs, an admissible bound on the cost still to add."""
-        span, missing = self.span, self.missing
-        entering = [p for p in new if self.cost[p] == 2]
-        for p in entering:
-            if span[p] is None:
-                self.fetch(p)
-        still: list[int] = []
-        bound = 0
-        for c in opens + entering:
-            lo, hi = span[c]
-            least = min(missing[lo:hi])
-            if least:
-                still.append(c)
-                if least > bound:
-                    bound = least
-        return still, bound
-
-    def branches(self, opens: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    def branches(self, opens: list[int]) -> list[tuple[int, tuple[int, ...]]]:
         """The ways to complete the pivot, the open member of largest key:
-        (added cost, option slot, new parts) by added cost then option
-        order, one per distinct set of new parts."""
-        members = self.members
+        (added cost, new parts) by added cost (1 to 4) then option order,
+        one per distinct set of new parts."""
+        members, slots, missing = self.members, self.slots, self.missing
         lo, hi = self.span[max(opens, key=self.key.__getitem__)]
-        seen: set[frozenset[int]] = set()
-        out = []
+        seen: set = set()
+        by_cost: list[list] = [[], [], [], [], []]
         for s in range(lo, hi):
-            new = tuple(p for p in self.slots[s] if p not in members)
-            part_set = frozenset(new)
-            if part_set not in seen:
-                seen.add(part_set)
-                out.append((self.missing[s], s, new))
-        out.sort()
-        return out
+            parts = slots[s]
+            a, b = parts[0], parts[-1]
+            if a in members:
+                new, tag = (b,), b
+            elif b in members:
+                new, tag = (a,), a
+            elif a == b:
+                new, tag = parts, a
+            else:
+                new, tag = parts, ((a, b) if a < b else (b, a))
+            if tag not in seen:
+                seen.add(tag)
+                miss = missing[s]
+                by_cost[miss].append((miss, new))
+        return by_cost[1] + by_cost[2] + by_cost[3] + by_cost[4]
 
 
 def _greedy_upper(table: _ContentTable, root: int) -> tuple[int, set[int]]:
     """Close {root} by always taking the first branch of the pivot; the
     table is left with no members."""
     cost, new, opens = table.cost[root], (root,), []
+    span, missing = table.span, table.missing
     while True:
         table.add(new)
-        opens, _ = table.enter(new, opens)
+        for p in new:
+            if span[p] is None:
+                table.fetch(p)
+        # closed members stay closed as the set grows
+        opens = [c for c in (*opens, *new) if min(missing[slice(*span[c])])]
         if not opens:
             members = set(table.members)
             table.remove(tuple(members))
             return cost, members
-        added, _, new = table.branches(opens)[0]
+        added, new = table.branches(opens)[0]
         cost += added
 
 
@@ -618,61 +601,102 @@ def _branch_and_bound(
 ) -> tuple[set[int], int, bool]:
     """Depth-first search for a cheapest closed member set containing root,
     starting from the bound ``upper`` = (cost, set). Every node ticks the
-    budget first. It runs on an explicit stack of frames (cost, open members,
-    remaining branches, ids the node added), so depth does not matter.
-    Returns the best set, the nodes ticked, and whether the search ended
-    before work_limit."""
+    budget before it fetches anything. It runs on an explicit stack of
+    frames (cost, open members, remaining branches, ids the node added), so
+    depth does not matter. Returns the best set, the nodes ticked, and
+    whether the search ended before work_limit.
+
+    A node adds its new parts to the member set, fetches the options of
+    those of cost 2, and keeps the open members: the parent's that are
+    still open (closed ones stay closed as the set grows) and the new ones.
+    The largest of their smallest missing costs is an admissible bound on
+    the cost still to add, and the node is expanded iff some member is open
+    and cost + max(bound, 1) < best cost. The bound is read lazily: the
+    scan of the open members stops once a smallest missing cost reaches the
+    gap best cost - cost, so with a gap of 1 it only finds whether some
+    member is open. The table's add and remove steps are inlined over local
+    lists: a node adds its parts first, and its frame removes them when it
+    is popped."""
     best_cost, best_set = upper
-    cost, new, opens = table.cost[root], (root,), []
-    table.add(new)
+    cost_of, span, watch = table.cost, table.span, table.watch
+    missing, members, fetch = table.missing, table.members, table.fetch
+    charge = budget.charge
+    cost, new, opens = cost_of[root], (root,), []
     stack: list[tuple] = []
     work = 0
     while True:
+        for p in new:
+            step = cost_of[p]
+            for s in watch[p]:
+                missing[s] -= step
+            members.add(p)
         work += 1
-        budget.charge(1, "grammar search")
+        charge(1, "grammar search")
         if work > work_limit:
             return best_set, work, False
-        opens, bound = table.enter(new, opens)
-        if opens and cost + max(bound, 1) < best_cost:
-            stack.append((cost, opens, iter(table.branches(opens)), new))
+        for p in new:
+            if span[p] is None:
+                fetch(p)
+        # cost < best_cost holds here, as a branch is taken only below the
+        # best cost; an open member's smallest missing cost is at least 1,
+        # so with a gap of 1 the scan stops at the first open member. A node
+        # that is not expanded gets a frame with no branches, which the loop
+        # below pops at once.
+        gap = best_cost - cost
+        still: list[int] = []
+        branches = ()
+        for c in (*opens, *new):
+            lo, hi = span[c]
+            least = min(missing[lo:hi])
+            if least:
+                still.append(c)
+                if least >= gap:
+                    break
         else:
-            if not opens and cost < best_cost:
-                best_cost, best_set = cost, set(table.members)
-            table.remove(new)
+            if still:
+                branches = iter(table.branches(still))
+            else:
+                best_cost, best_set = cost, set(members)
+        stack.append((cost, still, branches, new))
         while stack:
             cost, opens, branches, added = stack[-1]
-            for step, _, new in branches:
+            for step, new in branches:
                 if cost + step < best_cost:
                     break
             else:
                 stack.pop()
-                table.remove(added)
+                for p in added:
+                    members.discard(p)
+                    step = cost_of[p]
+                    for s in watch[p]:
+                        missing[s] += step
                 continue
             cost += step
-            table.add(new)
             break
         else:
             return best_set, work, True
 
 
 def _grammar_from_contents(
-    root: Content, members: set[Content], allow_runs: bool
+    table: _ContentTable, root: int, members: set[int], tokens: TokenGrid
 ) -> Grammar2D:
-    """Deterministic reconstruction: each content takes its first applicable
-    option; variables are named X1, X2, ... in preorder from the axiom, and
-    each rule is added after its children's rules. Runs on an explicit stack
-    of (name, kind, param, parts), so the nesting depth of the set is not
-    limited by the interpreter's."""
-    names: dict[Content, str] = {}
+    """Deterministic reconstruction: each content takes its first option
+    whose parts are all members; variables are named X1, X2, ... in preorder
+    from the axiom, and each rule is added after its children's rules. A
+    terminal reads its token from ``tokens``, the matrix's token grid. Runs
+    on an explicit stack of (name, kind, param, parts), so the nesting depth
+    of the set is not limited by the interpreter's."""
+    names: dict[int, str] = {}
     rules: dict[str, Rule] = {}
-    stack: list[tuple[str, str, int, tuple[Content, ...]]] = []
+    stack: list[tuple[str, str, int, tuple[int, ...]]] = []
 
-    def visit(c: Content) -> None:
+    def visit(c: int) -> None:
         name = names[c] = f"X{len(names) + 1}"
-        if _cost(c) == 1:
-            rules[name] = Terminal(c[0][0])
+        if table.cost[c] == 1:
+            _, _, i, j = table.at[c]
+            rules[name] = Terminal(tokens[i][j])
             return
-        for kind, param, parts in _options(c, allow_runs):
+        for kind, param, parts in table.options(c):
             if all(p in members for p in parts):
                 stack.append((name, kind, param, parts))
                 return
@@ -722,18 +746,23 @@ def g_exact(
     """A smallest grammar generating ``m`` (smallest run-length grammar when
     allow_runs). Exponential-time branch and bound; raises TooLarge once more
     than content_limit distinct factor contents have been considered, and
-    stops with optimal=False when work_limit search steps run out."""
+    stops with optimal=False when work_limit search steps run out.
+
+    Contents are windows of ``m`` named by their window ids, so reading the
+    parts of a split costs O(1); ties between open contents go to the
+    largest (rows, cols, token grid). Each search node charges one
+    "grammar search" step, and its bound is read only as far as the prune
+    decision needs."""
     budget = ensure_budget(budget)
-    root = m.tokens()
-    if _cost(root) == 1:
-        g = Grammar2D("X1", {"X1": Terminal(root[0][0])})
+    tokens = m.tokens()
+    if m.area == 1:
+        g = Grammar2D("X1", {"X1": Terminal(tokens[0][0])})
         return GrammarSearchResult(g, True, 0)
-    table = _ContentTable(allow_runs, content_limit)
-    root_id = table.intern(root)
-    upper = _greedy_upper(table, root_id)
-    best, work, optimal = _branch_and_bound(table, root_id, upper, work_limit, budget)
-    members = {table.contents[i] for i in best}
-    grammar = _grammar_from_contents(root, members, allow_runs)
+    table = _ContentTable(m, allow_runs, content_limit)
+    root = table.intern(m.rows, m.cols, 0, 0)
+    upper = _greedy_upper(table, root)
+    best, work, optimal = _branch_and_bound(table, root, upper, work_limit, budget)
+    grammar = _grammar_from_contents(table, root, best, tokens)
     return GrammarSearchResult(grammar, optimal, work)
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, Position, encode_tokens, factor_count
+from .core2d import MAX_CELLS, Matrix2D, Position, WindowIds, encode_tokens, factor_count
 from .errors import (
     BadParam,
     CyclicMap,
@@ -393,23 +393,20 @@ def b_exact(
         )
     budget = ensure_budget(budget)
     rows, cols = m.rows, m.cols
-    ids = [[m.id_at(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
-
-    def content(i: int, j: int, h: int, w: int) -> tuple:
-        return tuple(tuple(ids[a][j : j + w]) for a in range(i, i + h))
-
+    windows = WindowIds(m)
     occ_memo: dict[tuple[int, int, int, int], list[Position]] = {}
 
     def occurrences(i: int, j: int, h: int, w: int) -> list[Position]:
         key = (i, j, h, w)
         if key in occ_memo:
             return occ_memo[key]
-        want = content(i, j, h, w)
+        labels = windows.labels(h, w)
+        want = labels[i][j]
         out = [
             (a, b)
-            for a in range(rows - h + 1)
-            for b in range(cols - w + 1)
-            if (a, b) != (i, j) and content(a, b, h, w) == want
+            for a, row in enumerate(labels)
+            for b, label in enumerate(row)
+            if label == want and (a, b) != (i, j)
         ]
         occ_memo[key] = out
         return out
@@ -417,15 +414,8 @@ def b_exact(
     max_copy_area = 1
     for h in range(1, rows + 1):
         for w in range(1, cols + 1):
-            if h * w == 1:
-                continue
-            seen: set[tuple] = set()
-            for a in range(rows - h + 1):
-                for b in range(cols - w + 1):
-                    c = content(a, b, h, w)
-                    if c in seen:
-                        max_copy_area = max(max_copy_area, h * w)
-                    seen.add(c)
+            if h * w > 1 and windows.count(h, w) < (rows - h + 1) * (cols - w + 1):
+                max_copy_area = max(max_copy_area, h * w)
 
     full_mask = (1 << total) - 1
 

@@ -19,7 +19,7 @@ from repet2d import (
 )
 from repet2d import access2d
 from repet2d.accept import random_grammar, sample_rlslp, sample_slp
-from repet2d.errors import DanglingVariable, OutOfBounds, ShapeTooLarge, TooLarge
+from repet2d.errors import BadParam, DanglingVariable, OutOfBounds, ShapeTooLarge, TooLarge
 from repet2d.grammar2d import Grammar2D, Horiz, Terminal
 
 from test_cli import ENV
@@ -85,10 +85,10 @@ def _corruptions(index, rng):
 
 def _answers(index):
     """``access`` of every cell in row-major order, or None when a cell
-    makes it fail, as a corrupted index can."""
+    makes it raise BadParam, as a corrupted index can."""
     try:
         return [access(index, y, x) for y in range(1, index.rows + 1) for x in range(1, index.cols + 1)]
-    except (IndexError, KeyError):
+    except BadParam:
         return None
 
 
@@ -248,4 +248,39 @@ for fn, arg in ((access_many, [(1, 1), (2, 3)]), (full_scan, None), (hop_bound_c
         f"access index paths disagree with the grammar: {n} cell(s) still unresolved "
         f"after {rounds} rounds, one per variable"
         for n in (1, 10, 10)
+    ], r.stdout
+
+
+def test_point_access_on_an_index_that_disagrees_with_its_grammar_raises():
+    # the axiom's y0 moved below its expansion, so cell (2, 3) leaves the
+    # variable it descends into; and S2's path names its ancestor R3, so a
+    # descent to (1, 7) cycles: run in a child so that a hang fails the test
+    code = """
+from dataclasses import replace
+from repet2d import access, access_many, build_ek_grammar, build_index
+from repet2d.errors import BadParam
+idx = build_index(build_ek_grammar(3))
+path = idx.paths[idx.grammar.axiom]
+low = replace(idx, paths={**idx.paths, idx.grammar.axiom: replace(path, y0=path.y0 + 5)})
+s2 = replace(idx.paths["S2"], names=("S2", "R3", "S1", "X0"))
+cyclic = replace(idx, paths={**idx.paths, "S2": s2})
+for fn, bad, arg in ((access, low, (2, 3)), (access, cyclic, (1, 7))):
+    try:
+        fn(bad, *arg)
+    except BadParam as exc:
+        print(exc)
+try:
+    access_many(low, [(2, 3)])
+except BadParam:
+    print("access_many raises BadParam")
+"""
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
+    )
+    assert r.returncode == 0, r.stderr
+    rounds = len(build_index(build_ek_grammar(3)).paths)
+    assert r.stdout.splitlines() == [
+        "access index paths disagree with the grammar at cell (2, 3) after 1 hop(s)",
+        f"access index paths disagree with the grammar at cell (1, 7) after {rounds} hop(s)",
+        "access_many raises BadParam",
     ], r.stdout

@@ -22,7 +22,7 @@ from repet2d.errors import (
 )
 
 from repet2d import core2d
-from repet2d.core2d import ShapeBox, _pair_rank, iter_shape_labels, rank_windows
+from repet2d.core2d import ShapeBox, WindowIds, _pair_rank, iter_shape_labels, rank_windows
 
 from util import (
     Ledger,
@@ -115,6 +115,37 @@ def test_labels_equal_the_2d_reference():
             for (_, _, lab), (_, _, want) in zip(got, ref):
                 assert np.array_equal(lab, want)
             assert got_ledger.steps == ref_ledger.steps
+
+
+def test_window_ids_follow_token_order_and_equal_the_ranking():
+    # every pair of windows of one shape compares by label as by token grid
+    # (equal iff equal, smaller iff smaller), and each shape's labels are
+    # iter_shape_labels', however the shapes are asked for
+    rng = random.Random(29)
+    cases = [
+        random_matrix(rng, 5, 5, "abc"[: rng.randint(1, 3)]) for _ in range(200)
+    ]
+    cases += [
+        Matrix2D.from_tokens([[rng.choice("01") for _ in range(n)]])
+        for n in (1, 2, 7, 30, 64)
+    ]
+    for m in cases:
+        grid = m.tokens()
+        windows = WindowIds(m)
+        shapes = list(ShapeBox((m.rows, m.cols)))
+        rng.shuffle(shapes)
+        ranked = {(h, w): lab for h, w, lab in iter_shape_labels(m, ShapeBox((m.rows, m.cols)))}
+        for h, w in shapes:
+            labels = windows.labels(h, w)
+            assert labels == ranked[h, w].tolist()
+            assert windows.count(h, w) == int(ranked[h, w].max()) + 1
+            found = [
+                (labels[i][j], tuple(row[j : j + w] for row in grid[i : i + h]))
+                for i in range(m.rows - h + 1)
+                for j in range(m.cols - w + 1)
+            ]
+            for (a, x), (b, y) in product(found, repeat=2):
+                assert (a < b, a == b) == (x < y, x == y), (m, h, w)
 
 
 def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):

@@ -19,6 +19,7 @@ from repet2d import (
     from_grammar,
     g_exact,
     grammar_tree,
+    identity,
     parse_grammar,
     validate_grammar,
     zeros,
@@ -34,7 +35,7 @@ from repet2d.errors import (
     Repet2dError,
 )
 from repet2d import access2d, grammar2d
-from repet2d.grammar2d import Horiz, RunH, Terminal, Vert, _grammar_from_contents
+from repet2d.grammar2d import Horiz, RunH, Terminal, Vert, _ContentTable, _grammar_from_contents
 from repet2d.multidim import build_bdk_grammar, expand_nd, grammar_to_nd, validate_nd
 
 from util import (
@@ -47,6 +48,7 @@ from util import (
     recursive_from_grammar,
     recursive_grammar_tree,
     reference_g_exact,
+    slicing_g_exact,
 )
 
 
@@ -361,6 +363,53 @@ def test_g_exact_limits_fire_as_in_the_reference():
                     )
 
 
+def test_g_exact_equals_the_slicing_search():
+    # the search on window ids must reproduce the former search over token
+    # grids sliced and hashed at every fetch: result, work, budget used and
+    # steps per label, on 1 x n strings, random 2D inputs and families
+    rng = random.Random(2027)
+    cases = [(_random_grid(rng, 1, n, "01"), {"work_limit": 1000}) for n in range(2, 49, 3)]
+    for shape in ((4, 4), (5, 4)):
+        for alphabet in ("01", "012"):
+            for _ in range(2):
+                m = _random_grid(rng, *shape, alphabet)
+                cases += [(m, {"work_limit": w}) for w in (50, 300, 1000)]
+    cases += [(m, {}) for m in (alt(4, 6), alt(2, 6), identity(3), identity(4), bk(1))]
+    cases.append((bk(2), {"work_limit": 1000}))
+    for m, kw in cases:
+        for runs in (False, True):
+            want = _search_outcome(slicing_g_exact, m, runs, **kw)
+            assert _search_outcome(g_exact, m, runs, **kw) == want, (m, runs, kw)
+
+
+def test_g_exact_limits_fire_as_in_the_slicing_search():
+    # TooLarge from content_limit and ShapeTooLarge from the budget come at
+    # the same point as in the former search
+    rng = random.Random(8)
+    inputs = [_random_grid(rng, 1, 12, "01"), _random_grid(rng, 3, 4, "012"), identity(3)]
+    for m in inputs:
+        for runs in (False, True):
+            _, total, _ = _search_outcome(slicing_g_exact, m, runs, work_limit=400)
+            for content_limit in range(1, 60, 3):
+                kw = {"content_limit": content_limit, "work_limit": 400}
+                want = _search_outcome(slicing_g_exact, m, runs, **kw)
+                assert _search_outcome(g_exact, m, runs, **kw) == want, (m, runs, kw)
+            for limit in (1, 2, total // 3, total - 1, total, total + 1):
+                want = _search_outcome(slicing_g_exact, m, runs, limit, work_limit=400)
+                got = _search_outcome(g_exact, m, runs, limit, work_limit=400)
+                assert got == want, (m, runs, limit)
+
+
+def test_g_exact_on_a_long_string_equals_the_slicing_search():
+    # a fetch reads the parts of a 1 x n content's splits from window ids,
+    # so the greedy chain over a 1 x 200 string stays cheap; the former
+    # search sliced every split and took O(n^3) along that chain
+    rng = random.Random(200)
+    m = _random_grid(rng, 1, 200, "01")
+    want = _search_outcome(slicing_g_exact, m, False, work_limit=100)
+    assert _search_outcome(g_exact, m, False, work_limit=100) == want
+
+
 def test_g_exact_steps_stay_at_most_the_recorded_ledger():
     # the search nodes g_exact ticks on these inputs, as recorded when the
     # search moved onto content ids: a change that adds nodes fails here
@@ -396,11 +445,13 @@ def test_grammar_from_contents_needs_no_recursion():
     rng = random.Random(12)
     row = tuple(rng.choice("01") for _ in range(300))
     root = (row,)
-    members = {(row[i:],) for i in range(300)} | {(("0",),), (("1",),)}
+    table = _ContentTable(Matrix2D.from_tokens(root), False, 5000)
+    members = {table.intern(1, 300 - i, 0, i) for i in range(300)}
+    members |= {table.intern(1, 1, 0, row.index(t)) for t in "01"}
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        g = _grammar_from_contents(root, members, False)
+        g = _grammar_from_contents(table, table.intern(1, 300, 0, 0), members, root)
     finally:
         sys.setrecursionlimit(limit)
     assert expand(g).tokens() == root

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import prod
 
@@ -6,6 +7,7 @@ import pytest
 
 from repet2d import (
     MacroScheme2D,
+    Matrix2D,
     Phrase,
     b_exact,
     bk,
@@ -142,6 +144,35 @@ def test_b_exact_soundness_random():
         assert decode(s) == m
         # never beaten by the best grammar-derived scheme
         assert s.size <= from_grammar(g_exact(m, allow_runs=True).grammar).size
+
+
+def test_b_exact_equals_the_recorded_schemes_and_ledger():
+    # each scheme (a digest of its repr) and its "scheme search" steps as
+    # recorded when b_exact compared token tuples: reading window ids must
+    # not change an occurrence list, a source or the max_copy_area bound
+    rng = random.Random(404)
+
+    def grid(rows, cols, alphabet):
+        return Matrix2D.from_tokens(
+            [[rng.choice(alphabet) for _ in range(cols)] for _ in range(rows)]
+        )
+
+    cases = [grid(3, 3, a) for a in ("01", "012") for _ in range(3)]
+    cases += [grid(2, 4, "01"), grid(1, 9, "012"), grid(4, 4, "01"), grid(4, 4, "01")]
+    cases += [identity(3), zeros(3, 3)]
+    recorded = [
+        (6, "8cd24ebd92b75484", 300), (5, "99418046091e73fa", 45),
+        (6, "0063100f67a83660", 237), (8, "d95ae9730bc3dff6", 22),
+        (8, "9bb7cd52a2b080e2", 16), (8, "55e29ddfa2ca393d", 41),
+        (5, "e5a913e7e63d8894", 101), (7, "029da16fe0f6218e", 43),
+        (7, "b428282a07a20dca", 618), (7, "1201e4bb43dbd4cf", 799),
+        (5, "2e96d4fa8f3763cf", 100), (3, "67c74fab5e69f003", 33),
+    ]
+    for m, (size, digest, steps) in zip(cases, recorded, strict=True):
+        ledger = Ledger()
+        s = b_exact(m, cell_limit=16, budget=ledger)
+        got = (s.size, hashlib.sha256(repr(s).encode()).hexdigest()[:16], ledger.steps)
+        assert got == (size, digest, {"scheme search": steps}), m
 
 
 def test_b_exact_cell_limit():

@@ -20,8 +20,9 @@ must reproduce in repr, answers and hop counts; ``reference_scan``/
 the batched scan must match in report, histogram, step ledger and budget
 fault; and
 ``reference_g_exact``, the recursive grammar search that recomputes the
-closure of its member set at every node, which the search over content ids
-must reproduce in result, work and step ledger.
+closure of its member set at every node, and ``slicing_g_exact``, the search
+over content ids that slices and hashes token grids, which the search over
+window ids must reproduce in result, work and step ledger.
 """
 
 from bisect import bisect_right
@@ -37,7 +38,7 @@ import numpy as np
 from repet2d import Matrix2D
 from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, access, hop_bound
 from repet2d.budget import WorkBudget, ensure_budget
-from repet2d.core2d import MAX_CELLS, FactorShape, encode_tokens, iter_shape_labels
+from repet2d.core2d import MAX_CELLS, FactorShape, TokenGrid, encode_tokens, iter_shape_labels
 from repet2d.errors import OutOfBounds, TooLarge
 from repet2d.grammar2d import (
     Grammar2D,
@@ -49,9 +50,6 @@ from repet2d.grammar2d import (
     RunV,
     Terminal,
     Vert,
-    _content_key,
-    _cost,
-    _options,
     _rhs_key,
     expand,
     validate_grammar,
@@ -714,4 +712,253 @@ def reference_g_exact(m, allow_runs=False, work_limit=2_000_000, content_limit=5
         optimal = False
     return GrammarSearchResult(
         recursive_grammar_from_contents(root, best[1], allow_runs), optimal, state.work
+    )
+
+
+# ---------------------------------------------------------------------------
+# the former g_exact: contents as token grids, sliced and hashed per fetch
+# ---------------------------------------------------------------------------
+
+
+def _content_key(c: TokenGrid) -> tuple:
+    return (len(c), len(c[0]), c)
+
+
+def _h_split(c: TokenGrid, w: int) -> tuple[TokenGrid, TokenGrid]:
+    return tuple(r[:w] for r in c), tuple(r[w:] for r in c)
+
+
+def _v_split(c: TokenGrid, h: int) -> tuple[TokenGrid, TokenGrid]:
+    return c[:h], c[h:]
+
+
+def _options(
+    c: TokenGrid, allow_runs: bool
+) -> list[tuple[str, int, tuple[TokenGrid, ...]]]:
+    rows, cols = len(c), len(c[0])
+    opts: list[tuple[str, int, tuple[TokenGrid, ...]]] = []
+    for w in range(1, cols):
+        opts.append(("h", w, _h_split(c, w)))
+    for h in range(1, rows):
+        opts.append(("v", h, _v_split(c, h)))
+    if allow_runs:
+        for ell in range(2, cols + 1):
+            if cols % ell:
+                continue
+            w = cols // ell
+            base = tuple(r[:w] for r in c)
+            if all(
+                tuple(r[i * w : (i + 1) * w] for r in c) == base
+                for i in range(1, ell)
+            ):
+                opts.append(("rh", ell, (base,)))
+        for ell in range(2, rows + 1):
+            if rows % ell:
+                continue
+            h = rows // ell
+            base = c[:h]
+            if all(c[i * h : (i + 1) * h] == base for i in range(1, ell)):
+                opts.append(("rv", ell, (base,)))
+    return opts
+
+
+def _cost(c: TokenGrid) -> int:
+    return 1 if len(c) == 1 and len(c[0]) == 1 else 2
+
+
+class _SlicingContentTable:
+    """Every content one g_exact call meets, interned once as an int id, and
+    a member set over those ids that keeps its closure counts incrementally.
+
+    Per id: the content, its cost and its ``_content_key``. Once fetched, its
+    options are the slots ``span[i]`` of ``slots``: those of ``_options`` in
+    order, each as a tuple of distinct part ids, without an option whose
+    part set an earlier one already has. Each fetch counts toward
+    content_limit. Per slot, ``missing`` holds the summed cost of its parts
+    that are not members. Adding or removing a member updates the slots in
+    its ``watch`` list, so a content is closed iff one of its slots reads 0,
+    and no node rescans the member set."""
+
+    def __init__(self, allow_runs: bool, content_limit: int):
+        self.allow_runs = allow_runs
+        self.content_limit = content_limit
+        self.ids: dict[TokenGrid, int] = {}
+        self.contents: list[TokenGrid] = []
+        self.cost: list[int] = []
+        self.key: list[tuple] = []
+        self.span: list[tuple[int, int] | None] = []
+        self.watch: list[list[int]] = []
+        self.slots: list[tuple[int, ...]] = []
+        self.missing: list[int] = []
+        self.members: set[int] = set()
+        self.fetched = 0
+
+    def intern(self, c: TokenGrid) -> int:
+        i = self.ids.get(c)
+        if i is None:
+            i = self.ids[c] = len(self.contents)
+            self.contents.append(c)
+            self.cost.append(_cost(c))
+            self.key.append(_content_key(c))
+            self.span.append(None)
+            self.watch.append([])
+        return i
+
+    def fetch(self, i: int) -> None:
+        cost, members, slots = self.cost, self.members, self.slots
+        lo = len(slots)
+        seen: set[frozenset[int]] = set()
+        for _, _, parts in _options(self.contents[i], self.allow_runs):
+            ids = tuple(dict.fromkeys(map(self.intern, parts)))
+            part_set = frozenset(ids)
+            if part_set in seen:
+                continue
+            seen.add(part_set)
+            for p in ids:
+                self.watch[p].append(len(slots))
+            slots.append(ids)
+            self.missing.append(sum([cost[p] for p in ids if p not in members]))
+        self.span[i] = (lo, len(slots))
+        self.fetched += 1
+        if self.fetched > self.content_limit:
+            raise TooLarge(
+                f"grammar search visited more than {self.content_limit} "
+                "distinct factor contents"
+            )
+
+    def add(self, new: tuple[int, ...]) -> None:
+        missing = self.missing
+        for p in new:
+            step = self.cost[p]
+            for s in self.watch[p]:
+                missing[s] -= step
+            self.members.add(p)
+
+    def remove(self, new: tuple[int, ...]) -> None:
+        missing = self.missing
+        for p in new:
+            self.members.discard(p)
+            step = self.cost[p]
+            for s in self.watch[p]:
+                missing[s] += step
+
+    def enter(
+        self, new: tuple[int, ...], opens: list[int]
+    ) -> tuple[list[int], int]:
+        """Fetch the options of the members of cost 2 in ``new``, which were
+        just added. Return the members among them and ``opens`` (the
+        parent's open members: closed ones stay closed as the set grows)
+        that are still open, and the largest of their smallest missing
+        costs, an admissible bound on the cost still to add."""
+        span, missing = self.span, self.missing
+        entering = [p for p in new if self.cost[p] == 2]
+        for p in entering:
+            if span[p] is None:
+                self.fetch(p)
+        still: list[int] = []
+        bound = 0
+        for c in opens + entering:
+            lo, hi = span[c]
+            least = min(missing[lo:hi])
+            if least:
+                still.append(c)
+                if least > bound:
+                    bound = least
+        return still, bound
+
+    def branches(self, opens: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
+        """The ways to complete the pivot, the open member of largest key:
+        (added cost, option slot, new parts) by added cost then option
+        order, one per distinct set of new parts."""
+        members = self.members
+        lo, hi = self.span[max(opens, key=self.key.__getitem__)]
+        seen: set[frozenset[int]] = set()
+        out = []
+        for s in range(lo, hi):
+            new = tuple(p for p in self.slots[s] if p not in members)
+            part_set = frozenset(new)
+            if part_set not in seen:
+                seen.add(part_set)
+                out.append((self.missing[s], s, new))
+        out.sort()
+        return out
+
+
+def _slicing_greedy_upper(table: _SlicingContentTable, root: int) -> tuple[int, set[int]]:
+    """Close {root} by always taking the first branch of the pivot; the
+    table is left with no members."""
+    cost, new, opens = table.cost[root], (root,), []
+    while True:
+        table.add(new)
+        opens, _ = table.enter(new, opens)
+        if not opens:
+            members = set(table.members)
+            table.remove(tuple(members))
+            return cost, members
+        added, _, new = table.branches(opens)[0]
+        cost += added
+
+
+def _slicing_branch_and_bound(
+    table: _SlicingContentTable,
+    root: int,
+    upper: tuple[int, set[int]],
+    work_limit: int,
+    budget: WorkBudget,
+) -> tuple[set[int], int, bool]:
+    """Depth-first search for a cheapest closed member set containing root,
+    starting from the bound ``upper`` = (cost, set). Every node ticks the
+    budget first. It runs on an explicit stack of frames (cost, open members,
+    remaining branches, ids the node added), so depth does not matter.
+    Returns the best set, the nodes ticked, and whether the search ended
+    before work_limit."""
+    best_cost, best_set = upper
+    cost, new, opens = table.cost[root], (root,), []
+    table.add(new)
+    stack: list[tuple] = []
+    work = 0
+    while True:
+        work += 1
+        budget.charge(1, "grammar search")
+        if work > work_limit:
+            return best_set, work, False
+        opens, bound = table.enter(new, opens)
+        if opens and cost + max(bound, 1) < best_cost:
+            stack.append((cost, opens, iter(table.branches(opens)), new))
+        else:
+            if not opens and cost < best_cost:
+                best_cost, best_set = cost, set(table.members)
+            table.remove(new)
+        while stack:
+            cost, opens, branches, added = stack[-1]
+            for step, _, new in branches:
+                if cost + step < best_cost:
+                    break
+            else:
+                stack.pop()
+                table.remove(added)
+                continue
+            cost += step
+            table.add(new)
+            break
+        else:
+            return best_set, work, True
+
+
+def slicing_g_exact(m, allow_runs=False, work_limit=2_000_000, content_limit=5000,
+                    budget=None) -> GrammarSearchResult:
+    """The former g_exact: the same search over content ids, with contents
+    interned as token grids whose splits are sliced out of the rows and
+    hashed at every fetch, an eager bound and a sorted branch list."""
+    budget = ensure_budget(budget)
+    root = m.tokens()
+    if _cost(root) == 1:
+        return GrammarSearchResult(Grammar2D("X1", {"X1": Terminal(root[0][0])}), True, 0)
+    table = _SlicingContentTable(allow_runs, content_limit)
+    root_id = table.intern(root)
+    upper = _slicing_greedy_upper(table, root_id)
+    best, work, optimal = _slicing_branch_and_bound(table, root_id, upper, work_limit, budget)
+    members = {table.contents[i] for i in best}
+    return GrammarSearchResult(
+        recursive_grammar_from_contents(root, members, allow_runs), optimal, work
     )
