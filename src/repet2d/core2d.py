@@ -532,21 +532,16 @@ def distinct_factors(
     Each factor lists every occurrence position in RMO.
     """
     labels = shape_labels(m, k1, k2, budget)
-    n_labels = int(labels.max()) + 1
-    occs: list[list[Position]] = [[] for _ in range(n_labels)]
-    height, width = labels.shape
-    flat = labels.ravel()
-    for idx in range(flat.size):
-        occs[flat[idx]].append((idx // width + 1, idx % width + 1))
-    order = sorted(range(n_labels), key=lambda lab: occs[lab][0])
+    occs: list[list[Position]] = [[] for _ in range(int(labels.max()) + 1)]
+    for i, row in enumerate(labels.tolist(), 1):
+        for j, lab in enumerate(row, 1):
+            occs[lab].append((i, j))
     grid = m.tokens()
     out = []
-    for lab in order:
-        i, j = occs[lab][0]
+    for occ in sorted(occs):  # by first occurrence: no two share one
+        i, j = occ[0]
         content = tuple(row[j - 1 : j - 1 + k2] for row in grid[i - 1 : i - 1 + k1])
-        out.append(
-            Factor2D(FactorShape(k1, k2), content, tuple(occs[lab]))
-        )
+        out.append(Factor2D(FactorShape(k1, k2), content, tuple(occ)))
     return tuple(out)
 
 

@@ -10,12 +10,33 @@ case of dense window ids. gamma is computed exactly by a
 minimum-hitting-set search over distinct factor contents (the problem is
 NP-hard, so only tiny instances are accepted — see the cell_limit
 parameter).
+
+The attractor check and the unique-factor lower bound walk the same ranking
+chains as delta (``core2d._rank_chains``) and end a chain once nothing left
+on it can change their answer. Three exact rules do this:
+
+* covered frontier (``is_attractor``): once every window of a shape holds a
+  candidate, every window of every larger shape does, so each chain ends at
+  the first shape whose windows are all hit;
+* failure cut (``is_attractor``): the walk goes in ascending (k2, k1) order
+  but the failure reported is the first in (k1, k2) order, so after a
+  failure at (f1, f2) every chain ends at k1 >= f1, and with f1 = 1 (or
+  with ``square_only``) the walk ends;
+* dominance (``gamma_lower_bound_unique``): the greedy never takes a unique
+  window that holds a smaller unique window, which sorts first and is either
+  taken or blocked by what is taken. So on the k x 1 and 1 x k chains only
+  the unique windows whose two windows of the shape before are not unique
+  are listed, and such a chain ends at its first shape whose windows are all
+  unique, since every larger window holds one of them. The 1 x k chain takes
+  the wider extra shapes with it; otherwise extra shapes keep every unique
+  window they have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,6 +49,7 @@ from .core2d import (
     RANKING_2D,
     ShapeBox,
     TokenGrid,
+    _rank_chains,
     densest_shape,
     iter_shape_labels,
     submatrix,
@@ -114,46 +136,66 @@ def is_attractor(
     budget: WorkBudget | None = None,
 ) -> AttractorCheck:
     """Does every (square, if square_only) factor of M have an occurrence
-    whose rectangle contains a candidate position?"""
+    whose rectangle contains a candidate position?
+
+    Shapes are ranked in ascending (k2, k1) order, and a chain ends where no
+    shape left on it can change the answer (see the module docstring).
+    """
     positions = (
         candidate.positions
         if isinstance(candidate, AttractorSet)
         else AttractorSet.of(candidate).positions
     )
     budget = ensure_budget(budget)
-    grid = np.zeros((m.rows, m.cols), dtype=np.int64)
+    rows, cols = m.rows, m.cols
+    grid = np.zeros((rows, cols), dtype=np.int64)
     for i, j in positions:
-        if not (1 <= i <= m.rows and 1 <= j <= m.cols):
+        if not (1 <= i <= rows and 1 <= j <= cols):
             raise OutOfBounds(f"attractor position ({i},{j}) outside matrix")
         grid[i - 1, j - 1] = 1
-    prefix = np.zeros((m.rows + 1, m.cols + 1), dtype=np.int64)
+    prefix = np.zeros((rows + 1, cols + 1), dtype=np.int64)
     prefix[1:, 1:] = grid.cumsum(0).cumsum(1)
-    worst: tuple[int, int, int] | None = None  # (k1, k2, first occurrence)
-    for k1, k2, labels in iter_shape_labels(
-        m, ShapeBox((m.rows, m.cols), square_only), budget
-    ):
-        rows_w = m.rows - k1 + 1
-        cols_w = m.cols - k2 + 1
+
+    @lru_cache(maxsize=1)  # a shape a stop asks about is ranked next
+    def hits(k1: int, k2: int) -> np.ndarray:
+        """Which k1 x k2 windows hold a candidate, in row-major order."""
+        rows_w, cols_w = rows - k1 + 1, cols - k2 + 1
         window_sum = (
             prefix[k1 : k1 + rows_w, k2 : k2 + cols_w]
             - prefix[:rows_w, k2 : k2 + cols_w]
             - prefix[k1 : k1 + rows_w, :cols_w]
             + prefix[:rows_w, :cols_w]
         )
-        hit = (window_sum > 0).ravel()
+        return window_sum.ravel() > 0
+
+    cut = rows + 1  # k1 of the failure found so far
+
+    def stop(axis: int, shape: tuple[int, ...]) -> bool:
+        k1, k2 = shape
+        if axis == 1:
+            k1 = k2 if square_only else 1  # the smallest shape wanted at k2
+        elif square_only:
+            return False  # the chain only leads to (k2, k2), asked above
+        # covered frontier: once every window of a shape holds a candidate,
+        # so does every window of a larger shape
+        return k1 >= cut or bool(hits(k1, k2).all())
+
+    failure: tuple[int, int, int] | None = None  # (k1, k2, first occurrence)
+    for (k1, k2), labels, count in _rank_chains(
+        m._grid, ShapeBox((rows, cols), square_only), budget, RANKING_2D, stop
+    ):
         flat = labels.ravel()
-        n_labels = int(flat.max()) + 1
-        hit_count = np.bincount(flat[hit], minlength=n_labels)
-        if hit_count.min(initial=1) > 0:
-            continue
-        bad = int(np.nonzero(hit_count == 0)[0][0])
-        first = int(np.argmax(flat == bad))
-        if worst is None or (k1, k2) < worst[:2]:
-            worst = (k1, k2, first)
-    if worst is None:
+        hit_count = np.bincount(flat[hits(k1, k2)], minlength=count)
+        if hit_count.min() == 0:
+            # failure cut: the walk is in (k2, k1) order, the failure
+            # reported the first in (k1, k2) order, so only shapes with a
+            # smaller k1 are ranked from here on
+            first = int(np.argmax(flat == np.argmin(hit_count)))
+            failure, cut = (k1, k2, first), k1
+    if failure is None:
         return AttractorCheck(True)
-    k1, k2, first = worst
-    cols_w = m.cols - k2 + 1
+    k1, k2, first = failure
+    cols_w = cols - k2 + 1
     i, j = first // cols_w + 1, first % cols_w + 1
     content = submatrix(m, i, j, i + k1 - 1, j + k2 - 1).tokens()
     return AttractorCheck(False, FactorShape(k1, k2), content, (i, j))
@@ -162,6 +204,13 @@ def is_attractor(
 # ---------------------------------------------------------------------------
 # exact gamma (minimum hitting set)
 # ---------------------------------------------------------------------------
+
+
+def _rect_mask(k1: int, k2: int, n: int) -> int:
+    """Bitmask (over the cells of an n-column grid, RMO bit order) of the
+    k1 x k2 rectangle at the top-left cell; shifting it left by i * n + j
+    moves it to the 0-based cell (i, j)."""
+    return sum(((1 << k2) - 1) << (r * n) for r in range(k1))
 
 
 def _coverage_masks(
@@ -176,23 +225,18 @@ def _coverage_masks(
     for k1, k2, labels in iter_shape_labels(
         m, ShapeBox((m.rows, m.cols), square_only), budget
     ):
-        seg = ((1 << k2) - 1)
-        height, width = labels.shape
+        rect = _rect_mask(k1, k2, n)
         by_label: dict[int, int] = {}
-        flat = labels.ravel()
-        for idx in range(flat.size):
-            i, j = idx // width, idx % width
-            rect = 0
-            row_mask = seg << j
-            for r in range(i, i + k1):
-                rect |= row_mask << (r * n)
-            lab = int(flat[idx])
-            by_label[lab] = by_label.get(lab, 0) | rect
+        for i, row in enumerate(labels.tolist()):
+            for shift, lab in enumerate(row, i * n):
+                by_label[lab] = by_label.get(lab, 0) | rect << shift
         masks.update(by_label.values())
-    ordered = sorted(masks, key=lambda s: (bin(s).count("1"), s))
     kept: list[int] = []
-    for cand in ordered:
-        if not any(prev & cand == prev for prev in kept):
+    for cand in sorted(masks, key=lambda s: (bin(s).count("1"), s)):
+        for prev in kept:
+            if prev & cand == prev:
+                break
+        else:
             kept.append(cand)
     return kept
 
@@ -264,6 +308,57 @@ def gamma_exact(
     raise AssertionError("the full position set is always an attractor")
 
 
+def _unique_windows(
+    m: Matrix2D, extra_shapes: Iterable[tuple[int, int]], budget: WorkBudget
+) -> list[tuple[int, int, int, int, int]]:
+    """The windows of the k x 1, 1 x k and extra shapes that occur exactly
+    once, less those that ``gamma_lower_bound_unique``'s greedy can never
+    take by dominance (see the module docstring), as (k1 * k2, -k1, i, j, k2)
+    with (i, j) the 0-based top-left cell, sorted."""
+    rows, cols = m.rows, m.cols
+    shapes = {(k, 1) for k in range(1, rows + 1)}
+    shapes |= {(1, k) for k in range(1, cols + 1)}
+    shapes |= {
+        (k1, k2)
+        for k1, k2 in extra_shapes
+        if 1 <= k1 <= rows and 1 <= k2 <= cols
+    }
+    # the unique windows of the last k x 1 and 1 x k shape ranked, and the
+    # first k at which those chains have only unique windows
+    tall_unique = wide_unique = None
+    tall_end, wide_end = rows, cols
+
+    def stop(axis: int, shape: tuple[int, ...]) -> bool:
+        k1, k2 = shape
+        return k2 > wide_end if axis == 1 else k2 == 1 and k1 > tall_end
+
+    windows: list[tuple[int, int, int, int, int]] = []
+    for (k1, k2), labels, count in _rank_chains(
+        m._grid, sorted(shapes), budget, RANKING_2D, stop
+    ):
+        unique = (np.bincount(labels.ravel(), minlength=count) == 1)[labels]
+        # on a chain, drop windows holding a unique one of the shape before
+        keep = unique
+        if k2 == 1:
+            if k1 > 1:
+                keep = keep & ~tall_unique[:-1] & ~tall_unique[1:]
+            tall_unique = unique
+            if count == labels.size:
+                tall_end = k1
+        if k1 == 1:
+            if k2 > 1:
+                keep = keep & ~wide_unique[:, :-1] & ~wide_unique[:, 1:]
+            wide_unique = unique
+            if count == labels.size:
+                wide_end = k2
+        ii, jj = np.nonzero(keep)
+        windows.extend(
+            (k1 * k2, -k1, i, j, k2) for i, j in zip(ii.tolist(), jj.tolist())
+        )
+    windows.sort()
+    return windows
+
+
 def gamma_lower_bound_unique(
     m: Matrix2D,
     extra_shapes: Iterable[tuple[int, int]] = (),
@@ -273,43 +368,25 @@ def gamma_lower_bound_unique(
     occur exactly once — every attractor needs one position per member, so
     this is a lower bound on gamma.
 
-    Scans all k x 1 and 1 x k shapes by default, plus any extra shapes.
+    Scans all k x 1 and 1 x k shapes by default, plus any extra shapes. The
+    greedy goes through the unique windows by smallest area, taller before
+    wider on ties (so that unique columns are not broken up by overlapping
+    unique row segments), then in row-major order, and takes each one that
+    is disjoint from those taken.
     """
-    budget = ensure_budget(budget)
-    shapes = {(k, 1) for k in range(1, m.rows + 1)}
-    shapes |= {(1, k) for k in range(1, m.cols + 1)}
-    shapes |= {
-        (k1, k2)
-        for k1, k2 in extra_shapes
-        if 1 <= k1 <= m.rows and 1 <= k2 <= m.cols
-    }
-    candidates: list[tuple[int, int, int, int, int]] = []
-    for k1, k2, labels in iter_shape_labels(m, sorted(shapes), budget):
-        flat = labels.ravel()
-        counts = np.bincount(flat)
-        unique_labels = set(np.nonzero(counts == 1)[0].tolist())
-        if not unique_labels:
-            continue
-        width = labels.shape[1]
-        for idx in np.nonzero(np.isin(flat, list(unique_labels)))[0].tolist():
-            i, j = idx // width + 1, idx % width + 1
-            candidates.append((k1 * k2, -k1, i, j, k2))
-    # smallest area first; taller before wider on ties so that unique columns
-    # are not broken up by overlapping unique row segments; then row-major
-    candidates.sort()
-    occupied = 0
+    windows = _unique_windows(m, extra_shapes, ensure_budget(budget))
     n = m.cols
-    count = 0
-    for area, neg_k1, i, j, k2 in candidates:
-        k1 = -neg_k1
-        rect = 0
-        seg = ((1 << k2) - 1) << (j - 1)
-        for r in range(i - 1, i - 1 + k1):
-            rect |= seg << (r * n)
-        if rect & occupied == 0:
-            occupied |= rect
-            count += 1
-    return count
+    shape = None
+    occupied = 0
+    taken = 0
+    for _, neg_k1, i, j, k2 in windows:
+        if shape != (neg_k1, k2):  # the windows of a shape come together
+            shape, rect = (neg_k1, k2), _rect_mask(-neg_k1, k2, n)
+        window = rect << (i * n + j)
+        if window & occupied == 0:
+            occupied |= window
+            taken += 1
+    return taken
 
 
 def diagpad_attractor(m: int, n: int) -> AttractorSet:

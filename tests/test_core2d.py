@@ -198,8 +198,8 @@ def test_the_lazy_box_equals_the_explicit_list():
 
 def test_distinct_factors_contents_and_occurrences():
     rng = random.Random(7)
-    for _ in range(40):
-        m = random_matrix(rng, 4, 4)
+    for trial in range(120):
+        m = random_matrix(rng, 6, 6, ("01", "012", "0123456789abcdef")[trial % 3])
         k1 = rng.randint(1, m.rows)
         k2 = rng.randint(1, m.cols)
         expected = naive_factors(m, k1, k2)

@@ -27,11 +27,15 @@ from util import (
     mat,
     naive_delta,
     naive_delta_1d,
+    naive_factors,
     naive_gamma,
     naive_is_attractor,
     random_matrix,
     raises,
+    reference_coverage_masks,
     reference_delta,
+    reference_gamma_lower_bound_unique,
+    reference_is_attractor,
     reference_shape_labels,
     substring_complexity,
 )
@@ -85,36 +89,175 @@ def test_delta_budget_exhaustion():
     raises(ShapeTooLarge, delta, ek(4), budget=WorkBudget(limit=10))
 
 
-def test_measures_equal_those_on_the_2d_reference_ranking(monkeypatch):
+def _assert_steps_at_most(got_ledger, ref_ledger):
+    for label, steps in got_ledger.steps.items():
+        assert steps <= ref_ledger.steps.get(label, 0), (label, steps)
+
+
+def test_measures_equal_those_on_the_2d_reference_ranking():
     rng = random.Random(73)
     cases = []
     for _ in range(25):
         m = random_matrix(rng, 6, 6, "ab")
         cells = [(i, j) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1)]
         cases.append((m, rng.sample(cells, rng.randint(1, min(3, len(cells))))))
-
-    def measure_all():
-        out = []
-        for m, cand in cases:
-            ledger = Ledger()
-            out.append((
-                is_attractor(m, cand, budget=ledger),
-                is_attractor(m, cand, square_only=True, budget=ledger),
-                gamma_lower_bound_unique(m, budget=ledger),
-                ledger.steps,
-            ))
-        return out
-
-    got = measure_all()
-    assert any(not check for check, _, _, _ in got)  # failure reports too
-    monkeypatch.setattr(measures, "iter_shape_labels", reference_shape_labels)
-    assert measure_all() == got
+    checks = []
+    for m, cand in cases:
+        for square_only in (False, True):
+            got_ledger, ref_ledger = Ledger(), Ledger()
+            got = is_attractor(m, cand, square_only, budget=got_ledger)
+            want = reference_is_attractor(m, cand, square_only, budget=ref_ledger,
+                                          ranking=reference_shape_labels)
+            assert repr(got) == repr(want), str(m)
+            _assert_steps_at_most(got_ledger, ref_ledger)
+            checks.append(got)
+        got_ledger, ref_ledger = Ledger(), Ledger()
+        assert gamma_lower_bound_unique(m, budget=got_ledger) == reference_gamma_lower_bound_unique(
+            m, budget=ref_ledger, ranking=reference_shape_labels
+        ), str(m)
+        _assert_steps_at_most(got_ledger, ref_ledger)
+    assert any(not check for check in checks)  # failure reports too
     # delta no longer ranks through iter_shape_labels: compare it with the
     # full enumeration on the reference ranking instead
     for m, _ in cases:
         for square_only in (False, True):
             want = reference_delta(m, square_only, True, ranking=reference_shape_labels)
             assert repr(delta(m, square_only, with_table=True)) == repr(want)
+
+
+def test_attractor_check_and_lower_bound_equal_the_full_scans():
+    # the chains' stops (covered frontier, failure cut, dominance) change no
+    # result and only remove ranking steps
+    rng = random.Random(1207)
+    outcomes = set()
+    for trial in range(2000):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        letters = ("01", "012", "0123456789abcdef")[trial % 3]
+        m = Matrix2D.from_tokens(
+            [[rng.choice(letters) for _ in range(cols)] for _ in range(rows)]
+        )
+        density = rng.random()
+        cand = [
+            (i, j)
+            for i in range(1, rows + 1)
+            for j in range(1, cols + 1)
+            if rng.random() < density
+        ]
+        for square_only in (False, True):
+            got_ledger, ref_ledger = Ledger(), Ledger()
+            got = is_attractor(m, cand, square_only, budget=got_ledger)
+            want = reference_is_attractor(m, cand, square_only, budget=ref_ledger)
+            assert repr(got) == repr(want), (str(m), cand, square_only)
+            _assert_steps_at_most(got_ledger, ref_ledger)
+            outcomes.add(got.ok or (got.shape.k1 > 1, got.shape.k2 > 1))
+        extra = []
+        if trial % 2:
+            extra = [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
+        got_ledger, ref_ledger = Ledger(), Ledger()
+        got = gamma_lower_bound_unique(m, extra, budget=got_ledger)
+        want = reference_gamma_lower_bound_unique(m, extra, budget=ref_ledger)
+        assert got == want, (str(m), extra)
+        _assert_steps_at_most(got_ledger, ref_ledger)
+    # attractors, and failures at shapes of every kind
+    assert outcomes == {True, (False, False), (False, True), (True, False), (True, True)}
+
+
+def _naive_listed_windows(m, extra):
+    """(k1, k2, i, j), 1-based, of the unique windows the greedy is offered:
+    on the k x 1 and 1 x k chains those that hold no unique window of the
+    shape before, and nothing of any shape past a 1 x k shape whose windows
+    are all unique or past the k x 1 one on its chain."""
+    unique = {}
+    for k1 in range(1, m.rows + 1):
+        for k2 in range(1, m.cols + 1):
+            unique[k1, k2] = {
+                occs[0] for occs in naive_factors(m, k1, k2).values() if len(occs) == 1
+            }
+
+    def all_unique(k1, k2):
+        return len(unique[k1, k2]) == (m.rows - k1 + 1) * (m.cols - k2 + 1)
+
+    tall_end = next((k for k in range(1, m.rows + 1) if all_unique(k, 1)), m.rows)
+    wide_end = next((k for k in range(1, m.cols + 1) if all_unique(1, k)), m.cols)
+    listed = set()
+    shapes = {(k, 1) for k in range(1, m.rows + 1)} | {(1, k) for k in range(1, m.cols + 1)}
+    for k1, k2 in shapes | {(a, b) for a, b in extra if a <= m.rows and b <= m.cols}:
+        if k2 > wide_end or k2 == 1 and k1 > tall_end:
+            continue
+        for i, j in unique[k1, k2]:
+            if k2 == 1 and k1 > 1 and unique[k1 - 1, 1] & {(i, j), (i + 1, j)}:
+                continue
+            if k1 == 1 and k2 > 1 and unique[1, k2 - 1] & {(i, j), (i, j + 1)}:
+                continue
+            listed.add((k1, k2, i, j))
+    return listed
+
+
+def test_lower_bound_offers_exactly_the_undominated_unique_windows():
+    # dominance leaves out only windows the greedy cannot take; leaving out
+    # fewer changes no bound, so the list itself is checked here
+    rng = random.Random(515)
+    for trial in range(300):
+        letters = ("01", "012", "0123456789abcdef")[trial % 3]
+        m = random_matrix(rng, 7, 7, letters)
+        extra = [(rng.randint(2, 7), rng.randint(2, 7)) for _ in range(trial % 3)]
+        windows = measures._unique_windows(m, extra, Ledger())
+        assert windows == sorted(windows)
+        got = {(-neg_k1, k2, i + 1, j + 1) for _, neg_k1, i, j, k2 in windows}
+        assert len(got) == len(windows)
+        assert got == _naive_listed_windows(m, extra), (str(m), extra)
+
+
+def test_attractor_check_and_lower_bound_steps_stay_at_most_the_recorded_ledger():
+    # the ranking passes on inputs like measure-mix's, as recorded when the
+    # chains got their stops; the comments give what ranking every shape
+    # charged (row ranking + column ranking)
+    rng = random.Random(24)
+    rand16 = Matrix2D.from_tokens([[rng.choice("0123456789abcdef") for _ in range(24)] for _ in range(24)])
+    rand16_cand = {(rng.randint(1, 24), rng.randint(1, 24)) for _ in range(200)}
+    rng = random.Random(12)
+    rand2 = Matrix2D.from_tokens([[rng.choice("01") for _ in range(12)] for _ in range(12)])
+    rand2_cand = {(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(40)}
+    diagonal = [(i, i) for i in range(1, 11)]
+    checks = {
+        # fails at (1, 1), which needs no pass: was 450 + 2,475
+        "identity(10), its diagonal": (identity(10), diagonal, False, {}),
+        "identity(10), its diagonal, squares": (identity(10), diagonal, True, {}),  # 450 + 1,155
+        # fails at (2, 1) and (1, 2), and the cut ends the walk: 6,624 + 82,800
+        "random 24x24 over 16 letters": (rand16, rand16_cand, False,
+                                         {"row ranking": 552, "column ranking": 552}),
+        "random 12x12 binary": (rand2, rand2_cand, False,
+                                {"row ranking": 456, "column ranking": 797}),  # 792 + 5,148
+        # an attractor: only the covered frontier applies (1,440 + 8,976)
+        "diagpad(12, 16), its attractor": (diagpad(12, 16), diagpad_attractor(12, 16), False,
+                                           {"row ranking": 1404, "column ranking": 7205}),
+    }
+    for name, (m, cand, square_only, pinned) in checks.items():
+        ledger = Ledger()
+        is_attractor(m, cand, square_only, budget=ledger)
+        assert set(ledger.steps) <= set(pinned), name
+        for label, steps in ledger.steps.items():
+            assert steps <= pinned[label], (name, label, steps)
+    rng = random.Random(16)
+    bounds = {
+        "ek(5)": (ek(5), {"row ranking": 2475, "column ranking": 320}),  # 2,480 + 320
+        # the 4 x 1 and 1 x 4 windows are all unique: 1,920 + 1,920
+        "random 16x16 over 16 letters": (
+            Matrix2D.from_tokens([[rng.choice("0123456789abcdef") for _ in range(16)] for _ in range(16)]),
+            {"row ranking": 672, "column ranking": 672},
+        ),
+        # 20 x 1 and 1 x 15 windows are all unique: 6,624 + 6,624
+        "random 24x24 binary": (
+            Matrix2D.from_tokens([[rng.choice("01") for _ in range(24)] for _ in range(24)]),
+            {"row ranking": 5544, "column ranking": 6384},
+        ),
+    }
+    for name, (m, pinned) in bounds.items():
+        ledger = Ledger()
+        gamma_lower_bound_unique(m, budget=ledger)
+        assert set(ledger.steps) <= set(pinned), name
+        for label, steps in ledger.steps.items():
+            assert steps <= pinned[label], (name, label, steps)
 
 
 def _assert_delta_matches_reference(m):
@@ -275,6 +418,17 @@ def test_gamma_exact_minimal_and_valid():
             smaller = AttractorSet.of(p for p in att.positions if p != drop)
             if smaller.positions:
                 assert not is_attractor(m, smaller)
+
+
+def test_gamma_constraints_equal_those_built_bit_by_bit():
+    rng = random.Random(167)
+    for trial in range(150):
+        m = random_matrix(rng, 5, 5, ("01", "012", "0123456789abcdef")[trial % 3])
+        for square_only in (False, True):
+            got_ledger, ref_ledger = Ledger(), Ledger()
+            got = measures._coverage_masks(m, square_only, got_ledger)
+            assert got == reference_coverage_masks(m, square_only, ref_ledger), str(m)
+            assert got_ledger.steps == ref_ledger.steps
 
 
 def test_gamma_exact_known_values():

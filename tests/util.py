@@ -6,8 +6,13 @@ exceptions are the former implementations kept as oracles:
 ``reference_shape_labels``, the 2D-only window ranking that the d-axis
 ranking must reproduce id for id; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
-value, argmax shape and table; and the recursive grammar walks
-``recursive_grammar_tree``, ``recursive_format_grammar`` and
+value, argmax shape and table; ``reference_is_attractor`` and
+``reference_gamma_lower_bound_unique``, the attractor check and the
+unique-factor bound that rank every shape, which the early-stopping ones
+must reproduce in result with no more steps per label;
+``reference_coverage_masks``, gamma's constraints built from numpy scalars
+bit by bit, which must come out mask for mask and step for step; the
+recursive grammar walks ``recursive_grammar_tree``, ``recursive_format_grammar`` and
 ``recursive_from_grammar``, and ``recursive_grammar_from_contents``, which
 the grammar search's result must reproduce name for name and rule for rule;
 ``reference_analyze_boxes``, the scheme
@@ -38,7 +43,9 @@ import numpy as np
 from repet2d import Matrix2D
 from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, access, hop_bound
 from repet2d.budget import WorkBudget, ensure_budget
-from repet2d.core2d import MAX_CELLS, FactorShape, TokenGrid, encode_tokens, iter_shape_labels
+from repet2d.core2d import (
+    MAX_CELLS, FactorShape, ShapeBox, TokenGrid, encode_tokens, iter_shape_labels, submatrix,
+)
 from repet2d.errors import OutOfBounds, TooLarge
 from repet2d.grammar2d import (
     Grammar2D,
@@ -55,7 +62,7 @@ from repet2d.grammar2d import (
     validate_grammar,
 )
 from repet2d.macroscheme import MacroScheme2D, Phrase, SchemeCheck, walk_chains
-from repet2d.measures import DeltaResult
+from repet2d.measures import AttractorCheck, AttractorSet, DeltaResult
 from repet2d.multidim import iter_shape_labels_nd
 
 
@@ -234,6 +241,123 @@ def reference_delta(m: Matrix2D, square_only=False, with_table=False,
         ):
             best, best_shape = value, (k1, k2)
     return DeltaResult(best, FactorShape(*best_shape), table if with_table else None)
+
+
+def reference_is_attractor(m: Matrix2D, candidate, square_only=False, budget=None,
+                           ranking=iter_shape_labels) -> AttractorCheck:
+    """The attractor check as it was before its chains could end early:
+    ranks every (square) shape with ``ranking`` and reports the failing
+    shape that is first in (k1, k2) order."""
+    positions = (
+        candidate.positions
+        if isinstance(candidate, AttractorSet)
+        else AttractorSet.of(candidate).positions
+    )
+    budget = ensure_budget(budget)
+    grid = np.zeros((m.rows, m.cols), dtype=np.int64)
+    for i, j in positions:
+        if not (1 <= i <= m.rows and 1 <= j <= m.cols):
+            raise OutOfBounds(f"attractor position ({i},{j}) outside matrix")
+        grid[i - 1, j - 1] = 1
+    prefix = np.zeros((m.rows + 1, m.cols + 1), dtype=np.int64)
+    prefix[1:, 1:] = grid.cumsum(0).cumsum(1)
+    worst = None  # (k1, k2, first occurrence)
+    for k1, k2, labels in ranking(m, ShapeBox((m.rows, m.cols), square_only), budget):
+        rows_w = m.rows - k1 + 1
+        cols_w = m.cols - k2 + 1
+        window_sum = (
+            prefix[k1 : k1 + rows_w, k2 : k2 + cols_w]
+            - prefix[:rows_w, k2 : k2 + cols_w]
+            - prefix[k1 : k1 + rows_w, :cols_w]
+            + prefix[:rows_w, :cols_w]
+        )
+        hit = (window_sum > 0).ravel()
+        flat = labels.ravel()
+        n_labels = int(flat.max()) + 1
+        hit_count = np.bincount(flat[hit], minlength=n_labels)
+        if hit_count.min(initial=1) > 0:
+            continue
+        bad = int(np.nonzero(hit_count == 0)[0][0])
+        first = int(np.argmax(flat == bad))
+        if worst is None or (k1, k2) < worst[:2]:
+            worst = (k1, k2, first)
+    if worst is None:
+        return AttractorCheck(True)
+    k1, k2, first = worst
+    cols_w = m.cols - k2 + 1
+    i, j = first // cols_w + 1, first % cols_w + 1
+    content = submatrix(m, i, j, i + k1 - 1, j + k2 - 1).tokens()
+    return AttractorCheck(False, FactorShape(k1, k2), content, (i, j))
+
+
+def reference_gamma_lower_bound_unique(m: Matrix2D, extra_shapes=(), budget=None,
+                                       ranking=iter_shape_labels) -> int:
+    """The unique-factor bound as it was before dominance: ranks every
+    k x 1, 1 x k and extra shape with ``ranking`` and offers every unique
+    window to the greedy."""
+    budget = ensure_budget(budget)
+    shapes = {(k, 1) for k in range(1, m.rows + 1)}
+    shapes |= {(1, k) for k in range(1, m.cols + 1)}
+    shapes |= {
+        (k1, k2)
+        for k1, k2 in extra_shapes
+        if 1 <= k1 <= m.rows and 1 <= k2 <= m.cols
+    }
+    candidates = []
+    for k1, k2, labels in ranking(m, sorted(shapes), budget):
+        flat = labels.ravel()
+        counts = np.bincount(flat)
+        unique_labels = set(np.nonzero(counts == 1)[0].tolist())
+        if not unique_labels:
+            continue
+        width = labels.shape[1]
+        for idx in np.nonzero(np.isin(flat, list(unique_labels)))[0].tolist():
+            i, j = idx // width + 1, idx % width + 1
+            candidates.append((k1 * k2, -k1, i, j, k2))
+    candidates.sort()
+    occupied = 0
+    n = m.cols
+    count = 0
+    for area, neg_k1, i, j, k2 in candidates:
+        k1 = -neg_k1
+        rect = 0
+        seg = ((1 << k2) - 1) << (j - 1)
+        for r in range(i - 1, i - 1 + k1):
+            rect |= seg << (r * n)
+        if rect & occupied == 0:
+            occupied |= rect
+            count += 1
+    return count
+
+
+def reference_coverage_masks(m: Matrix2D, square_only: bool, budget) -> list[int]:
+    """gamma_exact's constraints as they were built before the labels were
+    read as lists: every window's rectangle mask built bit by bit from numpy
+    scalars."""
+    n = m.cols
+    masks: set[int] = set()
+    for k1, k2, labels in iter_shape_labels(
+        m, ShapeBox((m.rows, m.cols), square_only), budget
+    ):
+        seg = ((1 << k2) - 1)
+        height, width = labels.shape
+        by_label: dict[int, int] = {}
+        flat = labels.ravel()
+        for idx in range(flat.size):
+            i, j = idx // width, idx % width
+            rect = 0
+            row_mask = seg << j
+            for r in range(i, i + k1):
+                rect |= row_mask << (r * n)
+            lab = int(flat[idx])
+            by_label[lab] = by_label.get(lab, 0) | rect
+        masks.update(by_label.values())
+    ordered = sorted(masks, key=lambda s: (bin(s).count("1"), s))
+    kept: list[int] = []
+    for cand in ordered:
+        if not any(prev & cand == prev for prev in kept):
+            kept.append(cand)
+    return kept
 
 
 def reference_delta_nd(x, budget=None):
