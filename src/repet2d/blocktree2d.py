@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import Matrix2D, Position, shape_labels
+from .core2d import Matrix2D, Position, iter_shape_labels
 from .errors import BadParam
 
 
@@ -82,23 +82,21 @@ def build_blocktree(
         side = pad_to
     sentinel = _fresh_sentinel(m.alphabet)
 
-    # Earliest sentinel-free occurrence of every s x s content, per level side.
+    # Earliest sentinel-free occurrence of every s x s content, per level side
+    # (the powers of the arity) that fits in the matrix.
+    fits, s = [], 1
+    while s <= min(m.rows, m.cols):
+        fits.append((s, s))
+        s *= arity
     earliest: dict[int, tuple[np.ndarray, list[Position]]] = {}
-    s = side
-    while s >= 1:
-        if s <= min(m.rows, m.cols):
-            labels = shape_labels(m, s, s, budget)
-            flat = labels.ravel()
-            _, first_idx = np.unique(flat, return_index=True)
-            width = labels.shape[1]
-            firsts = [
-                (int(idx) // width + 1, int(idx) % width + 1)
-                for idx in first_idx
-            ]
-            earliest[s] = (labels, firsts)
-        if s == 1:
-            break
-        s //= arity
+    for s, _, labels in iter_shape_labels(m, fits, budget):
+        _, first_idx = np.unique(labels.ravel(), return_index=True)
+        width = labels.shape[1]
+        firsts = [
+            (int(idx) // width + 1, int(idx) % width + 1)
+            for idx in first_idx
+        ]
+        earliest[s] = (labels, firsts)
 
     def make(level: int, top: int, left: int, s: int) -> BlockNode:
         budget.charge(1, "block tree")

@@ -207,7 +207,8 @@ def _cmd_access(args: argparse.Namespace) -> int:
     from .access2d import access, build_index, full_scan
     from .grammar2d import read_grammar
 
-    index = build_index(read_grammar(args.grammar), _budget(args))
+    budget = _budget(args)
+    index = build_index(read_grammar(args.grammar), budget)
     if args.query:
         y, x = args.query
         symbol, hops = access(index, y, x)
@@ -217,7 +218,7 @@ def _cmd_access(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.verify_all:
         raise BadParam("access needs --query Y X or --verify-all")
-    report = full_scan(index, _budget(args))
+    report = full_scan(index, budget)
     print(
         f"cells {index.rows * index.cols}  matches {'yes' if report.matches else 'no'}  "
         f"max_hops {report.max_hops}  hop_bound {report.hop_bound}"

@@ -11,15 +11,17 @@ Conventions used across the whole package:
   grids are equal, regardless of which matrices they were cut from.
 
 Distinct-factor counting is exact: windows of a shape are dense-ranked by
-iterated pair ranking, extending the shape one column / one row at a time
-(``rank_windows`` does this for any number of axes). Each pass ranks the
-(window id, next cell id) pairs in linear time by marking them in a bool
-array over the pair-id range, or with np.unique when that range is sparse.
-No hashing is involved, so there are no collisions to resolve and results
-are deterministic. ``densest_shape`` (delta for any number of axes) walks
-the same passes over every shape without listing them, and ends a chain
-once the answer is settled, by saturation or by a bound stop; both prunings
-are exact, so it does not rank every shape.
+iterated pair ranking, extending the shape one column / one row at a time.
+``rank_windows`` is the one loop that does this, for any number of axes:
+delta, the attractor check, the unique-factor bound, the label helpers,
+block trees and the exact g and b solvers (through ``WindowIds``) all read
+its walk. Each pass ranks the (window id, next cell id) pairs in linear time
+by marking them in a bool array over the pair-id range, or with np.unique
+when that range is sparse. No hashing is involved, so there are no
+collisions to resolve and results are deterministic. ``densest_shape``
+(delta for any number of axes) walks the same passes over every shape
+without listing them, and ends a chain once the answer is settled, by
+saturation or by a bound stop; both prunings are exact.
 """
 
 from __future__ import annotations
@@ -243,31 +245,20 @@ class ShapeBox:
 def rank_windows(
     grid: np.ndarray,
     wanted: Iterable[Sequence[int]] | ShapeBox,
-    budget: WorkBudget,
-    what: Sequence[str],
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (shape, labels) for every wanted window shape of an id grid
-    with any number of axes.
-
-    ``labels`` holds one dense id per window position; two windows carry the
-    same id iff their contents are equal. The last axis is extended first:
-    each shape comes from its predecessor by one ranking pass along one axis,
-    which charges the new window count to ``budget`` under ``what[axis]``.
-    Shapes are yielded in ascending order of their reversed tuples, and only
-    the passes on the way to a wanted shape are made.
-    """
-    for shape, labels, _ in _rank_chains(grid, wanted, budget, what):
-        yield shape, labels
-
-
-def _rank_chains(
-    grid: np.ndarray,
-    wanted: Iterable[Sequence[int]] | ShapeBox,
-    budget: WorkBudget,
+    budget: WorkBudget | None,
     what: Sequence[str],
     stop: Callable[[int, tuple[int, ...]], bool] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
-    """``rank_windows``, yielding also labels.max() + 1 with each shape.
+    """Yield (shape, labels, count) for every wanted window shape of an id
+    grid with any number of axes.
+
+    ``labels`` holds one dense id per window position; two windows carry the
+    same id iff their contents are equal, and ``count`` is the number of
+    ids. The last axis is extended first: each shape comes from its
+    predecessor by one ranking pass along one axis, which charges the new
+    window count to ``budget`` (if any) under ``what[axis]``. Shapes are
+    yielded in ascending order of their reversed tuples, and only the passes
+    on the way to a wanted shape are made.
 
     ``stop`` is asked before every pass with its axis and the shape it would
     rank; when it answers true the chain along that axis ends there, so
@@ -299,7 +290,8 @@ def _rank_chains(
                 if stop is not None and stop(axis, (1,) * axis + (k,) + suffix):
                     return
                 width = n - k + 1
-                budget.charge(cur.size // cur.shape[axis] * width, what[axis])
+                if budget is not None:
+                    budget.charge(cur.size // cur.shape[axis] * width, what[axis])
                 cur, count = _pair_rank(
                     cur[lead + (slice(0, width),)],
                     count,
@@ -387,7 +379,7 @@ def densest_shape(
             low = shape
         return not with_table and windows(low) * best_vol < best_count * prod(low)
 
-    for shape, labels, count in _rank_chains(grid, shapes, budget, what, stop):
+    for shape, labels, count in rank_windows(grid, shapes, budget, what, stop):
         if count >= labels.size - 1:
             if cubes_only:
                 sat_cube = min(sat_cube, shape[0])
@@ -434,9 +426,7 @@ def iter_shape_labels(
         wanted = list(wanted)
     for k1, k2 in wanted:
         _check_shape(m, k1, k2)
-    for (k1, k2), labels in rank_windows(
-        m._grid, wanted, budget, RANKING_2D
-    ):
+    for (k1, k2), labels, _ in rank_windows(m._grid, wanted, budget, RANKING_2D):
         yield k1, k2, labels
 
 
@@ -444,75 +434,45 @@ def shape_labels(
     m: Matrix2D, k1: int, k2: int, budget: WorkBudget | None = None
 ) -> np.ndarray:
     """Dense factor labels for a single shape (see iter_shape_labels)."""
-    for _, _, labels in iter_shape_labels(m, [(k1, k2)], budget):
-        return labels
-    raise AssertionError("unreachable")
+    return next(iter_shape_labels(m, [(k1, k2)], budget))[2]
 
 
 class WindowIds:
-    """The content id of every window of a matrix, ranked lazily one shape
-    at a time and charged to no budget.
+    """The content id of every window of a matrix, charged to no budget.
 
     ``labels(h, w)[i][j]`` is the label of the h x w window whose top-left
     cell is (i + 1, j + 1), as ``iter_shape_labels`` gives it: two windows
     of a shape share a label iff their contents are equal, and labels follow
     the row-major order of the token tuples, so ``(h, w, label)`` sorts like
-    ``(h, w, token grid)``. Shape (1, w) is ranked from (1, w - 1) and the
-    cells, shape (h, w) from (h - 1, w) and (1, w), by the pass
-    ``rank_windows`` makes; each shape is ranked once and kept as lists."""
+    ``(h, w, token grid)``. Every shape is ranked by one ``rank_windows``
+    walk when the table is built; a shape's labels are turned into lists
+    when first asked for, and kept."""
 
     def __init__(self, m: Matrix2D):
-        grid = m._grid
-        self._ranked: dict[tuple[int, int], tuple[np.ndarray, int]] = {
-            (1, 1): (grid, int(grid.max()) + 1)
+        walk = rank_windows(m._grid, ShapeBox((m.rows, m.cols)), None, RANKING_2D)
+        self._ranked: dict[tuple[int, ...], tuple[np.ndarray, int]] = {
+            shape: (labels, count) for shape, labels, count in walk
         }
         self._lists: dict[tuple[int, int], list[list[int]]] = {}
-
-    def _rank(self, h: int, w: int) -> tuple[np.ndarray, int]:
-        """(labels, count) of shape (h, w). The shapes on its way are ranked
-        too, each going on from the longest one of its chain ranked so far."""
-        ranked = self._ranked
-        if (h, w) in ranked:
-            return ranked[h, w]
-        cells, cell_range = ranked[1, 1]
-        rows, cols = cells.shape
-        k = w
-        while (1, k) not in ranked:
-            k -= 1
-        cur, count = ranked[1, k]
-        for k in range(k + 1, w + 1):
-            cur, count = ranked[1, k] = _pair_rank(
-                cur[:, : cols - k + 1], count, cells[:, k - 1 :], cell_range
-            )
-        base, base_range = ranked[1, w]
-        k = h
-        while (k, w) not in ranked:
-            k -= 1
-        cur, count = ranked[k, w]
-        for k in range(k + 1, h + 1):
-            cur, count = ranked[k, w] = _pair_rank(
-                cur[: rows - k + 1], count, base[k - 1 :], base_range
-            )
-        return cur, count
 
     def labels(self, h: int, w: int) -> list[list[int]]:
         """The labels of shape (h, w), one list per row of positions."""
         got = self._lists.get((h, w))
         if got is None:
-            got = self._lists[h, w] = self._rank(h, w)[0].tolist()
+            got = self._lists[h, w] = self._ranked[h, w][0].tolist()
         return got
 
     def count(self, h: int, w: int) -> int:
         """The number of distinct h x w windows."""
-        return self._rank(h, w)[1]
+        return self._ranked[h, w][1]
 
 
 def factor_count(
     m: Matrix2D, k1: int, k2: int, budget: WorkBudget | None = None
 ) -> int:
     """P_M(k1, k2): the number of distinct k1 x k2 factors of M."""
-    labels = shape_labels(m, k1, k2, budget)
-    return int(labels.max()) + 1
+    _check_shape(m, k1, k2)
+    return next(rank_windows(m._grid, [(k1, k2)], ensure_budget(budget), RANKING_2D))[2]
 
 
 @dataclass(frozen=True)
@@ -543,6 +503,13 @@ def distinct_factors(
         content = tuple(row[j - 1 : j - 1 + k2] for row in grid[i - 1 : i - 1 + k1])
         out.append(Factor2D(FactorShape(k1, k2), content, tuple(occ)))
     return tuple(out)
+
+
+def _rect_mask(k1: int, k2: int, n: int) -> int:
+    """Bitmask (over the cells of an n-column grid, RMO bit order) of the
+    k1 x k2 rectangle at the top-left cell; shifting it left by i * n + j
+    moves it to the 0-based cell (i, j)."""
+    return sum(((1 << k2) - 1) << (r * n) for r in range(k1))
 
 
 # ---------------------------------------------------------------------------

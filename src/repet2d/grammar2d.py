@@ -15,8 +15,9 @@ factor contents that contains the whole matrix and in which every non-unit
 content can be split (or de-run) into members of the set. Only the set
 matters for the size, which keeps the search space manageable. A content is
 a window of the matrix, named by its shape and its label in a window-id
-table (``core2d.WindowIds``), so the parts of a split are read off the
-labels and no token grid is sliced or hashed. Each call interns the
+table (``core2d.WindowIds``, one unbudgeted ``rank_windows`` walk over every
+shape), so the parts of a split are read off the labels and no token grid
+is sliced or hashed. Each call interns the
 contents it meets as int ids in one table, which holds per id the cost, the
 sort key and the options as tuples of part ids. For every option it keeps a
 missing cost, the summed cost of its parts outside the member set. A watch

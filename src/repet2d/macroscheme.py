@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, Position, WindowIds, encode_tokens, factor_count
+from .core2d import MAX_CELLS, Matrix2D, Position, WindowIds, _rect_mask, encode_tokens, factor_count
 from .errors import (
     BadParam,
     CyclicMap,
@@ -419,13 +419,6 @@ def b_exact(
 
     full_mask = (1 << total) - 1
 
-    def rect_mask(i: int, j: int, h: int, w: int) -> int:
-        seg = ((1 << w) - 1) << j
-        out = 0
-        for a in range(i, i + h):
-            out |= seg << (a * cols)
-        return out
-
     # parts: ("e", i, j) or ("p", i, j, h, w); all coordinates 0-based here
     all_explicit = [("e", i, j) for i in range(rows) for j in range(cols)]
     best: dict = {"size": total, "parts": all_explicit, "assignment": []}
@@ -497,7 +490,7 @@ def b_exact(
         options = []
         for h in range(1, rows - i + 1):
             for w in range(1, cols - j + 1):
-                mask = rect_mask(i, j, h, w)
+                mask = _rect_mask(h, w, cols) << idx
                 if mask & covered:
                     continue
                 if h * w > 1 and not occurrences(i, j, h, w):

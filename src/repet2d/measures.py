@@ -12,7 +12,7 @@ NP-hard, so only tiny instances are accepted — see the cell_limit
 parameter).
 
 The attractor check and the unique-factor lower bound walk the same ranking
-chains as delta (``core2d._rank_chains``) and end a chain once nothing left
+chains as delta (``core2d.rank_windows``) and end a chain once nothing left
 on it can change their answer. Three exact rules do this:
 
 * covered frontier (``is_attractor``): once every window of a shape holds a
@@ -49,9 +49,10 @@ from .core2d import (
     RANKING_2D,
     ShapeBox,
     TokenGrid,
-    _rank_chains,
+    _rect_mask,
     densest_shape,
     iter_shape_labels,
+    rank_windows,
     submatrix,
 )
 from .errors import BadParam, OutOfBounds, TooLarge
@@ -181,7 +182,7 @@ def is_attractor(
         return k1 >= cut or bool(hits(k1, k2).all())
 
     failure: tuple[int, int, int] | None = None  # (k1, k2, first occurrence)
-    for (k1, k2), labels, count in _rank_chains(
+    for (k1, k2), labels, count in rank_windows(
         m._grid, ShapeBox((rows, cols), square_only), budget, RANKING_2D, stop
     ):
         flat = labels.ravel()
@@ -204,13 +205,6 @@ def is_attractor(
 # ---------------------------------------------------------------------------
 # exact gamma (minimum hitting set)
 # ---------------------------------------------------------------------------
-
-
-def _rect_mask(k1: int, k2: int, n: int) -> int:
-    """Bitmask (over the cells of an n-column grid, RMO bit order) of the
-    k1 x k2 rectangle at the top-left cell; shifting it left by i * n + j
-    moves it to the 0-based cell (i, j)."""
-    return sum(((1 << k2) - 1) << (r * n) for r in range(k1))
 
 
 def _coverage_masks(
@@ -333,7 +327,7 @@ def _unique_windows(
         return k2 > wide_end if axis == 1 else k2 == 1 and k1 > tall_end
 
     windows: list[tuple[int, int, int, int, int]] = []
-    for (k1, k2), labels, count in _rank_chains(
+    for (k1, k2), labels, count in rank_windows(
         m._grid, sorted(shapes), budget, RANKING_2D, stop
     ):
         unique = (np.bincount(labels.ravel(), minlength=count) == 1)[labels]

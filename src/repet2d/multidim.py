@@ -3,8 +3,8 @@
 An ``NdString`` stores dense ids in generalized row-major order (the last
 axis varies fastest), like ``Matrix2D`` does for two axes.  The algorithms
 are written once for any number of axes and the 2D functions are their
-d = 2 case: window ranking is ``core2d.rank_windows`` and delta is
-``core2d.densest_shape`` (which prunes the passes), grammar validation
+d = 2 case: window ranking is the one loop ``core2d.rank_windows``, delta
+is ``core2d.densest_shape`` (which prunes the passes), grammar validation
 and expansion are ``grammar2d.resolve_dims`` and ``grammar2d.expand_ids``
 (which read ``ConcatNd``/``RunNd`` and the 2D rules alike), and scheme
 checking and decoding is ``macroscheme.analyze_boxes``.  This module holds
@@ -272,29 +272,34 @@ def iter_shape_labels_nd(
     the reversed shape tuple (first axis fastest), extending the last axis
     first as ``rank_windows`` does.  ``labels`` assigns equal ids to equal
     windows; for a 2-dimensional string they equal the 2D labels."""
-    return rank_windows(x._grid, ShapeBox(x.dims), ensure_budget(budget), _RANKING * x.ndim)
+    walk = rank_windows(x._grid, ShapeBox(x.dims), ensure_budget(budget), _RANKING * x.ndim)
+    return ((shape, labels) for shape, labels, _ in walk)
+
+
+def _rank_shape_nd(
+    x: NdString, shape: Sequence[int], budget: WorkBudget | None
+) -> tuple[tuple[int, ...], np.ndarray, int]:
+    """(shape, labels, count) of one window shape: one chain of passes."""
+    shape = tuple(int(k) for k in shape)
+    if len(shape) != x.ndim or any(
+        not 1 <= k <= n for k, n in zip(shape, x.dims)
+    ):
+        raise OutOfBounds(f"window shape {shape} does not fit in {x.dims}")
+    return next(rank_windows(x._grid, [shape], ensure_budget(budget), _RANKING * x.ndim))
 
 
 def shape_labels_nd(
     x: NdString, shape: Sequence[int], budget: WorkBudget | None = None
 ) -> np.ndarray:
     """Window labels for a single shape (one chain of ranking passes)."""
-    budget = ensure_budget(budget)
-    shape = tuple(int(k) for k in shape)
-    if len(shape) != x.ndim or any(
-        not 1 <= k <= n for k, n in zip(shape, x.dims)
-    ):
-        raise OutOfBounds(f"window shape {shape} does not fit in {x.dims}")
-    for _, labels in rank_windows(x._grid, [shape], budget, _RANKING * x.ndim):
-        return labels
-    raise AssertionError("unreachable")
+    return _rank_shape_nd(x, shape, budget)[1]
 
 
 def factor_count_nd(
     x: NdString, shape: Sequence[int], budget: WorkBudget | None = None
 ) -> int:
     """Number of distinct windows of the given shape."""
-    return int(shape_labels_nd(x, shape, budget).max()) + 1
+    return _rank_shape_nd(x, shape, budget)[2]
 
 
 def delta_nd(x: NdString, budget: WorkBudget | None = None) -> Fraction:

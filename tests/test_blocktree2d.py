@@ -10,10 +10,12 @@ from repet2d import (
     node_count,
     zeros,
 )
+from repet2d import blocktree2d
 from repet2d.blocktree2d import iter_nodes
+from repet2d.core2d import shape_labels
 from repet2d.errors import BadParam
 
-from util import random_matrix, raises
+from util import Ledger, random_matrix, raises
 
 
 def reconstruct(bt) -> Matrix2D:
@@ -113,3 +115,44 @@ def test_node_count_is_level_sum():
     bt = build_blocktree(identity(8), 2)
     assert node_count(bt) == sum(bt.levels)
     assert bt.levels[0] == 1
+
+
+def per_side_labels(m, wanted, budget):
+    """The level sides ranked as they were before they shared one walk:
+    each on its own chain, starting from the cells."""
+    for k1, k2 in wanted:
+        yield k1, k2, shape_labels(m, k1, k2, budget)
+
+
+def test_blocktree_equals_the_one_built_from_per_side_chains(monkeypatch):
+    # same tree; the sides share their row ranking, so that ledger may only
+    # fall, and every other one stays
+    rng = random.Random(84)
+    for trial in range(200):
+        m = random_matrix(rng, 10, 10, ("01", "012", "abcdefgh")[trial % 3])
+        arity = 2 + trial % 2
+        side = 1
+        while side < max(m.rows, m.cols):
+            side *= arity
+        pad_to = side * arity ** rng.randint(0, 1) if trial % 4 >= 2 else None
+        got_ledger, want_ledger = Ledger(), Ledger()
+        got = build_blocktree(m, arity, pad_to=pad_to, budget=got_ledger)
+        with monkeypatch.context() as patch:
+            patch.setattr(blocktree2d, "iter_shape_labels", per_side_labels)
+            want = build_blocktree(m, arity, pad_to=pad_to, budget=want_ledger)
+        assert repr(got) == repr(want), (m, arity, pad_to)
+        assert got_ledger.steps.get("row ranking", 0) <= want_ledger.steps.get("row ranking", 0)
+        for what in ("column ranking", "block tree"):
+            assert got_ledger.steps.get(what) == want_ledger.steps.get(what)
+
+
+def test_blocktree_steps_equal_the_recorded_ledger():
+    # the level sides share one row-ranking chain (750 and 6,441 row-ranking
+    # steps when each side had its own)
+    for m, pad_to, want in (
+        (bk(3), 16, {"row ranking": 420, "column ranking": 375, "block tree": 257}),
+        (bk(4), 32, {"row ranking": 3135, "column ranking": 3060, "block tree": 1057}),
+    ):
+        ledger = Ledger()
+        build_blocktree(m, 2, pad_to=pad_to, budget=ledger)
+        assert ledger.steps == want

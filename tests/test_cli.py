@@ -172,20 +172,22 @@ def test_access_verify(tmp_path):
         "cells 256  matches yes  max_hops 2  hop_bound 8\n"
         "hops  cells\n0     1\n1     30\n2     225\n"
     )
-    # one scan: 273 steps to expand the grammar, then 256 cells
-    r = run("access", "--grammar", str(gpath), "--verify-all", "--budget", "529")
+    # one budget for the whole invocation: 3 steps to build the index, then
+    # one scan of 273 steps to expand the grammar and 256 cells
+    r = run("access", "--grammar", str(gpath), "--verify-all", "--budget", "532")
     assert r.returncode == 0 and r.stdout.startswith("cells 256"), r.stderr
-    r = run("access", "--grammar", str(gpath), "--verify-all", "--budget", "528")
+    r = run("access", "--grammar", str(gpath), "--verify-all", "--budget", "531")
     assert r.returncode == 3 and "Traceback" not in r.stderr
     r = run("access", "--grammar", str(gpath), "--query", "99", "1")
     assert r.returncode == 2
-    # 2^20 cells: the expansion fits, the fourth row of the scan does not
+    # 2^20 cells: the index and the expansion fit, the fourth row of the
+    # scan does not
     run("grammar", "family", "--name", "zeros", "--param", "1024", "--out", str(gpath))
-    expansion = 1 + 1024 + 1024 * 1024
+    used = 3 + 1 + 1024 + 1024 * 1024
     r = run("access", "--grammar", str(gpath), "--verify-all",
-            "--budget", str(expansion + 3 * 1024 + 1))
+            "--budget", str(used + 3 * 1024 + 1))
     assert r.returncode == 3 and "Traceback" not in r.stderr
-    assert f"during access scan: {expansion + 4 * 1024} > limit" in r.stderr
+    assert f"during access scan: {used + 4 * 1024} > limit" in r.stderr
 
 
 def test_macro_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from repet2d.errors import (
 )
 
 from repet2d import core2d
+from repet2d.budget import WorkBudget
 from repet2d.core2d import ShapeBox, WindowIds, _pair_rank, iter_shape_labels, rank_windows
 
 from util import (
@@ -33,6 +36,7 @@ from util import (
     random_matrix,
     raises,
     reference_shape_labels,
+    reference_window_ids,
 )
 
 
@@ -117,10 +121,16 @@ def test_labels_equal_the_2d_reference():
             assert got_ledger.steps == ref_ledger.steps
 
 
-def test_window_ids_follow_token_order_and_equal_the_ranking():
+def test_window_ids_follow_token_order_and_equal_the_ranking(monkeypatch):
     # every pair of windows of one shape compares by label as by token grid
     # (equal iff equal, smaller iff smaller), and each shape's labels are
-    # iter_shape_labels', however the shapes are asked for
+    # iter_shape_labels', however the shapes are asked for; labels and
+    # counts equal the lazily ranked table's, and neither charges a step
+    charged = []
+    charge = WorkBudget.charge
+    monkeypatch.setattr(
+        WorkBudget, "charge", lambda self, steps, *what: charged.append(steps) or charge(self, steps, *what)
+    )
     rng = random.Random(29)
     cases = [
         random_matrix(rng, 5, 5, "abc"[: rng.randint(1, 3)]) for _ in range(200)
@@ -131,9 +141,14 @@ def test_window_ids_follow_token_order_and_equal_the_ranking():
     ]
     for m in cases:
         grid = m.tokens()
-        windows = WindowIds(m)
+        charged.clear()
+        windows, reference = WindowIds(m), reference_window_ids(m)
         shapes = list(ShapeBox((m.rows, m.cols)))
         rng.shuffle(shapes)
+        for h, w in shapes:
+            assert windows.labels(h, w) == reference.labels(h, w)
+            assert windows.count(h, w) == reference.count(h, w)
+        assert sum(charged) == 0
         ranked = {(h, w): lab for h, w, lab in iter_shape_labels(m, ShapeBox((m.rows, m.cols)))}
         for h, w in shapes:
             labels = windows.labels(h, w)
@@ -190,10 +205,24 @@ def test_the_lazy_box_equals_the_explicit_list():
             got_ledger, want_ledger = Ledger(), Ledger()
             got = list(rank_windows(grid, box, got_ledger, what))
             want = list(rank_windows(grid, listed, want_ledger, what))
-            assert [s for s, _ in got] == [s for s, _ in want] == list(box)
-            for (_, lab), (_, ref) in zip(got, want):
+            assert [s for s, _, _ in got] == [s for s, _, _ in want] == list(box)
+            for (_, lab, count), (_, ref, _) in zip(got, want):
                 assert lab.dtype == np.int64 and np.array_equal(lab, ref)
+                assert count == int(ref.max()) + 1
             assert got_ledger.steps == want_ledger.steps
+
+
+def test_pair_rank_is_called_only_by_the_ranking_walk():
+    # one window-ranking loop: every ranking pass in the library goes
+    # through rank_windows
+    tree = ast.parse(Path(core2d.__file__).read_text())
+    callers = [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pair_rank"
+    ]
+    assert callers == ["rank_windows"]
 
 
 def test_distinct_factors_contents_and_occurrences():

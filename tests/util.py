@@ -4,7 +4,10 @@ Everything here avoids the library's numpy ranking machinery on purpose,
 so the fast implementations are checked against independent code. The
 exceptions are the former implementations kept as oracles:
 ``reference_shape_labels``, the 2D-only window ranking that the d-axis
-ranking must reproduce id for id; ``reference_delta``/``reference_delta_nd``,
+ranking must reproduce id for id; ``reference_window_ids``, the window-id
+table that ranked each shape lazily on its own chain loop, which the table
+read off one ranking walk must match label for label and count for count,
+charging no budget either; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
 value, argmax shape and table; ``reference_is_attractor`` and
 ``reference_gamma_lower_bound_unique``, the attractor check and the
@@ -46,6 +49,7 @@ from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import (
     MAX_CELLS, FactorShape, ShapeBox, TokenGrid, encode_tokens, iter_shape_labels, submatrix,
 )
+from repet2d.core2d import _pair_rank as counting_pair_rank
 from repet2d.errors import OutOfBounds, TooLarge
 from repet2d.grammar2d import (
     Grammar2D,
@@ -198,6 +202,51 @@ def reference_shape_labels(m: Matrix2D, wanted, budget=None):
                 vert = _pair_rank(vert[: m.rows - k1 + 1, :], horiz[k1 - 1 :, :])
             if k1 in k1s:
                 yield k1, k2, vert
+
+
+class reference_window_ids:
+    """``core2d.WindowIds`` as it was before it read one ``rank_windows``
+    walk: its own chain loop, ranking each shape lazily on first use from
+    the longest shape of its chain ranked so far, charged to no budget."""
+
+    def __init__(self, m: Matrix2D):
+        grid = m._grid
+        self._ranked = {(1, 1): (grid, int(grid.max()) + 1)}
+        self._lists = {}
+
+    def _rank(self, h, w):
+        ranked = self._ranked
+        if (h, w) in ranked:
+            return ranked[h, w]
+        cells, cell_range = ranked[1, 1]
+        rows, cols = cells.shape
+        k = w
+        while (1, k) not in ranked:
+            k -= 1
+        cur, count = ranked[1, k]
+        for k in range(k + 1, w + 1):
+            cur, count = ranked[1, k] = counting_pair_rank(
+                cur[:, : cols - k + 1], count, cells[:, k - 1 :], cell_range
+            )
+        base, base_range = ranked[1, w]
+        k = h
+        while (k, w) not in ranked:
+            k -= 1
+        cur, count = ranked[k, w]
+        for k in range(k + 1, h + 1):
+            cur, count = ranked[k, w] = counting_pair_rank(
+                cur[: rows - k + 1], count, base[k - 1 :], base_range
+            )
+        return cur, count
+
+    def labels(self, h, w):
+        got = self._lists.get((h, w))
+        if got is None:
+            got = self._lists[h, w] = self._rank(h, w)[0].tolist()
+        return got
+
+    def count(self, h, w):
+        return self._rank(h, w)[1]
 
 
 def recursive_dims_order(rules) -> list:
