@@ -363,12 +363,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.name:
         raise BadParam("experiment needs --name NAME (see --list)")
-    spec = experiments.default_spec(args.name, args.out or args.csv)
+    spec = experiments.default_spec(args.name)
     if args.params is not None:
-        spec = experiments.ExperimentSpec(spec.name, _parse_experiment_params(args.params), spec.out_path)
+        spec = experiments.ExperimentSpec(spec.name, _parse_experiment_params(args.params))
     result = experiments.run_experiment(spec)
-    if spec.out_path:
-        experiments.write_result(result, spec.out_path)
+    out = args.out or args.csv
+    if out:
+        experiments.write_result(result, out)
         print(result.summary)
     else:
         print(result.to_csv(), end="")

@@ -29,13 +29,11 @@ class ExperimentSpec:
     """A named experiment over a parameter range.
 
     ``params`` holds one tuple per row (mostly 1-tuples; the
-    d-dimensional table uses (d, k) pairs).  ``out_path`` is where the
-    CSV goes; None means the caller handles output itself.
+    d-dimensional table uses (d, k) pairs).
     """
 
     name: str
     params: tuple[Params, ...]
-    out_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -261,12 +259,12 @@ def experiment_names() -> tuple[str, ...]:
     return tuple(sorted(REGISTRY))
 
 
-def default_spec(name: str, out_path: str | None = None) -> ExperimentSpec:
+def default_spec(name: str) -> ExperimentSpec:
     if name not in REGISTRY:
         raise BadParam(
             f"unknown experiment {name!r}; known: {', '.join(experiment_names())}"
         )
-    return ExperimentSpec(name, REGISTRY[name].default_params, out_path)
+    return ExperimentSpec(name, REGISTRY[name].default_params)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:

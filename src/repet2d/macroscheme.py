@@ -19,6 +19,13 @@ box-by-box, cell-by-cell check would.
 
 b_exact finds a smallest valid scheme by branch-and-bound over rectangle
 partitions in row-major order; it is exponential and guarded by cell_limit.
+Once a partition is complete it sources the copied parts one at a time, in
+order, and after each candidate source walks only the chains that start in
+that part: a chain of N cells that makes N hops without ending is a cycle.
+The check is exact. Every chain that starts elsewhere already ended when its
+own part was sourced (parts not yet sourced count as ends), so a new cycle
+must pass through the new part, and the walk from its cell on the cycle
+never ends.
 """
 
 from __future__ import annotations
@@ -93,39 +100,6 @@ _ERRORS = {
 }
 
 _FREE = -(1 << 31)  # no shift between two cells of the cap is this small
-
-
-def walk_chains(source: list[int]) -> tuple[list[int] | None, int | None]:
-    """Follow every cell's copy chain; a negative ``source[c]`` ends the
-    chain at c. Returns ``(root, None)`` where ``root[c]`` is the cell c's
-    chain ends at, or ``(None, cell)`` when some chain never ends: ``cell``
-    is the first cell repeated on the chain of the smallest such cell.
-
-    Its caller is ``b_exact``, which checks a copy map of at most
-    ``cell_limit`` cells after every source choice; on lists that short
-    this scalar walk is faster than the array code of ``analyze_boxes``.
-    The tests' list-filling oracle of ``analyze_boxes`` uses it too.
-    """
-    root = [-1] * len(source)  # -1 unseen, -2 on the current chain
-    for start in range(len(source)):
-        if root[start] >= 0:
-            continue
-        path = []
-        cur = start
-        while root[cur] == -1:
-            nxt = source[cur]
-            if nxt < 0:
-                root[cur] = cur
-                break
-            root[cur] = -2
-            path.append(cur)
-            cur = nxt
-        end = root[cur]
-        if end == -2:
-            return None, cur
-        for c in path:
-            root[c] = end
-    return root, None
 
 
 def analyze_boxes(
@@ -371,10 +345,12 @@ def from_grammar(g: Grammar2D) -> MacroScheme2D:
 # ---------------------------------------------------------------------------
 
 
+_SEARCH_CAP = 5_000_000  # "scheme search" ticks b_exact makes before it gives up
+
+
 def b_exact(
     m: Matrix2D,
     cell_limit: int = 9,
-    work_limit: int = 5_000_000,
     budget: WorkBudget | None = None,
 ) -> MacroScheme2D:
     """A smallest valid macro scheme for ``m``.
@@ -382,8 +358,9 @@ def b_exact(
     Branch and bound over rectangle partitions: the first uncovered cell in
     row-major order is always the top-left of its part; 1x1 parts are made
     explicit (never worse than a 1x1 copy), larger parts require the same
-    content somewhere else in the matrix and get their sources assigned by a
-    nested search with incremental cycle checks.
+    content somewhere else in the matrix and get their sources chosen by a
+    nested search that walks only the new part's copy chains (module
+    docstring).
     """
     total = m.area
     if total > cell_limit:
@@ -418,72 +395,71 @@ def b_exact(
                 max_copy_area = max(max_copy_area, h * w)
 
     full_mask = (1 << total) - 1
-
-    # parts: ("e", i, j) or ("p", i, j, h, w); all coordinates 0-based here
-    all_explicit = [("e", i, j) for i in range(rows) for j in range(cols)]
-    best: dict = {"size": total, "parts": all_explicit, "assignment": []}
-    work = [0]
+    parts: list[tuple[int, int, int, int]] = []  # (i, j, h, w), 0-based
+    source = [-1] * total  # each cell's source cell; -1: explicit or not yet copied
+    nodes = 0
 
     def tick() -> None:
-        work[0] += 1
+        nonlocal nodes
+        nodes += 1
         budget.charge(1, "scheme search")
-        if work[0] > work_limit:
-            raise ShapeTooLarge(
-                f"scheme search exceeded work_limit={work_limit}"
-            )
+        if nodes > _SEARCH_CAP:
+            raise ShapeTooLarge(f"scheme search exceeded work_limit={_SEARCH_CAP}")
 
-    def assign_sources(parts: list) -> list | None:
-        copied = [p for p in parts if p[0] == "p"]
-        if not copied:
-            return []
-        if not any(p[0] == "e" for p in parts):
-            return None  # every chain would be infinite
-        source_of = [-2] * total  # -2 unknown, -1 explicit
-        for kind, i, j, *rest in parts:
-            if kind == "e":
-                source_of[i * cols + j] = -1
+    def scheme() -> MacroScheme2D:
+        """The scheme of ``parts``, each copied part sourced by ``source``."""
+        explicit: dict[Position, str] = {}
+        phrases: list[Phrase] = []
+        for i, j, h, w in parts:
+            if h * w == 1:
+                explicit[(i + 1, j + 1)] = m.at(i + 1, j + 1)
+            else:
+                si, sj = divmod(source[i * cols + j], cols)
+                phrases.append(Phrase(i + 1, j + 1, i + h, j + w, si + 1, sj + 1))
+        return MacroScheme2D(rows, cols, explicit, tuple(phrases))
 
-        chosen: list[Position] = []
+    every = {(i, j): m.at(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)}
+    best = MacroScheme2D(rows, cols, every, ())
 
-        def fill(p, src: Position | None) -> None:
-            _, i, j, h, w = p
-            for a in range(h):
-                for b in range(w):
-                    idx = (i + a) * cols + (j + b)
-                    source_of[idx] = (
-                        -2 if src is None else (src[0] + a) * cols + (src[1] + b)
-                    )
-
-        def rec(pos: int) -> bool:
-            if pos == len(copied):
+    def ends(cell: int) -> bool:
+        """Does the copy chain from ``cell`` end within ``total`` hops?"""
+        for _ in range(total):
+            cell = source[cell]
+            if cell < 0:
                 return True
-            tick()
-            p = copied[pos]
-            for src in occurrences(p[1], p[2], p[3], p[4]):
-                fill(p, src)
-                if walk_chains(source_of)[0] is not None:
-                    chosen.append(src)
-                    if rec(pos + 1):
-                        return True
-                    chosen.pop()
-            fill(p, None)
-            return False
+        return False
 
-        if not rec(0):
-            return None
-        return list(zip(copied, chosen))
+    def choose(copied: list[tuple[int, int, int, int]], k: int) -> bool:
+        """Source copied[k:] so that every chain ends; the first success
+        becomes the best scheme."""
+        nonlocal best
+        if k == len(copied):
+            best = scheme()
+            return True
+        tick()
+        i, j, h, w = copied[k]
+        cells = [(i + a) * cols + j + b for a in range(h) for b in range(w)]
+        found = False
+        for si, sj in occurrences(i, j, h, w):
+            shift = (si - i) * cols + sj - j
+            for c in cells:
+                source[c] = c + shift
+            if all(map(ends, cells)) and choose(copied, k + 1):
+                found = True
+                break
+        for c in cells:
+            source[c] = -1
+        return found
 
-    def dfs(covered: int, parts: list) -> None:
+    def dfs(covered: int) -> None:
         tick()
         if covered == full_mask:
-            assignment = assign_sources(parts)
-            if assignment is not None:
-                best["size"] = len(parts)
-                best["parts"] = list(parts)
-                best["assignment"] = assignment
+            copied = [p for p in parts if p[2] * p[3] > 1]
+            if len(copied) < len(parts):  # with no explicit cell every chain is a cycle
+                choose(copied, 0)
             return
         free = total - bin(covered).count("1")
-        if len(parts) + -(-free // max_copy_area) >= best["size"]:
+        if len(parts) + -(-free // max_copy_area) >= best.size:
             return
         idx = ((~covered) & (covered + 1)).bit_length() - 1  # lowest free cell
         i, j = divmod(idx, cols)
@@ -497,30 +473,13 @@ def b_exact(
                     continue
                 options.append((h * w, h, w, mask))
         options.sort(key=lambda o: (-o[0], o[1], o[2]))
-        for area, h, w, mask in options:
-            if area == 1:
-                parts.append(("e", i, j))
-            else:
-                parts.append(("p", i, j, h, w))
-            dfs(covered | mask, parts)
+        for _, h, w, mask in options:
+            parts.append((i, j, h, w))
+            dfs(covered | mask)
             parts.pop()
 
-    dfs(0, [])
-    parts = best["parts"]
-    sources = {tuple(p): src for p, src in best["assignment"]}
-    explicit: dict[Position, str] = {}
-    phrases: list[Phrase] = []
-    for p in parts:
-        if p[0] == "e":
-            _, i, j = p
-            explicit[(i + 1, j + 1)] = m.at(i + 1, j + 1)
-        else:
-            _, i, j, h, w = p
-            si, sj = sources[tuple(p)]
-            phrases.append(
-                Phrase(i + 1, j + 1, i + h, j + w, si + 1, sj + 1)
-            )
-    return MacroScheme2D(rows, cols, explicit, tuple(phrases))
+    dfs(0)
+    return best
 
 
 def unique_square_certificate(

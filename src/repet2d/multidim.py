@@ -276,30 +276,17 @@ def iter_shape_labels_nd(
     return ((shape, labels) for shape, labels, _ in walk)
 
 
-def _rank_shape_nd(
-    x: NdString, shape: Sequence[int], budget: WorkBudget | None
-) -> tuple[tuple[int, ...], np.ndarray, int]:
-    """(shape, labels, count) of one window shape: one chain of passes."""
+def factor_count_nd(
+    x: NdString, shape: Sequence[int], budget: WorkBudget | None = None
+) -> int:
+    """Number of distinct windows of the given shape (one chain of ranking
+    passes)."""
     shape = tuple(int(k) for k in shape)
     if len(shape) != x.ndim or any(
         not 1 <= k <= n for k, n in zip(shape, x.dims)
     ):
         raise OutOfBounds(f"window shape {shape} does not fit in {x.dims}")
-    return next(rank_windows(x._grid, [shape], ensure_budget(budget), _RANKING * x.ndim))
-
-
-def shape_labels_nd(
-    x: NdString, shape: Sequence[int], budget: WorkBudget | None = None
-) -> np.ndarray:
-    """Window labels for a single shape (one chain of ranking passes)."""
-    return _rank_shape_nd(x, shape, budget)[1]
-
-
-def factor_count_nd(
-    x: NdString, shape: Sequence[int], budget: WorkBudget | None = None
-) -> int:
-    """Number of distinct windows of the given shape."""
-    return _rank_shape_nd(x, shape, budget)[2]
+    return next(rank_windows(x._grid, [shape], ensure_budget(budget), _RANKING * x.ndim))[2]
 
 
 def delta_nd(x: NdString, budget: WorkBudget | None = None) -> Fraction:

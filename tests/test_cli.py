@@ -202,6 +202,15 @@ def test_macro_roundtrip(tmp_path):
     assert r.stdout.strip() == mpath.read_text().strip()
 
 
+def test_macro_minimize_exits_on_budget(tmp_path):
+    mpath = tmp_path / "m.txt"
+    mpath.write_text("2d 2 2\n0 0\n0 0\n")  # its search ticks 10 nodes
+    r = run("macro", "minimize", "--in", str(mpath), "--budget", "2")
+    assert r.returncode == 3, r.stderr
+    assert "work budget exceeded during scheme search: 3 > limit 2" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_macro_rejects_bad_scheme_files(tmp_path):
     huge = tmp_path / "huge.txt"
     huge.write_text("scheme 100000 100000\n")

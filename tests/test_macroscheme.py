@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from math import prod
 
@@ -32,6 +33,7 @@ from repet2d.errors import (
     NotPartition,
     OutOfBoundsSource,
     ParseError,
+    Repet2dError,
     TooLarge,
 )
 from repet2d.macroscheme import _ERRORS, analyze_boxes, square_phrase_bound
@@ -43,6 +45,7 @@ from util import (
     random_matrix,
     raises,
     reference_analyze_boxes,
+    reference_b_exact,
     reference_decoded_cells,
 )
 
@@ -173,6 +176,48 @@ def test_b_exact_equals_the_recorded_schemes_and_ledger():
         s = b_exact(m, cell_limit=16, budget=ledger)
         got = (s.size, hashlib.sha256(repr(s).encode()).hexdigest()[:16], ledger.steps)
         assert got == (size, digest, {"scheme search": steps}), m
+
+
+def _scheme_outcome(search, m, limit=None, **kw):
+    """The scheme's repr or the exception's text, with the budget used and
+    the steps charged per label."""
+    ledger = Ledger()
+    if limit is not None:
+        ledger.limit = limit
+    try:
+        got = repr(search(m, cell_limit=16, budget=ledger, **kw))
+    except Repet2dError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    return got, ledger.used, ledger.steps
+
+
+def test_b_exact_equals_the_reference_search(monkeypatch):
+    # the search that walks only the new part's chains must choose the same
+    # sources, tick the same nodes and stop at the same budget or search cap
+    # as the one that walked every chain after each choice
+    cases = []
+    for rows in range(1, 4):
+        for cols in range(1, 4):
+            for bits in itertools.product("01", repeat=rows * cols):
+                cases.append(Matrix2D.from_tokens(
+                    [bits[i * cols:(i + 1) * cols] for i in range(rows)]
+                ))
+    assert len(cases) == 682
+    rng = random.Random(1982)
+    for _ in range(60):
+        cases.append(random_matrix(rng, 4, 4, "0123"[:rng.randint(1, 4)]))
+    for m in cases:
+        want = _scheme_outcome(reference_b_exact, m)
+        assert _scheme_outcome(b_exact, m) == want, m
+        used = want[1]
+        for limit in {1, 2, used - 1, used, used + 1} - {0}:
+            want = _scheme_outcome(reference_b_exact, m, limit)
+            assert _scheme_outcome(b_exact, m, limit) == want, (m, limit)
+        cap = max(1, used // 2)
+        want = _scheme_outcome(reference_b_exact, m, work_limit=cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(macroscheme, "_SEARCH_CAP", cap)
+            assert _scheme_outcome(b_exact, m) == want, (m, cap)
 
 
 def test_b_exact_cell_limit():

@@ -20,7 +20,11 @@ recursive grammar walks ``recursive_grammar_tree``, ``recursive_format_grammar``
 the grammar search's result must reproduce name for name and rule for rule;
 ``reference_analyze_boxes``, the scheme
 check that fills a Python list box by box and walks every copy chain cell
-by cell, which the pointer-jumping check must match fault for fault; and
+by cell with ``walk_chains``, which the pointer-jumping check must match
+fault for fault; ``reference_b_exact``, the scheme search that walks every
+chain with ``walk_chains`` after each source choice, which the search that
+walks only the new part's chains must reproduce in result, exception text,
+step ledger and budget; and
 ``reference_build_index``/``reference_access``, the heavy-path index that
 switches over the 2D rule classes, which the index reading rules by axis
 must reproduce in repr, answers and hop counts; ``reference_scan``/
@@ -47,10 +51,11 @@ from repet2d import Matrix2D
 from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, access, hop_bound
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import (
-    MAX_CELLS, FactorShape, ShapeBox, TokenGrid, encode_tokens, iter_shape_labels, submatrix,
+    MAX_CELLS, FactorShape, Position, ShapeBox, TokenGrid, WindowIds, _rect_mask, encode_tokens,
+    iter_shape_labels, submatrix,
 )
 from repet2d.core2d import _pair_rank as counting_pair_rank
-from repet2d.errors import OutOfBounds, TooLarge
+from repet2d.errors import OutOfBounds, ShapeTooLarge, TooLarge
 from repet2d.grammar2d import (
     Grammar2D,
     GrammarSearchResult,
@@ -65,7 +70,7 @@ from repet2d.grammar2d import (
     expand,
     validate_grammar,
 )
-from repet2d.macroscheme import MacroScheme2D, Phrase, SchemeCheck, walk_chains
+from repet2d.macroscheme import MacroScheme2D, Phrase, SchemeCheck
 from repet2d.measures import AttractorCheck, AttractorSet, DeltaResult
 from repet2d.multidim import iter_shape_labels_nd
 
@@ -548,6 +553,37 @@ def recursive_from_grammar(g) -> MacroScheme2D:
     return MacroScheme2D(info.rows, info.cols, explicit, tuple(phrases))
 
 
+def walk_chains(source: list[int]) -> tuple[list[int] | None, int | None]:
+    """Follow every cell's copy chain; a negative ``source[c]`` ends the
+    chain at c. Returns ``(root, None)`` where ``root[c]`` is the cell c's
+    chain ends at, or ``(None, cell)`` when some chain never ends: ``cell``
+    is the first cell repeated on the chain of the smallest such cell.
+
+    The list-filling oracle of ``analyze_boxes`` and ``reference_b_exact``,
+    which checks its whole copy map after every source choice, use it.
+    """
+    root = [-1] * len(source)  # -1 unseen, -2 on the current chain
+    for start in range(len(source)):
+        if root[start] >= 0:
+            continue
+        path = []
+        cur = start
+        while root[cur] == -1:
+            nxt = source[cur]
+            if nxt < 0:
+                root[cur] = cur
+                break
+            root[cur] = -2
+            path.append(cur)
+            cur = nxt
+        end = root[cur]
+        if end == -2:
+            return None, cur
+        for c in path:
+            root[c] = end
+    return root, None
+
+
 def reference_analyze_boxes(dims, explicit, boxes, size, describe):
     """macroscheme.analyze_boxes as it was: a Python list filled one box and
     one last-axis run at a time, checked for overlap run by run and for
@@ -608,6 +644,161 @@ def reference_analyze_boxes(dims, explicit, boxes, size, describe):
     if root is None:
         return fail("cycle", cycle)
     return SchemeCheck(True, size), (root, tokens)
+
+
+def reference_b_exact(
+    m: Matrix2D,
+    cell_limit: int = 9,
+    work_limit: int = 5_000_000,
+    budget: WorkBudget | None = None,
+) -> MacroScheme2D:
+    """macroscheme.b_exact as it was: parts as tagged ``("e", ...)``/
+    ``("p", ...)`` tuples, the best scheme in a dict, and every cell's
+    copy chain walked again with ``walk_chains`` after each source choice.
+    b_exact must match it in repr or exception text, steps and budget.
+
+    Branch and bound over rectangle partitions: the first uncovered cell in
+    row-major order is always the top-left of its part; 1x1 parts are made
+    explicit (never worse than a 1x1 copy), larger parts require the same
+    content somewhere else in the matrix and get their sources assigned by a
+    nested search with incremental cycle checks.
+    """
+    total = m.area
+    if total > cell_limit:
+        raise TooLarge(
+            f"b_exact is exponential; {m.rows}x{m.cols} has {total} cells "
+            f"> cell_limit={cell_limit}"
+        )
+    budget = ensure_budget(budget)
+    rows, cols = m.rows, m.cols
+    windows = WindowIds(m)
+    occ_memo: dict[tuple[int, int, int, int], list[Position]] = {}
+
+    def occurrences(i: int, j: int, h: int, w: int) -> list[Position]:
+        key = (i, j, h, w)
+        if key in occ_memo:
+            return occ_memo[key]
+        labels = windows.labels(h, w)
+        want = labels[i][j]
+        out = [
+            (a, b)
+            for a, row in enumerate(labels)
+            for b, label in enumerate(row)
+            if label == want and (a, b) != (i, j)
+        ]
+        occ_memo[key] = out
+        return out
+
+    max_copy_area = 1
+    for h in range(1, rows + 1):
+        for w in range(1, cols + 1):
+            if h * w > 1 and windows.count(h, w) < (rows - h + 1) * (cols - w + 1):
+                max_copy_area = max(max_copy_area, h * w)
+
+    full_mask = (1 << total) - 1
+
+    # parts: ("e", i, j) or ("p", i, j, h, w); all coordinates 0-based here
+    all_explicit = [("e", i, j) for i in range(rows) for j in range(cols)]
+    best: dict = {"size": total, "parts": all_explicit, "assignment": []}
+    work = [0]
+
+    def tick() -> None:
+        work[0] += 1
+        budget.charge(1, "scheme search")
+        if work[0] > work_limit:
+            raise ShapeTooLarge(
+                f"scheme search exceeded work_limit={work_limit}"
+            )
+
+    def assign_sources(parts: list) -> list | None:
+        copied = [p for p in parts if p[0] == "p"]
+        if not copied:
+            return []
+        if not any(p[0] == "e" for p in parts):
+            return None  # every chain would be infinite
+        source_of = [-2] * total  # -2 unknown, -1 explicit
+        for kind, i, j, *rest in parts:
+            if kind == "e":
+                source_of[i * cols + j] = -1
+
+        chosen: list[Position] = []
+
+        def fill(p, src: Position | None) -> None:
+            _, i, j, h, w = p
+            for a in range(h):
+                for b in range(w):
+                    idx = (i + a) * cols + (j + b)
+                    source_of[idx] = (
+                        -2 if src is None else (src[0] + a) * cols + (src[1] + b)
+                    )
+
+        def rec(pos: int) -> bool:
+            if pos == len(copied):
+                return True
+            tick()
+            p = copied[pos]
+            for src in occurrences(p[1], p[2], p[3], p[4]):
+                fill(p, src)
+                if walk_chains(source_of)[0] is not None:
+                    chosen.append(src)
+                    if rec(pos + 1):
+                        return True
+                    chosen.pop()
+            fill(p, None)
+            return False
+
+        if not rec(0):
+            return None
+        return list(zip(copied, chosen))
+
+    def dfs(covered: int, parts: list) -> None:
+        tick()
+        if covered == full_mask:
+            assignment = assign_sources(parts)
+            if assignment is not None:
+                best["size"] = len(parts)
+                best["parts"] = list(parts)
+                best["assignment"] = assignment
+            return
+        free = total - bin(covered).count("1")
+        if len(parts) + -(-free // max_copy_area) >= best["size"]:
+            return
+        idx = ((~covered) & (covered + 1)).bit_length() - 1  # lowest free cell
+        i, j = divmod(idx, cols)
+        options = []
+        for h in range(1, rows - i + 1):
+            for w in range(1, cols - j + 1):
+                mask = _rect_mask(h, w, cols) << idx
+                if mask & covered:
+                    continue
+                if h * w > 1 and not occurrences(i, j, h, w):
+                    continue
+                options.append((h * w, h, w, mask))
+        options.sort(key=lambda o: (-o[0], o[1], o[2]))
+        for area, h, w, mask in options:
+            if area == 1:
+                parts.append(("e", i, j))
+            else:
+                parts.append(("p", i, j, h, w))
+            dfs(covered | mask, parts)
+            parts.pop()
+
+    dfs(0, [])
+    parts = best["parts"]
+    sources = {tuple(p): src for p, src in best["assignment"]}
+    explicit: dict[Position, str] = {}
+    phrases: list[Phrase] = []
+    for p in parts:
+        if p[0] == "e":
+            _, i, j = p
+            explicit[(i + 1, j + 1)] = m.at(i + 1, j + 1)
+        else:
+            _, i, j, h, w = p
+            si, sj = sources[tuple(p)]
+            phrases.append(
+                Phrase(i + 1, j + 1, i + h, j + w, si + 1, sj + 1)
+            )
+    return MacroScheme2D(rows, cols, explicit, tuple(phrases))
 
 
 def reference_decoded_cells(root, tokens):
