@@ -303,12 +303,6 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 def _cmd_nd(args: argparse.Namespace) -> int:
     from . import multidim as nd
 
-    if args.action == "gen":
-        if args.family != "bdk":
-            raise BadParam(f"nd gen supports the bdk family, got {args.family!r}")
-        d, k = args.params
-        _write_or_print(nd.format_nd(nd.bdk(d, k)), args.out)
-        return EXIT_OK
     if args.action == "measure":
         x = nd.read_nd(_need(args.infile, "--in FILE", "nd measure"))
         budget = _budget(args)
@@ -487,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_linearize)
 
     p = add("nd", help="d-dimensional strings")
-    p.add_argument("action", choices=("gen", "measure", "grammar"))
-    p.add_argument("--family", default="bdk", metavar="NAME")
+    p.add_argument("action", choices=("measure", "grammar"))
     p.add_argument("--params", type=int, nargs=2, default=(2, 2), metavar=("D", "K"))
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.add_argument("--out", metavar="FILE")

@@ -38,6 +38,7 @@ import numpy as np
 
 from .budget import WorkBudget, ensure_budget
 from .errors import (
+    BadParam,
     ColMismatch,
     OutOfBounds,
     ParseError,
@@ -103,7 +104,7 @@ class Matrix2D:
     def from_tokens(cls, grid: Sequence[Sequence[object]]) -> "Matrix2D":
         """Build from rows of tokens (non-str tokens are str()-ed)."""
         if not grid or not grid[0]:
-            raise TooLarge("a 2D string must have at least one cell")
+            raise BadParam("a 2D string must have at least one cell")
         rows = len(grid)
         cols = len(grid[0])
         if rows * cols > MAX_CELLS:
@@ -147,7 +148,8 @@ class Matrix2D:
 
     def row_tokens(self, i: int) -> tuple[str, ...]:
         self._check_pos(i, 1)
-        return self.tokens()[i - 1]
+        a, w = self.alphabet, self.cols
+        return tuple(a[c] for c in self.cells[(i - 1) * w : i * w])
 
     def _check_pos(self, i: int, j: int) -> None:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
@@ -430,13 +432,6 @@ def iter_shape_labels(
         yield k1, k2, labels
 
 
-def shape_labels(
-    m: Matrix2D, k1: int, k2: int, budget: WorkBudget | None = None
-) -> np.ndarray:
-    """Dense factor labels for a single shape (see iter_shape_labels)."""
-    return next(iter_shape_labels(m, [(k1, k2)], budget))[2]
-
-
 class WindowIds:
     """The content id of every window of a matrix, charged to no budget.
 
@@ -491,7 +486,7 @@ def distinct_factors(
 
     Each factor lists every occurrence position in RMO.
     """
-    labels = shape_labels(m, k1, k2, budget)
+    labels = next(iter_shape_labels(m, [(k1, k2)], budget))[2]
     occs: list[list[Position]] = [[] for _ in range(int(labels.max()) + 1)]
     for i, row in enumerate(labels.tolist(), 1):
         for j, lab in enumerate(row, 1):

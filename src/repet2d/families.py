@@ -8,7 +8,7 @@ build of the same token grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 

@@ -432,6 +432,9 @@ def grammar_tree(g: Grammar2D) -> GrammarTree:
 # ---------------------------------------------------------------------------
 
 
+_CONTENT_CAP = 5000  # distinct contents g_exact fetches before it gives up
+
+
 class _ContentTable:
     """Every content one g_exact call meets, interned once as an int id, and
     a member set over those ids that keeps its closure counts incrementally.
@@ -441,17 +444,16 @@ class _ContentTable:
     cost, its key (an int that sorts like (rows, cols, token grid)) and the
     shape and first position it was met at. Once fetched, its options are
     the slots ``span[i]`` of ``slots``: those of ``options`` in order, each
-    as a tuple of distinct part ids. Each fetch counts toward content_limit.
+    as a tuple of distinct part ids. Each fetch counts toward _CONTENT_CAP.
     Per slot, ``missing`` holds the summed cost of its parts that are not
     members, and ``watch`` lists per id the slots it is a part of, so adding
     or removing a member updates only those, and a content is closed iff
     one of its slots reads 0. A cell's span is slot 0, which has no parts
     and always reads 0, so a cell is never open and never fetched."""
 
-    def __init__(self, m: Matrix2D, allow_runs: bool, content_limit: int):
+    def __init__(self, m: Matrix2D, allow_runs: bool):
         self._labels = WindowIds(m).labels
         self.allow_runs = allow_runs
-        self.content_limit = content_limit
         # an h x w window's key (h * (cols + 1) + w) * area + label sorts
         # like (h, w, label): w <= cols and every label is below the area
         self._shapes, self._area = m.cols + 1, m.area
@@ -525,9 +527,9 @@ class _ContentTable:
             missing.append(miss)
         self.span[c] = (lo, len(slots))
         self.fetched += 1
-        if self.fetched > self.content_limit:
+        if self.fetched > _CONTENT_CAP:
             raise TooLarge(
-                f"grammar search visited more than {self.content_limit} "
+                f"grammar search visited more than {_CONTENT_CAP} "
                 "distinct factor contents"
             )
 
@@ -741,13 +743,12 @@ def g_exact(
     m: Matrix2D,
     allow_runs: bool = False,
     work_limit: int = 2_000_000,
-    content_limit: int = 5000,
     budget: WorkBudget | None = None,
 ) -> GrammarSearchResult:
     """A smallest grammar generating ``m`` (smallest run-length grammar when
     allow_runs). Exponential-time branch and bound; raises TooLarge once more
-    than content_limit distinct factor contents have been considered, and
-    stops with optimal=False when work_limit search steps run out.
+    than 5,000 distinct factor contents have been considered, and stops with
+    optimal=False when work_limit search steps run out.
 
     Contents are windows of ``m`` named by their window ids, so reading the
     parts of a split costs O(1); ties between open contents go to the
@@ -759,7 +760,7 @@ def g_exact(
     if m.area == 1:
         g = Grammar2D("X1", {"X1": Terminal(tokens[0][0])})
         return GrammarSearchResult(g, True, 0)
-    table = _ContentTable(m, allow_runs, content_limit)
+    table = _ContentTable(m, allow_runs)
     root = table.intern(m.rows, m.cols, 0, 0)
     upper = _greedy_upper(table, root)
     best, work, optimal = _branch_and_bound(table, root, upper, work_limit, budget)

@@ -41,7 +41,7 @@ _ORDERS: dict[str, tuple[tuple[int, int, str], ...]] = {
 
 def rlin(m: Matrix2D) -> Matrix2D:
     """Row-major flattening of ``m`` into a 1 x (rows*cols) string."""
-    return Matrix2D.from_tokens([[tok for row in m.tokens() for tok in row]])
+    return Matrix2D(1, m.area, m.cells, m.alphabet)
 
 
 def _check_side(n: int) -> None:
@@ -77,8 +77,9 @@ def scan(m: Matrix2D, kind: str = RS) -> Matrix2D:
     """Flatten a 2^k x 2^k matrix along the ``kind`` quadrant scan."""
     if m.rows != m.cols:
         raise NotPowerOfTwoSquare(f"scan needs a square matrix, got {m.rows}x{m.cols}")
-    order = scan_coords(m.rows, kind)
-    return Matrix2D.from_tokens([[m.at(y, x) for y, x in order]])
+    cells, n = m.cells, m.cols
+    flat = tuple(cells[(y - 1) * n + x - 1] for y, x in scan_coords(n, kind))
+    return Matrix2D(1, m.area, flat, m.alphabet)
 
 
 def phlin_kind(n: int) -> str:

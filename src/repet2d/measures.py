@@ -27,9 +27,7 @@ on it can change their answer. Three exact rules do this:
   taken or blocked by what is taken. So on the k x 1 and 1 x k chains only
   the unique windows whose two windows of the shape before are not unique
   are listed, and such a chain ends at its first shape whose windows are all
-  unique, since every larger window holds one of them. The 1 x k chain takes
-  the wider extra shapes with it; otherwise extra shapes keep every unique
-  window they have.
+  unique, since every larger window holds one of them.
 """
 
 from __future__ import annotations
@@ -303,20 +301,15 @@ def gamma_exact(
 
 
 def _unique_windows(
-    m: Matrix2D, extra_shapes: Iterable[tuple[int, int]], budget: WorkBudget
+    m: Matrix2D, budget: WorkBudget
 ) -> list[tuple[int, int, int, int, int]]:
-    """The windows of the k x 1, 1 x k and extra shapes that occur exactly
-    once, less those that ``gamma_lower_bound_unique``'s greedy can never
-    take by dominance (see the module docstring), as (k1 * k2, -k1, i, j, k2)
-    with (i, j) the 0-based top-left cell, sorted."""
+    """The windows of the k x 1 and 1 x k shapes that occur exactly once,
+    less those that ``gamma_lower_bound_unique``'s greedy can never take by
+    dominance (see the module docstring), as (k1 * k2, -k1, i, j, k2) with
+    (i, j) the 0-based top-left cell, sorted."""
     rows, cols = m.rows, m.cols
     shapes = {(k, 1) for k in range(1, rows + 1)}
     shapes |= {(1, k) for k in range(1, cols + 1)}
-    shapes |= {
-        (k1, k2)
-        for k1, k2 in extra_shapes
-        if 1 <= k1 <= rows and 1 <= k2 <= cols
-    }
     # the unique windows of the last k x 1 and 1 x k shape ranked, and the
     # first k at which those chains have only unique windows
     tall_unique = wide_unique = None
@@ -355,20 +348,18 @@ def _unique_windows(
 
 def gamma_lower_bound_unique(
     m: Matrix2D,
-    extra_shapes: Iterable[tuple[int, int]] = (),
     budget: WorkBudget | None = None,
 ) -> int:
     """Size of a greedily-built family of pairwise-disjoint factors that each
     occur exactly once — every attractor needs one position per member, so
     this is a lower bound on gamma.
 
-    Scans all k x 1 and 1 x k shapes by default, plus any extra shapes. The
-    greedy goes through the unique windows by smallest area, taller before
-    wider on ties (so that unique columns are not broken up by overlapping
-    unique row segments), then in row-major order, and takes each one that
-    is disjoint from those taken.
+    Scans all k x 1 and 1 x k shapes. The greedy goes through the unique
+    windows by smallest area, taller before wider on ties (so that unique
+    columns are not broken up by overlapping unique row segments), then in
+    row-major order, and takes each one that is disjoint from those taken.
     """
-    windows = _unique_windows(m, extra_shapes, ensure_budget(budget))
+    windows = _unique_windows(m, ensure_budget(budget))
     n = m.cols
     shape = None
     occupied = 0

@@ -8,9 +8,9 @@ is ``core2d.densest_shape`` (which prunes the passes), grammar validation
 and expansion are ``grammar2d.resolve_dims`` and ``grammar2d.expand_ids``
 (which read ``ConcatNd``/``RunNd`` and the 2D rules alike), and scheme
 checking and decoding is ``macroscheme.analyze_boxes``.  This module holds
-the dD types and adapters around them, the d-dimensional de Bruijn cube and
-its grammar, and the ``nd`` text format.  The 2D types embed losslessly via
-``to_nd``/``to_2d`` and ``grammar_to_nd``.
+the dD types, the adapters of the public dD functions (window labels are
+read off ``rank_windows`` directly), the dD de Bruijn cube, its grammar and
+the ``nd`` format; ``to_nd``/``to_2d``/``grammar_to_nd`` embed 2D losslessly.
 
 Macro schemes generalize to boxes with source corners; only validation
 and decoding are provided in dD (no exact solvers).
@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, ShapeBox, densest_shape, encode_tokens, rank_windows
+from .core2d import MAX_CELLS, Matrix2D, densest_shape, encode_tokens, rank_windows
 from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError, TooLarge
 from .families import debruijn_bits
 from .grammar2d import (
@@ -263,17 +263,6 @@ def build_bdk_grammar(d: int, k: int) -> GrammarNd:
 # ---------------------------------------------------------------------------
 # dD window complexity
 # ---------------------------------------------------------------------------
-
-
-def iter_shape_labels_nd(
-    x: NdString, budget: WorkBudget | None = None
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (shape, labels) for every window shape, in ascending order of
-    the reversed shape tuple (first axis fastest), extending the last axis
-    first as ``rank_windows`` does.  ``labels`` assigns equal ids to equal
-    windows; for a 2-dimensional string they equal the 2D labels."""
-    walk = rank_windows(x._grid, ShapeBox(x.dims), ensure_budget(budget), _RANKING * x.ndim)
-    return ((shape, labels) for shape, labels, _ in walk)
 
 
 def factor_count_nd(

@@ -12,7 +12,7 @@ from repet2d import (
 )
 from repet2d import blocktree2d
 from repet2d.blocktree2d import iter_nodes
-from repet2d.core2d import shape_labels
+from repet2d.core2d import iter_shape_labels
 from repet2d.errors import BadParam
 
 from util import Ledger, random_matrix, raises
@@ -121,7 +121,7 @@ def per_side_labels(m, wanted, budget):
     """The level sides ranked as they were before they shared one walk:
     each on its own chain, starting from the cells."""
     for k1, k2 in wanted:
-        yield k1, k2, shape_labels(m, k1, k2, budget)
+        yield next(iter_shape_labels(m, [(k1, k2)], budget))
 
 
 def test_blocktree_equals_the_one_built_from_per_side_chains(monkeypatch):

@@ -246,13 +246,32 @@ def test_blocktree_and_linearize(tmp_path):
 
 def test_nd_subcommands(tmp_path):
     npath = tmp_path / "x.nd"
-    r = run("nd", "gen", "--family", "bdk", "--params", "3", "2", "--out", str(npath))
+    r = run("gen", "--family", "bdk", "--params", "3", "2", "--out", str(npath))
     assert r.returncode == 0, r.stderr
     assert npath.read_text().startswith("nd 3 5 5 5")
     r = run("nd", "measure", "--in", str(npath))
     assert r.returncode == 0 and "delta" in r.stdout
-    r = run("nd", "grammar", "--family", "bdk", "--params", "3", "2")
+    r = run("nd", "grammar", "--params", "3", "2")
     assert r.returncode == 0 and "64" in r.stdout
+
+
+def test_nd_has_no_gen_action_and_no_family_flag(tmp_path):
+    # the cube comes from gen --family bdk alone, and nd rejects the flag it
+    # would otherwise ignore
+    from repet2d.multidim import bdk, format_nd
+
+    r = run("gen", "--family", "bdk", "--params", "3", "2")
+    assert r.returncode == 0 and r.stdout == format_nd(bdk(3, 2))
+    npath = tmp_path / "x.nd"
+    npath.write_text(r.stdout)
+    for args in (
+        ("nd", "gen", "--params", "3", "2"),
+        ("nd", "grammar", "--family", "xyz", "--params", "2", "2"),
+        ("nd", "measure", "--in", str(npath), "--family", "xyz"),
+    ):
+        r = run(*args)
+        assert r.returncode == 2, args
+        assert r.stderr.startswith("usage: ") and "Traceback" not in r.stderr, args
 
 
 def test_experiment_csv_determinism(tmp_path):

@@ -16,16 +16,17 @@ from repet2d import (
     submatrix,
 )
 from repet2d.errors import (
+    BadParam,
     ColMismatch,
     OutOfBounds,
     ParseError,
     RowMismatch,
-    TooLarge,
 )
 
 from repet2d import core2d
 from repet2d.budget import WorkBudget
 from repet2d.core2d import ShapeBox, WindowIds, _pair_rank, iter_shape_labels, rank_windows
+from repet2d.multidim import NdString
 
 from util import (
     Ledger,
@@ -52,8 +53,11 @@ def test_from_tokens_basics():
 
 
 def test_from_tokens_rejects_bad_input():
-    raises(TooLarge, Matrix2D.from_tokens, [])
-    raises(TooLarge, Matrix2D.from_tokens, [[]])
+    # an empty string is a bad parameter, as for NdString, not a size cap
+    for grid in ([], [[]]):
+        exc = raises(BadParam, Matrix2D.from_tokens, grid)
+        assert str(exc) == "a 2D string must have at least one cell"
+    raises(BadParam, NdString.from_tokens, (), [])
     raises(RowMismatch, Matrix2D.from_tokens, [["a", "b"], ["a"]])
     raises(ParseError, Matrix2D.from_tokens, [["a b"]])
     raises(ParseError, Matrix2D.from_tokens, [[""]])

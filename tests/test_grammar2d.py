@@ -317,6 +317,13 @@ def _search_outcome(search, m, allow_runs, limit=None, **kw):
     return got, ledger.used, ledger.steps
 
 
+def _capped_outcome(monkeypatch, cap, m, allow_runs, limit=None, **kw):
+    """``_search_outcome`` of g_exact with its content cap set to cap."""
+    with monkeypatch.context() as patch:
+        patch.setattr(grammar2d, "_CONTENT_CAP", cap)
+        return _search_outcome(g_exact, m, allow_runs, limit, **kw)
+
+
 def test_g_exact_equals_the_reference_search():
     cases = []
     for rows in range(1, 4):
@@ -336,8 +343,8 @@ def test_g_exact_equals_the_reference_search():
             assert _search_outcome(g_exact, m, runs, **kw) == want, (m, runs, kw)
 
 
-def test_g_exact_limits_fire_as_in_the_reference():
-    # TooLarge from content_limit, ShapeTooLarge from the budget and the
+def test_g_exact_limits_fire_as_in_the_reference(monkeypatch):
+    # TooLarge from the content cap, ShapeTooLarge from the budget and the
     # work_limit stop must come in the same order, at the same budget.used
     # (each visits fewer than 40 distinct contents, so the sweep crosses
     # from raising to finishing)
@@ -348,19 +355,18 @@ def test_g_exact_limits_fire_as_in_the_reference():
     for m in inputs:
         for runs in (False, True):
             (_, work), total, _ = _search_outcome(reference_g_exact, m, runs)
-            for content_limit in range(1, 41):
+            for cap in range(1, 41):
                 for kw in ({}, {"work_limit": 20}):
-                    want = _search_outcome(
-                        reference_g_exact, m, runs, content_limit=content_limit, **kw
-                    )
-                    got = _search_outcome(g_exact, m, runs, content_limit=content_limit, **kw)
-                    assert got == want, (m, runs, content_limit, kw)
+                    want = _search_outcome(reference_g_exact, m, runs, content_limit=cap, **kw)
+                    got = _capped_outcome(monkeypatch, cap, m, runs, **kw)
+                    assert got == want, (m, runs, cap, kw)
             for limit in (1, 2, total // 2, total - 1, total, total + 1):
-                for kw in ({}, {"work_limit": work - 1}, {"content_limit": 12}):
-                    want = _search_outcome(reference_g_exact, m, runs, limit, **kw)
-                    assert _search_outcome(g_exact, m, runs, limit, **kw) == want, (
-                        m, runs, limit, kw,
+                for cap, kw in ((5000, {}), (5000, {"work_limit": work - 1}), (12, {})):
+                    want = _search_outcome(
+                        reference_g_exact, m, runs, limit, content_limit=cap, **kw
                     )
+                    got = _capped_outcome(monkeypatch, cap, m, runs, limit, **kw)
+                    assert got == want, (m, runs, limit, cap, kw)
 
 
 def test_g_exact_equals_the_slicing_search():
@@ -382,18 +388,18 @@ def test_g_exact_equals_the_slicing_search():
             assert _search_outcome(g_exact, m, runs, **kw) == want, (m, runs, kw)
 
 
-def test_g_exact_limits_fire_as_in_the_slicing_search():
-    # TooLarge from content_limit and ShapeTooLarge from the budget come at
+def test_g_exact_limits_fire_as_in_the_slicing_search(monkeypatch):
+    # TooLarge from the content cap and ShapeTooLarge from the budget come at
     # the same point as in the former search
     rng = random.Random(8)
     inputs = [_random_grid(rng, 1, 12, "01"), _random_grid(rng, 3, 4, "012"), identity(3)]
     for m in inputs:
         for runs in (False, True):
             _, total, _ = _search_outcome(slicing_g_exact, m, runs, work_limit=400)
-            for content_limit in range(1, 60, 3):
-                kw = {"content_limit": content_limit, "work_limit": 400}
-                want = _search_outcome(slicing_g_exact, m, runs, **kw)
-                assert _search_outcome(g_exact, m, runs, **kw) == want, (m, runs, kw)
+            for cap in range(1, 60, 3):
+                want = _search_outcome(slicing_g_exact, m, runs, content_limit=cap, work_limit=400)
+                got = _capped_outcome(monkeypatch, cap, m, runs, work_limit=400)
+                assert got == want, (m, runs, cap)
             for limit in (1, 2, total // 3, total - 1, total, total + 1):
                 want = _search_outcome(slicing_g_exact, m, runs, limit, work_limit=400)
                 got = _search_outcome(g_exact, m, runs, limit, work_limit=400)
@@ -445,7 +451,7 @@ def test_grammar_from_contents_needs_no_recursion():
     rng = random.Random(12)
     row = tuple(rng.choice("01") for _ in range(300))
     root = (row,)
-    table = _ContentTable(Matrix2D.from_tokens(root), False, 5000)
+    table = _ContentTable(Matrix2D.from_tokens(root), False)
     members = {table.intern(1, 300 - i, 0, i) for i in range(300)}
     members |= {table.intern(1, 1, 0, row.index(t)) for t in "01"}
     limit = sys.getrecursionlimit()

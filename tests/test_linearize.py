@@ -32,6 +32,11 @@ def test_row_linearization():
         lin = rlin(r)
         assert lin.rows == 1 and lin.cols == r.rows * r.cols
         assert word(lin) == "".join("".join(row) for row in r.tokens())
+    # the cells and the alphabet are those from_tokens builds of the token row
+    for alphabet in ("#01", "0123456789abcdef", "#123456789abcdef"):
+        for _ in range(10):
+            r = random_matrix(rng, 6, 6, alphabet)
+            assert rlin(r) == Matrix2D.from_tokens([[t for row in r.tokens() for t in row]])
 
 
 def test_curve_scan_fixed_values():
@@ -39,6 +44,14 @@ def test_curve_scan_fixed_values():
     # frozen traversal order for the 4x4 curve, as 0-based row-major ranks
     order = [(y - 1) * 4 + (x - 1) for y, x in scan_coords(4, "rs")]
     assert order == [0, 4, 5, 1, 2, 3, 7, 6, 10, 11, 15, 14, 13, 9, 8, 12]
+    # every scan equals from_tokens of the tokens it visits, cells and alphabet
+    rng = random.Random(12)
+    for alphabet in ("#01", "0123456789abcdef", "#123456789abcdef"):
+        for n in (1, 2, 4, 8, 16):
+            r = Matrix2D.from_tokens([[rng.choice(alphabet) for _ in range(n)] for _ in range(n)])
+            for kind in SCAN_KINDS:
+                want = Matrix2D.from_tokens([[r.at(y, x) for y, x in scan_coords(n, kind)]])
+                assert scan(r, kind) == want, (str(r), kind)
 
 
 def test_scan_coords_is_a_continuous_permutation():

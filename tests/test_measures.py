@@ -150,29 +150,25 @@ def test_attractor_check_and_lower_bound_equal_the_full_scans():
             assert repr(got) == repr(want), (str(m), cand, square_only)
             _assert_steps_at_most(got_ledger, ref_ledger)
             outcomes.add(got.ok or (got.shape.k1 > 1, got.shape.k2 > 1))
-        extra = []
-        if trial % 2:
-            extra = [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
         got_ledger, ref_ledger = Ledger(), Ledger()
-        got = gamma_lower_bound_unique(m, extra, budget=got_ledger)
-        want = reference_gamma_lower_bound_unique(m, extra, budget=ref_ledger)
-        assert got == want, (str(m), extra)
+        got = gamma_lower_bound_unique(m, budget=got_ledger)
+        want = reference_gamma_lower_bound_unique(m, budget=ref_ledger)
+        assert got == want, str(m)
         _assert_steps_at_most(got_ledger, ref_ledger)
     # attractors, and failures at shapes of every kind
     assert outcomes == {True, (False, False), (False, True), (True, False), (True, True)}
 
 
-def _naive_listed_windows(m, extra):
+def _naive_listed_windows(m):
     """(k1, k2, i, j), 1-based, of the unique windows the greedy is offered:
     on the k x 1 and 1 x k chains those that hold no unique window of the
     shape before, and nothing of any shape past a 1 x k shape whose windows
     are all unique or past the k x 1 one on its chain."""
-    unique = {}
-    for k1 in range(1, m.rows + 1):
-        for k2 in range(1, m.cols + 1):
-            unique[k1, k2] = {
-                occs[0] for occs in naive_factors(m, k1, k2).values() if len(occs) == 1
-            }
+    shapes = {(k, 1) for k in range(1, m.rows + 1)} | {(1, k) for k in range(1, m.cols + 1)}
+    unique = {
+        (k1, k2): {occs[0] for occs in naive_factors(m, k1, k2).values() if len(occs) == 1}
+        for k1, k2 in shapes
+    }
 
     def all_unique(k1, k2):
         return len(unique[k1, k2]) == (m.rows - k1 + 1) * (m.cols - k2 + 1)
@@ -180,8 +176,7 @@ def _naive_listed_windows(m, extra):
     tall_end = next((k for k in range(1, m.rows + 1) if all_unique(k, 1)), m.rows)
     wide_end = next((k for k in range(1, m.cols + 1) if all_unique(1, k)), m.cols)
     listed = set()
-    shapes = {(k, 1) for k in range(1, m.rows + 1)} | {(1, k) for k in range(1, m.cols + 1)}
-    for k1, k2 in shapes | {(a, b) for a, b in extra if a <= m.rows and b <= m.cols}:
+    for k1, k2 in shapes:
         if k2 > wide_end or k2 == 1 and k1 > tall_end:
             continue
         for i, j in unique[k1, k2]:
@@ -200,12 +195,11 @@ def test_lower_bound_offers_exactly_the_undominated_unique_windows():
     for trial in range(300):
         letters = ("01", "012", "0123456789abcdef")[trial % 3]
         m = random_matrix(rng, 7, 7, letters)
-        extra = [(rng.randint(2, 7), rng.randint(2, 7)) for _ in range(trial % 3)]
-        windows = measures._unique_windows(m, extra, Ledger())
+        windows = measures._unique_windows(m, Ledger())
         assert windows == sorted(windows)
         got = {(-neg_k1, k2, i + 1, j + 1) for _, neg_k1, i, j, k2 in windows}
         assert len(got) == len(windows)
-        assert got == _naive_listed_windows(m, extra), (str(m), extra)
+        assert got == _naive_listed_windows(m), str(m)
 
 
 def test_attractor_check_and_lower_bound_steps_stay_at_most_the_recorded_ledger():
@@ -456,10 +450,6 @@ def test_gamma_lower_bound():
         m = random_matrix(rng, 3, 3)
         lb = gamma_lower_bound_unique(m)
         assert 0 <= lb <= len(gamma_exact(m)), str(m)
-        # the full matrix occurs exactly once, so with its shape included
-        # the bound is at least 1 and still sound
-        lb_full = gamma_lower_bound_unique(m, extra_shapes=[(m.rows, m.cols)])
-        assert 1 <= lb_full <= len(gamma_exact(m)), str(m)
     # the bound is strong on the bit-count family: doubles with each level
     assert gamma_lower_bound_unique(ek(2)) >= 4
     assert gamma_lower_bound_unique(ek(3)) >= 8

@@ -17,7 +17,7 @@ from repet2d.errors import (
     ParseError,
     TooLarge,
 )
-from repet2d.core2d import densest_shape
+from repet2d.core2d import ShapeBox, densest_shape, rank_windows
 from repet2d.grammar2d import build_bk_grammar, validate_grammar
 from repet2d.measures import delta, iter_shape_labels
 from repet2d.multidim import (
@@ -38,7 +38,6 @@ from repet2d.multidim import (
     factor_count_nd,
     format_nd,
     grammar_to_nd,
-    iter_shape_labels_nd,
     parse_nd,
     read_nd,
     to_2d,
@@ -192,7 +191,9 @@ def test_shape_labels_agree_with_2d():
     rng = random.Random(53)
     for _ in range(10):
         m = random_matrix(rng, 5, 5, alphabet="ab")
-        nd = {s: lab.copy() for s, lab in iter_shape_labels_nd(to_nd(m))}
+        x = to_nd(m)
+        walk = rank_windows(x._grid, ShapeBox(x.dims), Ledger(), ("window ranking",) * 2)
+        nd = {s: lab.copy() for s, lab, _ in walk}
         shapes = sorted(nd)
         assert shapes == [(a, b) for a in range(1, m.rows + 1) for b in range(1, m.cols + 1)]
         for k1, k2, lab in iter_shape_labels(m, shapes):

@@ -1,7 +1,10 @@
 """The package namespace: every public name is imported from its submodule
-on first access, and ``import repet2d`` alone loads no submodule."""
+on first access, ``import repet2d`` alone loads no submodule, and every
+submodule reads each name it imports."""
 
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -58,3 +61,23 @@ print(repet2d.multidim is sys.modules["repet2d.multidim"])
         "['repet2d', 'repet2d.budget', 'repet2d.core2d', 'repet2d.errors', 'repet2d.measures']",
         "True",
     ]
+
+
+def test_every_module_level_import_is_read():
+    # a name imported at module level and never read is left over from code
+    # that went away; __init__ is skipped, as it binds its names lazily
+    for path in sorted(pathlib.Path(repet2d.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unread = {name: line for name, line in imported.items() if name not in read}
+        assert not unread, f"{path.name} imports names it never reads: {unread}"

@@ -52,7 +52,7 @@ from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, a
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import (
     MAX_CELLS, FactorShape, Position, ShapeBox, TokenGrid, WindowIds, _rect_mask, encode_tokens,
-    iter_shape_labels, submatrix,
+    iter_shape_labels, rank_windows, submatrix,
 )
 from repet2d.core2d import _pair_rank as counting_pair_rank
 from repet2d.errors import OutOfBounds, ShapeTooLarge, TooLarge
@@ -72,7 +72,6 @@ from repet2d.grammar2d import (
 )
 from repet2d.macroscheme import MacroScheme2D, Phrase, SchemeCheck
 from repet2d.measures import AttractorCheck, AttractorSet, DeltaResult
-from repet2d.multidim import iter_shape_labels_nd
 
 
 def raises(exc_type, fn, *args, **kwargs):
@@ -344,19 +343,13 @@ def reference_is_attractor(m: Matrix2D, candidate, square_only=False, budget=Non
     return AttractorCheck(False, FactorShape(k1, k2), content, (i, j))
 
 
-def reference_gamma_lower_bound_unique(m: Matrix2D, extra_shapes=(), budget=None,
-                                       ranking=iter_shape_labels) -> int:
+def reference_gamma_lower_bound_unique(m: Matrix2D, budget=None, ranking=iter_shape_labels) -> int:
     """The unique-factor bound as it was before dominance: ranks every
-    k x 1, 1 x k and extra shape with ``ranking`` and offers every unique
-    window to the greedy."""
+    k x 1 and 1 x k shape with ``ranking`` and offers every unique window to
+    the greedy."""
     budget = ensure_budget(budget)
     shapes = {(k, 1) for k in range(1, m.rows + 1)}
     shapes |= {(1, k) for k in range(1, m.cols + 1)}
-    shapes |= {
-        (k1, k2)
-        for k1, k2 in extra_shapes
-        if 1 <= k1 <= m.rows and 1 <= k2 <= m.cols
-    }
     candidates = []
     for k1, k2, labels in ranking(m, sorted(shapes), budget):
         flat = labels.ravel()
@@ -418,7 +411,8 @@ def reference_delta_nd(x, budget=None):
     """(value, shape) of dD delta over every window shape; ties go to the
     smallest volume, then the smallest shape tuple."""
     best = None
-    for shape, labels in iter_shape_labels_nd(x, budget):
+    ranking = ("window ranking",) * x.ndim  # the budget label of each axis
+    for shape, labels, _ in rank_windows(x._grid, ShapeBox(x.dims), ensure_budget(budget), ranking):
         vol = prod(shape)
         key = (-Fraction(int(labels.max()) + 1, vol), vol, shape)
         best = key if best is None else min(best, key)
