@@ -21,7 +21,20 @@ when that range is sparse. No hashing is involved, so there are no
 collisions to resolve and results are deterministic. ``densest_shape``
 (delta for any number of axes) walks the same passes over every shape
 without listing them, and ends a chain once the answer is settled, by
-saturation or by a bound stop; both prunings are exact.
+saturation, by a bound stop or by determinism; all three prunings are exact.
+
+Determinism is the counting step behind the Morse-Hedlund theorem (Morse and
+Hedlund, "Symbolic dynamics", 1938) and behind delta <= gamma (Kociumaka,
+Navarro and Prezza, LATIN 2020). Say the pass from shape t to t + e_a along
+axis a pairs every window of t that has a next slab with one next slab only.
+Then each window of t + j * e_a (j >= 1) is fixed by the t-window at its
+corner, slab by slab, and each window of a shape s reached from it through
+the axes before a is fixed by the window of its t-part t' (s with t's extent
+on axis a) at the same corner. So count(s) <= count(t') while vol(s) >
+vol(t'), s is strictly below t', which was ranked or pruned before, and the
+chain ends there without a tie moving. The pass holds the sorted distinct
+pair ids, so the test is that no two of them share their left id; it is only
+made when count(t + e_a) <= count(t), which it implies.
 """
 
 from __future__ import annotations
@@ -208,16 +221,16 @@ _COUNTING_RANGE = 8
 
 def _pair_rank(
     a: np.ndarray, a_range: int, b: np.ndarray, b_range: int
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Dense int64 ranks of the element-wise pairs (a, b), ids in value
-    order, and their number; ``a`` holds ids below ``a_range`` and ``b``
-    ids below ``b_range``."""
+    order, and the sorted distinct pair ids a * b_range + b (one per rank);
+    ``a`` holds ids below ``a_range`` and ``b`` ids below ``b_range``."""
     combo = np.multiply(a, b_range, dtype=np.int64)
     combo += b
     span = a_range * b_range
     if span > _COUNTING_RANGE * combo.size:
         values, labels = np.unique(combo, return_inverse=True)
-        return labels.reshape(a.shape).astype(np.int64, copy=False), values.size
+        return labels.reshape(a.shape).astype(np.int64, copy=False), values
     seen = np.zeros(span, dtype=bool)
     seen[combo] = True
     values = seen.nonzero()[0]
@@ -225,7 +238,14 @@ def _pair_rank(
     # entries are written and read
     ids = np.empty(span, dtype=np.int32)
     ids[values] = np.arange(values.size, dtype=np.int32)
-    return ids[combo].astype(np.int64), values.size
+    return ids[combo].astype(np.int64), values
+
+
+def _one_way(values: np.ndarray, b_range: int) -> bool:
+    """Whether no two of the sorted distinct pair ids ``values`` of a
+    ``_pair_rank`` share their left id: each left id goes with one right id."""
+    left = values // b_range
+    return not (left[1:] == left[:-1]).any()
 
 
 @dataclass(frozen=True)
@@ -250,6 +270,7 @@ def rank_windows(
     budget: WorkBudget | None,
     what: Sequence[str],
     stop: Callable[[int, tuple[int, ...]], bool] | None = None,
+    one_way_stop: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
     """Yield (shape, labels, count) for every wanted window shape of an id
     grid with any number of axes.
@@ -265,7 +286,11 @@ def rank_windows(
     ``stop`` is asked before every pass with its axis and the shape it would
     rank; when it answers true the chain along that axis ends there, so
     neither that shape nor any later shape of the chain, nor any shape
-    reached through them, is ranked or yielded.
+    reached through them, is ranked or yielded. With ``one_way_stop`` a
+    chain also ends, unyielded, at the first shape whose pass has no more
+    windows than the shape before and pairs each window of the shape before
+    (that has a next slab) with one next slab only (``densest_shape``'s
+    determinism stop).
     """
     dims = grid.shape
     if isinstance(wanted, ShapeBox) and not wanted.cubes:
@@ -294,12 +319,15 @@ def rank_windows(
                 width = n - k + 1
                 if budget is not None:
                     budget.charge(cur.size // cur.shape[axis] * width, what[axis])
-                cur, count = _pair_rank(
+                cur, values = _pair_rank(
                     cur[lead + (slice(0, width),)],
                     count,
                     base[lead + (slice(k - 1, n),)],
                     base_range,
                 )
+                if one_way_stop and values.size <= count and _one_way(values, base_range):
+                    return
+                count = values.size
             if not (every or k in node):
                 continue
             if axis == 0:
@@ -328,7 +356,8 @@ def densest_shape(
     ``with_table`` is set, else it is None.
 
     Windows are ranked by ``rank_windows``' passes, whose chains end as soon
-    as no shape left on them can change the answer. Both prunings are exact:
+    as no shape left on them can change the answer. All three prunings are
+    exact:
 
     * saturation: once a shape s has count(s) >= W(s) - 1 (W(s) = prod(n_i -
       k_i + 1) windows, so at most one pair of them equal), every shape
@@ -339,6 +368,15 @@ def densest_shape(
     * bound stop (not with a table): count(s)/vol(s) <= W(s)/vol(s), which
       falls along every axis, so a chain ends once that bound is strictly
       below the best value so far; ties can still reach the smallest shape.
+    * determinism (not with a table, nor with ``cubes_only``): a chain ends
+      at the first pass from t to t + e_a that pairs each window of t with
+      one next slab only. Every shape left on the chain, and every shape
+      reached from one through the axes before, has at most as many windows
+      as its t-part, which was ranked or pruned, and a larger volume (module
+      docstring), so its value is strictly lower. A table must list every
+      count. With ``cubes_only`` the t-parts of the cubes left are not
+      cubes, so they bound nothing. Such a chain leaves no ``first_sat``
+      entry, which only means fewer chains end by saturation.
     """
     dims = grid.shape
     shapes = ShapeBox(dims, cubes_only)
@@ -381,7 +419,8 @@ def densest_shape(
             low = shape
         return not with_table and windows(low) * best_vol < best_count * prod(low)
 
-    for shape, labels, count in rank_windows(grid, shapes, budget, what, stop):
+    walk = rank_windows(grid, shapes, budget, what, stop, not (with_table or cubes_only))
+    for shape, labels, count in walk:
         if count >= labels.size - 1:
             if cubes_only:
                 sat_cube = min(sat_cube, shape[0])

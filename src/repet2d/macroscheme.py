@@ -395,6 +395,7 @@ def b_exact(
                 max_copy_area = max(max_copy_area, h * w)
 
     full_mask = (1 << total) - 1
+    rects = [[_rect_mask(h, w, cols) for w in range(1, cols + 1)] for h in range(1, rows + 1)]
     parts: list[tuple[int, int, int, int]] = []  # (i, j, h, w), 0-based
     source = [-1] * total  # each cell's source cell; -1: explicit or not yet copied
     nodes = 0
@@ -466,9 +467,9 @@ def b_exact(
         options = []
         for h in range(1, rows - i + 1):
             for w in range(1, cols - j + 1):
-                mask = _rect_mask(h, w, cols) << idx
+                mask = rects[h - 1][w - 1] << idx
                 if mask & covered:
-                    continue
+                    break  # every wider part holds this overlap too
                 if h * w > 1 and not occurrences(i, j, h, w):
                     continue
                 options.append((h * w, h, w, mask))

@@ -3,8 +3,10 @@
 delta is reported as an exact rational (Fraction) so argmax shapes are
 reproducible. It is ``core2d.densest_shape``, which skips the ranking passes
 that cannot change the answer (shapes above one with at most one pair of
-equal windows, which are all distinct, and shapes whose window count bound is
-below the best value so far) instead of making one pass per shape; both
+equal windows, which are all distinct; shapes whose window count bound is
+below the best value so far; and, except with a table or on squares only,
+shapes past a pass where every window extends in one way, whose windows are
+all fixed by a smaller shape) instead of making one pass per shape; all three
 prunings are exact, and each pass made is linear-time counting in the usual
 case of dense window ids. gamma is computed exactly by a
 minimum-hitting-set search over distinct factor contents (the problem is

@@ -4,7 +4,9 @@ An ``NdString`` stores dense ids in generalized row-major order (the last
 axis varies fastest), like ``Matrix2D`` does for two axes.  The algorithms
 are written once for any number of axes and the 2D functions are their
 d = 2 case: window ranking is the one loop ``core2d.rank_windows``, delta
-is ``core2d.densest_shape`` (which prunes the passes), grammar validation
+is ``core2d.densest_shape`` (which prunes the passes by its three exact
+rules: saturation, the bound stop and determinism, the last off only with a
+table or on cubes, which ``delta_nd`` never asks for), grammar validation
 and expansion are ``grammar2d.resolve_dims`` and ``grammar2d.expand_ids``
 (which read ``ConcatNd``/``RunNd`` and the 2D rules alike), and scheme
 checking and decoding is ``macroscheme.analyze_boxes``.  This module holds

@@ -25,7 +25,14 @@ from repet2d.errors import (
 
 from repet2d import core2d
 from repet2d.budget import WorkBudget
-from repet2d.core2d import ShapeBox, WindowIds, _pair_rank, iter_shape_labels, rank_windows
+from repet2d.core2d import (
+    ShapeBox,
+    WindowIds,
+    _one_way,
+    _pair_rank,
+    iter_shape_labels,
+    rank_windows,
+)
 from repet2d.multidim import NdString
 
 from util import (
@@ -169,12 +176,15 @@ def test_window_ids_follow_token_order_and_equal_the_ranking(monkeypatch):
 
 def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
     # ranges below, at and above the counting threshold, 1 to 1000 pairs,
-    # contiguous arrays and strided slices like the ranking passes take
+    # contiguous arrays and strided slices like the ranking passes take; both
+    # paths give the sorted distinct pair ids, and the determinism test read
+    # off them agrees with the pairs themselves
     sorts = []
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
     rng = np.random.default_rng(11)
     limit = core2d._COUNTING_RANGE
+    answers = set()
     for n in (1, 2, 7, 64, 1000):
         for extra in (-1, 0, 1):
             span = limit * n + extra
@@ -186,11 +196,18 @@ def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
                              (whole[::2, 0], whole[1::2, 1]),
                              (whole[:, 0].reshape(n, 2)[:, :1], whole[:, 1].reshape(n, 2)[:, 1:])):
                     sorts.clear()
-                    labels, count = _pair_rank(a, a_range, b, b_range)
-                    assert len(sorts) == (a_range * b_range > limit * n)
+                    labels, values = _pair_rank(a, a_range, b, b_range)
+                    path = len(sorts)
+                    assert path == (a_range * b_range > limit * n)
                     assert labels.dtype == np.int64
                     assert np.array_equal(labels, unique_pair_rank(a, b))
-                    assert count == len(set(zip(a.ravel().tolist(), b.ravel().tolist())))
+                    pairs = sorted(set(zip(a.ravel().tolist(), b.ravel().tolist())))
+                    assert values.tolist() == [x * b_range + y for x, y in pairs]
+                    lefts = [x for x, _ in pairs]
+                    answer = _one_way(values, b_range)
+                    assert answer == (len(set(lefts)) == len(lefts))
+                    answers.add((path, answer))
+    assert answers == {(0, False), (0, True), (1, False), (1, True)}
 
 
 def test_the_lazy_box_equals_the_explicit_list():

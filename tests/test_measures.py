@@ -19,7 +19,10 @@ from repet2d import (
     staircase,
     zeros,
 )
-from repet2d import measures
+from repet2d import core2d, measures
+from repet2d.core2d import FactorShape
+from repet2d.families import debruijn_bits
+from repet2d.multidim import bdk, delta_nd
 from repet2d.errors import BadParam, ShapeTooLarge, TooLarge
 
 from util import (
@@ -37,6 +40,7 @@ from util import (
     reference_gamma_lower_bound_unique,
     reference_is_attractor,
     reference_shape_labels,
+    repetitive_matrix,
     substring_complexity,
 )
 
@@ -314,6 +318,13 @@ def test_pruned_delta_equals_full_enumeration():
     # itself keeps its count in the value and the table
     for m in _one_equal_pair_inputs(rng, 80):
         _assert_delta_matches_reference(m)
+    # periodic inputs, with and without one defect, and blocky ones: chains
+    # that end at their first pass where every window extends in one way
+    for trial in range(150):
+        kind = ("periodic", "defect", "blocky")[trial % 3]
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        m = repetitive_matrix(rng, rows, cols, kind, ("01", "012")[trial // 3 % 2])
+        _assert_delta_matches_reference(m)
 
 
 def test_pruned_delta_equals_full_enumeration_on_families():
@@ -369,6 +380,79 @@ def test_delta_steps_stay_at_most_the_recorded_ledger():
             assert set(ledger.steps) <= set(pinned), name
             for label, steps in ledger.steps.items():
                 assert steps <= pinned[label], (name, with_table, label, steps)
+
+
+def test_one_way_check_runs_only_behind_the_count_gate(monkeypatch):
+    # the determinism check reads only the passes whose shape has no more
+    # windows than the shape before it, reads every such pass of delta, and
+    # none with a table or on square shapes
+    events = []
+    rank, check = core2d._pair_rank, core2d._one_way
+
+    def spy_rank(a, a_range, b, b_range):
+        labels, values = rank(a, a_range, b, b_range)
+        events.append(("pass", values.size <= a_range))
+        return labels, values
+
+    def spy_check(values, b_range):
+        answer = check(values, b_range)
+        events.append(("check", answer))
+        return answer
+
+    monkeypatch.setattr(core2d, "_pair_rank", spy_rank)
+    monkeypatch.setattr(core2d, "_one_way", spy_check)
+    rng = random.Random(31)
+    ends = 0
+    for trial in range(60):
+        kind = ("periodic", "defect", "blocky", "random")[trial % 4]
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if kind == "random":
+            m = random_matrix(rng, rows, cols, "01")
+        else:
+            m = repetitive_matrix(rng, rows, cols, kind)
+        for square_only, with_table in ((False, False), (True, False), (False, True)):
+            events.clear()
+            delta(m, square_only, with_table)
+            if square_only or with_table:
+                assert all(what == "pass" for what, _ in events), (str(m), square_only)
+                continue
+            # a check right after each gated pass, and nowhere else
+            for (what, gated), after in zip(events, events[1:] + [("pass", None)]):
+                assert (what == "pass" and gated) == (after[0] == "check"), str(m)
+            ends += ("check", True) in events
+    assert ends >= 30
+
+
+def test_square_delta_ranks_the_cubes_past_a_one_way_pass():
+    # rows 0101... or 1010... as the bits of a de Bruijn sequence say: each
+    # cell fixes the next one along a row, so the 1 x 2 pass is one-way and
+    # would end every chain. The (k, k2) shapes that would bound the cubes
+    # past it are not cubes, and the 2^7 distinct 7 x 7 windows beat 1 x 1
+    bits = debruijn_bits(7)
+    m = Matrix2D.from_tokens([["01"[(b + j) % 2] for j in range(8)] for b in bits + bits[:6]])
+    res = delta_square(m)
+    assert (res.value, res.argmax_shape) == (Fraction(128, 49), FactorShape(7, 7))
+    assert repr(res) == repr(reference_delta(m, True))
+    assert repr(delta(m)) == repr(reference_delta(m))
+
+
+def test_determinism_stop_steps_stay_at_most_the_recorded_ledger():
+    # the ranking passes made with the determinism stop on inputs where it
+    # ends most chains: a seeded 64 x 64 periodic matrix and the 3D de Bruijn
+    # cube bdk(3, 3) (2,767,189 and 62,682 steps without it)
+    rng = random.Random(3)
+    tile = [[rng.choice("01") for _ in range(5)] for _ in range(3)]
+    periodic = Matrix2D.from_tokens([[tile[i % 3][j % 5] for j in range(64)] for i in range(64)])
+    recorded = (
+        (lambda b: delta(periodic, budget=b), {"row ranking": 19520, "column ranking": 54000}),
+        (lambda b: delta_nd(bdk(3, 3), b), {"window ranking": 25928}),
+    )
+    for run, pinned in recorded:
+        ledger = Ledger()
+        run(ledger)
+        assert set(ledger.steps) <= set(pinned)
+        for label, steps in ledger.steps.items():
+            assert steps <= pinned[label], (label, steps)
 
 
 def test_attractor_set_normalizes():

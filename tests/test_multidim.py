@@ -47,7 +47,7 @@ from repet2d.multidim import (
     write_nd,
 )
 
-from util import Ledger, random_matrix, raises, reference_delta_nd
+from util import Ledger, random_matrix, raises, reference_delta_nd, repetitive_cells
 
 
 def test_2d_embedding_is_inverse():
@@ -178,6 +178,13 @@ def test_pruned_delta_nd_equals_full_enumeration():
         alphabet = ("0", "01", "0123456789abcdef")[trial % 3]
         cells = [rng.choice(alphabet) for _ in range(int(np.prod(dims)))]
         cases.append(NdString.from_tokens(dims, cells))
+    # periodic inputs, with and without one defect, and blocky ones, where
+    # the determinism stop ends chains along every axis
+    for trial in range(90):
+        d = 2 + trial % 2
+        dims = tuple(rng.randint(1, (10, 4)[d - 2]) for _ in range(d))
+        kind = ("periodic", "defect", "blocky")[trial // 2 % 3]
+        cases.append(NdString.from_tokens(dims, repetitive_cells(rng, dims, kind)))
     for x in cases:
         got_ledger, ref_ledger = Ledger(), Ledger()
         want = reference_delta_nd(x, ref_ledger)

@@ -41,7 +41,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 from operator import add, le, mul, sub
 
@@ -98,6 +98,35 @@ def random_matrix(rng, max_rows=4, max_cols=4, alphabet="01"):
     return Matrix2D.from_tokens(
         [[rng.choice(alphabet) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def repetitive_cells(rng, dims, kind, alphabet="01"):
+    """Row-major tokens of a grid with extents ``dims``: ``"periodic"``
+    repeats a random tile, ``"defect"`` is periodic with one cell changed,
+    and ``"blocky"`` fills a coarse random grid with equal boxes."""
+    if kind == "blocky":
+        sides = [rng.randint(1, n) for n in dims]
+        coarse = {}
+        cells = []
+        for pos in product(*map(range, dims)):
+            key = tuple(i // s for i, s in zip(pos, sides))
+            cells.append(coarse.setdefault(key, rng.choice(alphabet)))
+        return cells
+    tile_dims = [rng.randint(1, n) for n in dims]
+    tile = {pos: rng.choice(alphabet) for pos in product(*map(range, tile_dims))}
+    cells = [
+        tile[tuple(i % t for i, t in zip(pos, tile_dims))]
+        for pos in product(*map(range, dims))
+    ]
+    if kind == "defect":
+        at = rng.randrange(len(cells))
+        cells[at] = rng.choice([a for a in alphabet + "x" if a != cells[at]])
+    return cells
+
+
+def repetitive_matrix(rng, rows, cols, kind, alphabet="01") -> Matrix2D:
+    cells = repetitive_cells(rng, (rows, cols), kind, alphabet)
+    return Matrix2D.from_tokens([cells[r * cols : (r + 1) * cols] for r in range(rows)])
 
 
 def naive_factors(m: Matrix2D, k1: int, k2: int):
@@ -229,18 +258,22 @@ class reference_window_ids:
             k -= 1
         cur, count = ranked[1, k]
         for k in range(k + 1, w + 1):
-            cur, count = ranked[1, k] = counting_pair_rank(
+            cur, values = counting_pair_rank(
                 cur[:, : cols - k + 1], count, cells[:, k - 1 :], cell_range
             )
+            count = values.size
+            ranked[1, k] = cur, count
         base, base_range = ranked[1, w]
         k = h
         while (k, w) not in ranked:
             k -= 1
         cur, count = ranked[k, w]
         for k in range(k + 1, h + 1):
-            cur, count = ranked[k, w] = counting_pair_rank(
+            cur, values = counting_pair_rank(
                 cur[: rows - k + 1], count, base[k - 1 :], base_range
             )
+            count = values.size
+            ranked[k, w] = cur, count
         return cur, count
 
     def labels(self, h, w):
