@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import Matrix2D, Position, iter_shape_labels
+from .core2d import RANKING_2D, Matrix2D, Position, rank_windows
 from .errors import BadParam
 
 
@@ -89,7 +89,7 @@ def build_blocktree(
         fits.append((s, s))
         s *= arity
     earliest: dict[int, tuple[np.ndarray, list[Position]]] = {}
-    for s, _, labels in iter_shape_labels(m, fits, budget):
+    for (s, _), labels, _ in rank_windows(m._grid, fits, budget, RANKING_2D):
         _, first_idx = np.unique(labels.ravel(), return_index=True)
         width = labels.shape[1]
         firsts = [

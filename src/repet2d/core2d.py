@@ -13,15 +13,15 @@ Conventions used across the whole package:
 Distinct-factor counting is exact: windows of a shape are dense-ranked by
 iterated pair ranking, extending the shape one column / one row at a time.
 ``rank_windows`` is the one loop that does this, for any number of axes:
-delta, the attractor check, the unique-factor bound, the label helpers,
-block trees and the exact g and b solvers (through ``WindowIds``) all read
-its walk. Each pass ranks the (window id, next cell id) pairs in linear time
-by marking them in a bool array over the pair-id range, or with np.unique
-when that range is sparse. No hashing is involved, so there are no
-collisions to resolve and results are deterministic. ``densest_shape``
-(delta for any number of axes) walks the same passes over every shape
-without listing them, and ends a chain once the answer is settled, by
-saturation, by a bound stop or by determinism; all three prunings are exact.
+delta, the attractor layer, factor counts and listings, block trees and the
+exact g and b solvers (through ``WindowIds``) all read its walk. Each pass
+ranks the (window id, next cell id) pairs in linear time by marking them in
+a bool array over the pair-id range, or with np.unique when that range is
+sparse. No hashing is involved, so there are no collisions to resolve and
+results are deterministic. ``densest_shape`` (delta for any number of axes)
+walks the same passes over every shape without listing them, and ends a
+chain once the answer is settled, by saturation, by a bound stop or by
+determinism; all three prunings are exact.
 
 Determinism is the counting step behind the Morse-Hedlund theorem (Morse and
 Hedlund, "Symbolic dynamics", 1938) and behind delta <= gamma (Kociumaka,
@@ -449,33 +449,11 @@ def _check_shape(m: Matrix2D, k1: int, k2: int) -> None:
         )
 
 
-def iter_shape_labels(
-    m: Matrix2D,
-    wanted: Iterable[tuple[int, int]] | ShapeBox,
-    budget: WorkBudget | None = None,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (k1, k2, labels) for every requested shape, or for every shape
-    of a ``ShapeBox`` of m's extents.
-
-    ``labels`` is the (rows-k1+1) x (cols-k2+1) array of dense factor ids:
-    two windows carry the same label iff their contents are equal. Shapes are
-    yielded in ascending (k2, k1) order regardless of input order; each build
-    step charges its window count to the budget.
-    """
-    budget = ensure_budget(budget)
-    if not isinstance(wanted, ShapeBox):
-        wanted = list(wanted)
-    for k1, k2 in wanted:
-        _check_shape(m, k1, k2)
-    for (k1, k2), labels, _ in rank_windows(m._grid, wanted, budget, RANKING_2D):
-        yield k1, k2, labels
-
-
 class WindowIds:
     """The content id of every window of a matrix, charged to no budget.
 
     ``labels(h, w)[i][j]`` is the label of the h x w window whose top-left
-    cell is (i + 1, j + 1), as ``iter_shape_labels`` gives it: two windows
+    cell is (i + 1, j + 1), as ``rank_windows`` gives it: two windows
     of a shape share a label iff their contents are equal, and labels follow
     the row-major order of the token tuples, so ``(h, w, label)`` sorts like
     ``(h, w, token grid)``. Every shape is ranked by one ``rank_windows``
@@ -525,7 +503,8 @@ def distinct_factors(
 
     Each factor lists every occurrence position in RMO.
     """
-    labels = next(iter_shape_labels(m, [(k1, k2)], budget))[2]
+    _check_shape(m, k1, k2)
+    labels = next(rank_windows(m._grid, [(k1, k2)], ensure_budget(budget), RANKING_2D))[1]
     occs: list[list[Position]] = [[] for _ in range(int(labels.max()) + 1)]
     for i, row in enumerate(labels.tolist(), 1):
         for j, lab in enumerate(row, 1):
@@ -539,11 +518,15 @@ def distinct_factors(
     return tuple(out)
 
 
-def _rect_mask(k1: int, k2: int, n: int) -> int:
-    """Bitmask (over the cells of an n-column grid, RMO bit order) of the
-    k1 x k2 rectangle at the top-left cell; shifting it left by i * n + j
-    moves it to the 0-based cell (i, j)."""
-    return sum(((1 << k2) - 1) << (r * n) for r in range(k1))
+def _box_mask(shape: Sequence[int], dims: Sequence[int]) -> int:
+    """Bitmask (over the cells of a grid with extents ``dims``, row-major
+    bit order) of the box of extents ``shape`` at the first cell; shifting
+    it left by a cell's flat index moves the box's corner to that cell."""
+    mask, stride = 1, 1
+    for k, n in zip(reversed(shape), reversed(dims)):
+        mask = sum(mask << (r * stride) for r in range(k))
+        stride *= n
+    return mask
 
 
 # ---------------------------------------------------------------------------

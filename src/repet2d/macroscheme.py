@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, Position, WindowIds, _rect_mask, encode_tokens, factor_count
+from .core2d import MAX_CELLS, Matrix2D, Position, WindowIds, _box_mask, encode_tokens, factor_count
 from .errors import (
     BadParam,
     CyclicMap,
@@ -395,7 +395,7 @@ def b_exact(
                 max_copy_area = max(max_copy_area, h * w)
 
     full_mask = (1 << total) - 1
-    rects = [[_rect_mask(h, w, cols) for w in range(1, cols + 1)] for h in range(1, rows + 1)]
+    rects = [[_box_mask((h, w), (rows, cols)) for w in range(1, cols + 1)] for h in range(1, rows + 1)]
     parts: list[tuple[int, int, int, int]] = []  # (i, j, h, w), 0-based
     source = [-1] * total  # each cell's source cell; -1: explicit or not yet copied
     nodes = 0

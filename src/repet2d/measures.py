@@ -13,23 +13,32 @@ minimum-hitting-set search over distinct factor contents (the problem is
 NP-hard, so only tiny instances are accepted — see the cell_limit
 parameter).
 
-The attractor check and the unique-factor lower bound walk the same ranking
-chains as delta (``core2d.rank_windows``) and end a chain once nothing left
-on it can change their answer. Three exact rules do this:
+The attractor layer (the attractor check, gamma's constraints and the
+unique-factor lower bound) is written once over id grids with any number of
+axes and dense ids (every id below the largest occurs, as in ``Matrix2D``
+and ``NdString``), with the budget label of each axis's passes; the public
+functions are its d = 2 callers. It walks the same ranking chains as delta
+(``core2d.rank_windows``), and the check and the bound end a chain once
+nothing left on it can change their answer. Three exact rules do this. The
+smallest shape a chain leads to, the one its next pass would rank, is at
+most every other shape on it or reached from it, both axis by axis and in
+lexicographic order (on cubes, every chain of the last axis leads to one
+cube, and only that chain is asked about):
 
 * covered frontier (``is_attractor``): once every window of a shape holds a
-  candidate, every window of every larger shape does, so each chain ends at
-  the first shape whose windows are all hit;
-* failure cut (``is_attractor``): the walk goes in ascending (k2, k1) order
-  but the failure reported is the first in (k1, k2) order, so after a
-  failure at (f1, f2) every chain ends at k1 >= f1, and with f1 = 1 (or
-  with ``square_only``) the walk ends;
+  candidate, every window of every larger shape does, so a chain ends once
+  every window of its smallest shape is hit;
+* failure cut (``is_attractor``): the failure reported is the first failing
+  shape in lexicographic order, so a chain ends once its smallest shape is
+  at least the failure found so far (in 2D: after a failure at (f1, f2)
+  only shapes with k1 < f1 are ranked);
 * dominance (``gamma_lower_bound_unique``): the greedy never takes a unique
   window that holds a smaller unique window, which sorts first and is either
-  taken or blocked by what is taken. So on the k x 1 and 1 x k chains only
-  the unique windows whose two windows of the shape before are not unique
-  are listed, and such a chain ends at its first shape whose windows are all
-  unique, since every larger window holds one of them.
+  taken or blocked by what is taken. So on the line shapes (k along one
+  axis, 1 along the others) only the unique windows whose two windows of the
+  line before are not unique are listed, and such a chain ends at its first
+  shape whose windows are all unique, since every longer window holds one
+  of them.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,9 +58,8 @@ from .core2d import (
     RANKING_2D,
     ShapeBox,
     TokenGrid,
-    _rect_mask,
+    _box_mask,
     densest_shape,
-    iter_shape_labels,
     rank_windows,
     submatrix,
 )
@@ -149,82 +157,90 @@ def is_attractor(
     )
     budget = ensure_budget(budget)
     rows, cols = m.rows, m.cols
-    grid = np.zeros((rows, cols), dtype=np.int64)
+    hit = np.zeros((rows, cols), dtype=bool)
     for i, j in positions:
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise OutOfBounds(f"attractor position ({i},{j}) outside matrix")
-        grid[i - 1, j - 1] = 1
-    prefix = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-    prefix[1:, 1:] = grid.cumsum(0).cumsum(1)
+        hit[i - 1, j - 1] = True
+    miss = _first_miss(m._grid, hit, square_only, budget, RANKING_2D)
+    if miss is None:
+        return AttractorCheck(True)
+    (k1, k2), (i, j) = miss
+    content = submatrix(m, i + 1, j + 1, i + k1, j + k2).tokens()
+    return AttractorCheck(False, FactorShape(k1, k2), content, (i + 1, j + 1))
+
+
+# ---------------------------------------------------------------------------
+# the attractor layer, for any number of axes
+# ---------------------------------------------------------------------------
+
+
+def _first_miss(
+    grid: np.ndarray,
+    hit: np.ndarray,
+    cubes: bool,
+    budget: WorkBudget,
+    what: Sequence[str],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(shape, corner) of the first window shape in lexicographic order
+    (cubes only if ``cubes``) with a content no occurrence of which holds a
+    cell of the bool grid ``hit``, and the 0-based first cell of that
+    content's first occurrence in row-major order (of the contents that
+    fail, the one of smallest id); None if there is no such shape."""
+    dims, d = grid.shape, grid.ndim
+    # prefix[p] counts the hit cells before p on every axis: the hit grid
+    # behind a zero slab on each axis, summed along each axis in turn
+    prefix = np.zeros([n + 1 for n in dims], dtype=np.int64)
+    prefix[(slice(1, None),) * d] = hit
+    for axis in range(d):
+        prefix.cumsum(axis, out=prefix)
 
     @lru_cache(maxsize=1)  # a shape a stop asks about is ranked next
-    def hits(k1: int, k2: int) -> np.ndarray:
-        """Which k1 x k2 windows hold a candidate, in row-major order."""
-        rows_w, cols_w = rows - k1 + 1, cols - k2 + 1
-        window_sum = (
-            prefix[k1 : k1 + rows_w, k2 : k2 + cols_w]
-            - prefix[:rows_w, k2 : k2 + cols_w]
-            - prefix[k1 : k1 + rows_w, :cols_w]
-            + prefix[:rows_w, :cols_w]
-        )
-        return window_sum.ravel() > 0
-
-    cut = rows + 1  # k1 of the failure found so far
+    def hits(shape: tuple[int, ...]) -> np.ndarray:
+        """Which windows of the shape hold a hit cell, in row-major order."""
+        sums = prefix
+        for axis, k in enumerate(shape):  # a difference per axis
+            lead = (slice(None),) * axis
+            sums = sums[lead + (slice(k, None),)] - sums[lead + (slice(-k),)]
+        return sums.ravel() > 0
 
     def stop(axis: int, shape: tuple[int, ...]) -> bool:
-        k1, k2 = shape
-        if axis == 1:
-            k1 = k2 if square_only else 1  # the smallest shape wanted at k2
-        elif square_only:
-            return False  # the chain only leads to (k2, k2), asked above
-        # covered frontier: once every window of a shape holds a candidate,
-        # so does every window of a larger shape
-        return k1 >= cut or bool(hits(k1, k2).all())
+        if cubes:
+            if axis < d - 1:
+                return False  # the chain only leads to the cube asked about
+            shape = (shape[-1],) * d
+        return miss is not None and shape >= miss[0] or bool(hits(shape).all())
 
-    failure: tuple[int, int, int] | None = None  # (k1, k2, first occurrence)
-    for (k1, k2), labels, count in rank_windows(
-        m._grid, ShapeBox((rows, cols), square_only), budget, RANKING_2D, stop
-    ):
+    miss = None
+    for shape, labels, count in rank_windows(grid, ShapeBox(dims, cubes), budget, what, stop):
         flat = labels.ravel()
-        hit_count = np.bincount(flat[hits(k1, k2)], minlength=count)
+        hit_count = np.bincount(flat[hits(shape)], minlength=count)
         if hit_count.min() == 0:
-            # failure cut: the walk is in (k2, k1) order, the failure
-            # reported the first in (k1, k2) order, so only shapes with a
-            # smaller k1 are ranked from here on
+            # every shape ranked is below the failure found so far: it was
+            # asked about as the smallest shape of its chain, or is the first
             first = int(np.argmax(flat == np.argmin(hit_count)))
-            failure, cut = (k1, k2, first), k1
-    if failure is None:
-        return AttractorCheck(True)
-    k1, k2, first = failure
-    cols_w = cols - k2 + 1
-    i, j = first // cols_w + 1, first % cols_w + 1
-    content = submatrix(m, i, j, i + k1 - 1, j + k2 - 1).tokens()
-    return AttractorCheck(False, FactorShape(k1, k2), content, (i, j))
-
-
-# ---------------------------------------------------------------------------
-# exact gamma (minimum hitting set)
-# ---------------------------------------------------------------------------
+            miss = shape, tuple(map(int, np.unravel_index(first, labels.shape)))
+    return miss
 
 
 def _coverage_masks(
-    m: Matrix2D, square_only: bool, budget: WorkBudget
+    grid: np.ndarray, cubes: bool, budget: WorkBudget, what: Sequence[str]
 ) -> list[int]:
-    """For every distinct factor F, the bitmask (over cells, RMO bit order)
-    of the union of its occurrence rectangles — the positions that can 'hit'
-    F. Deduplicated and reduced to the antichain of minimal sets (a superset
-    constraint is implied by any of its subsets)."""
-    n = m.cols
+    """For every distinct window content (of the cubes only if ``cubes``),
+    the bitmask (over cells, row-major bit order) of the union of its
+    occurrence boxes — the positions that can 'hit' it. Deduplicated and
+    reduced to the antichain of minimal sets (a superset constraint is
+    implied by any of its subsets)."""
+    dims = grid.shape
+    cell_index = np.arange(grid.size).reshape(dims)
     masks: set[int] = set()
-    for k1, k2, labels in iter_shape_labels(
-        m, ShapeBox((m.rows, m.cols), square_only), budget
-    ):
-        rect = _rect_mask(k1, k2, n)
-        by_label: dict[int, int] = {}
-        for i, row in enumerate(labels.tolist()):
-            for shift, lab in enumerate(row, i * n):
-                by_label[lab] = by_label.get(lab, 0) | rect << shift
-        masks.update(by_label.values())
+    for shape, labels, count in rank_windows(grid, ShapeBox(dims, cubes), budget, what):
+        box = _box_mask(shape, dims)
+        corners = cell_index[tuple(map(slice, labels.shape))]
+        by_label = [0] * count
+        for lab, corner in zip(labels.ravel().tolist(), corners.ravel().tolist()):
+            by_label[lab] |= box << corner
+        masks.update(by_label)
     kept: list[int] = []
     for cand in sorted(masks, key=lambda s: (bin(s).count("1"), s)):
         for prev in kept:
@@ -233,6 +249,50 @@ def _coverage_masks(
         else:
             kept.append(cand)
     return kept
+
+
+def _unique_windows(
+    grid: np.ndarray, budget: WorkBudget, what: Sequence[str]
+) -> list[tuple[int, int, int]]:
+    """The windows of the line shapes (k along one axis, 1 along the others)
+    that occur exactly once, less those that ``gamma_lower_bound_unique``'s
+    greedy can never take by dominance (see the module docstring), as
+    (k, axis, flat index of the first cell), sorted; the single cell is
+    listed under axis 0."""
+    dims, d = grid.shape, grid.ndim
+    lines = {
+        (1,) * a + (k,) + (1,) * (d - a - 1) for a in range(d) for k in range(1, dims[a] + 1)
+    }
+    # per axis: the unique windows of the last line ranked on its chain, and
+    # the first k at which the chain has only unique windows
+    before: list[np.ndarray | None] = [None] * d
+    end = list(dims)
+
+    def stop(axis: int, shape: tuple[int, ...]) -> bool:
+        return shape[axis] > end[axis]
+
+    windows: list[tuple[int, int, int]] = []
+    for shape, labels, count in rank_windows(grid, lines, budget, what, stop):
+        unique = (np.bincount(labels.ravel(), minlength=count) == 1)[labels]
+        k = max(shape)
+        axis = shape.index(k)
+        keep = unique
+        if k > 1:  # drop windows holding a unique one of the line before
+            lead, prev = (slice(None),) * axis, before[axis]
+            keep = keep & ~prev[lead + (slice(-1),)] & ~prev[lead + (slice(1, None),)]
+        for a in range(d) if k == 1 else (axis,):
+            before[a] = unique
+            if count == labels.size:
+                end[a] = k
+        corners = np.ravel_multi_index(np.nonzero(keep), dims)
+        windows.extend((k, axis, corner) for corner in corners.tolist())
+    windows.sort()
+    return windows
+
+
+# ---------------------------------------------------------------------------
+# exact gamma (minimum hitting set)
+# ---------------------------------------------------------------------------
 
 
 def _pack_bound(constraints: list[int]) -> int:
@@ -265,7 +325,7 @@ def gamma_exact(
             f"cells > cell_limit={cell_limit}"
         )
     budget = ensure_budget(budget)
-    constraints = _coverage_masks(m, square_only, budget)
+    constraints = _coverage_masks(m._grid, square_only, budget, RANKING_2D)
     n = m.cols
 
     def bits(mask: int) -> list[int]:
@@ -302,52 +362,6 @@ def gamma_exact(
     raise AssertionError("the full position set is always an attractor")
 
 
-def _unique_windows(
-    m: Matrix2D, budget: WorkBudget
-) -> list[tuple[int, int, int, int, int]]:
-    """The windows of the k x 1 and 1 x k shapes that occur exactly once,
-    less those that ``gamma_lower_bound_unique``'s greedy can never take by
-    dominance (see the module docstring), as (k1 * k2, -k1, i, j, k2) with
-    (i, j) the 0-based top-left cell, sorted."""
-    rows, cols = m.rows, m.cols
-    shapes = {(k, 1) for k in range(1, rows + 1)}
-    shapes |= {(1, k) for k in range(1, cols + 1)}
-    # the unique windows of the last k x 1 and 1 x k shape ranked, and the
-    # first k at which those chains have only unique windows
-    tall_unique = wide_unique = None
-    tall_end, wide_end = rows, cols
-
-    def stop(axis: int, shape: tuple[int, ...]) -> bool:
-        k1, k2 = shape
-        return k2 > wide_end if axis == 1 else k2 == 1 and k1 > tall_end
-
-    windows: list[tuple[int, int, int, int, int]] = []
-    for (k1, k2), labels, count in rank_windows(
-        m._grid, sorted(shapes), budget, RANKING_2D, stop
-    ):
-        unique = (np.bincount(labels.ravel(), minlength=count) == 1)[labels]
-        # on a chain, drop windows holding a unique one of the shape before
-        keep = unique
-        if k2 == 1:
-            if k1 > 1:
-                keep = keep & ~tall_unique[:-1] & ~tall_unique[1:]
-            tall_unique = unique
-            if count == labels.size:
-                tall_end = k1
-        if k1 == 1:
-            if k2 > 1:
-                keep = keep & ~wide_unique[:, :-1] & ~wide_unique[:, 1:]
-            wide_unique = unique
-            if count == labels.size:
-                wide_end = k2
-        ii, jj = np.nonzero(keep)
-        windows.extend(
-            (k1 * k2, -k1, i, j, k2) for i, j in zip(ii.tolist(), jj.tolist())
-        )
-    windows.sort()
-    return windows
-
-
 def gamma_lower_bound_unique(
     m: Matrix2D,
     budget: WorkBudget | None = None,
@@ -361,15 +375,15 @@ def gamma_lower_bound_unique(
     columns are not broken up by overlapping unique row segments), then in
     row-major order, and takes each one that is disjoint from those taken.
     """
-    windows = _unique_windows(m, ensure_budget(budget))
-    n = m.cols
-    shape = None
+    grid = m._grid
+    line = None
     occupied = 0
     taken = 0
-    for _, neg_k1, i, j, k2 in windows:
-        if shape != (neg_k1, k2):  # the windows of a shape come together
-            shape, rect = (neg_k1, k2), _rect_mask(-neg_k1, k2, n)
-        window = rect << (i * n + j)
+    for k, axis, corner in _unique_windows(grid, ensure_budget(budget), RANKING_2D):
+        if line != (k, axis):  # the windows of a shape come together
+            line = (k, axis)
+            box = _box_mask([k if a == axis else 1 for a in range(grid.ndim)], grid.shape)
+        window = box << corner
         if window & occupied == 0:
             occupied |= window
             taken += 1

@@ -12,7 +12,7 @@ from repet2d import (
 )
 from repet2d import blocktree2d
 from repet2d.blocktree2d import iter_nodes
-from repet2d.core2d import iter_shape_labels
+from repet2d.core2d import rank_windows
 from repet2d.errors import BadParam
 
 from util import Ledger, random_matrix, raises
@@ -117,11 +117,11 @@ def test_node_count_is_level_sum():
     assert bt.levels[0] == 1
 
 
-def per_side_labels(m, wanted, budget):
+def per_side_ranking(grid, wanted, budget, what):
     """The level sides ranked as they were before they shared one walk:
     each on its own chain, starting from the cells."""
-    for k1, k2 in wanted:
-        yield next(iter_shape_labels(m, [(k1, k2)], budget))
+    for shape in wanted:
+        yield next(rank_windows(grid, [shape], budget, what))
 
 
 def test_blocktree_equals_the_one_built_from_per_side_chains(monkeypatch):
@@ -138,7 +138,7 @@ def test_blocktree_equals_the_one_built_from_per_side_chains(monkeypatch):
         got_ledger, want_ledger = Ledger(), Ledger()
         got = build_blocktree(m, arity, pad_to=pad_to, budget=got_ledger)
         with monkeypatch.context() as patch:
-            patch.setattr(blocktree2d, "iter_shape_labels", per_side_labels)
+            patch.setattr(blocktree2d, "rank_windows", per_side_ranking)
             want = build_blocktree(m, arity, pad_to=pad_to, budget=want_ledger)
         assert repr(got) == repr(want), (m, arity, pad_to)
         assert got_ledger.steps.get("row ranking", 0) <= want_ledger.steps.get("row ranking", 0)

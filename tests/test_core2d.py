@@ -30,7 +30,6 @@ from repet2d.core2d import (
     WindowIds,
     _one_way,
     _pair_rank,
-    iter_shape_labels,
     rank_windows,
 )
 from repet2d.multidim import NdString
@@ -38,6 +37,7 @@ from repet2d.multidim import NdString
 from util import (
     Ledger,
     _pair_rank as unique_pair_rank,
+    iter_shape_labels,
     mat,
     naive_factor_count,
     naive_factors,

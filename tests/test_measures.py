@@ -1,5 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import product
+
+import numpy as np
 
 from repet2d import (
     AttractorSet,
@@ -20,13 +23,14 @@ from repet2d import (
     zeros,
 )
 from repet2d import core2d, measures
-from repet2d.core2d import FactorShape
+from repet2d.core2d import RANKING_2D, FactorShape, _box_mask
 from repet2d.families import debruijn_bits
-from repet2d.multidim import bdk, delta_nd
+from repet2d.multidim import NdString, bdk, delta_nd
 from repet2d.errors import BadParam, ShapeTooLarge, TooLarge
 
 from util import (
     Ledger,
+    _rect_mask,
     mat,
     naive_delta,
     naive_delta_1d,
@@ -42,6 +46,9 @@ from util import (
     reference_shape_labels,
     repetitive_matrix,
     substring_complexity,
+    two_axis_coverage_masks,
+    two_axis_gamma_lower_bound_unique,
+    two_axis_is_attractor,
 )
 
 
@@ -163,6 +170,156 @@ def test_attractor_check_and_lower_bound_equal_the_full_scans():
     assert outcomes == {True, (False, False), (False, True), (True, False), (True, True)}
 
 
+def _assert_layer_equals_the_two_axis_one(m, cand):
+    runs = [
+        (lambda b: gamma_lower_bound_unique(m, budget=b),
+         lambda b: two_axis_gamma_lower_bound_unique(m, budget=b)),
+    ]
+    for square_only in (False, True):
+        runs += [
+            (lambda b, s=square_only: is_attractor(m, cand, s, budget=b),
+             lambda b, s=square_only: two_axis_is_attractor(m, cand, s, budget=b)),
+            (lambda b, s=square_only: measures._coverage_masks(m._grid, s, b, RANKING_2D),
+             lambda b, s=square_only: two_axis_coverage_masks(m, s, b)),
+        ]
+    for got_run, want_run in runs:
+        got_ledger, want_ledger = Ledger(), Ledger()
+        assert repr(got_run(got_ledger)) == repr(want_run(want_ledger)), (str(m), cand)
+        assert got_ledger.steps == want_ledger.steps, (str(m), cand)
+    for k1, k2 in product(range(1, m.rows + 1), range(1, m.cols + 1)):
+        assert _box_mask((k1, k2), (m.rows, m.cols)) == _rect_mask(k1, k2, m.cols)
+
+
+def test_attractor_layer_equals_the_two_axis_one():
+    # the layer written for any number of axes gives the reports, constraints
+    # and bounds of the code written for two, with the same steps per label
+    rng = random.Random(1717)
+    for trial in range(2000):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        letters = ("01", "012", "0123456789abcdef")[trial % 3]
+        m = Matrix2D.from_tokens(
+            [[rng.choice(letters) for _ in range(cols)] for _ in range(rows)]
+        )
+        density = rng.random()
+        cand = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1) if rng.random() < density]
+        _assert_layer_equals_the_two_axis_one(m, cand)
+    families = [
+        (identity(9), [(i, i) for i in range(1, 10)]),
+        (diagpad(6, 9), diagpad_attractor(6, 9)),
+        (diagpad(9, 6), diagpad_attractor(9, 6)),
+        (diagpad(12, 16), diagpad_attractor(12, 16)),
+    ]
+    for m in (identity(8), ek(3), ek(4), bk(2), bk(3), staircase(8)):
+        cells = list(product(range(1, m.rows + 1), range(1, m.cols + 1)))
+        families.append((m, rng.sample(cells, len(cells) // 4)))
+    for m, cand in families:
+        _assert_layer_equals_the_two_axis_one(m, cand)
+
+
+def _naive_contents(grid, shape):
+    """content bytes -> corners of its occurrences, in row-major order."""
+    occs = {}
+    for corner in product(*(range(n - k + 1) for n, k in zip(grid.shape, shape))):
+        box = tuple(slice(c, c + k) for c, k in zip(corner, shape))
+        occs.setdefault(grid[box].tobytes(), []).append(corner)
+    return occs
+
+
+def _naive_first_miss(grid, hit, cubes):
+    """The first shape in lexicographic order with a content none of whose
+    occurrences holds a hit cell, and the set of such contents."""
+    for shape in product(*(range(1, n + 1) for n in grid.shape)):
+        if cubes and len(set(shape)) > 1:
+            continue
+        missed = {
+            content
+            for content, corners in _naive_contents(grid, shape).items()
+            if not any(hit[tuple(slice(c, c + k) for c, k in zip(p, shape))].any() for p in corners)
+        }
+        if missed:
+            return shape, missed
+    return None
+
+
+def _naive_coverage_masks(grid, cubes):
+    """Per content, the cells of all its occurrence boxes as a bitmask (bit
+    = flat cell index), reduced to the minimal ones, ordered as gamma's."""
+    masks = set()
+    for shape in product(*(range(1, n + 1) for n in grid.shape)):
+        if cubes and len(set(shape)) > 1:
+            continue
+        for corners in _naive_contents(grid, shape).values():
+            cells = {
+                int(np.ravel_multi_index(tuple(map(sum, zip(p, off))), grid.shape))
+                for p in corners
+                for off in product(*map(range, shape))
+            }
+            masks.add(sum(1 << c for c in cells))
+    ordered = sorted(masks, key=lambda s: (bin(s).count("1"), s))
+    return [c for c in ordered if not any(p & c == p and p != c for p in ordered)]
+
+
+def _naive_line_windows(grid):
+    """(k, axis, flat corner) of the unique line windows the greedy is
+    offered, sorted: those holding no unique window of the line before,
+    on each axis's chain up to its first line whose windows are all unique
+    (the single cell listed once, under axis 0)."""
+    dims, d = grid.shape, grid.ndim
+    listed = []
+    for a in range(d):
+        before = set()
+        for k in range(1, dims[a] + 1):
+            shape = tuple(k if b == a else 1 for b in range(d))
+            occs = _naive_contents(grid, shape)
+            unique = {corners[0] for corners in occs.values() if len(corners) == 1}
+            for p in unique if k > 1 or a == 0 else ():
+                q = p[:a] + (p[a] + 1,) + p[a + 1 :]
+                if p not in before and q not in before:
+                    listed.append((k, a, int(np.ravel_multi_index(p, dims))))
+            if len(unique) == sum(map(len, occs.values())):
+                break
+            before = unique
+    return sorted(listed)
+
+
+def test_attractor_layer_on_any_number_of_axes():
+    # the axis-free core against naive scans of every shape on 1 to 4 axes:
+    # the first failing shape in lexicographic order with a witness whose
+    # content no hit occurrence has, the constraints, and on 3 axes the line
+    # windows the lower bound is offered
+    rng = random.Random(4242)
+    cases = [bdk(3, 2)._grid]
+    for trial in range(160):
+        d = 1 + trial % 4
+        dims = tuple(rng.randint(1, 4) for _ in range(d))
+        letters = ("01", "012", "0123")[trial % 3]
+        # NdString's ids are dense, as the layer needs
+        cells = [rng.choice(letters) for _ in range(int(np.prod(dims)))]
+        cases.append(NdString.from_tokens(dims, cells)._grid)
+    outcomes = set()
+    for grid in cases:
+        what = ("window ranking",) * grid.ndim
+        for _ in range(3):
+            hit = np.array([rng.random() < 0.3 for _ in range(grid.size)]).reshape(grid.shape)
+            for cubes in (False, True):
+                got = measures._first_miss(grid, hit, cubes, Ledger(), what)
+                want = _naive_first_miss(grid, hit, cubes)
+                outcomes.add((grid.ndim, cubes, want is None))
+                if want is None:
+                    assert got is None
+                    continue
+                shape, corner = got
+                assert shape == want[0], (grid, hit, cubes)
+                box = tuple(slice(c, c + k) for c, k in zip(corner, shape))
+                assert grid[box].tobytes() in want[1]
+        for cubes in (False, True):
+            got = measures._coverage_masks(grid, cubes, Ledger(), what)
+            assert got == _naive_coverage_masks(grid, cubes)
+        if grid.ndim == 3:
+            assert measures._unique_windows(grid, Ledger(), what) == _naive_line_windows(grid)
+    assert {(d, cubes, ok) for d in range(1, 5) for cubes in (False, True) for ok in (False, True)} <= outcomes
+
+
 def _naive_listed_windows(m):
     """(k1, k2, i, j), 1-based, of the unique windows the greedy is offered:
     on the k x 1 and 1 x k chains those that hold no unique window of the
@@ -199,9 +356,15 @@ def test_lower_bound_offers_exactly_the_undominated_unique_windows():
     for trial in range(300):
         letters = ("01", "012", "0123456789abcdef")[trial % 3]
         m = random_matrix(rng, 7, 7, letters)
-        windows = measures._unique_windows(m, Ledger())
-        assert windows == sorted(windows)
-        got = {(-neg_k1, k2, i + 1, j + 1) for _, neg_k1, i, j, k2 in windows}
+        windows = measures._unique_windows(m._grid, Ledger(), RANKING_2D)
+        listed = [
+            (k, 1, *divmod(corner, m.cols)) if axis == 0 else (1, k, *divmod(corner, m.cols))
+            for k, axis, corner in windows
+        ]
+        # in the greedy's order: smallest area, taller first, row-major
+        order = [(k1 * k2, -k1, i, j, k2) for k1, k2, i, j in listed]
+        assert order == sorted(order)
+        got = {(k1, k2, i + 1, j + 1) for k1, k2, i, j in listed}
         assert len(got) == len(windows)
         assert got == _naive_listed_windows(m), str(m)
 
@@ -504,7 +667,7 @@ def test_gamma_constraints_equal_those_built_bit_by_bit():
         m = random_matrix(rng, 5, 5, ("01", "012", "0123456789abcdef")[trial % 3])
         for square_only in (False, True):
             got_ledger, ref_ledger = Ledger(), Ledger()
-            got = measures._coverage_masks(m, square_only, got_ledger)
+            got = measures._coverage_masks(m._grid, square_only, got_ledger, RANKING_2D)
             assert got == reference_coverage_masks(m, square_only, ref_ledger), str(m)
             assert got_ledger.steps == ref_ledger.steps
 

@@ -19,7 +19,7 @@ from repet2d.errors import (
 )
 from repet2d.core2d import ShapeBox, densest_shape, rank_windows
 from repet2d.grammar2d import build_bk_grammar, validate_grammar
-from repet2d.measures import delta, iter_shape_labels
+from repet2d.measures import delta
 from repet2d.multidim import (
     BoxNd,
     ConcatNd,
@@ -47,7 +47,9 @@ from repet2d.multidim import (
     write_nd,
 )
 
-from util import Ledger, random_matrix, raises, reference_delta_nd, repetitive_cells
+from util import (
+    Ledger, iter_shape_labels, random_matrix, raises, reference_delta_nd, repetitive_cells,
+)
 
 
 def test_2d_embedding_is_inverse():

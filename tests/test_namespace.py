@@ -81,3 +81,28 @@ def test_every_module_level_import_is_read():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unread = {name: line for name, line in imported.items() if name not in read}
         assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+
+def test_every_module_level_private_function_and_class_is_read():
+    # a private helper that no other code of the package reads is left over
+    # from code that went away; a read inside its own definition does not
+    # count, and dunder names are read by Python itself
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(pathlib.Path(repet2d.__file__).parent.glob("*.py"))
+    ]
+    private = {}
+    read = set()
+    for tree in trees:
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if own.startswith("_") and not own.startswith("__"):
+                    private[own] = top.lineno
+            read |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            } - {own}
+    unread = {name: line for name, line in private.items() if name not in read}
+    assert private and not unread, f"private helpers nothing reads: {unread}"

@@ -14,7 +14,13 @@ value, argmax shape and table; ``reference_is_attractor`` and
 unique-factor bound that rank every shape, which the early-stopping ones
 must reproduce in result with no more steps per label;
 ``reference_coverage_masks``, gamma's constraints built from numpy scalars
-bit by bit, which must come out mask for mask and step for step; the
+bit by bit, which must come out mask for mask and step for step;
+``two_axis_is_attractor``, ``two_axis_coverage_masks`` and
+``two_axis_unique_windows``/``two_axis_gamma_lower_bound_unique`` with
+``_rect_mask``, the attractor layer as it was written for two axes only,
+which the layer for any number of axes must reproduce in result and step
+for step; ``iter_shape_labels``, the 2D label wrapper over
+``rank_windows`` that the oracles rank with; the
 recursive grammar walks ``recursive_grammar_tree``, ``recursive_format_grammar`` and
 ``recursive_from_grammar``, and ``recursive_grammar_from_contents``, which
 the grammar search's result must reproduce name for name and rule for rule;
@@ -41,6 +47,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 from operator import add, le, mul, sub
@@ -51,8 +58,8 @@ from repet2d import Matrix2D
 from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, access, hop_bound
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import (
-    MAX_CELLS, FactorShape, Position, ShapeBox, TokenGrid, WindowIds, _rect_mask, encode_tokens,
-    iter_shape_labels, rank_windows, submatrix,
+    MAX_CELLS, RANKING_2D, FactorShape, Position, ShapeBox, TokenGrid, WindowIds, _check_shape,
+    encode_tokens, rank_windows, submatrix,
 )
 from repet2d.core2d import _pair_rank as counting_pair_rank
 from repet2d.errors import OutOfBounds, ShapeTooLarge, TooLarge
@@ -305,6 +312,28 @@ def recursive_dims_order(rules) -> list:
     return done
 
 
+def iter_shape_labels(m: Matrix2D, wanted, budget=None):
+    """Yield (k1, k2, labels) for every requested shape of m, or for every
+    shape of a ``ShapeBox`` of m's extents, in ascending (k2, k1) order,
+    each pass charged to the budget: ``rank_windows`` on a matrix, as the
+    library read it before its callers read ``rank_windows`` directly. The
+    oracles below rank with it."""
+    budget = ensure_budget(budget)
+    if not isinstance(wanted, ShapeBox):
+        wanted = list(wanted)
+    for k1, k2 in wanted:
+        _check_shape(m, k1, k2)
+    for (k1, k2), labels, _ in rank_windows(m._grid, wanted, budget, RANKING_2D):
+        yield k1, k2, labels
+
+
+def _rect_mask(k1: int, k2: int, n: int) -> int:
+    """Bitmask (over the cells of an n-column grid, RMO bit order) of the
+    k1 x k2 rectangle at the top-left cell; shifting it left by i * n + j
+    moves it to the 0-based cell (i, j)."""
+    return sum(((1 << k2) - 1) << (r * n) for r in range(k1))
+
+
 def reference_delta(m: Matrix2D, square_only=False, with_table=False,
                     budget=None, ranking=iter_shape_labels) -> DeltaResult:
     """delta as it was before pruning: ranks every (square) shape with
@@ -438,6 +467,139 @@ def reference_coverage_masks(m: Matrix2D, square_only: bool, budget) -> list[int
         if not any(prev & cand == prev for prev in kept):
             kept.append(cand)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# the attractor layer as it was written for two axes only
+# ---------------------------------------------------------------------------
+
+
+def two_axis_is_attractor(m: Matrix2D, candidate, square_only=False, budget=None) -> AttractorCheck:
+    """is_attractor as it was for two axes only: hits from a 2D prefix
+    table, and a stop that special-cases each axis, with the failure cut at
+    k1 >= the failure's k1."""
+    positions = (
+        candidate.positions
+        if isinstance(candidate, AttractorSet)
+        else AttractorSet.of(candidate).positions
+    )
+    budget = ensure_budget(budget)
+    rows, cols = m.rows, m.cols
+    grid = np.zeros((rows, cols), dtype=np.int64)
+    for i, j in positions:
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            raise OutOfBounds(f"attractor position ({i},{j}) outside matrix")
+        grid[i - 1, j - 1] = 1
+    prefix = np.zeros((rows + 1, cols + 1), dtype=np.int64)
+    prefix[1:, 1:] = grid.cumsum(0).cumsum(1)
+
+    @lru_cache(maxsize=1)
+    def hits(k1, k2):
+        rows_w, cols_w = rows - k1 + 1, cols - k2 + 1
+        window_sum = (
+            prefix[k1 : k1 + rows_w, k2 : k2 + cols_w]
+            - prefix[:rows_w, k2 : k2 + cols_w]
+            - prefix[k1 : k1 + rows_w, :cols_w]
+            + prefix[:rows_w, :cols_w]
+        )
+        return window_sum.ravel() > 0
+
+    cut = rows + 1
+
+    def stop(axis, shape):
+        k1, k2 = shape
+        if axis == 1:
+            k1 = k2 if square_only else 1
+        elif square_only:
+            return False
+        return k1 >= cut or bool(hits(k1, k2).all())
+
+    failure = None
+    for (k1, k2), labels, count in rank_windows(
+        m._grid, ShapeBox((rows, cols), square_only), budget, RANKING_2D, stop
+    ):
+        flat = labels.ravel()
+        hit_count = np.bincount(flat[hits(k1, k2)], minlength=count)
+        if hit_count.min() == 0:
+            first = int(np.argmax(flat == np.argmin(hit_count)))
+            failure, cut = (k1, k2, first), k1
+    if failure is None:
+        return AttractorCheck(True)
+    k1, k2, first = failure
+    cols_w = cols - k2 + 1
+    i, j = first // cols_w + 1, first % cols_w + 1
+    content = submatrix(m, i, j, i + k1 - 1, j + k2 - 1).tokens()
+    return AttractorCheck(False, FactorShape(k1, k2), content, (i, j))
+
+
+def two_axis_coverage_masks(m: Matrix2D, square_only: bool, budget) -> list[int]:
+    """gamma_exact's constraints as they were built for two axes only, with
+    ``_rect_mask`` rectangles."""
+    n = m.cols
+    masks: set[int] = set()
+    for k1, k2, labels in iter_shape_labels(m, ShapeBox((m.rows, m.cols), square_only), budget):
+        rect = _rect_mask(k1, k2, n)
+        by_label: dict[int, int] = {}
+        for i, row in enumerate(labels.tolist()):
+            for shift, lab in enumerate(row, i * n):
+                by_label[lab] = by_label.get(lab, 0) | rect << shift
+        masks.update(by_label.values())
+    kept: list[int] = []
+    for cand in sorted(masks, key=lambda s: (bin(s).count("1"), s)):
+        if not any(prev & cand == prev for prev in kept):
+            kept.append(cand)
+    return kept
+
+
+def two_axis_unique_windows(m: Matrix2D, budget) -> list[tuple[int, int, int, int, int]]:
+    """The unique-window listing as it was for two axes only: hand-copied
+    k x 1 and 1 x k chains, entries (k1 * k2, -k1, i, j, k2), sorted."""
+    rows, cols = m.rows, m.cols
+    shapes = {(k, 1) for k in range(1, rows + 1)}
+    shapes |= {(1, k) for k in range(1, cols + 1)}
+    tall_unique = wide_unique = None
+    tall_end, wide_end = rows, cols
+
+    def stop(axis, shape):
+        k1, k2 = shape
+        return k2 > wide_end if axis == 1 else k2 == 1 and k1 > tall_end
+
+    windows = []
+    for (k1, k2), labels, count in rank_windows(m._grid, sorted(shapes), budget, RANKING_2D, stop):
+        unique = (np.bincount(labels.ravel(), minlength=count) == 1)[labels]
+        keep = unique
+        if k2 == 1:
+            if k1 > 1:
+                keep = keep & ~tall_unique[:-1] & ~tall_unique[1:]
+            tall_unique = unique
+            if count == labels.size:
+                tall_end = k1
+        if k1 == 1:
+            if k2 > 1:
+                keep = keep & ~wide_unique[:, :-1] & ~wide_unique[:, 1:]
+            wide_unique = unique
+            if count == labels.size:
+                wide_end = k2
+        ii, jj = np.nonzero(keep)
+        windows.extend((k1 * k2, -k1, i, j, k2) for i, j in zip(ii.tolist(), jj.tolist()))
+    windows.sort()
+    return windows
+
+
+def two_axis_gamma_lower_bound_unique(m: Matrix2D, budget=None) -> int:
+    """gamma_lower_bound_unique as it was for two axes only: the greedy over
+    ``two_axis_unique_windows`` with ``_rect_mask`` rectangles."""
+    n = m.cols
+    shape = None
+    occupied = taken = 0
+    for _, neg_k1, i, j, k2 in two_axis_unique_windows(m, ensure_budget(budget)):
+        if shape != (neg_k1, k2):
+            shape, rect = (neg_k1, k2), _rect_mask(-neg_k1, k2, n)
+        window = rect << (i * n + j)
+        if window & occupied == 0:
+            occupied |= window
+            taken += 1
+    return taken
 
 
 def reference_delta_nd(x, budget=None):
