@@ -23,6 +23,20 @@ walks the same passes over every shape without listing them, and ends a
 chain once the answer is settled, by saturation, by a bound stop or by
 determinism; all three prunings are exact.
 
+A chain whose shapes need counts only, not labels (one along the first
+axis, or along an axis whose earlier extents are all 1, as on a 1 x n
+string), can also count the rest of its shapes at once. Once it has ranked
+extent k0, a window of extent k >= k0 is the run of the k - k0 + 1 windows
+of extent k0 that start in it, so the count at k is the number of distinct
+length-(k - k0 + 1) substrings of the lines of the k0 label grid along the
+chain's axis. One prefix-doubling suffix sort of those lines, each closed by
+an end id of its own (Karp, Miller and Rosenberg 1972; Manber and Myers
+1993), and the LCP of each suffix with the one sorted before it, lifted over
+the doubling levels, give every such count: the length-j substrings are the
+suffixes of length >= j whose LCP is below j (as in Kasai et al. 2001).
+``densest_shape`` switches a long chain to this sort (``_chain_counts``)
+once it has made ``_SORT_AFTER * ceil(log2 n)`` passes.
+
 Determinism is the counting step behind the Morse-Hedlund theorem (Morse and
 Hedlund, "Symbolic dynamics", 1938) and behind delta <= gamma (Kociumaka,
 Navarro and Prezza, LATIN 2020). Say the pass from shape t to t + e_a along
@@ -44,6 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import prod
+from operator import sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -227,14 +242,19 @@ def _pair_rank(
     ``a`` holds ids below ``a_range`` and ``b`` ids below ``b_range``."""
     combo = np.multiply(a, b_range, dtype=np.int64)
     combo += b
-    span = a_range * b_range
+    return _dense_rank(combo, a_range * b_range)
+
+
+def _dense_rank(combo: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense int64 ranks of the int64 ids ``combo`` (below ``span``) in
+    value order, and the sorted distinct ids (one per rank)."""
     if span > _COUNTING_RANGE * combo.size:
         values, labels = np.unique(combo, return_inverse=True)
-        return labels.reshape(a.shape).astype(np.int64, copy=False), values
+        return labels.reshape(combo.shape).astype(np.int64, copy=False), values
     seen = np.zeros(span, dtype=bool)
     seen[combo] = True
     values = seen.nonzero()[0]
-    # int32 halves the table (ids stay below MAX_CELLS); only the marked
+    # int32 halves the table (ids stay far below 2^31); only the marked
     # entries are written and read
     ids = np.empty(span, dtype=np.int32)
     ids[values] = np.arange(values.size, dtype=np.int32)
@@ -246,6 +266,68 @@ def _one_way(values: np.ndarray, b_range: int) -> bool:
     ``_pair_rank`` share their left id: each left id goes with one right id."""
     left = values // b_range
     return not (left[1:] == left[:-1]).any()
+
+
+#: a chain of extent n that needs counts only makes this many passes per bit
+#: of n (ceil(log2 n) bits) before it counts the rest of its shapes from one
+#: suffix sort. At the switch the sort took the time of 5-9 passes per bit
+#: on the 1 x 1024 to 1 x 65536 strings phlin(identity(32..256)) and 4-9 on
+#: the first column chains of identity(128), identity(256) and a blocky
+#: 256 x 256 grid (medians of 15; passes timed over the chain before the
+#: switch). Switching once the passes made cost about what the sort costs
+#: keeps a chain within about twice its cheaper way; 11, at the top of that
+#: range, also keeps every chain of a 64-row grid (at most 63 passes, 6
+#: bits) on passes, so their step ledgers stay as they were
+_SORT_AFTER = 11
+
+
+def _chain_counts(
+    grid: np.ndarray, axis: int, id_range: int, budget: WorkBudget | None, what: str
+) -> memoryview:
+    """The number of distinct substrings of each length k (index k, 0 to n)
+    of the lines of the id grid ``grid`` along ``axis`` (every id below
+    ``id_range`` occurs), from one prefix-doubling suffix sort with LCPs.
+
+    The lines are laid out one after another, each closed by an end id of
+    its own. Level h ranks the first 2^h ids of every suffix; the levels
+    double until every suffix has a rank of its own, which the distinct ends
+    bring about. The LCP of each suffix with the one sorted before it is
+    lifted over the levels, top down, and the length-k substrings are the
+    suffixes of length >= k whose LCP is below k. Each level and each LCP
+    round charges the text's length to ``budget`` under ``what`` first."""
+    n = grid.shape[axis]
+    lines = np.moveaxis(grid, axis, -1).reshape(-1, n)
+    size = lines.size + len(lines)
+    if budget is not None:
+        budget.charge(size, what)
+    ends = np.arange(id_range, id_range + len(lines))[:, None]
+    levels = [np.concatenate((lines, ends), axis=1, dtype=np.int32).reshape(-1)]
+    count = id_range + len(lines)
+    while count < size:
+        if budget is not None:
+            budget.charge(size, what)
+        h = 1 << (len(levels) - 1)
+        pairs = np.multiply(levels[-1], count + 1, dtype=np.int64)
+        pairs[: size - h] += levels[-1][h:] + 1  # 0 past the text's end
+        ranks, values = _dense_rank(pairs, count * (count + 1))
+        levels.append(ranks.astype(np.int32))
+        count = values.size
+    order = np.empty(size, dtype=np.int32)  # the suffixes in sorted order
+    order[levels[-1]] = np.arange(size, dtype=np.int32)
+    lcp = np.zeros(size, dtype=np.int32)  # 0 for the first suffix
+    prev, this, common = order[:-1], order[1:], lcp[1:]
+    levels.pop()  # no two suffixes share that many first ids
+    while levels:
+        if budget is not None:
+            budget.charge(size, what)
+        ranks = levels.pop()
+        common += (ranks[prev + common] == ranks[this + common]) << len(levels)
+    # an end sorts after every id, so no suffix sorts between two that share
+    # their first k ids; the LCP of a suffix is at most its length
+    length = n - order % (n + 1)
+    counts = np.bincount(lcp + 1, minlength=n + 2) - np.bincount(length + 1, minlength=n + 2)
+    # indexing makes one Python int per count read, not one per length
+    return memoryview(np.cumsum(counts))
 
 
 @dataclass(frozen=True)
@@ -271,7 +353,8 @@ def rank_windows(
     what: Sequence[str],
     stop: Callable[[int, tuple[int, ...]], bool] | None = None,
     one_way_stop: bool = False,
-) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
+    sort_chains: bool = False,
+) -> Iterator[tuple[tuple[int, ...], np.ndarray | None, int]]:
     """Yield (shape, labels, count) for every wanted window shape of an id
     grid with any number of axes.
 
@@ -291,6 +374,15 @@ def rank_windows(
     windows than the shape before and pairs each window of the shape before
     (that has a next slab) with one next slab only (``densest_shape``'s
     determinism stop).
+
+    With ``sort_chains`` (and every shape wanted, as a ``ShapeBox`` without
+    ``cubes``) a chain whose shapes need counts only, one along the first
+    axis or along an axis whose earlier extents are all 1 (no shape is
+    reached from it), makes at most ``_SORT_AFTER * ceil(log2 n)`` passes
+    (n its extent). The counts of the rest of it then come from one
+    ``_chain_counts`` of the labels of its last pass (module docstring),
+    and those shapes are yielded with labels None; ``stop`` is still asked
+    before each of them.
     """
     dims = grid.shape
     if isinstance(wanted, ShapeBox) and not wanted.cubes:
@@ -312,26 +404,42 @@ def rank_windows(
         n = base.shape[axis]
         lead = (slice(None),) * axis  # index prefix reaching ``axis``
         cur, count = base, base_range
+        # every shape on the chain is (1, ..., 1, k, suffix): nothing below it
+        # but extents of 1, so a shape is yielded without a walk below
+        flat = axis == 0 or every and prod(dims[:axis]) == 1
+        # the first extent the suffix sort counts, if the chain switches
+        sort_at = -1
+        if sort_chains and every and flat:
+            sort_at = _SORT_AFTER * (n - 1).bit_length() + 2
         for k in range(1, (node if every else max(node)) + 1):
+            shape = (1,) * axis + (k,) + suffix
             if k > 1:
-                if stop is not None and stop(axis, (1,) * axis + (k,) + suffix):
+                if stop is not None and stop(axis, shape):
                     return
-                width = n - k + 1
-                if budget is not None:
-                    budget.charge(cur.size // cur.shape[axis] * width, what[axis])
-                cur, values = _pair_rank(
-                    cur[lead + (slice(0, width),)],
-                    count,
-                    base[lead + (slice(k - 1, n),)],
-                    base_range,
-                )
-                if one_way_stop and values.size <= count and _one_way(values, base_range):
-                    return
-                count = values.size
+                if k == sort_at:
+                    # runs[j]: the distinct runs of j windows of extent
+                    # k - 1, one per window of extent k - 2 + j
+                    runs = _chain_counts(cur, axis, count, budget, what[axis])
+                    cur = None
+                if cur is None:
+                    count = runs[k - sort_at + 2]
+                else:
+                    width = n - k + 1
+                    if budget is not None:
+                        budget.charge(cur.size // cur.shape[axis] * width, what[axis])
+                    cur, values = _pair_rank(
+                        cur[lead + (slice(0, width),)],
+                        count,
+                        base[lead + (slice(k - 1, n),)],
+                        base_range,
+                    )
+                    if one_way_stop and values.size <= count and _one_way(values, base_range):
+                        return
+                    count = values.size
             if not (every or k in node):
                 continue
-            if axis == 0:
-                yield (k,) + suffix, cur, count
+            if flat:
+                yield shape, cur, count
             else:
                 below = dims[axis - 1] if every else node[k]
                 yield from extend(axis - 1, cur, count, below, (k,) + suffix)
@@ -377,12 +485,27 @@ def densest_shape(
       count. With ``cubes_only`` the t-parts of the cubes left are not
       cubes, so they bound nothing. Such a chain leaves no ``first_sat``
       entry, which only means fewer chains end by saturation.
+
+    A chain that needs counts only (along the first axis, or along an axis
+    whose earlier extents are all 1) switches, once it has made
+    ``_SORT_AFTER * ceil(log2 n)`` passes (n its extent), to one suffix
+    sort of the lines of its last labels that counts the rest of its shapes
+    at once (module docstring). Those counts are the ones its passes would
+    give, and they are read in chain order through the same stop,
+    saturation and best-value code, so value, shape, tie-break and table
+    stay the same; past the switch the determinism test is not made, which
+    only means the chain ends by the other two rules, both exact. The
+    switch reads only the extent and the passes made, so step ledgers stay
+    deterministic. It is on with a table, which needs exactly these counts,
+    and off with ``cubes_only``.
     """
     dims = grid.shape
     shapes = ShapeBox(dims, cubes_only)
 
+    sides = tuple(n + 1 for n in dims)
+
     def windows(shape: tuple[int, ...]) -> int:
-        return prod(n - k + 1 for n, k in zip(dims, shape))
+        return prod(map(sub, sides, shape))  # prod(n - k + 1)
 
     # Saturation is looked up per chain. A chain is keyed by (axis, the
     # extents after it) and holds the shapes (1, ..., 1, k, extents);
@@ -409,7 +532,7 @@ def densest_shape(
         else:
             k, after = shape[axis], shape[axis + 1 :]
             chain = (axis, after)
-            if first_sat.get(chain, k) < k or any(
+            if first_sat.get(chain, k) < k or after and any(
                 first_sat.get((axis, after[:j] + (e - 1,) + after[j + 1 :]), k + 1) <= k
                 for j, e in enumerate(after)
                 if e > 1
@@ -419,9 +542,11 @@ def densest_shape(
             low = shape
         return not with_table and windows(low) * best_vol < best_count * prod(low)
 
-    walk = rank_windows(grid, shapes, budget, what, stop, not (with_table or cubes_only))
+    walk = rank_windows(
+        grid, shapes, budget, what, stop, not (with_table or cubes_only), not cubes_only
+    )
     for shape, labels, count in walk:
-        if count >= labels.size - 1:
+        if count >= (windows(shape) if labels is None else labels.size) - 1:
             if cubes_only:
                 sat_cube = min(sat_cube, shape[0])
             else:

@@ -8,10 +8,16 @@ below the best value so far; and, except with a table or on squares only,
 shapes past a pass where every window extends in one way, whose windows are
 all fixed by a smaller shape) instead of making one pass per shape; all three
 prunings are exact, and each pass made is linear-time counting in the usual
-case of dense window ids. gamma is computed exactly by a
-minimum-hitting-set search over distinct factor contents (the problem is
-NP-hard, so only tiny instances are accepted — see the cell_limit
-parameter).
+case of dense window ids. A long chain whose shapes need counts only (along
+the first axis, or along the row of a 1 x n string) switches after
+11 * ceil(log2 n) passes to one prefix-doubling suffix sort of its lines
+with LCPs, which gives the number of distinct length-k windows for every k
+at once. Its windows of extent k are exactly the length-k substrings of
+those lines, so the counts equal the passes' counts; they go through the
+same prunings and tie-break, and value, shape and table do not change.
+gamma is computed exactly by a minimum-hitting-set search over distinct
+factor contents (the problem is NP-hard, so only tiny instances are
+accepted — see the cell_limit parameter).
 
 The attractor layer (the attractor check, gamma's constraints and the
 unique-factor lower bound) is written once over id grids with any number of

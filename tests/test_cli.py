@@ -73,6 +73,26 @@ def test_exit_codes(tmp_path):
     assert run("experiment", "--name", "nosuch").returncode == 2
 
 
+def test_measure_of_a_long_string_fits_its_budget(tmp_path):
+    # delta of the 1 x 65536 string phlin(identity(256)) counts the rest of
+    # its one long chain from a suffix sort: 13,544,951 steps. With a pass
+    # per shape the budget ran out near 20,000,000 in the passes
+    square, string = tmp_path / "identity.txt", tmp_path / "string.txt"
+    assert run("gen", "--family", "identity", "--params", "256", "--out", str(square)).returncode == 0
+    r = run("linearize", "--in", str(square), "--method", "hilbert", "--out", str(string))
+    assert r.returncode == 0, r.stderr
+    r = run("--budget", "20000000", "measure", "--in", str(string))
+    assert r.returncode == 0, r.stderr
+    rows = dict(line.split() for line in r.stdout.splitlines())
+    assert (rows["cols"], rows["delta"], rows["delta_shape"]) == ("65536", "2", "1x1")
+    # out of budget in the first pass and in the suffix sort (the passes
+    # before it take 11,518,760 steps)
+    for limit in ("5000", "12000000"):
+        r = run("--budget", limit, "measure", "--in", str(string))
+        assert r.returncode == 3, (limit, r.stderr)
+        assert "row ranking" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+
 def test_malformed_budget_variable_is_a_usage_error(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("2d 2 2\n0 1\n1 0\n")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -19,11 +20,13 @@ from repet2d import (
     identity,
     is_attractor,
     phlin,
+    rlin,
     staircase,
     zeros,
 )
 from repet2d import core2d, measures
 from repet2d.core2d import RANKING_2D, FactorShape, _box_mask
+from repet2d.measures import DeltaResult
 from repet2d.families import debruijn_bits
 from repet2d.multidim import NdString, bdk, delta_nd
 from repet2d.errors import BadParam, ShapeTooLarge, TooLarge
@@ -37,6 +40,7 @@ from util import (
     naive_factors,
     naive_gamma,
     naive_is_attractor,
+    pass_only_densest_shape,
     random_matrix,
     raises,
     reference_coverage_masks,
@@ -528,21 +532,122 @@ def test_delta_steps_stay_at_most_the_recorded_ledger():
     # passes back fails here, however fast the machine is
     rng = random.Random(64)
     random64 = Matrix2D.from_tokens([[rng.choice("01") for _ in range(64)] for _ in range(64)])
+    # the 1 x 4096 and 1 x 65536 strings and the 4096 x 1 column count the
+    # rest of their one long chain from a suffix sort after 11 passes per
+    # bit of its extent (4,656,014 and 6,288,384 steps on 1 x 4096 before)
+    string = phlin(identity(64))
+    column = Matrix2D.from_tokens([[t] for t in string.tokens()[0]])
     recorded = {
         "identity(64)": (identity(64), {"row ranking": 128960, "column ranking": 2970487},
                          {"row ranking": 129024, "column ranking": 4189249}),
-        "phlin(identity(64))": (phlin(identity(64)), {"row ranking": 4656014},
-                                {"row ranking": 6288384}),
+        "phlin(identity(64))": (string, {"row ranking": 623089}, {"row ranking": 623089}),
+        "its transpose": (column, {"column ranking": 623089}, {"column ranking": 623089}),
+        "phlin(identity(256))": (phlin(identity(256)), {"row ranking": 13544951}, None),
         "random 64x64": (random64, {"row ranking": 44160, "column ranking": 111241},
                          {"row ranking": 76544, "column ranking": 210524}),
     }
     for name, (m, plain, tabled) in recorded.items():
         for with_table, pinned in ((False, plain), (True, tabled)):
+            if pinned is None:
+                continue
             ledger = Ledger()
             delta(m, with_table=with_table, budget=ledger)
             assert set(ledger.steps) <= set(pinned), name
             for label, steps in ledger.steps.items():
                 assert steps <= pinned[label], (name, with_table, label, steps)
+
+
+def _pass_only_delta(m, square_only, with_table, budget):
+    value, shape, table = pass_only_densest_shape(m._grid, square_only, budget, RANKING_2D, with_table)
+    return DeltaResult(value, FactorShape(*shape), table)
+
+
+def test_delta_equals_the_pass_only_oracle_on_long_chains(monkeypatch):
+    # delta, square delta and dD delta, whose long chains count the rest of
+    # their shapes from one suffix sort, reproduce the delta that ranks each
+    # shape by a pass, with and without a table; with no chain sorted the
+    # step ledger is the same too
+    sorts = []
+    chain_counts = core2d._chain_counts
+    monkeypatch.setattr(core2d, "_chain_counts", lambda *a: sorts.append(a) or chain_counts(*a))
+    rng = random.Random(18)
+
+    def periodic(n, p, alphabet="01"):
+        tile = [rng.choice(alphabet) for _ in range(p)]
+        return [tile[i % p] for i in range(n)]
+
+    def defect(cells):
+        at = rng.randrange(len(cells) // 4)  # far from the end
+        return cells[:at] + ["x"] + cells[at + 1 :]
+
+    strings = [
+        [rng.choice("01") for _ in range(2000)],
+        [rng.choice("0123456789abcdef") for _ in range(1500)],
+        periodic(1500, 7),
+        defect(periodic(1200, 5)),
+        ["01"[b] for b in debruijn_bits(10)],
+    ]
+    grids = [Matrix2D.from_tokens([s]) for s in strings]
+    for family in (identity(32), staircase(32), diagpad(32, 32)):
+        grids += [phlin(family), rlin(family)]
+    grids.append(rlin(diagpad(24, 40)))
+    # tall grids: one long chain along the first axis on 1 or 2 lines; the
+    # two columns share long suffixes, and so do the lines of the 3D grids
+    string = phlin(identity(64)).tokens()[0]
+    column = periodic(900, 6)
+    grids += [
+        Matrix2D.from_tokens([[t] for t in string]),
+        Matrix2D.from_tokens([[t] for t in defect(periodic(700, 9))]),
+        Matrix2D.from_tokens([list(p) for p in zip(defect(column), defect(column))]),
+        Matrix2D.from_tokens([list(p) for p in zip(periodic(600, 4), defect(periodic(600, 3)))]),
+    ]
+    tile = periodic(24, 24)  # one period of 6 along the first axis, 2 x 2 across
+    grids += [
+        NdString.from_tokens((600, 2, 2), [tile[i % 6 * 4 + j] for i in range(600) for j in range(4)]),
+        NdString.from_tokens((700, 2, 1), defect([tile[i % 6 * 4 + j] for i in range(700) for j in range(2)])),
+        NdString.from_tokens((300, 3, 2), [rng.choice("01") for _ in range(1800)]),
+    ]
+    sides = set()
+    for x in grids:
+        what = RANKING_2D if isinstance(x, Matrix2D) else ("window ranking",) * 3
+        for cubes_only, with_table in product((False, True), repeat=2):
+            sorts.clear()
+            ledger, pass_ledger = Ledger(), Ledger()
+            got = core2d.densest_shape(x._grid, cubes_only, ledger, what, with_table)
+            want = pass_only_densest_shape(x._grid, cubes_only, pass_ledger, what, with_table)
+            assert repr(got) == repr(want), (x._grid.shape, cubes_only, with_table)
+            if not sorts:
+                assert ledger.steps == pass_ledger.steps
+            sides.add((cubes_only, with_table, bool(sorts)))
+            if isinstance(x, Matrix2D):
+                run = delta_square if cubes_only else delta
+                got = run(x, with_table=with_table, budget=Ledger())
+                assert repr(got) == repr(_pass_only_delta(x, cubes_only, with_table, Ledger()))
+            elif not (cubes_only or with_table):
+                assert delta_nd(x) == want[0]
+    # chains that switch occur, plain and with a table, as do inputs whose
+    # chains never do; a square delta never switches
+    assert sides == {
+        (False, False, False), (False, False, True), (False, True, False), (False, True, True),
+        (True, False, False), (True, True, False),
+    }
+
+
+def test_delta_of_a_long_string_stays_under_its_memory_bound():
+    # the suffix sort keeps one int32 rank table per doubling level: 16
+    # tables of 65,361 ids, 4.2 MB, on this 1 x 65536 string. The peak read
+    # 9.1 MB; with int64 tables it read 12.5 MB. The input grid is built
+    # before tracing starts
+    m = phlin(identity(256))
+    m._grid
+    tracemalloc.start()
+    try:
+        res = delta(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.argmax_shape) == (2, FactorShape(1, 1))
+    assert peak < 11_000_000, peak
 
 
 def test_one_way_check_runs_only_behind_the_count_gate(monkeypatch):

@@ -9,7 +9,9 @@ table that ranked each shape lazily on its own chain loop, which the table
 read off one ranking walk must match label for label and count for count,
 charging no budget either; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
-value, argmax shape and table; ``reference_is_attractor`` and
+value, argmax shape and table; ``pass_only_densest_shape``, delta with every
+pruning but counting each shape by a ranking pass, which the delta whose
+long chains count from a suffix sort must reproduce in repr; ``reference_is_attractor`` and
 ``reference_gamma_lower_bound_unique``, the attractor check and the
 unique-factor bound that rank every shape, which the early-stopping ones
 must reproduce in result with no more steps per label;
@@ -612,6 +614,76 @@ def reference_delta_nd(x, budget=None):
         key = (-Fraction(int(labels.max()) + 1, vol), vol, shape)
         best = key if best is None else min(best, key)
     return -best[0], best[2]
+
+
+def pass_only_densest_shape(grid, cubes_only, budget, what, with_table=False):
+    """``core2d.densest_shape`` as it was before a long chain could count
+    the rest of its shapes from one suffix sort: every shape it does not
+    prune comes from a ranking pass of ``rank_windows``, so the faster one
+    must return the same (value, shape, table) and, where no chain switches,
+    the same step ledger."""
+    dims = grid.shape
+    shapes = ShapeBox(dims, cubes_only)
+
+    def windows(shape: tuple[int, ...]) -> int:
+        return prod(n - k + 1 for n, k in zip(dims, shape))
+
+    # Saturation is looked up per chain. A chain is keyed by (axis, the
+    # extents after it) and holds the shapes (1, ..., 1, k, extents);
+    # first_sat maps it to the smallest k whose shape saturates every larger
+    # one: it has count >= W - 1, or lies above such a shape. The next shape
+    # of a chain lies above such a shape iff the shape before it on the
+    # chain saturates or, for some later axis, the shape at k with that
+    # extent one lower does. Those chains come earlier in the order of
+    # reversed tuples, so their entries are final; one that ended on the
+    # bound before k has a bound above this chain's, which then ends this
+    # chain too.
+    first_sat: dict[tuple[int, tuple[int, ...]], int] = {}
+    sat_cube = min(dims) + 1  # the smallest cube extent with count >= W - 1
+    counts: dict[tuple[int, ...], int] = {}
+    best_count, best_vol, best_shape = 0, 1, ()
+
+    def stop(axis: int, shape: tuple[int, ...]) -> bool:
+        if cubes_only:
+            # every wanted shape left on this chain is >= the next cube
+            k = shape[-1]
+            if k > sat_cube:
+                return True
+            low = (k,) * len(shape)
+        else:
+            k, after = shape[axis], shape[axis + 1 :]
+            chain = (axis, after)
+            if first_sat.get(chain, k) < k or any(
+                first_sat.get((axis, after[:j] + (e - 1,) + after[j + 1 :]), k + 1) <= k
+                for j, e in enumerate(after)
+                if e > 1
+            ):
+                first_sat.setdefault(chain, k)
+                return True
+            low = shape
+        return not with_table and windows(low) * best_vol < best_count * prod(low)
+
+    walk = rank_windows(grid, shapes, budget, what, stop, not (with_table or cubes_only))
+    for shape, labels, count in walk:
+        if count >= labels.size - 1:
+            if cubes_only:
+                sat_cube = min(sat_cube, shape[0])
+            else:
+                # the shape is on the chains of the axes up to its first
+                # extent above 1
+                first = next((i for i, k in enumerate(shape) if k > 1), len(shape) - 1)
+                for axis in range(first + 1):
+                    first_sat.setdefault((axis, shape[axis + 1 :]), shape[axis])
+        if with_table:
+            counts[shape] = count
+        vol = prod(shape)
+        gain = count * best_vol - best_count * vol
+        if gain > 0 or gain == 0 and (vol, shape) < (best_vol, best_shape):
+            best_count, best_vol, best_shape = count, vol, shape
+    table = None
+    if with_table:
+        table = {s: counts[s] if s in counts else windows(s) for s in shapes}
+    return Fraction(best_count, best_vol), best_shape, table
 
 
 def recursive_grammar_tree(g) -> GrammarTree:
