@@ -102,16 +102,48 @@ def encode_tokens(
     """Dense ids of the str()-ed tokens into their sorted alphabet.
 
     Each distinct token is validated once, in order of first occurrence, so
-    the first invalid token of the sequence is the one reported.
+    the first invalid token of the sequence is the one reported. Tokens that
+    are all plain ``str`` are used as they are (a ``str`` subclass may print
+    otherwise, so one of them sends every token through ``str()``). When
+    every letter is one character up to U+00FF, hence at most 256 letters,
+    the ids come from one byte translation of the joined tokens; otherwise
+    from one dict lookup a token.
     """
-    toks = list(map(str, tokens))
+    toks = list(tokens)
+    if list(map(type, toks)).count(str) != len(toks):
+        toks = list(map(str, toks))
     distinct = dict.fromkeys(toks)
     for tok in distinct:
         if tok.split() != [tok]:
             raise ParseError(f"invalid token {tok!r}")
     alphabet = tuple(sorted(distinct))
+    if all(len(tok) == 1 and tok <= "\xff" for tok in alphabet):
+        table = bytearray(256)
+        for i, tok in enumerate(alphabet):
+            table[ord(tok)] = i
+        return tuple("".join(toks).encode("latin-1").translate(table)), alphabet
     index = {tok: i for i, tok in enumerate(alphabet)}
     return tuple(map(index.__getitem__, toks)), alphabet
+
+
+def cells_tuple(ids: np.ndarray, letters: int) -> tuple[int, ...]:
+    """The ``cells`` tuple of an id array over ``letters`` ids, in row-major
+    order: read through one byte a cell when ``letters`` <= 256."""
+    if letters <= 256:
+        return tuple(ids.astype(np.uint8, copy=False).tobytes())
+    return tuple(ids.ravel().tolist())
+
+
+def _id_grid(cells: tuple[int, ...], letters: int, dims: tuple[int, ...]) -> np.ndarray:
+    """A read-only int64 array of ``cells`` shaped ``dims`` (the inverse of
+    ``cells_tuple``)."""
+    if letters <= 256:
+        arr = np.frombuffer(bytes(cells), dtype=np.uint8).astype(np.int64)
+    else:
+        arr = np.array(cells, dtype=np.int64)
+    arr = arr.reshape(dims)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -149,10 +181,7 @@ class Matrix2D:
 
     @cached_property
     def _grid(self) -> np.ndarray:
-        arr = np.array(self.cells, dtype=np.int64)
-        arr = arr.reshape(self.rows, self.cols)
-        arr.setflags(write=False)
-        return arr
+        return _id_grid(self.cells, len(self.alphabet), (self.rows, self.cols))
 
     @property
     def area(self) -> int:
@@ -167,17 +196,13 @@ class Matrix2D:
         return self.alphabet[self.id_at(i, j)]
 
     def tokens(self) -> TokenGrid:
-        a = self.alphabet
-        c = self.cells
-        w = self.cols
-        return tuple(
-            tuple(a[c[r * w + j]] for j in range(w)) for r in range(self.rows)
-        )
+        letter, c, w = self.alphabet.__getitem__, self.cells, self.cols
+        return tuple(tuple(map(letter, c[r : r + w])) for r in range(0, len(c), w))
 
     def row_tokens(self, i: int) -> tuple[str, ...]:
         self._check_pos(i, 1)
-        a, w = self.alphabet, self.cols
-        return tuple(a[c] for c in self.cells[(i - 1) * w : i * w])
+        w = self.cols
+        return tuple(map(self.alphabet.__getitem__, self.cells[(i - 1) * w : i * w]))
 
     def _check_pos(self, i: int, j: int) -> None:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
@@ -583,9 +608,16 @@ class WindowIds:
     the row-major order of the token tuples, so ``(h, w, label)`` sorts like
     ``(h, w, token grid)``. Every shape is ranked by one ``rank_windows``
     walk when the table is built; a shape's labels are turned into lists
-    when first asked for, and kept."""
+    when first asked for, and kept. A matrix whose table would hold more
+    than ``MAX_CELLS`` labels raises ``TooLarge`` before any is built."""
 
     def __init__(self, m: Matrix2D):
+        needed = m.rows * (m.rows + 1) // 2 * (m.cols * (m.cols + 1) // 2)
+        if needed > MAX_CELLS:
+            raise TooLarge(
+                f"the window ids of a {m.rows}x{m.cols} matrix are {needed} labels, "
+                f"over the {MAX_CELLS} cap"
+            )
         walk = rank_windows(m._grid, ShapeBox((m.rows, m.cols)), None, RANKING_2D)
         self._ranked: dict[tuple[int, ...], tuple[np.ndarray, int]] = {
             shape: (labels, count) for shape, labels, count in walk

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, TokenGrid, WindowIds
+from .core2d import MAX_CELLS, Matrix2D, TokenGrid, WindowIds, cells_tuple
 from .errors import (
     BadParam,
     CycleDetected,
@@ -325,7 +325,7 @@ def expand(g: Grammar2D, budget: WorkBudget | None = None) -> Matrix2D:
     """The matrix derived from the axiom."""
     info = validate_grammar(g)
     root, tokens = expand_ids(g.axiom, g.rules, info.dims, budget)
-    return Matrix2D(info.rows, info.cols, tuple(root.ravel().tolist()), tokens)
+    return Matrix2D(info.rows, info.cols, cells_tuple(root, len(tokens)), tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,22 @@ stay in bounds, and following cell -> source-cell pointers always reaches an
 explicit cell (no cycles). Size = #explicit + #phrases.
 
 analyze_boxes checks and resolves schemes over any number of axes. It writes
-each box's copy offset into an int32 array with one slice, checks the
-partition once (the part volumes add up to the grid and no cell is left
-free), then resolves every chain at once by pointer jumping, as in list
-ranking: each round replaces every cell's pointer by its pointer's pointer,
-so a scheme of N cells whose longest chain has L hops is resolved in
-O(N log L) array work. Only when a check fails does it replay the boxes in
+each box's step (source cell minus cell) into an int32 array with one slice,
+checks the partition once (the part volumes add up to the grid and no cell
+is left free), then resolves every chain at once by pointer jumping, as in
+list ranking: each round replaces every cell's pointer by its pointer's
+pointer, so a scheme of N cells whose longest chain has L hops is resolved
+in O(N log L) array work. A box whose source meets its own target copies a
+periodic block, as an overlapping copy does in LZ77 decoding (Ziv and
+Lempel, 1977): a cell's chain stays in the box for q shifts, q the number
+that carries it out, so the cell's step is q times the shift, written in
+place from one short count array per axis. Chains then make one hop per box
+they pass (identity_scheme(1024): 2 rounds, not 11) and end at the same
+explicit cells. Boxes whose longest in-box chain is below _JUMP_FROM hops
+keep the plain shift. Only when a check fails does it replay the boxes in
 order, to name the same overlap, hole or cycle cell (the first repeated cell
-on the chain of the smallest cell that never reaches an explicit one) as a
-box-by-box, cell-by-cell check would.
+on the one-shift chain of the smallest cell that never reaches an explicit
+one) as a box-by-box, cell-by-cell check would.
 
 b_exact finds a smallest valid scheme by branch-and-bound over rectangle
 partitions in row-major order; it is exponential and guarded by cell_limit.
@@ -38,7 +45,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, Position, WindowIds, _box_mask, encode_tokens, factor_count
+from .core2d import (
+    MAX_CELLS,
+    Matrix2D,
+    Position,
+    WindowIds,
+    _box_mask,
+    cells_tuple,
+    encode_tokens,
+    factor_count,
+)
 from .errors import (
     BadParam,
     CyclicMap,
@@ -100,6 +116,42 @@ _ERRORS = {
 }
 
 _FREE = -(1 << 31)  # no shift between two cells of the cap is this small
+
+#: a box is written as exits when some chain makes this many hops in it; a
+#: shorter one costs more numpy calls than the pointer-jumping rounds it saves
+_JUMP_FROM = 4
+#: some chain makes _JUMP_FROM hops in a box iff _SPAN(|offset|) <= ext on
+#: every axis (the box then also has at least _JUMP_FROM cells)
+_SPAN = (_JUMP_FROM - 1).__mul__
+
+
+def _write_exits(
+    view: np.ndarray, offset: tuple[int, ...], ext: tuple[int, ...], shift: int
+) -> None:
+    """Write into ``view``, a box of extents ``ext`` + 1 whose source is
+    ``offset`` away (flat ``shift`` != 0), each cell's step out of the box:
+    q times ``shift``, where q is the number of shifts that carry the cell
+    out of the box. Along an axis q falls by one every |offset| cells
+    towards the side the shift points to; a cell's q is the least over the
+    axes. No temporary of the box's size is made."""
+    least = np.minimum if shift > 0 else np.maximum  # of q * shift
+    first = True
+    for a, (o, e) in enumerate(zip(offset, ext)):
+        if o:
+            # q = (cells between the cell and the exit side + |o|) // |o|
+            n = abs(o)
+            if o > 0:
+                steps = np.arange(e + n, n - 1, -1, dtype=np.int32)
+            else:
+                steps = np.arange(n, e + n + 1, dtype=np.int32)
+            steps //= n
+            steps *= shift
+            steps = steps.reshape((1,) * a + (e + 1,) + (1,) * (len(ext) - a - 1))
+            if first:
+                view[...] = steps
+                first = False
+            else:
+                least(view, steps, out=view)
 
 
 def analyze_boxes(
@@ -181,6 +233,7 @@ def analyze_boxes(
 
     covered = len(cells)
     ones = (1,) * d
+    jumped: list[tuple[np.ndarray, int]] = []  # (view, shift) of each box written as exits
     for k, (lo, hi, src) in enumerate(boxes):
         ext = tuple(map(sub, hi, lo))
         if not (
@@ -195,7 +248,15 @@ def analyze_boxes(
         cut = tuple(map(slice, map(sub, lo, ones), hi))
         view = grid[cut]
         shift = sum(map(mul, map(sub, src, lo), strides))
-        view[...] = shift
+        if (
+            shift
+            and view.size >= _JUMP_FROM
+            and all(map(le, map(_SPAN, map(abs, map(sub, src, lo))), ext))
+        ):
+            _write_exits(view, tuple(map(sub, src, lo)), ext, shift)
+            jumped.append((view, shift))
+        else:
+            view.fill(shift)
         loops = loops or not shift
         covered += view.size
         cuts.append(cut)
@@ -224,6 +285,8 @@ def analyze_boxes(
         ends = np.zeros(total, dtype=bool)
         ends[cells] = True
         cur, seen = int(np.argmin(ends[root])), set()  # the first cell that misses
+        for view, shift in jumped:  # walk the one-shift chain
+            view.fill(shift)
         while cur not in seen:
             seen.add(cur)
             cur += int(step[cur])
@@ -236,9 +299,9 @@ def decoded_cells(
 ) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """Cell ids and alphabet of a decoded scheme (see analyze_boxes)."""
     ids, alphabet = encode_tokens(tokens.values())
-    lookup = np.zeros(len(root), dtype=np.int32)
+    lookup = np.zeros(len(root), dtype=np.uint8 if len(alphabet) <= 256 else np.int32)
     lookup[list(tokens)] = ids
-    return tuple(lookup.take(root).tolist()), alphabet
+    return cells_tuple(lookup.take(root), len(alphabet)), alphabet
 
 
 def _analyze(s: MacroScheme2D):

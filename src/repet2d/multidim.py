@@ -29,7 +29,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
-from .core2d import MAX_CELLS, Matrix2D, densest_shape, encode_tokens, rank_windows
+from .core2d import (
+    MAX_CELLS,
+    Matrix2D,
+    _id_grid,
+    cells_tuple,
+    densest_shape,
+    encode_tokens,
+    rank_windows,
+)
 from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError, TooLarge
 from .families import debruijn_bits
 from .grammar2d import (
@@ -82,9 +90,7 @@ class NdString:
 
     @cached_property
     def _grid(self) -> np.ndarray:
-        arr = np.array(self.cells, dtype=np.int64).reshape(self.dims)
-        arr.setflags(write=False)
-        return arr
+        return _id_grid(self.cells, len(self.alphabet), self.dims)
 
     @property
     def ndim(self) -> int:
@@ -104,7 +110,7 @@ class NdString:
         return self.alphabet[int(self._grid[tuple(p - 1 for p in pos)])]
 
     def tokens_flat(self) -> tuple[str, ...]:
-        return tuple(self.alphabet[i] for i in self.cells)
+        return tuple(map(self.alphabet.__getitem__, self.cells))
 
 
 def to_nd(m: Matrix2D) -> NdString:
@@ -136,7 +142,7 @@ def concat_axis(a: NdString, b: NdString, axis: int) -> NdString:
     out = np.concatenate([map_a[a._grid], map_b[b._grid]], axis=axis - 1)
     if out.size > MAX_CELLS:
         raise TooLarge(f"concatenation exceeds the {MAX_CELLS}-cell cap")
-    return NdString(tuple(out.shape), tuple(out.ravel().tolist()), alphabet)
+    return NdString(tuple(out.shape), cells_tuple(out, len(alphabet)), alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +185,7 @@ def expand_nd(g: GrammarNd, budget: WorkBudget | None = None) -> NdString:
     """The d-dimensional string derived from the axiom."""
     info = validate_nd(g)
     root, tokens = expand_ids(g.axiom, g.rules, info.var_dims, budget)
-    return NdString(info.dims, tuple(root.ravel().tolist()), tokens)
+    return NdString(info.dims, cells_tuple(root, len(tokens)), tokens)
 
 
 def grammar_to_nd(g: Grammar2D) -> GrammarNd:

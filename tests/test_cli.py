@@ -17,10 +17,10 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 )}
 
 
-def run(*args, env=None, **kw):
+def run(*args, env=None, timeout=300, **kw):
     return subprocess.run(
         [sys.executable, "-m", "repet2d.cli", *args],
-        capture_output=True, text=True, timeout=300, env={**ENV, **(env or {})}, **kw,
+        capture_output=True, text=True, timeout=timeout, env={**ENV, **(env or {})}, **kw,
     )
 
 
@@ -178,6 +178,19 @@ def test_grammar_minimize_deep_search_exits_on_budget(tmp_path):
     r = run("grammar", "minimize", "--in", str(mpath), "--budget", "1500")
     assert r.returncode == 3, r.stderr
     assert "work budget exceeded during grammar search" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_grammar_minimize_refuses_a_window_table_over_the_cap(tmp_path):
+    # 128 x 128 has (128*129/2)^2 = 68,161,536 window labels: refused before
+    # the table is built (it would take about 545 MB as int64)
+    rng = random.Random(128)
+    rows = [" ".join(rng.choice("01") for _ in range(128)) for _ in range(128)]
+    mpath = tmp_path / "m.txt"
+    mpath.write_text("2d 128 128\n" + "\n".join(rows) + "\n")
+    r = run("grammar", "minimize", "--in", str(mpath), timeout=60)
+    assert r.returncode == 2, r.stderr
+    assert "TooLarge: the window ids of a 128x128 matrix are 68161536 labels" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -1,5 +1,6 @@
 import ast
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -21,15 +22,18 @@ from repet2d.errors import (
     OutOfBounds,
     ParseError,
     RowMismatch,
+    TooLarge,
 )
 
 from repet2d import core2d
 from repet2d.budget import WorkBudget
 from repet2d.core2d import (
+    MAX_CELLS,
     ShapeBox,
     WindowIds,
     _one_way,
     _pair_rank,
+    encode_tokens,
     rank_windows,
 )
 from repet2d.multidim import NdString
@@ -37,6 +41,7 @@ from repet2d.multidim import NdString
 from util import (
     Ledger,
     _pair_rank as unique_pair_rank,
+    dict_encode_tokens,
     iter_shape_labels,
     mat,
     naive_factor_count,
@@ -70,6 +75,138 @@ def test_from_tokens_rejects_bad_input():
     raises(ParseError, Matrix2D.from_tokens, [[""]])
     raises(OutOfBounds, mat("01").at, 1, 3)
     raises(OutOfBounds, mat("01").at, 0, 1)
+
+
+class Loud(str):
+    """A str subclass that prints otherwise than its value."""
+
+    def __str__(self):
+        return "loud"
+
+
+class Quiet(str):
+    """A str subclass that prints as its value."""
+
+
+def _outcome(encode, tokens):
+    try:
+        ids, alphabet = encode(tokens)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    assert type(ids) is tuple and all(type(i) is int for i in ids)
+    return ids, alphabet
+
+
+# every one-character letter of U+0000..U+00FF that is a valid token
+LATIN1 = [chr(c) for c in range(256) if chr(c).split() == [chr(c)]]
+
+
+def test_encode_tokens_equals_the_dict_oracle():
+    named = [f"t{i:03d}" for i in range(257)]
+    wide = [chr(0x100 + i) for i in range(257)]
+    cases = [
+        list("abba"),
+        [0, 1, 1, 0, 10],
+        [1, "1", True, 1.0, "True", 1],
+        [True, 1, "1.0", 1.0],
+        ["a", Loud("a"), "b"],
+        [Loud("b"), "b", "a"],
+        ["a", Quiet("a"), Quiet("c")],
+        ["ab", "a", "ba", "ab", "b"],
+        named[:256],
+        named,
+        wide[:256],
+        wide,
+        LATIN1,
+        LATIN1 + ["\u0100"],
+        ["é", "e", "é"],
+        ["€", "e", "€"],
+        ["é", "€", "z"],
+        [],
+        ["a", "b c", "", "d"],
+        ["a", "", "b c"],
+        ["é", "x\ty", "€"],
+        [1, "a b", 2],
+        ["\xa0"],
+    ]
+    rng = random.Random(41)
+    pool = ["a", "b", "é", "€", "ab", 0, 1, 2.5, True, Loud("a"), Quiet("b"), "", "a b"]
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        cases.append([rng.choice(pool[: rng.randint(1, len(pool))]) for _ in range(k)])
+    for tokens in cases:
+        for order in (tokens, tokens[::-1]):
+            got = _outcome(encode_tokens, iter(order))
+            assert got == _outcome(dict_encode_tokens, order), order
+
+
+def test_from_tokens_reports_the_first_bad_token_before_a_row_mismatch(monkeypatch):
+    # a bad token in a row before the short one wins; one in the short row
+    # itself does not, as with the dict encoding
+    grids = [
+        [["a", "b"], ["c"]],
+        [["a", "b c"], ["c"]],
+        [["a", "b"], [""]],
+        [["a", "b"], ["€", "é"], ["x y", 1]],
+        [[1, True], ["1", 1.0]],
+        [["é", "x"], ["x", "é", "z"]],
+    ]
+    seen = []
+
+    def outcome():
+        out = []
+        for grid in grids:
+            try:
+                m = Matrix2D.from_tokens(grid)
+                out.append((m, m.tokens()))
+            except (ParseError, RowMismatch) as exc:
+                out.append((type(exc).__name__, str(exc)))
+        return out
+
+    seen.append(outcome())
+    monkeypatch.setattr(core2d, "encode_tokens", dict_encode_tokens)
+    seen.append(outcome())
+    assert seen[0] == seen[1]
+    assert {o[0] for o in seen[0] if isinstance(o[0], str)} == {"ParseError", "RowMismatch"}
+
+
+def test_cells_read_back_on_both_sides_of_256_letters():
+    # a grid, its rows and its id array read the cells alike with 255, 256
+    # and 257 letters (the last one does not fit a byte)
+    rng = random.Random(43)
+    for letters in (2, 255, 256, 257):
+        alphabet = [f"t{i:03d}" for i in range(letters)]
+        cols = rng.randint(1, 24)
+        rows = -(-letters // cols) + rng.randint(0, 3)
+        flat = alphabet + [rng.choice(alphabet) for _ in range(rows * cols - letters)]
+        rng.shuffle(flat)
+        grid = [flat[r * cols: (r + 1) * cols] for r in range(rows)]
+        m = Matrix2D.from_tokens(grid)
+        assert len(m.alphabet) == letters
+        assert m.tokens() == tuple(map(tuple, grid))
+        assert all(m.row_tokens(i) == tuple(grid[i - 1]) for i in range(1, rows + 1))
+        assert m._grid.dtype == np.int64 and not m._grid.flags.writeable
+        assert m._grid.tolist() == [list(m.cells[r * cols: (r + 1) * cols]) for r in range(rows)]
+        x = NdString((rows, cols), m.cells, m.alphabet)
+        assert x.tokens_flat() == sum(map(tuple, grid), ())
+        assert x._grid.dtype == np.int64 and x._grid.tolist() == m._grid.tolist()
+
+
+def test_window_ids_refuse_a_table_over_the_cap():
+    # (r(r+1)/2)(c(c+1)/2) labels: 4,326,400 for 64x64 (under the cap),
+    # 68,161,536 for 128x128; a 1 x n string has n(n+1)/2
+    rng = random.Random(47)
+    for rows, cols in ((128, 128), (1, 5793), (400, 25)):
+        assert rows * (rows + 1) // 2 * (cols * (cols + 1) // 2) > MAX_CELLS
+        m = Matrix2D.from_tokens([[rng.choice("01") for _ in range(cols)] for _ in range(rows)])
+        tracemalloc.start()
+        try:
+            exc = raises(TooLarge, WindowIds, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc).startswith(f"the window ids of a {rows}x{cols} matrix are ")
+        assert peak < 1 << 20, peak
 
 
 def test_equality_is_by_token_grid():

@@ -1,6 +1,9 @@
 import hashlib
+import inspect
 import itertools
 import random
+import sys
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -13,6 +16,7 @@ from repet2d import (
     b_exact,
     bk,
     build_ek_grammar,
+    build_zeros_rlslp,
     decode,
     expand,
     format_scheme,
@@ -42,6 +46,7 @@ from repet2d.multidim import BoxNd, MacroSchemeNd, decode_nd_scheme, validate_nd
 from util import (
     Ledger,
     mat,
+    pointer_jumping_analyze_boxes,
     random_matrix,
     raises,
     reference_analyze_boxes,
@@ -291,26 +296,33 @@ def test_scheme_over_the_cell_cap():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def against_oracle(monkeypatch):
-    """Run every scheme check through both analyze_boxes and the oracle with
-    the same describe; assert the same check and the same chain ends. Yields
-    the list of checks made."""
-    checks = []
+def _checked_against(oracle, record):
+    """analyze_boxes that also runs ``oracle`` with the same describe and
+    asserts the same check repr (a cycle cell is in its message) and the
+    same chain ends; ``record(dims, boxes, check)`` sees every check."""
 
     def both(dims, explicit, boxes, size, describe):
         got = analyze_boxes(dims, explicit, boxes, size, describe)
-        want = reference_analyze_boxes(dims, explicit, boxes, size, describe)
+        want = oracle(dims, explicit, boxes, size, describe)
         assert repr(got[0]) == repr(want[0]), (dims, explicit, boxes)
         if want[1] is None:
             assert got[1] is None
         else:
             (root, tokens), (want_root, want_tokens) = got[1], want[1]
-            assert root.dtype == np.int32 and root.tolist() == want_root
+            assert root.dtype == np.int32 and np.array_equal(root, want_root)
             assert list(tokens.items()) == list(want_tokens.items())
-        checks.append(got[0])
+        record(dims, boxes, got[0])
         return got
 
+    return both
+
+
+@pytest.fixture
+def against_oracle(monkeypatch):
+    """Run every scheme check through both analyze_boxes and the
+    list-filling oracle. Yields the list of checks made."""
+    checks = []
+    both = _checked_against(reference_analyze_boxes, lambda dims, boxes, check: checks.append(check))
     monkeypatch.setattr(macroscheme, "analyze_boxes", both)
     monkeypatch.setattr(multidim, "analyze_boxes", both)
     return checks
@@ -521,3 +533,193 @@ def test_decode_charges_one_step_per_cell():
         ledger = Ledger()
         decode(s, ledger)
         assert ledger.steps == {"scheme decode": s.rows * s.cols}
+
+
+# ---------------------------------------------------------------------------
+# boxes whose source meets their target, written as exits
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def against_plain_shifts(monkeypatch):
+    """Run every scheme check through both analyze_boxes and the check that
+    steps every box cell by one shift. Yields the list of (dims, boxes,
+    check) made."""
+    checks = []
+    both = _checked_against(pointer_jumping_analyze_boxes, lambda *made: checks.append(made))
+    monkeypatch.setattr(macroscheme, "analyze_boxes", both)
+    monkeypatch.setattr(multidim, "analyze_boxes", both)
+    return checks
+
+
+def _jumped(dims, boxes) -> int:
+    """How many of the boxes (in bounds) are written as exits."""
+    count = 0
+    for lo, hi, src in boxes:
+        offset = [s - p for s, p in zip(src, lo)]
+        ext = [h - p for h, p in zip(hi, lo)]
+        if any(offset) and all(abs(o) * (macroscheme._JUMP_FROM - 1) <= e for o, e in zip(offset, ext)):
+            count += 1
+    return count
+
+
+def overlapping_parts(rng, dims, acyclic):
+    """random_parts' partition with every box re-sourced at an offset of
+    -ext..ext along each axis (in bounds), so most sources meet their own
+    target. With ``acyclic`` every flat shift is negative (the first nonzero
+    offset is), so every chain falls in row-major order and ends; a box with
+    no such offset becomes explicit cells."""
+    explicit, parts = random_parts(rng, dims, acyclic=False)
+    boxes = []
+    for lo, hi, _ in parts:
+        offset = [
+            rng.randint(max(-(h - p), 1 - p), min(h - p, n - h))
+            for p, h, n in zip(lo, hi, dims)
+        ]
+        first = next((a for a, o in enumerate(offset) if o), None)
+        if acyclic and first is not None and offset[first] > 0:
+            if -offset[first] >= 1 - lo[first]:
+                offset[first] = -offset[first]
+            else:
+                first = None
+        if acyclic and first is None:
+            explicit.update((c, rng.choice("ab")) for c in _box_cells(lo, hi))
+            continue
+        boxes.append((lo, hi, tuple(p + o for p, o in zip(lo, offset))))
+    rng.shuffle(boxes)
+    return explicit, boxes
+
+
+def test_exits_equal_plain_shifts_on_self_overlapping_boxes(against_plain_shifts):
+    rng = random.Random(611)
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        dims = tuple(rng.randint(1, (40, 12, 6)[d - 1]) for _ in range(d))
+        acyclic = rng.random() < 0.5
+        explicit, boxes = overlapping_parts(rng, dims, acyclic)
+        check = _check_both_ways(dims, explicit, boxes)
+        assert check.ok or not acyclic, check
+    valid = sum(_jumped(dims, b) for dims, b, c in against_plain_shifts if c.ok)
+    cyclic = sum(_jumped(dims, b) for dims, b, c in against_plain_shifts if c.error == "CyclicMap")
+    assert valid > 100 and cyclic > 100, (valid, cyclic)
+
+
+def test_exits_equal_plain_shifts_on_cycles_through_them(against_plain_shifts):
+    # a run box shifted by +k (its chains leave it at the far end) whose
+    # exit cells copy back into its first cells: every chain cycles through
+    # the box; with one cell of the ring explicit instead, every chain ends
+    rng = random.Random(612)
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        dims = [rng.randint(1, 4) for _ in range(d)]
+        axis = rng.randrange(d)
+        k = rng.randint(1, 3)
+        dims[axis] = rng.randint(4 * k + 2, 30)
+        dims = tuple(dims)
+        length = rng.randint(3 * k + 1, dims[axis] - k)  # cells of the box along the axis
+        start = rng.randint(1, dims[axis] - length - k + 1)
+        lo = tuple(start if a == axis else 1 for a in range(d))
+        hi = tuple(start + length - 1 if a == axis else n for a, n in enumerate(dims))
+        src = tuple(start + k if a == axis else 1 for a in range(d))
+        tail_lo = tuple(start + length if a == axis else 1 for a in range(d))
+        tail_hi = tuple(start + length + k - 1 if a == axis else n for a, n in enumerate(dims))
+        boxes = [(lo, hi, src), (tail_lo, tail_hi, lo)]
+        covered = set(_box_cells(lo, tail_hi))
+        explicit = {c: rng.choice("ab") for c in _box_cells((1,) * d, dims) if c not in covered}
+        assert _check_both_ways(dims, explicit, boxes).error == "CyclicMap"
+        # a chain from before the box that enters the ring mid-box: the
+        # first repeated cell on its one-shift walk is that entry cell
+        first = min(explicit, default=None)
+        if first is not None and first < lo:
+            entry = rng.choice(_box_cells(lo, hi))
+            rest = {c: t for c, t in explicit.items() if c != first}
+            check = _check_both_ways(dims, rest, boxes + [(first, first, entry)])
+            assert check.error == "CyclicMap"
+            assert check.message == f"copy cycle through cell {_ravel(entry, dims)}", (check, entry)
+        # the tail copied from outside: the run box's chains end there
+        if start > k:
+            out = tuple(start - k if a == axis else 1 for a in range(d))
+            freed = {c: rng.choice("ab") for c in _box_cells(tail_lo, tail_hi)}
+            assert _check_both_ways(dims, {**explicit, **freed}, boxes[:1]).ok
+            assert _check_both_ways(dims, explicit, [boxes[0], (tail_lo, tail_hi, out)]).ok
+    assert sum(_jumped(dims, b) for dims, b, c in against_plain_shifts if c.error == "CyclicMap") >= 200
+
+
+def test_exits_equal_plain_shifts_on_identity_and_run_length_schemes(against_plain_shifts):
+    for n in range(1, 65):
+        s = identity_scheme(n)
+        assert decode(s) == identity(n)
+        assert validate_nd_scheme(MacroSchemeNd(
+            (n, n), s.explicit, tuple(BoxNd((p.i1, p.j1), (p.i2, p.j2), (p.si, p.sj)) for p in s.phrases)
+        )).ok
+    rng = random.Random(613)
+    grammars = [build_zeros_rlslp(n) for n in (2, 3, 5, 16, 33)]
+    grammars += [random_grammar(rng, allow_runs=True) for _ in range(150)]
+    for g in grammars:
+        s = from_grammar(g)
+        assert validate_scheme(s).ok
+        assert decode(s) == expand(g)
+    assert sum(_jumped(dims, b) for dims, b, c in against_plain_shifts) > 100
+
+
+def _jumping_rounds(s) -> int:
+    """The pointer-jumping rounds of validate_scheme(s): the calls made from
+    the line of analyze_boxes that takes each cell's pointer's pointer."""
+    code = analyze_boxes.__code__
+    lines, first = inspect.getsourcelines(analyze_boxes)
+    (line,) = [first + i for i, text in enumerate(lines) if "root.take(root" in text]
+    rounds = 0
+
+    def count(frame, event, arg):
+        nonlocal rounds
+        if event == "c_call" and frame.f_code is code and frame.f_lineno == line:
+            rounds += 1
+
+    sys.setprofile(count)
+    try:
+        check = validate_scheme(s)
+    finally:
+        sys.setprofile(None)
+    assert check.ok
+    return rounds
+
+
+def test_self_overlapping_boxes_take_two_rounds():
+    # one hop leaves each box, so a chain of the identity scheme makes two
+    # (diagonal box, then row or column), and the round after them changes
+    # nothing; stepping one shift a cell took 11 and 8 rounds
+    assert _jumping_rounds(identity_scheme(1024)) <= 2
+    assert _jumping_rounds(from_grammar(build_zeros_rlslp(64))) <= 2
+
+
+def test_exits_are_written_in_place():
+    # the exits of identity_scheme(1024)'s diagonal box need only the
+    # per-axis counts, not a temporary of the box (4 MB as int32)
+    n = 1023
+    view = np.empty((n, n), dtype=np.int32)
+    shift = -(n + 2)  # (-1, -1) in a 1024 x 1024 grid
+    tracemalloc.start()
+    try:
+        macroscheme._write_exits(view, (-1, -1), (n - 1, n - 1), shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+    i = np.arange(n)
+    assert np.array_equal(view, (np.minimum.outer(i, i) + 1) * shift)
+
+
+def test_decode_peak_memory():
+    # decode's peak: the pointer jumping holds three int32 arrays of the
+    # grid plus the intp copy numpy's take makes of int32 indices (20 MB);
+    # the cells are read back through one byte a cell (the int32 ids and
+    # their list made 24 MB)
+    s = identity_scheme(1024)
+    decode(s)
+    tracemalloc.start()
+    try:
+        decode(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 << 20, peak

@@ -29,7 +29,11 @@ the grammar search's result must reproduce name for name and rule for rule;
 ``reference_analyze_boxes``, the scheme
 check that fills a Python list box by box and walks every copy chain cell
 by cell with ``walk_chains``, which the pointer-jumping check must match
-fault for fault; ``reference_b_exact``, the scheme search that walks every
+fault for fault; ``pointer_jumping_analyze_boxes``, that check as it was
+before self-overlapping boxes were written as exits, which the check must
+match in repr, root array and cycle cell; ``dict_encode_tokens``, the token
+encoding that str()-ed every token and looked each up in a dict, which the
+encoding must match in ids, alphabet and error; ``reference_b_exact``, the scheme search that walks every
 chain with ``walk_chains`` after each source choice, which the search that
 walks only the new part's chains must reproduce in result, exception text,
 step ledger and budget; and
@@ -61,10 +65,10 @@ from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, a
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import (
     MAX_CELLS, RANKING_2D, FactorShape, Position, ShapeBox, TokenGrid, WindowIds, _check_shape,
-    encode_tokens, rank_windows, submatrix,
+    rank_windows, submatrix,
 )
 from repet2d.core2d import _pair_rank as counting_pair_rank
-from repet2d.errors import OutOfBounds, ShapeTooLarge, TooLarge
+from repet2d.errors import OutOfBounds, ParseError, ShapeTooLarge, TooLarge
 from repet2d.grammar2d import (
     Grammar2D,
     GrammarSearchResult,
@@ -79,7 +83,7 @@ from repet2d.grammar2d import (
     expand,
     validate_grammar,
 )
-from repet2d.macroscheme import MacroScheme2D, Phrase, SchemeCheck
+from repet2d.macroscheme import _FREE, MacroScheme2D, Phrase, SchemeCheck
 from repet2d.measures import AttractorCheck, AttractorSet, DeltaResult
 
 
@@ -907,6 +911,105 @@ def reference_analyze_boxes(dims, explicit, boxes, size, describe):
     return SchemeCheck(True, size), (root, tokens)
 
 
+def pointer_jumping_analyze_boxes(dims, explicit, boxes, size, describe):
+    """macroscheme.analyze_boxes as it was before boxes whose source meets
+    their target were written as exits: every box cell steps one shift, so
+    pointer jumping follows such a box one cell a hop. Same returns."""
+
+    def fail(fault, at=None):
+        return SchemeCheck(False, size, *describe(fault, at)), None
+
+    d = len(dims)
+    if d < 1 or any(n < 1 for n in dims):
+        return fail("dims")
+    total = prod(dims)
+    if total > MAX_CELLS:
+        return fail("cap")
+    strides = [prod(dims[a + 1:]) for a in range(d)]
+    origin = sum(strides)
+
+    def inside(lo, hi):
+        return len(lo) == len(hi) == d and min(lo) >= 1 and all(map(le, hi, dims))
+
+    tokens = {}
+    for pos, tok in explicit.items():
+        pos = tuple(pos)
+        bad_token = not tok or str(tok).split() != [str(tok)]
+        if bad_token or not inside(pos, pos):
+            return fail("explicit", (pos, tok, bad_token, not inside(pos, pos)))
+        tokens[sum(map(mul, pos, strides)) - origin] = str(tok)
+    cells = list(tokens)
+    step = np.full(total, _FREE, dtype=np.int32)
+    step[cells] = 0
+    grid = step.reshape(dims)
+    cuts = []
+    loops = False
+
+    def first_overlap():
+        taken = np.zeros(dims, dtype=bool)
+        taken.flat[cells] = True
+        for cut in cuts:
+            view = taken[cut]
+            if view.any():
+                at = np.unravel_index(int(view.argmax()), view.shape)
+                return int(sum((c.start + a) * st for c, a, st in zip(cut, at, strides)))
+            view[...] = True
+        return None
+
+    def bounds_fault(k, lo, hi, src):
+        cell = first_overlap()
+        if cell is not None:
+            return fail("overlap", cell)
+        ext = tuple(map(sub, hi, lo))
+        if min(ext, default=0) < 0:
+            return fail("inverted", k)
+        return fail("source" if inside(lo, hi) else "target", k)
+
+    covered = len(cells)
+    ones = (1,) * d
+    for k, (lo, hi, src) in enumerate(boxes):
+        ext = tuple(map(sub, hi, lo))
+        if not (
+            len(lo) == len(hi) == len(src) == d
+            and min(ext) >= 0
+            and min(lo) >= 1
+            and min(src) >= 1
+            and all(map(le, hi, dims))
+            and all(map(le, map(add, src, ext), dims))
+        ):
+            return bounds_fault(k, lo, hi, src)
+        cut = tuple(map(slice, map(sub, lo, ones), hi))
+        view = grid[cut]
+        shift = sum(map(mul, map(sub, src, lo), strides))
+        view[...] = shift
+        loops = loops or not shift
+        covered += view.size
+        cuts.append(cut)
+    if covered != total or step.min() == _FREE:
+        cell = first_overlap()
+        if cell is not None:
+            return fail("overlap", cell)
+        free = np.flatnonzero(step == _FREE)
+        return fail("holes", (len(free), int(free[0])))
+    root = np.arange(total, dtype=np.int32)
+    root += step
+    spare = np.empty_like(root)
+    for _ in range(total.bit_length() + 1):
+        root.take(root, out=spare, mode="clip")
+        if (spare == root).all():
+            break
+        root, spare = spare, root
+    if loops or step.take(root, out=spare, mode="clip").any():
+        ends = np.zeros(total, dtype=bool)
+        ends[cells] = True
+        cur, seen = int(np.argmin(ends[root])), set()
+        while cur not in seen:
+            seen.add(cur)
+            cur += int(step[cur])
+        return fail("cycle", cur)
+    return SchemeCheck(True, size), (root, tokens)
+
+
 def reference_b_exact(
     m: Matrix2D,
     cell_limit: int = 9,
@@ -1062,9 +1165,22 @@ def reference_b_exact(
     return MacroScheme2D(rows, cols, explicit, tuple(phrases))
 
 
+def dict_encode_tokens(tokens):
+    """core2d.encode_tokens as it was: every token str()-ed, then one dict
+    lookup a token."""
+    toks = list(map(str, tokens))
+    distinct = dict.fromkeys(toks)
+    for tok in distinct:
+        if tok.split() != [tok]:
+            raise ParseError(f"invalid token {tok!r}")
+    alphabet = tuple(sorted(distinct))
+    index = {tok: i for i, tok in enumerate(alphabet)}
+    return tuple(map(index.__getitem__, toks)), alphabet
+
+
 def reference_decoded_cells(root, tokens):
     """Cell ids and alphabet of a decoded scheme, one dict lookup a cell."""
-    ids, alphabet = encode_tokens(tokens.values())
+    ids, alphabet = dict_encode_tokens(tokens.values())
     id_at = dict(zip(tokens, ids))
     return tuple(map(id_at.__getitem__, root)), alphabet
 
