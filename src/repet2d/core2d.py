@@ -126,10 +126,16 @@ def encode_tokens(
     return tuple(map(index.__getitem__, toks)), alphabet
 
 
+def id_dtype(letters: int) -> type[np.integer]:
+    """The dtype of cell ids over ``letters`` letters: one byte a cell for
+    at most 256, which cells_tuple and _id_grid read through bytes."""
+    return np.uint8 if letters <= 256 else np.int32
+
+
 def cells_tuple(ids: np.ndarray, letters: int) -> tuple[int, ...]:
     """The ``cells`` tuple of an id array over ``letters`` ids, in row-major
-    order: read through one byte a cell when ``letters`` <= 256."""
-    if letters <= 256:
+    order, read through bytes when ids are one byte a cell."""
+    if id_dtype(letters) is np.uint8:
         return tuple(ids.astype(np.uint8, copy=False).tobytes())
     return tuple(ids.ravel().tolist())
 
@@ -137,7 +143,7 @@ def cells_tuple(ids: np.ndarray, letters: int) -> tuple[int, ...]:
 def _id_grid(cells: tuple[int, ...], letters: int, dims: tuple[int, ...]) -> np.ndarray:
     """A read-only int64 array of ``cells`` shaped ``dims`` (the inverse of
     ``cells_tuple``)."""
-    if letters <= 256:
+    if id_dtype(letters) is np.uint8:
         arr = np.frombuffer(bytes(cells), dtype=np.uint8).astype(np.int64)
     else:
         arr = np.array(cells, dtype=np.int64)

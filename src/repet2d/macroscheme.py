@@ -18,11 +18,11 @@ Lempel, 1977): a cell's chain stays in the box for q shifts, q the number
 that carries it out, so the cell's step is q times the shift, written in
 place from one short count array per axis. Chains then make one hop per box
 they pass (identity_scheme(1024): 2 rounds, not 11) and end at the same
-explicit cells. Boxes whose longest in-box chain is below _JUMP_FROM hops
-keep the plain shift. Only when a check fails does it replay the boxes in
-order, to name the same overlap, hole or cycle cell (the first repeated cell
-on the one-shift chain of the smallest cell that never reaches an explicit
-one) as a box-by-box, cell-by-cell check would.
+explicit cells. Boxes whose longest in-box chain is below 4 hops keep the
+plain shift. Only when a check fails does it replay the boxes in order, to
+name the same overlap, hole or cycle cell (the first repeated cell on the
+one-shift chain of the smallest cell that never reaches an explicit one) as
+a box-by-box, cell-by-cell check would.
 
 b_exact finds a smallest valid scheme by branch-and-bound over rectangle
 partitions in row-major order; it is exponential and guarded by cell_limit.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import add, le, mul, sub
+from operator import add, floordiv, le, mul, sub
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -54,6 +54,7 @@ from .core2d import (
     cells_tuple,
     encode_tokens,
     factor_count,
+    id_dtype,
 )
 from .errors import (
     BadParam,
@@ -117,13 +118,6 @@ _ERRORS = {
 
 _FREE = -(1 << 31)  # no shift between two cells of the cap is this small
 
-#: a box is written as exits when some chain makes this many hops in it; a
-#: shorter one costs more numpy calls than the pointer-jumping rounds it saves
-_JUMP_FROM = 4
-#: some chain makes _JUMP_FROM hops in a box iff _SPAN(|offset|) <= ext on
-#: every axis (the box then also has at least _JUMP_FROM cells)
-_SPAN = (_JUMP_FROM - 1).__mul__
-
 
 def _write_exits(
     view: np.ndarray, offset: tuple[int, ...], ext: tuple[int, ...], shift: int
@@ -135,6 +129,10 @@ def _write_exits(
     towards the side the shift points to; a cell's q is the least over the
     axes. No temporary of the box's size is made."""
     least = np.minimum if shift > 0 else np.maximum  # of q * shift
+    # No cell's q passes the corner cell's, the least over the axes of the
+    # largest q along each; its step lands in the grid, so capping every
+    # count there keeps each product in int32.
+    cap = min((e + abs(o)) // abs(o) for o, e in zip(offset, ext) if o)
     first = True
     for a, (o, e) in enumerate(zip(offset, ext)):
         if o:
@@ -145,6 +143,7 @@ def _write_exits(
             else:
                 steps = np.arange(n, e + n + 1, dtype=np.int32)
             steps //= n
+            np.minimum(steps, cap, out=steps)
             steps *= shift
             steps = steps.reshape((1,) * a + (e + 1,) + (1,) * (len(ext) - a - 1))
             if first:
@@ -232,7 +231,7 @@ def analyze_boxes(
         return fail("source" if inside(lo, hi) else "target", k)
 
     covered = len(cells)
-    ones = (1,) * d
+    ones, threes = (1,) * d, (3,) * d
     jumped: list[tuple[np.ndarray, int]] = []  # (view, shift) of each box written as exits
     for k, (lo, hi, src) in enumerate(boxes):
         ext = tuple(map(sub, hi, lo))
@@ -247,13 +246,18 @@ def analyze_boxes(
             return bounds_fault(k, lo, hi, src)
         cut = tuple(map(slice, map(sub, lo, ones), hi))
         view = grid[cut]
-        shift = sum(map(mul, map(sub, src, lo), strides))
+        offset = tuple(map(sub, src, lo))
+        shift = sum(map(mul, offset, strides))
+        # jump when some chain makes 4 hops in the box, i.e. |o| <= e // 3
+        # on every axis (the box then has 4 cells or more): shorter ones
+        # cost more numpy calls than the rounds they save, and the size test
+        # spares small boxes the per-axis one
         if (
             shift
-            and view.size >= _JUMP_FROM
-            and all(map(le, map(_SPAN, map(abs, map(sub, src, lo))), ext))
+            and view.size >= 4
+            and all(map(le, map(abs, offset), map(floordiv, ext, threes)))
         ):
-            _write_exits(view, tuple(map(sub, src, lo)), ext, shift)
+            _write_exits(view, offset, ext, shift)
             jumped.append((view, shift))
         else:
             view.fill(shift)
@@ -299,7 +303,7 @@ def decoded_cells(
 ) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """Cell ids and alphabet of a decoded scheme (see analyze_boxes)."""
     ids, alphabet = encode_tokens(tokens.values())
-    lookup = np.zeros(len(root), dtype=np.uint8 if len(alphabet) <= 256 else np.int32)
+    lookup = np.zeros(len(root), dtype=id_dtype(len(alphabet)))
     lookup[list(tokens)] = ids
     return cells_tuple(lookup.take(root), len(alphabet)), alphabet
 

@@ -558,7 +558,7 @@ def _jumped(dims, boxes) -> int:
     for lo, hi, src in boxes:
         offset = [s - p for s, p in zip(src, lo)]
         ext = [h - p for h, p in zip(hi, lo)]
-        if any(offset) and all(abs(o) * (macroscheme._JUMP_FROM - 1) <= e for o, e in zip(offset, ext)):
+        if any(offset) and all(3 * abs(o) <= e for o, e in zip(offset, ext)):
             count += 1
     return count
 
@@ -707,6 +707,16 @@ def test_exits_are_written_in_place():
     assert peak < 1 << 16, peak
     i = np.arange(n)
     assert np.array_equal(view, (np.minimum.outer(i, i) + 1) * shift)
+
+
+def test_exits_do_not_wrap_int32():
+    # along axis 1 q reaches 1000, and 1000 times the shift passes 2^31; the
+    # least q over the axes is at most 4, so its product fits
+    view = np.empty((4, 1000), dtype=np.int32)
+    shift = (1 << 22) + 1  # (1, 1) in a grid 2^22 cells wide
+    macroscheme._write_exits(view, (1, 1), (3, 999), shift)
+    q = np.minimum.outer(np.arange(4, 0, -1), np.arange(1000, 0, -1))
+    assert np.array_equal(view, q * shift)
 
 
 def test_decode_peak_memory():
