@@ -246,18 +246,17 @@ def analyze_boxes(
             return bounds_fault(k, lo, hi, src)
         cut = tuple(map(slice, map(sub, lo, ones), hi))
         view = grid[cut]
-        offset = tuple(map(sub, src, lo))
-        shift = sum(map(mul, offset, strides))
-        # jump when some chain makes 4 hops in the box, i.e. |o| <= e // 3
-        # on every axis (the box then has 4 cells or more): shorter ones
-        # cost more numpy calls than the rounds they save, and the size test
-        # spares small boxes the per-axis one
+        shift = sum(map(mul, map(sub, src, lo), strides))
+        # jump when some chain makes 4 hops in the box, i.e. |offset| <=
+        # ext // 3 on every axis (the box then has 4 cells or more): shorter
+        # ones cost more numpy calls than the rounds they save, and the size
+        # test spares small boxes the per-axis one
         if (
             shift
             and view.size >= 4
-            and all(map(le, map(abs, offset), map(floordiv, ext, threes)))
+            and all(map(le, map(abs, map(sub, src, lo)), map(floordiv, ext, threes)))
         ):
-            _write_exits(view, offset, ext, shift)
+            _write_exits(view, tuple(map(sub, src, lo)), ext, shift)
             jumped.append((view, shift))
         else:
             view.fill(shift)
