@@ -58,6 +58,15 @@ def _fresh_sentinel(alphabet: tuple[str, ...]) -> str:
     return f"${k}"
 
 
+def _first_windows(labels: np.ndarray, count: int) -> list[Position]:
+    """The 1-based position of the first window, in row-major order, of
+    each of the dense labels 0 to ``count - 1`` of a 2D label grid."""
+    first = np.full(count, labels.size)
+    np.minimum.at(first, labels.ravel(), np.arange(labels.size))
+    rows, cols = np.divmod(first, labels.shape[1])
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+
+
 def build_blocktree(
     m: Matrix2D,
     arity: int = 2,
@@ -89,14 +98,8 @@ def build_blocktree(
         fits.append((s, s))
         s *= arity
     earliest: dict[int, tuple[np.ndarray, list[Position]]] = {}
-    for (s, _), labels, _ in rank_windows(m._grid, fits, budget, RANKING_2D):
-        _, first_idx = np.unique(labels.ravel(), return_index=True)
-        width = labels.shape[1]
-        firsts = [
-            (int(idx) // width + 1, int(idx) % width + 1)
-            for idx in first_idx
-        ]
-        earliest[s] = (labels, firsts)
+    for (s, _), labels, count in rank_windows(m._grid, fits, budget, RANKING_2D):
+        earliest[s] = (labels, _first_windows(labels, count))
 
     def make(level: int, top: int, left: int, s: int) -> BlockNode:
         budget.charge(1, "block tree")

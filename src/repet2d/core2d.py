@@ -15,10 +15,11 @@ iterated pair ranking, extending the shape one column / one row at a time.
 ``rank_windows`` is the one loop that does this, for any number of axes:
 delta, the attractor layer, factor counts and listings, block trees and the
 exact g and b solvers (through ``WindowIds``) all read its walk. Each pass
-ranks the (window id, next cell id) pairs in linear time by marking them in
-a bool array over the pair-id range, or with np.unique when that range is
-sparse. No hashing is involved, so there are no collisions to resolve and
-results are deterministic. ``densest_shape`` (delta for any number of axes)
+ranks the (window id, next cell id) pairs, in linear time by marking them in
+a bool array over the pair-id range, or, when that range is sparse, by one
+sort of keys that pack each pair id with its position. No hashing is
+involved, so there are no collisions to resolve and results are
+deterministic. ``densest_shape`` (delta for any number of axes)
 walks the same passes over every shape without listing them, and ends a
 chain once the answer is settled, by saturation, by a bound stop or by
 determinism; all three prunings are exact.
@@ -259,9 +260,10 @@ def submatrix(m: Matrix2D, i1: int, j1: int, i2: int, j2: int) -> Matrix2D:
 
 
 #: the counting rank marks every possible pair id in a bool array; it beats
-#: np.unique's sort while that range is at most this many times the number
-#: of pairs (timed on 64 to 65,536 random pairs: 1.5-3.9x faster at 2-8
-#: times, 0.6-0.9x at 12-24 times, except below about a thousand pairs)
+#: the packed-key sort while that range is at most this many times the number
+#: of pairs (timed on 1,024 to 1,048,576 random pairs: 0.3-0.7x the sort's
+#: time at 2 times, 0.6-1.0x at 7-8 times, 1.5-2.1x at 10-12 times from
+#: 16,384 pairs; below about 4,096 pairs it stays ahead up to 12-24 times)
 _COUNTING_RANGE = 8
 
 
@@ -278,18 +280,38 @@ def _pair_rank(
 
 def _dense_rank(combo: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense int64 ranks of the int64 ids ``combo`` (below ``span``) in
-    value order, and the sorted distinct ids (one per rank)."""
-    if span > _COUNTING_RANGE * combo.size:
+    value order, and the sorted distinct ids (one per rank).
+
+    A dense range is marked in a bool array. A sparse one is sorted once as
+    packed keys id << shift | position, whose low ``shift`` bits hold the
+    position: a run of equal ids is one rank, scattered back to the
+    positions in its low bits, and the id of each run is a distinct id.
+    Keys that would pass 63 bits (grids of about 2^21 cells) go to
+    np.unique instead."""
+    n = combo.size
+    if span <= _COUNTING_RANGE * n:
+        seen = np.zeros(span, dtype=bool)
+        seen[combo] = True
+        values = seen.nonzero()[0]
+        # int32 halves the table (ids stay far below 2^31); only the marked
+        # entries are written and read
+        ids = np.empty(span, dtype=np.int32)
+        ids[values] = np.arange(values.size, dtype=np.int32)
+        return ids[combo].astype(np.int64), values
+    shift = (n - 1).bit_length()
+    if (span - 1).bit_length() + shift > 63:
         values, labels = np.unique(combo, return_inverse=True)
         return labels.reshape(combo.shape).astype(np.int64, copy=False), values
-    seen = np.zeros(span, dtype=bool)
-    seen[combo] = True
-    values = seen.nonzero()[0]
-    # int32 halves the table (ids stay far below 2^31); only the marked
-    # entries are written and read
-    ids = np.empty(span, dtype=np.int32)
-    ids[values] = np.arange(values.size, dtype=np.int32)
-    return ids[combo].astype(np.int64), values
+    key = combo.reshape(-1) << shift
+    key |= np.arange(n)
+    key.sort()
+    ids = key >> shift
+    start = np.empty(n, dtype=bool)  # where a run of equal ids starts
+    start[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=start[1:])
+    labels = np.empty(n, dtype=np.int64)
+    labels[key & ((1 << shift) - 1)] = np.cumsum(start) - 1
+    return labels.reshape(combo.shape), ids[start]
 
 
 def _one_way(values: np.ndarray, b_range: int) -> bool:
@@ -549,6 +571,9 @@ def densest_shape(
     # bound before k has a bound above this chain's, which then ends this
     # chain too.
     first_sat: dict[tuple[int, tuple[int, ...]], int] = {}
+    # per chain, the smallest first_sat entry of those neighbour chains (past
+    # the chain's end when none), read once as the chain starts
+    near_sat: dict[tuple[int, tuple[int, ...]], int] = {}
     sat_cube = min(dims) + 1  # the smallest cube extent with count >= W - 1
     counts: dict[tuple[int, ...], int] = {}
     best_count, best_vol, best_shape = 0, 1, ()
@@ -563,11 +588,17 @@ def densest_shape(
         else:
             k, after = shape[axis], shape[axis + 1 :]
             chain = (axis, after)
-            if first_sat.get(chain, k) < k or after and any(
-                first_sat.get((axis, after[:j] + (e - 1,) + after[j + 1 :]), k + 1) <= k
-                for j, e in enumerate(after)
-                if e > 1
-            ):
+            near = near_sat.get(chain)
+            if near is None:
+                near = near_sat[chain] = min(
+                    (
+                        first_sat.get((axis, after[:j] + (e - 1,) + after[j + 1 :]), sides[axis])
+                        for j, e in enumerate(after)
+                        if e > 1
+                    ),
+                    default=sides[axis],
+                )
+            if first_sat.get(chain, k) < k or near <= k:
                 first_sat.setdefault(chain, k)
                 return True
             low = shape

@@ -1,18 +1,25 @@
 import random
 
+import numpy as np
+
 from repet2d import (
     Matrix2D,
+    alt,
     bk,
     build_blocktree,
+    cmblocks,
     count_pruned,
+    debruijn1d,
+    diagpad,
     ek,
     identity,
     node_count,
+    staircase,
     zeros,
 )
 from repet2d import blocktree2d
 from repet2d.blocktree2d import iter_nodes
-from repet2d.core2d import rank_windows
+from repet2d.core2d import RANKING_2D, ShapeBox, rank_windows
 from repet2d.errors import BadParam
 
 from util import Ledger, random_matrix, raises
@@ -156,3 +163,30 @@ def test_blocktree_steps_equal_the_recorded_ledger():
         ledger = Ledger()
         build_blocktree(m, 2, pad_to=pad_to, budget=ledger)
         assert ledger.steps == want
+
+
+def unique_first_windows(labels, count):
+    """The first window of each label as it was found: np.unique's first
+    index of each label in the row-major labels."""
+    _, first_idx = np.unique(labels.ravel(), return_index=True)
+    width = labels.shape[1]
+    return [(int(idx) // width + 1, int(idx) % width + 1) for idx in first_idx]
+
+
+def test_first_windows_equal_those_found_with_unique(monkeypatch):
+    # every shape of every family and of seeded random matrices; trees built
+    # with either are the same
+    rng = random.Random(95)
+    cases = [identity(9), zeros(5, 7), alt(6, 4), diagpad(5, 8), staircase(7), ek(3), bk(2),
+             debruijn1d(4), cmblocks(4)]
+    cases += [random_matrix(rng, 9, 9, ("01", "012", "abcdefgh")[t % 3]) for t in range(30)]
+    for m in cases:
+        for _, labels, count in rank_windows(m._grid, ShapeBox((m.rows, m.cols)), None, RANKING_2D):
+            got = blocktree2d._first_windows(labels, count)
+            assert got == unique_first_windows(labels, count)
+            assert all(type(x) is int for position in got for x in position)
+        for arity in (2, 3):
+            got = build_blocktree(m, arity)
+            with monkeypatch.context() as patch:
+                patch.setattr(blocktree2d, "_first_windows", unique_first_windows)
+                assert repr(got) == repr(build_blocktree(m, arity))

@@ -50,6 +50,7 @@ from util import (
     raises,
     reference_shape_labels,
     reference_window_ids,
+    unique_dense_rank,
 )
 
 
@@ -315,10 +316,30 @@ def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
     # ranges below, at and above the counting threshold, 1 to 1000 pairs,
     # contiguous arrays and strided slices like the ranking passes take; both
     # paths give the sorted distinct pair ids, and the determinism test read
-    # off them agrees with the pairs themselves
-    sorts = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    # off them agrees with the pairs themselves. Only the counting path calls
+    # np.zeros (its table) and only the wide-key fallback np.unique
+    calls = []
+    for name in ("zeros", "unique"):
+
+        def spy(*args, _call=getattr(np, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+
+    def ranked(a, a_range, b, b_range):
+        calls.clear()
+        labels, values = _pair_rank(a, a_range, b, b_range)
+        path = calls[:]
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, unique_pair_rank(a, b))
+        pairs = sorted(set(zip(a.ravel().tolist(), b.ravel().tolist())))
+        assert values.tolist() == [x * b_range + y for x, y in pairs]
+        lefts = [x for x, _ in pairs]
+        answer = _one_way(values, b_range)
+        assert answer == (len(set(lefts)) == len(lefts))
+        return path, answer
+
     rng = np.random.default_rng(11)
     limit = core2d._COUNTING_RANGE
     answers = set()
@@ -332,19 +353,61 @@ def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
                 for a, b in ((whole[:n, 0], whole[:n, 1]),
                              (whole[::2, 0], whole[1::2, 1]),
                              (whole[:, 0].reshape(n, 2)[:, :1], whole[:, 1].reshape(n, 2)[:, 1:])):
-                    sorts.clear()
-                    labels, values = _pair_rank(a, a_range, b, b_range)
-                    path = len(sorts)
-                    assert path == (a_range * b_range > limit * n)
-                    assert labels.dtype == np.int64
-                    assert np.array_equal(labels, unique_pair_rank(a, b))
-                    pairs = sorted(set(zip(a.ravel().tolist(), b.ravel().tolist())))
-                    assert values.tolist() == [x * b_range + y for x, y in pairs]
-                    lefts = [x for x, _ in pairs]
-                    answer = _one_way(values, b_range)
-                    assert answer == (len(set(lefts)) == len(lefts))
-                    answers.add((path, answer))
-    assert answers == {(0, False), (0, True), (1, False), (1, True)}
+                    path, answer = ranked(a, a_range, b, b_range)
+                    sort = a_range * b_range > limit * n
+                    assert path == ([] if sort else ["zeros"])
+                    answers.add((sort, answer))
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+    # one pair; and 4 pairs (2 position bits) whose pair ids fill 61 bits, so
+    # the packed keys take exactly 63 bits and are still sorted
+    one = np.array([1])
+    assert ranked(one, 2, one, 2) == (["zeros"], True)
+    assert ranked(one, 1 << 40, one, 1 << 20) == ([], True)
+    a = np.array([(1 << 31) - 1, 0, (1 << 31) - 1, 5])
+    b = np.array([(1 << 30) - 1, 7, (1 << 30) - 1, 7])
+    assert ranked(a, 1 << 31, b, 1 << 30) == ([], True)
+    # keys of 64 bits (62-bit ids, 2 position bits) go to np.unique
+    top = (1 << 62) - 1
+    calls.clear()
+    labels, values = core2d._dense_rank(np.array([top, 0, 5, top]), 1 << 62)
+    assert calls == ["unique"]
+    assert labels.dtype == np.int64 and labels.tolist() == [2, 0, 1, 2]
+    assert values.tolist() == [0, 5, top]
+
+
+def test_chain_counts_equal_those_ranked_with_unique(monkeypatch):
+    # the suffix sort's later levels have sparse pair-id ranges, which the
+    # packed-key sort ranks; the counts and the step ledger equal those of
+    # the same sort with the former np.unique rank
+    sorted_levels = []
+    dense_rank = core2d._dense_rank
+
+    def spy(combo, span):
+        sorted_levels.append(span > core2d._COUNTING_RANGE * combo.size)
+        return dense_rank(combo, span)
+
+    rng = np.random.default_rng(31)
+    periodic = np.tile(rng.integers(0, 3, size=7), 120)
+    grids = [
+        (rng.integers(0, 2, size=(1, 900)), 1),
+        (rng.integers(0, 16, size=(1, 700)), 1),
+        (periodic.reshape(1, -1), 1),
+        (periodic.reshape(-1, 4), 0),
+        (rng.integers(0, 2, size=(40, 30)), 0),
+        (rng.integers(0, 3, size=(30, 40)), 1),
+        (rng.integers(0, 2, size=(50, 3, 4)), 0),
+    ]
+    for grid, axis in grids:
+        id_range = int(grid.max()) + 1
+        got_ledger, want_ledger = Ledger(), Ledger()
+        sorted_levels.clear()
+        monkeypatch.setattr(core2d, "_dense_rank", spy)
+        got = core2d._chain_counts(grid, axis, id_range, got_ledger, "sort")
+        monkeypatch.setattr(core2d, "_dense_rank", unique_dense_rank)
+        want = core2d._chain_counts(grid, axis, id_range, want_ledger, "sort")
+        assert got.tolist() == want.tolist(), (grid.shape, axis)
+        assert got_ledger.steps == want_ledger.steps
+        assert any(sorted_levels), (grid.shape, axis)
 
 
 def test_the_lazy_box_equals_the_explicit_list():
@@ -381,6 +444,20 @@ def test_pair_rank_is_called_only_by_the_ranking_walk():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pair_rank"
     ]
     assert callers == ["rank_windows"]
+
+
+def test_unique_is_called_only_by_the_wide_key_fallback():
+    # one rank kernel: no module of the package sorts ids with np.unique
+    # but _dense_rank, for keys too wide to pack into 63 bits
+    callers = []
+    for path in sorted(Path(core2d.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if isinstance(func, ast.Attribute) and func.attr == "unique":
+                    callers.append((path.stem, getattr(top, "name", None)))
+    assert callers == [("core2d", "_dense_rank")]
 
 
 def test_distinct_factors_contents_and_occurrences():

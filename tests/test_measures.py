@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from repet2d.families import debruijn_bits
 from repet2d.multidim import NdString, bdk, delta_nd
 from repet2d.errors import BadParam, ShapeTooLarge, TooLarge
 
+import util
 from util import (
     Ledger,
     _rect_mask,
@@ -631,6 +633,49 @@ def test_delta_equals_the_pass_only_oracle_on_long_chains(monkeypatch):
         (False, False, False), (False, False, True), (False, True, False), (False, True, True),
         (True, False, False), (True, True, False),
     }
+
+
+def test_delta_stops_where_the_pass_only_oracle_stops(monkeypatch):
+    # saturation of the neighbour chains is read once per chain; every stop
+    # answer, and so the step ledger, is the oracle's, on grids of 1 to 3
+    # axes (random, periodic, with a defect, blocky, families) whose chains
+    # all stay on passes
+    rank_windows = core2d.rank_windows
+
+    def recording(answers):
+        def walk(grid, wanted, budget, what, stop, *flags):
+            def asked(axis, shape):
+                answers.append((axis, shape, stop(axis, shape)))
+                return answers[-1][-1]
+
+            return rank_windows(grid, wanted, budget, what, asked, *flags)
+
+        return walk
+
+    rng = random.Random(77)
+    grids = [m._grid for m in (identity(24), staircase(16), diagpad(10, 17), ek(4), bk(3))]
+    for trial in range(90):
+        d = 1 + trial % 3
+        dims = tuple(rng.randint(1, (40, 14, 6)[d - 1]) for _ in range(d))
+        grids.append(np.array([rng.randrange(1 + trial % 3) for _ in range(prod(dims))]).reshape(dims))
+    for trial in range(60):
+        kind = ("periodic", "defect", "blocky")[trial % 3]
+        m = repetitive_matrix(rng, rng.randint(1, 14), rng.randint(1, 14), kind, ("01", "012")[trial // 3 % 2])
+        grids.append(m._grid)
+    for grid in grids:
+        what = RANKING_2D if grid.ndim == 2 else ("window ranking",) * grid.ndim
+        for cubes_only, with_table in product((False, True), repeat=2):
+            got_answers, want_answers = [], []
+            got_ledger, want_ledger = Ledger(), Ledger()
+            monkeypatch.setattr(core2d, "rank_windows", recording(got_answers))
+            got = core2d.densest_shape(grid, cubes_only, got_ledger, what, with_table)
+            monkeypatch.setattr(core2d, "rank_windows", rank_windows)
+            monkeypatch.setattr(util, "rank_windows", recording(want_answers))
+            want = pass_only_densest_shape(grid, cubes_only, want_ledger, what, with_table)
+            monkeypatch.setattr(util, "rank_windows", rank_windows)
+            assert repr(got) == repr(want), (grid.shape, cubes_only, with_table)
+            assert got_answers == want_answers
+            assert got_ledger.steps == want_ledger.steps
 
 
 def test_delta_of_a_long_string_stays_under_its_memory_bound():

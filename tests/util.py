@@ -3,9 +3,11 @@
 Everything here avoids the library's numpy ranking machinery on purpose,
 so the fast implementations are checked against independent code. The
 exceptions are the former implementations kept as oracles:
-``reference_shape_labels``, the 2D-only window ranking that the d-axis
-ranking must reproduce id for id; ``reference_window_ids``, the window-id
-table that ranked each shape lazily on its own chain loop, which the table
+``unique_dense_rank``, the dense rank that sorted a sparse pair-id range
+with np.unique, which the suffix sort's counts must not tell apart from the
+packed-key sort; ``reference_shape_labels``, the 2D-only window ranking that
+the d-axis ranking must reproduce id for id; ``reference_window_ids``, the
+window-id table that ranked each shape lazily on its own chain loop, which the table
 read off one ranking walk must match label for label and count for count,
 charging no budget either; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
@@ -64,8 +66,8 @@ from repet2d import Matrix2D
 from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, access, hop_bound
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import (
-    MAX_CELLS, RANKING_2D, FactorShape, Position, ShapeBox, TokenGrid, WindowIds, _check_shape,
-    rank_windows, submatrix,
+    _COUNTING_RANGE, MAX_CELLS, RANKING_2D, FactorShape, Position, ShapeBox, TokenGrid, WindowIds,
+    _check_shape, rank_windows, submatrix,
 )
 from repet2d.core2d import _pair_rank as counting_pair_rank
 from repet2d.errors import OutOfBounds, ParseError, ShapeTooLarge, TooLarge
@@ -221,6 +223,21 @@ def _pair_rank(a, b):
     combo = a.astype(np.int64) * (int(b.max()) + 1) + b
     _, inv = np.unique(combo, return_inverse=True)
     return inv.reshape(a.shape).astype(np.int64)
+
+
+def unique_dense_rank(combo, span):
+    """``core2d._dense_rank`` as it was before a sparse range was ranked by
+    one packed-key sort: a dense range is marked in a bool array, a sparse
+    one is ranked by np.unique."""
+    if span > _COUNTING_RANGE * combo.size:
+        values, labels = np.unique(combo, return_inverse=True)
+        return labels.reshape(combo.shape).astype(np.int64, copy=False), values
+    seen = np.zeros(span, dtype=bool)
+    seen[combo] = True
+    values = seen.nonzero()[0]
+    ids = np.empty(span, dtype=np.int32)
+    ids[values] = np.arange(values.size, dtype=np.int32)
+    return ids[combo].astype(np.int64), values
 
 
 def reference_shape_labels(m: Matrix2D, wanted, budget=None):
