@@ -32,7 +32,13 @@ def default_limit() -> int:
 
 @dataclass
 class WorkBudget:
-    """Counts elementary steps (roughly: windows touched) against a limit."""
+    """Counts elementary steps (roughly: windows touched) against a limit.
+
+    A search that charges one step per node may count its nodes and charge
+    them in one call instead, provided it raises at the same node, with the
+    same ``used`` and the same message, as charging one step per node would:
+    ``stop_node`` names the node at which to charge, and the search charges
+    its pending nodes on every other exit."""
 
     limit: int = field(default_factory=default_limit)
     used: int = 0
@@ -49,3 +55,15 @@ class WorkBudget:
 def ensure_budget(budget: WorkBudget | None) -> WorkBudget:
     """A fresh default budget when the caller did not pass one."""
     return budget if budget is not None else WorkBudget()
+
+
+def stop_node(budget: WorkBudget, cap: int) -> int:
+    """The first node at which a search that charges one step per node and
+    gives up after ``cap`` nodes must stop: where the budget would raise, if
+    it has room for at most ``cap`` more steps, else node ``cap + 1``.
+
+    Such a search may count its nodes and charge them all at this node,
+    where the budget raises as it would have (if it does not raise, the cap
+    was reached), and charge the nodes still pending on every other exit, a
+    return or an exception, where the budget cannot raise."""
+    return max(min(cap, budget.limit - budget.used) + 1, 1)

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .budget import WorkBudget, ensure_budget
+from .budget import WorkBudget, ensure_budget, stop_node
 from .core2d import MAX_CELLS, Matrix2D, TokenGrid, WindowIds, cells_tuple
 from .errors import (
     BadParam,
@@ -433,6 +433,7 @@ def grammar_tree(g: Grammar2D) -> GrammarTree:
 
 
 _CONTENT_CAP = 5000  # distinct contents g_exact fetches before it gives up
+_CELL_SPAN = slice(0, 1)  # every cell's options: slot 0, which has no parts
 
 
 class _ContentTable:
@@ -443,13 +444,15 @@ class _ContentTable:
     a ``WindowIds`` table, so no token grid is sliced or hashed. Per id: its
     cost, its key (an int that sorts like (rows, cols, token grid)) and the
     shape and first position it was met at. Once fetched, its options are
-    the slots ``span[i]`` of ``slots``: those of ``options`` in order, each
-    as a tuple of distinct part ids. Each fetch counts toward _CONTENT_CAP.
-    Per slot, ``missing`` holds the summed cost of its parts that are not
-    members, and ``watch`` lists per id the slots it is a part of, so adding
-    or removing a member updates only those, and a content is closed iff
-    one of its slots reads 0. A cell's span is slot 0, which has no parts
-    and always reads 0, so a cell is never open and never fetched."""
+    the slots ``slots[span[i]]``, ``span[i]`` a slice stored once so that
+    the search reads them without building it: those of ``options`` in
+    order, each as a tuple of distinct part ids. Each fetch counts toward
+    _CONTENT_CAP. Per slot, ``missing`` holds the summed cost of its parts
+    that are not members, and ``watch`` lists per id the slots it is a part
+    of, so adding or removing a member updates only those, and a content is
+    closed iff one of its slots reads 0. A cell's span is slot 0, which has
+    no parts and always reads 0, so a cell is never open and never
+    fetched."""
 
     def __init__(self, m: Matrix2D, allow_runs: bool):
         self._labels = WindowIds(m).labels
@@ -461,7 +464,7 @@ class _ContentTable:
         self.key: list[int] = []
         self.at: list[tuple[int, int, int, int]] = []
         self.cost: list[int] = []
-        self.span: list[tuple[int, int] | None] = []
+        self.span: list[slice | None] = []
         self.watch: list[list[int]] = []
         self.slots: list[tuple[int, ...]] = [()]
         self.missing: list[int] = [0]
@@ -478,7 +481,7 @@ class _ContentTable:
             self.at.append((h, w, i, j))
             cell = h == w == 1
             self.cost.append(1 if cell else 2)
-            self.span.append((0, 1) if cell else None)
+            self.span.append(_CELL_SPAN if cell else None)
             self.watch.append([])
         return c
 
@@ -525,7 +528,7 @@ class _ContentTable:
                 watch[b].append(s)
                 miss += 0 if b in members else cost[b]
             missing.append(miss)
-        self.span[c] = (lo, len(slots))
+        self.span[c] = slice(lo, len(slots))
         self.fetched += 1
         if self.fetched > _CONTENT_CAP:
             raise TooLarge(
@@ -554,11 +557,10 @@ class _ContentTable:
         (added cost, new parts) by added cost (1 to 4) then option order,
         one per distinct set of new parts."""
         members, slots, missing = self.members, self.slots, self.missing
-        lo, hi = self.span[max(opens, key=self.key.__getitem__)]
+        pivot = self.span[max(opens, key=self.key.__getitem__)]
         seen: set = set()
         by_cost: list[list] = [[], [], [], [], []]
-        for s in range(lo, hi):
-            parts = slots[s]
+        for parts, miss in zip(slots[pivot], missing[pivot]):
             a, b = parts[0], parts[-1]
             if a in members:
                 new, tag = (b,), b
@@ -570,7 +572,6 @@ class _ContentTable:
                 new, tag = parts, ((a, b) if a < b else (b, a))
             if tag not in seen:
                 seen.add(tag)
-                miss = missing[s]
                 by_cost[miss].append((miss, new))
         return by_cost[1] + by_cost[2] + by_cost[3] + by_cost[4]
 
@@ -586,7 +587,7 @@ def _greedy_upper(table: _ContentTable, root: int) -> tuple[int, set[int]]:
             if span[p] is None:
                 table.fetch(p)
         # closed members stay closed as the set grows
-        opens = [c for c in (*opens, *new) if min(missing[slice(*span[c])])]
+        opens = [c for c in (*opens, *new) if min(missing[span[c]])]
         if not opens:
             members = set(table.members)
             table.remove(tuple(members))
@@ -603,11 +604,14 @@ def _branch_and_bound(
     budget: WorkBudget,
 ) -> tuple[set[int], int, bool]:
     """Depth-first search for a cheapest closed member set containing root,
-    starting from the bound ``upper`` = (cost, set). Every node ticks the
-    budget before it fetches anything. It runs on an explicit stack of
-    frames (cost, open members, remaining branches, ids the node added), so
-    depth does not matter. Returns the best set, the nodes ticked, and
-    whether the search ended before work_limit.
+    starting from the bound ``upper`` = (cost, set). Each node counts one
+    "grammar search" step before it fetches anything; the steps are charged
+    in one call, at the node ``stop_node`` names or on the way out, so the
+    budget raises at the same node, with the same ``used``, as if each node
+    charged its own. It runs on an explicit stack of frames (cost, open
+    members, remaining branches, ids the node added), so depth does not
+    matter. Returns the best set, the nodes counted, and whether the search
+    ended before work_limit.
 
     A node adds its new parts to the member set, fetches the options of
     those of cost 2, and keeps the open members: the parent's that are
@@ -623,61 +627,66 @@ def _branch_and_bound(
     best_cost, best_set = upper
     cost_of, span, watch = table.cost, table.span, table.watch
     missing, members, fetch = table.missing, table.members, table.fetch
-    charge = budget.charge
+    stop = stop_node(budget, work_limit)
     cost, new, opens = cost_of[root], (root,), []
     stack: list[tuple] = []
     work = 0
-    while True:
-        for p in new:
-            step = cost_of[p]
-            for s in watch[p]:
-                missing[s] -= step
-            members.add(p)
-        work += 1
-        charge(1, "grammar search")
-        if work > work_limit:
-            return best_set, work, False
-        for p in new:
-            if span[p] is None:
-                fetch(p)
-        # cost < best_cost holds here, as a branch is taken only below the
-        # best cost; an open member's smallest missing cost is at least 1,
-        # so with a gap of 1 the scan stops at the first open member. A node
-        # that is not expanded gets a frame with no branches, which the loop
-        # below pops at once.
-        gap = best_cost - cost
-        still: list[int] = []
-        branches = ()
-        for c in (*opens, *new):
-            lo, hi = span[c]
-            least = min(missing[lo:hi])
-            if least:
-                still.append(c)
-                if least >= gap:
-                    break
-        else:
-            if still:
-                branches = iter(table.branches(still))
+    try:
+        while True:
+            for p in new:
+                step = cost_of[p]
+                for s in watch[p]:
+                    missing[s] -= step
+                members.add(p)
+            work += 1
+            if work == stop:
+                # the budget raises here if it runs out at this node, as it
+                # would have one node at a time; else work_limit stops it
+                budget.charge(work, "grammar search")
+                return best_set, work, False
+            for p in new:
+                if span[p] is None:
+                    fetch(p)
+            # cost < best_cost holds here, as a branch is taken only below
+            # the best cost; an open member's smallest missing cost is at
+            # least 1, so with a gap of 1 the scan stops at the first open
+            # member. A node that is not expanded gets a frame with no
+            # branches, which the loop below pops at once.
+            gap = best_cost - cost
+            still: list[int] = []
+            branches = ()
+            for c in (*opens, *new):
+                least = min(missing[span[c]])
+                if least:
+                    still.append(c)
+                    if least >= gap:
+                        break
             else:
-                best_cost, best_set = cost, set(members)
-        stack.append((cost, still, branches, new))
-        while stack:
-            cost, opens, branches, added = stack[-1]
-            for step, new in branches:
-                if cost + step < best_cost:
-                    break
+                if still:
+                    branches = iter(table.branches(still))
+                else:
+                    best_cost, best_set = cost, set(members)
+            stack.append((cost, still, branches, new))
+            while stack:
+                cost, opens, branches, added = stack[-1]
+                for step, new in branches:
+                    if cost + step < best_cost:
+                        break
+                else:
+                    stack.pop()
+                    for p in added:
+                        members.discard(p)
+                        step = cost_of[p]
+                        for s in watch[p]:
+                            missing[s] += step
+                    continue
+                cost += step
+                break
             else:
-                stack.pop()
-                for p in added:
-                    members.discard(p)
-                    step = cost_of[p]
-                    for s in watch[p]:
-                        missing[s] += step
-                continue
-            cost += step
-            break
-        else:
-            return best_set, work, True
+                return best_set, work, True
+    finally:
+        if work < stop:  # below stop the budget has room for every node
+            budget.charge(work, "grammar search")
 
 
 def _grammar_from_contents(
@@ -752,9 +761,10 @@ def g_exact(
 
     Contents are windows of ``m`` named by their window ids, so reading the
     parts of a split costs O(1); ties between open contents go to the
-    largest (rows, cols, token grid). Each search node charges one
-    "grammar search" step, and its bound is read only as far as the prune
-    decision needs."""
+    largest (rows, cols, token grid). Each search node costs one "grammar
+    search" step, charged to the budget in one call per search (it raises
+    at the same node as one call per node would), and its bound is read
+    only as far as the prune decision needs."""
     budget = ensure_budget(budget)
     tokens = m.tokens()
     if m.area == 1:

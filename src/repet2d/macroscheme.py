@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .budget import WorkBudget, ensure_budget
+from .budget import WorkBudget, ensure_budget, stop_node
 from .core2d import (
     MAX_CELLS,
     Matrix2D,
@@ -465,12 +465,16 @@ def b_exact(
     parts: list[tuple[int, int, int, int]] = []  # (i, j, h, w), 0-based
     source = [-1] * total  # each cell's source cell; -1: explicit or not yet copied
     nodes = 0
+    stop = stop_node(budget, _SEARCH_CAP)
 
     def tick() -> None:
+        """Count one "scheme search" step. The steps are charged in one call,
+        here at ``stop`` (the budget first, then the cap) or once the search
+        ends, so the budget raises as if each node charged its own."""
         nonlocal nodes
         nodes += 1
-        budget.charge(1, "scheme search")
-        if nodes > _SEARCH_CAP:
+        if nodes == stop:
+            budget.charge(nodes, "scheme search")
             raise ShapeTooLarge(f"scheme search exceeded work_limit={_SEARCH_CAP}")
 
     def scheme() -> MacroScheme2D:
@@ -545,7 +549,11 @@ def b_exact(
             dfs(covered | mask)
             parts.pop()
 
-    dfs(0)
+    try:
+        dfs(0)
+    finally:
+        if nodes < stop:  # below stop the budget has room for every node
+            budget.charge(nodes, "scheme search")
     return best
 
 

@@ -369,6 +369,45 @@ def test_g_exact_limits_fire_as_in_the_reference(monkeypatch):
                     assert got == want, (m, runs, limit, cap, kw)
 
 
+def test_g_exact_stops_at_every_budget_limit_as_the_reference(monkeypatch):
+    # the search charges its nodes in one call, so it must raise at the
+    # same node, with the same budget.used, as the reference that charges
+    # each node: every limit up to one past the whole search, also where
+    # work_limit stops it first and where the content cap raises TooLarge
+    # in the middle of the search
+    rng = random.Random(21)
+    inputs = [_random_grid(rng, 3, 3, "012"), _random_grid(rng, 2, 5, "01"), identity(3)]
+    seen = set()
+    for m in inputs:
+        for runs in (False, True):
+            (_, work), total, _ = _search_outcome(reference_g_exact, m, runs)
+            for cap in (5000, 3, 12):
+                for kw in ({}, {"work_limit": work // 2}):
+                    for limit in range(1, total + 2):
+                        want = _search_outcome(
+                            reference_g_exact, m, runs, limit, content_limit=cap, **kw
+                        )
+                        got = _capped_outcome(monkeypatch, cap, m, runs, limit, **kw)
+                        assert got == want, (m, runs, cap, kw, limit)
+                        seen.add((got[0][0], got[1] > 0))
+    # each way out was taken, TooLarge also after some nodes were charged
+    kinds = {kind for kind, _ in seen}
+    assert {"ShapeTooLarge", "TooLarge"} < kinds
+    assert ("TooLarge", True) in seen
+
+
+def test_g_exact_charges_its_nodes_in_one_call():
+    # per-node charging cost about 0.5 us a node in a ledger subclass: the
+    # search counts its nodes and charges them once
+    rng = random.Random(44)
+    _random_grid(rng, 4, 4, "01")
+    m = _random_grid(rng, 4, 4, "012")  # "random 4x4 over 012 rl" below
+    ledger = Ledger()
+    g_exact(m, allow_runs=True, budget=ledger)
+    assert ledger.steps["grammar search"] > 1000
+    assert ledger.calls == {"grammar search": 1}
+
+
 def test_g_exact_equals_the_slicing_search():
     # the search on window ids must reproduce the former search over token
     # grids sliced and hashed at every fetch: result, work, budget used and

@@ -225,6 +225,36 @@ def test_b_exact_equals_the_reference_search(monkeypatch):
             assert _scheme_outcome(b_exact, m) == want, (m, cap)
 
 
+def test_b_exact_stops_at_every_budget_limit_as_the_reference(monkeypatch):
+    # the search charges its nodes in one call, so it must raise at the
+    # same node, with the same budget.used, as the reference that charges
+    # each node: every limit up to one past the whole search, also with the
+    # search cap where the budget and the cap meet (the budget comes first)
+    rng = random.Random(22)
+    for alphabet in ("01", "012", "01"):
+        m = Matrix2D.from_tokens([[rng.choice(alphabet) for _ in range(3)] for _ in range(3)])
+        _, total, _ = _scheme_outcome(reference_b_exact, m)
+        for cap in (None, total // 2):
+            kw = {} if cap is None else {"work_limit": cap}
+            for limit in range(1, total + 2):
+                want = _scheme_outcome(reference_b_exact, m, limit, **kw)
+                with monkeypatch.context() as patch:
+                    if cap is not None:
+                        patch.setattr(macroscheme, "_SEARCH_CAP", cap)
+                    assert _scheme_outcome(b_exact, m, limit) == want, (m, cap, limit)
+
+
+def test_b_exact_charges_its_nodes_in_one_call():
+    # per-node charging cost about 0.5 us a node in a ledger subclass: the
+    # search counts its nodes and charges them once
+    rng = random.Random(45)
+    m = Matrix2D.from_tokens([[rng.choice("01") for _ in range(4)] for _ in range(4)])
+    ledger = Ledger()
+    b_exact(m, cell_limit=16, budget=ledger)
+    assert ledger.steps["scheme search"] > 1000
+    assert ledger.calls == {"scheme search": 1}
+
+
 def test_b_exact_cell_limit():
     raises(TooLarge, b_exact, zeros(4, 4))
     assert b_exact(zeros(4, 4), cell_limit=16).size == 3

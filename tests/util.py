@@ -207,14 +207,17 @@ def naive_delta_1d(s: str) -> Fraction:
 
 
 class Ledger(WorkBudget):
-    """A work budget that also records the steps charged under each label."""
+    """A work budget that also records, per label, the steps charged and the
+    number of charge calls."""
 
     def __init__(self):
         super().__init__()
         self.steps: dict[str, int] = {}
+        self.calls: dict[str, int] = {}
 
     def charge(self, steps: int, what: str = "window scan") -> None:
         self.steps[what] = self.steps.get(what, 0) + steps
+        self.calls[what] = self.calls.get(what, 0) + 1
         super().charge(steps, what)
 
 
