@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .budget import WorkBudget, ensure_budget
+from .budget import WorkBudget, charge_each, ensure_budget
 from .core2d import Position
 from .errors import BadParam, OutOfBounds, TooLarge
 from .grammar2d import Grammar2D, GrammarInfo, _rhs_key, expand_ids, validate_grammar
@@ -114,7 +114,6 @@ def build_index(g: Grammar2D, budget: WorkBudget | None = None) -> AccessIndex:
         along = ((u, d, l, r), (l, r, u, d))
         cur = start
         while heavy[cur] is not None:
-            budget.charge(1, "access index")
             _, axis, _, kids = parts[cur]
             nxt = heavy[cur]
             a = axis - 1
@@ -127,6 +126,7 @@ def build_index(g: Grammar2D, budget: WorkBudget | None = None) -> AccessIndex:
             o2.append(o2[-1])
             names.append(nxt)
             cur = nxt
+        charge_each(budget, len(names) - 1, "access index")  # a step per heavy edge
         paths[start] = HeavyPath(
             tuple(names),
             tuple(u),

@@ -8,6 +8,18 @@ occurs, free of sentinels, at a strictly earlier row-major position in the
 matrix (any alignment); the earliest such occurrence is stored as the
 source. Blocks containing sentinel cells therefore always survive to the
 next level, and 1x1 blocks become symbol leaves.
+
+The level sides (the powers of the arity that fit in the matrix) are ranked
+by doubling, as in Karp-Miller-Rosenberg naming: two windows of side a*s
+are equal iff the a x a grids of side-s windows that tile them are, so the
+labels of side a*s come from those of side s in a - 1 ranking passes along
+the rows, then a - 1 along the columns. Each pass charges its new windows to
+the budget under "row ranking" or "column ranking". A level keeps only what
+the tree reads, the first window equal to each aligned block, and its labels
+are dropped once the next side is ranked, so memory stays O(rows * cols).
+The tree is then built one level at a time on arrays of block corners, and
+its nodes bottom-up, each level charging one "block tree" step per node
+before it is built.
 """
 
 from __future__ import annotations
@@ -17,8 +29,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .budget import WorkBudget, ensure_budget
-from .core2d import RANKING_2D, Matrix2D, Position, rank_windows
+from .budget import WorkBudget, charge_each, ensure_budget
+from .core2d import RANKING_2D, Matrix2D, Position, _pair_rank
 from .errors import BadParam
 
 
@@ -58,13 +70,42 @@ def _fresh_sentinel(alphabet: tuple[str, ...]) -> str:
     return f"${k}"
 
 
-def _first_windows(labels: np.ndarray, count: int) -> list[Position]:
-    """The 1-based position of the first window, in row-major order, of
-    each of the dense labels 0 to ``count - 1`` of a 2D label grid."""
+def _first_windows(labels: np.ndarray, count: int) -> np.ndarray:
+    """The row-major index of the first window of each of the dense labels
+    0 to ``count - 1`` of a 2D label grid."""
     first = np.full(count, labels.size)
     np.minimum.at(first, labels.ravel(), np.arange(labels.size))
-    rows, cols = np.divmod(first, labels.shape[1])
-    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    return first
+
+
+def _level_sources(
+    grid: np.ndarray, arity: int, budget: WorkBudget
+) -> dict[int, np.ndarray]:
+    """For each level side s > 1 that fits in the id grid, the row-major
+    index, among its s x s windows, of the first window equal to each
+    aligned s-block: entry (k, l) for the block whose top-left cell is
+    (k * s, l * s), 0-based."""
+    sources = {}
+    labels, count, s = grid, int(grid.max()) + 1, 1
+    while s * arity <= min(grid.shape):
+        # along axis 1 the a windows of side s in a row become one band a*s
+        # wide, then along axis 0 the a bands in a column one square
+        for axis in (1, 0):
+            base, base_count = labels, count
+            lead = (slice(None),) * axis
+            for j in range(1, arity):
+                n = base.shape[axis] - j * s
+                budget.charge(labels.size // labels.shape[axis] * n, RANKING_2D[axis])
+                labels, values = _pair_rank(
+                    labels[lead + (slice(0, n),)],
+                    count,
+                    base[lead + (slice(j * s, j * s + n),)],
+                    base_count,
+                )
+                count = values.size
+        s *= arity
+        sources[s] = _first_windows(labels, count)[labels[::s, ::s]]
+    return sources
 
 
 def build_blocktree(
@@ -90,43 +131,58 @@ def build_blocktree(
             )
         side = pad_to
     sentinel = _fresh_sentinel(m.alphabet)
+    grid = m._grid
+    sources = _level_sources(grid, arity, budget)
 
-    # Earliest sentinel-free occurrence of every s x s content, per level side
-    # (the powers of the arity) that fits in the matrix.
-    fits, s = [], 1
-    while s <= min(m.rows, m.cols):
-        fits.append((s, s))
-        s *= arity
-    earliest: dict[int, tuple[np.ndarray, list[Position]]] = {}
-    for (s, _), labels, count in rank_windows(m._grid, fits, budget, RANKING_2D):
-        earliest[s] = (labels, _first_windows(labels, count))
-
-    def make(level: int, top: int, left: int, s: int) -> BlockNode:
-        budget.charge(1, "block tree")
-        inside = top + s - 1 <= m.rows and left + s - 1 <= m.cols
+    # per level, top down: the side, the 0-based corners of its blocks in the
+    # order of their nodes, and the 1-based source of each pruned block
+    # ((0, 0) for a kept one)
+    levels = []
+    tops = lefts = np.zeros(1, dtype=np.int64)
+    s = side
+    while tops.size:
+        charge_each(budget, tops.size, "block tree")
+        src = np.zeros((tops.size, 2), dtype=np.int64)
+        if s in sources:
+            width = m.cols - s + 1
+            at = ((tops + s <= m.rows) & (lefts + s <= m.cols)).nonzero()[0]
+            first = sources[s][tops[at] // s, lefts[at] // s]
+            earlier = first < tops[at] * width + lefts[at]
+            src[at[earlier]] = np.stack(np.divmod(first[earlier], width), axis=1) + 1
+        levels.append((s, tops, lefts, src))
         if s == 1:
-            token = m.at(top, left) if inside else sentinel
-            return BlockNode(level, top, left, 1, "symbol", token=token)
-        if inside:
-            labels, firsts = earliest[s]
-            lab = int(labels[top - 1, left - 1])
-            src = firsts[lab]
-            if src < (top, left):
-                return BlockNode(level, top, left, s, "pruned", source=src)
-        child_side = s // arity
-        children = tuple(
-            make(level + 1, top + di * child_side, left + dj * child_side, child_side)
-            for di in range(arity)
-            for dj in range(arity)
-        )
-        return BlockNode(level, top, left, s, "internal", children=children)
+            break
+        # the arity^2 children of each kept block, in row-major order
+        s //= arity
+        step = np.arange(0, s * arity, s)
+        kept = src[:, 0] == 0
+        tops = (tops[kept, None] + np.repeat(step, arity)).ravel()
+        lefts = (lefts[kept, None] + np.tile(step, arity)).ravel()
 
-    root = make(0, 1, 1, side)
-    counts: dict[int, int] = {}
-    for node in iter_nodes(root):
-        counts[node.level] = counts.get(node.level, 0) + 1
-    levels = tuple(counts[i] for i in range(len(counts)))
-    return BlockTree(m.rows, m.cols, arity, side, sentinel, root, levels)
+    letters = m.alphabet + (sentinel,)
+    fan = arity * arity
+    nodes: list[BlockNode] = []
+    for level in range(len(levels) - 1, -1, -1):
+        s, tops, lefts, src = levels[level]
+        ys, xs = (tops + 1).tolist(), (lefts + 1).tolist()
+        if s == 1:
+            ids = np.full(tops.size, len(m.alphabet))  # the sentinel's
+            inside = (tops < m.rows) & (lefts < m.cols)
+            ids[inside] = grid[tops[inside], lefts[inside]]
+            nodes = [
+                BlockNode(level, y, x, 1, "symbol", token=letters[i])
+                for y, x, i in zip(ys, xs, ids.tolist())
+            ]
+            continue
+        below, nodes, k = nodes, [], 0
+        for y, x, (sy, sx) in zip(ys, xs, src.tolist()):
+            if sy:
+                nodes.append(BlockNode(level, y, x, s, "pruned", source=(sy, sx)))
+            else:
+                nodes.append(BlockNode(level, y, x, s, "internal", children=tuple(below[k : k + fan])))
+                k += fan
+    counts = tuple(level[1].size for level in levels)
+    return BlockTree(m.rows, m.cols, arity, side, sentinel, nodes[0], counts)
 
 
 def iter_nodes(node: BlockNode) -> Iterator[BlockNode]:

@@ -67,3 +67,11 @@ def stop_node(budget: WorkBudget, cap: int) -> int:
     was reached), and charge the nodes still pending on every other exit, a
     return or an exception, where the budget cannot raise."""
     return max(min(cap, budget.limit - budget.used) + 1, 1)
+
+
+def charge_each(budget: WorkBudget, count: int, what: str) -> None:
+    """Charge ``count`` items of one step each in one call (none for no
+    items), raising with the same ``used`` and message as charging them one
+    at a time would: at the first item the budget has no room for."""
+    if count:
+        budget.charge(min(count, stop_node(budget, count)), what)

@@ -13,8 +13,8 @@ Conventions used across the whole package:
 Distinct-factor counting is exact: windows of a shape are dense-ranked by
 iterated pair ranking, extending the shape one column / one row at a time.
 ``rank_windows`` is the one loop that does this, for any number of axes:
-delta, the attractor layer, factor counts and listings, block trees and the
-exact g and b solvers (through ``WindowIds``) all read its walk. Each pass
+delta, the attractor layer, factor counts and listings and the exact g and
+b solvers (through ``WindowIds``) all read its walk. Each pass
 ranks the (window id, next cell id) pairs, in linear time by marking them in
 a bool array over the pair-id range, or, when that range is sparse, by one
 sort of keys that pack each pair id with its position. No hashing is
@@ -22,7 +22,9 @@ involved, so there are no collisions to resolve and results are
 deterministic. ``densest_shape`` (delta for any number of axes)
 walks the same passes over every shape without listing them, and ends a
 chain once the answer is settled, by saturation, by a bound stop or by
-determinism; all three prunings are exact.
+determinism; all three prunings are exact. Block trees need only the
+squares whose side is a power of their arity, and rank those by doubling
+with the same pair rank instead (``blocktree2d``).
 
 A chain whose shapes need counts only, not labels (one along the first
 axis, or along an axis whose earlier extents are all 1, as on a 1 x n

@@ -23,6 +23,7 @@ from repet2d.errors import BadParam, DanglingVariable, OutOfBounds, ShapeTooLarg
 from repet2d.grammar2d import Grammar2D, Horiz, Terminal
 
 from test_cli import ENV
+from test_grammar2d import deep_grammar
 from util import (
     Ledger,
     raises,
@@ -215,6 +216,31 @@ def test_build_index_validates():
         build_index,
         Grammar2D("S", {"S": Horiz("S", "MISSING")}),
     )
+
+
+def _build_outcome(build, g, budget):
+    try:
+        out = repr(build(g, budget))
+    except ShapeTooLarge as exc:
+        out = f"raised {exc}"
+    return out, budget.used
+
+
+def test_index_charges_each_path_once():
+    # one charge per variable of its whole path, raising at every limit with
+    # the text and steps used of charging each heavy edge on its own
+    for g in (build_zeros_rlslp(16), build_ek_grammar(4), deep_grammar(40)):
+        ledger, want = Ledger(), Ledger()
+        build_index(g, ledger)
+        reference_build_index(g, want)
+        assert ledger.steps == want.steps
+        total = ledger.steps["access index"]
+        variables = sum(not isinstance(rule, Terminal) for rule in g.rules.values())
+        assert ledger.calls["access index"] == variables < want.calls["access index"] == total
+        for limit in range(1, total + 2):
+            got = _build_outcome(build_index, g, WorkBudget(limit=limit))
+            assert got == _build_outcome(reference_build_index, g, WorkBudget(limit=limit)), limit
+            assert got[0].startswith("raised") == (limit < total)
 
 
 def test_budget_applies_to_scan():

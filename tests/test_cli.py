@@ -277,6 +277,31 @@ def test_blocktree_and_linearize(tmp_path):
     assert run("linearize", "--in", str(mpath), "--method", "hilbert").returncode == 2
 
 
+def test_blocktree_exits_on_budget(tmp_path):
+    # a 16 x 16 grid of 4 x 4 boxes, each one of four tiles: the ranking
+    # passes, then one step per node
+    from repet2d.blocktree2d import build_blocktree
+    from repet2d.core2d import write_matrix
+    from test_blocktree2d import blocky
+    from util import Ledger
+
+    mpath = tmp_path / "m.txt"
+    m = blocky(random.Random(16), 16, 4)
+    write_matrix(m, mpath)
+    ledger = Ledger()
+    build_blocktree(m, budget=ledger)
+    total = sum(ledger.steps.values())
+    ranking = total - ledger.steps["block tree"]
+    r = run("blocktree", "--in", str(mpath), "--budget", str(total))
+    assert r.returncode == 0 and r.stdout.startswith("padded_side 16"), r.stderr
+    # the first pass, the last pass and the last node do not fit
+    for limit, what in ((1, "row ranking: 240"), (ranking - 1, "column ranking"), (total - 1, "block tree")):
+        r = run("blocktree", "--in", str(mpath), "--budget", str(limit))
+        assert r.returncode == 3 and "Traceback" not in r.stderr
+        assert f"during {what}" in r.stderr, r.stderr
+    assert f"during block tree: {total} > limit {total - 1}" in r.stderr
+
+
 def test_nd_subcommands(tmp_path):
     npath = tmp_path / "x.nd"
     r = run("gen", "--family", "bdk", "--params", "3", "2", "--out", str(npath))

@@ -434,8 +434,8 @@ def test_the_lazy_box_equals_the_explicit_list():
 
 
 def test_pair_rank_is_called_only_by_the_ranking_walk():
-    # one window-ranking loop: every ranking pass in the library goes
-    # through rank_windows
+    # one window-ranking loop: every ranking pass in core2d goes through
+    # rank_windows (block trees pair whole squares in blocktree2d)
     tree = ast.parse(Path(core2d.__file__).read_text())
     callers = [
         getattr(top, "name", None)

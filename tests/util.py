@@ -41,7 +41,11 @@ walks only the new part's chains must reproduce in result, exception text,
 step ledger and budget; and
 ``reference_build_index``/``reference_access``, the heavy-path index that
 switches over the 2D rule classes, which the index reading rules by axis
-must reproduce in repr, answers and hop counts; ``reference_scan``/
+must reproduce in repr, answers, step ledger and budget fault;
+``reference_build_blocktree``, the block tree built by a recursive closure
+that charges one step a node, its level sides ranked on one chain walk,
+which the tree built a level at a time from sides ranked by doubling must
+reproduce in repr, block-tree steps and budget fault; ``reference_scan``/
 ``reference_full_scan``, the scan that calls ``access`` cell by cell, which
 the batched scan must match in report, histogram, step ledger and budget
 fault; and
@@ -64,6 +68,7 @@ import numpy as np
 
 from repet2d import Matrix2D
 from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, access, hop_bound
+from repet2d.blocktree2d import BlockNode, BlockTree, _fresh_sentinel, iter_nodes
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import (
     _COUNTING_RANGE, MAX_CELLS, RANKING_2D, FactorShape, Position, ShapeBox, TokenGrid, WindowIds,
@@ -1723,3 +1728,76 @@ def slicing_g_exact(m, allow_runs=False, work_limit=2_000_000, content_limit=500
     return GrammarSearchResult(
         recursive_grammar_from_contents(root, members, allow_runs), optimal, work
     )
+
+
+def chain_ranking(grid, sides, budget):
+    """The label grid and label count of each level side, in ascending
+    order, from one ``rank_windows`` chain walk over the square shapes."""
+    for _, labels, count in rank_windows(grid, [(s, s) for s in sides], budget, RANKING_2D):
+        yield labels, count
+
+
+def doubling_charges(rows: int, cols: int, sides) -> list[tuple[int, str]]:
+    """The (steps, label) charges of ranking the level sides by doubling, in
+    order: side a*s from side s by a - 1 passes along the rows, each charging
+    its windows s tall and j*s + s wide, then a - 1 along the columns, each
+    charging its windows j*s + s tall and a*s wide (j from 1 to a - 1)."""
+    charges = []
+    for s, t in zip(sides, sides[1:]):
+        charges += [((rows - s + 1) * (cols - (j + 1) * s + 1), "row ranking") for j in range(1, t // s)]
+        charges += [((rows - (j + 1) * s + 1) * (cols - t + 1), "column ranking") for j in range(1, t // s)]
+    return charges
+
+
+def doubling_ledger_ranking(grid, sides, budget):
+    """``chain_ranking`` that charges the ledger of ranking by doubling
+    (``doubling_charges``) instead of its own."""
+    for steps, what in doubling_charges(*grid.shape, sides):
+        budget.charge(steps, what)
+    yield from chain_ranking(grid, sides, None)
+
+
+def reference_build_blocktree(m, arity=2, pad_to=None, budget=None, ranking=chain_ranking) -> BlockTree:
+    """The block tree built top down by a recursive closure that charges one
+    "block tree" step per node, after ``ranking`` (grid, sides, budget) has
+    given the labels of every level side that fits, ascending, and the first
+    window of each label was found with ``np.unique``."""
+    budget = ensure_budget(budget)
+    side = 1
+    while side < max(m.rows, m.cols):
+        side *= arity
+    if pad_to is not None:
+        side = pad_to
+    sentinel = _fresh_sentinel(m.alphabet)
+    sides, s = [], 1
+    while s <= min(m.rows, m.cols):
+        sides.append(s)
+        s *= arity
+    earliest = {}
+    for s, (labels, count) in zip(sides, ranking(m._grid, sides, budget)):
+        _, first_idx = np.unique(labels.ravel(), return_index=True)
+        width = labels.shape[1]
+        earliest[s] = (labels, [(int(i) // width + 1, int(i) % width + 1) for i in first_idx])
+
+    def make(level, top, left, s):
+        budget.charge(1, "block tree")
+        inside = top + s - 1 <= m.rows and left + s - 1 <= m.cols
+        if s == 1:
+            token = m.at(top, left) if inside else sentinel
+            return BlockNode(level, top, left, 1, "symbol", token=token)
+        if inside:
+            labels, firsts = earliest[s]
+            src = firsts[int(labels[top - 1, left - 1])]
+            if src < (top, left):
+                return BlockNode(level, top, left, s, "pruned", source=src)
+        child = s // arity
+        children = tuple(
+            make(level + 1, top + di * child, left + dj * child, child)
+            for di in range(arity)
+            for dj in range(arity)
+        )
+        return BlockNode(level, top, left, s, "internal", children=children)
+
+    root = make(0, 1, 1, side)
+    counts = Counter(node.level for node in iter_nodes(root))
+    return BlockTree(m.rows, m.cols, arity, side, sentinel, root, tuple(counts[i] for i in range(len(counts))))
