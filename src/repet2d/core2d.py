@@ -99,6 +99,30 @@ class FactorShape:
         return self.k1 * self.k2
 
 
+#: token sequences this long or shorter skip the one-character byte path:
+#: its fixed numpy cost outweighs what it saves up to about 256 binary tokens
+_BYTE_PATH_MIN = 256
+
+
+def _one_byte_letters(toks: list[str]) -> bytes | None:
+    """The latin-1 bytes of ``toks`` when every token is one character up to
+    U+00FF, else None. Joined with newlines, n tokens are one character
+    each iff the text is 2n - 1 long, every odd index holds a newline and
+    no even index does (a token holding a newline adds one)."""
+    n = len(toks)
+    text = "\n".join(toks)
+    if len(text) != 2 * n - 1:
+        return None
+    try:
+        data = text.encode("latin-1")
+    except UnicodeEncodeError:
+        return None
+    letters = data[::2]
+    if b"\n" in letters or data[1::2].count(b"\n") != n - 1:
+        return None
+    return letters
+
+
 def encode_tokens(
     tokens: Iterable[object],
 ) -> tuple[tuple[int, ...], tuple[str, ...]]:
@@ -107,7 +131,11 @@ def encode_tokens(
     Each distinct token is validated once, in order of first occurrence, so
     the first invalid token of the sequence is the one reported. Tokens that
     are all plain ``str`` are used as they are (a ``str`` subclass may print
-    otherwise, so one of them sends every token through ``str()``). When
+    otherwise, so one of them sends every token through ``str()``). More
+    than 256 tokens that are each one character up to U+00FF take a byte
+    path: the letters, read as latin-1 bytes, are found with one
+    ``np.bincount``, and a whitespace letter is reported at its first
+    occurrence. Otherwise the distinct tokens are found with a dict. When
     every letter is one character up to U+00FF, hence at most 256 letters,
     the ids come from one byte translation of the joined tokens; otherwise
     from one dict lookup a token.
@@ -115,18 +143,28 @@ def encode_tokens(
     toks = list(tokens)
     if list(map(type, toks)).count(str) != len(toks):
         toks = list(map(str, toks))
-    distinct = dict.fromkeys(toks)
-    for tok in distinct:
-        if tok.split() != [tok]:
+    letters = _one_byte_letters(toks) if len(toks) > _BYTE_PATH_MIN else None
+    if letters is not None:
+        counts = np.bincount(np.frombuffer(letters, dtype=np.uint8), minlength=256)
+        alphabet = tuple(map(chr, np.flatnonzero(counts).tolist()))
+        bad = [tok for tok in alphabet if tok.split() != [tok]]
+        if bad:  # the one that occurs first
+            tok = min(bad, key=lambda tok: letters.index(ord(tok)))
             raise ParseError(f"invalid token {tok!r}")
-    alphabet = tuple(sorted(distinct))
-    if all(len(tok) == 1 and tok <= "\xff" for tok in alphabet):
-        table = bytearray(256)
-        for i, tok in enumerate(alphabet):
-            table[ord(tok)] = i
-        return tuple("".join(toks).encode("latin-1").translate(table)), alphabet
-    index = {tok: i for i, tok in enumerate(alphabet)}
-    return tuple(map(index.__getitem__, toks)), alphabet
+    else:
+        distinct = dict.fromkeys(toks)
+        for tok in distinct:
+            if tok.split() != [tok]:
+                raise ParseError(f"invalid token {tok!r}")
+        alphabet = tuple(sorted(distinct))
+        if not all(len(tok) == 1 and tok <= "\xff" for tok in alphabet):
+            index = {tok: i for i, tok in enumerate(alphabet)}
+            return tuple(map(index.__getitem__, toks)), alphabet
+        letters = "".join(toks).encode("latin-1")
+    table = bytearray(256)
+    for i, tok in enumerate(alphabet):
+        table[ord(tok)] = i
+    return tuple(letters.translate(table)), alphabet
 
 
 def id_dtype(letters: int) -> type[np.integer]:

@@ -12,17 +12,19 @@ checks the partition once (the part volumes add up to the grid and no cell
 is left free), then resolves every chain at once by pointer jumping, as in
 list ranking: each round replaces every cell's pointer by its pointer's
 pointer, so a scheme of N cells whose longest chain has L hops is resolved
-in O(N log L) array work. A box whose source meets its own target copies a
+in O(N log L) array work. After each round one gather of a one-byte mask
+tells whether every root is an explicit cell; the run stops at the first
+round where it is. A box whose source meets its own target copies a
 periodic block, as an overlapping copy does in LZ77 decoding (Ziv and
 Lempel, 1977): a cell's chain stays in the box for q shifts, q the number
 that carries it out, so the cell's step is q times the shift, written in
 place from one short count array per axis. Chains then make one hop per box
-they pass (identity_scheme(1024): 2 rounds, not 11) and end at the same
-explicit cells. Boxes whose longest in-box chain is below 4 hops keep the
-plain shift. Only when a check fails does it replay the boxes in order, to
-name the same overlap, hole or cycle cell (the first repeated cell on the
-one-shift chain of the smallest cell that never reaches an explicit one) as
-a box-by-box, cell-by-cell check would.
+they pass (identity_scheme(1024): 1 round; one shift a hop takes 11) and
+end at the same explicit cells. Boxes whose longest in-box chain is below 4
+hops keep the plain shift. Only when a check fails does it replay the boxes
+in order, to name the same overlap, hole or cycle cell (the first repeated
+cell on the one-shift chain of the smallest cell that never reaches an
+explicit one) as a box-by-box, cell-by-cell check would.
 
 b_exact finds a smallest valid scheme by branch-and-bound over rectangle
 partitions in row-major order; it is exponential and guarded by cell_limit.
@@ -159,14 +161,17 @@ def analyze_boxes(
     boxes: Sequence[tuple[tuple[int, ...], ...]],
     size: int,
     describe: Callable[[str, object], tuple[str, str]],
+    budget: WorkBudget | None = None,
 ) -> tuple[SchemeCheck, tuple[np.ndarray, dict[int, str]] | None]:
     """Checks shared by the 2D and dD schemes over any number of axes.
 
     ``boxes`` holds (lo, hi, src) corner triples, 1-based and inclusive. The
-    cell cap is checked before anything is allocated. On success returns
-    the check and ``(root, tokens)``: ``root`` is an int32 array that maps
-    each flat cell index to the explicit cell its copy chain ends at,
-    ``tokens`` maps explicit flat indices to their tokens. Otherwise the
+    cell cap is checked before anything is allocated; then ``budget``, when
+    given, is charged one "scheme decode" step a cell, before any other
+    check and before anything of the grid's size is allocated. On success
+    returns the check and ``(root, tokens)``: ``root`` is an int32 array
+    that maps each flat cell index to the explicit cell its copy chain ends
+    at, ``tokens`` maps explicit flat indices to their tokens. Otherwise the
     check carries ``describe(fault, at)``, the error name and message for
     the first fault found: "dims", "cap", "explicit" (at: position, token,
     whether the token is invalid, whether the position is outside),
@@ -184,6 +189,8 @@ def analyze_boxes(
     total = prod(dims)
     if total > MAX_CELLS:
         return fail("cap")
+    if budget is not None:
+        budget.charge(total, "scheme decode")
     strides = [prod(dims[a + 1 :]) for a in range(d)]
     origin = sum(strides)  # flat index of a position is sum(p * st) - origin
 
@@ -203,7 +210,7 @@ def analyze_boxes(
     step[cells] = 0  # an explicit cell ends its chain at itself
     grid = step.reshape(dims)
     cuts: list[tuple[slice, ...]] = []  # the boxes written so far
-    loops = False  # has a box copied itself?
+    shifts: list[int] = []  # and the flat shift of each
 
     def first_overlap() -> int | None:
         """The cell an in-order fill of ``cuts`` finds taken: in the first
@@ -232,7 +239,6 @@ def analyze_boxes(
 
     covered = len(cells)
     ones, threes = (1,) * d, (3,) * d
-    jumped: list[tuple[np.ndarray, int]] = []  # (view, shift) of each box written as exits
     for k, (lo, hi, src) in enumerate(boxes):
         ext = tuple(map(sub, hi, lo))
         if not (
@@ -257,12 +263,11 @@ def analyze_boxes(
             and all(map(le, map(abs, map(sub, src, lo)), map(floordiv, ext, threes)))
         ):
             _write_exits(view, tuple(map(sub, src, lo)), ext, shift)
-            jumped.append((view, shift))
         else:
             view.fill(shift)
-        loops = loops or not shift
         covered += view.size
         cuts.append(cut)
+        shifts.append(shift)
     # the parts partition the grid iff their volumes add up and none is free
     if covered != total or step.min() == _FREE:
         cell = first_overlap()
@@ -271,30 +276,31 @@ def analyze_boxes(
         free = np.flatnonzero(step == _FREE)
         return fail("holes", (len(free), int(free[0])))
     # Pointer jumping: after t rounds root[c] is 2^t hops down c's chain, or
-    # its end, so chains (shorter than total) end after total.bit_length()
-    # rounds and the next one changes nothing. A cycle whose length is not a
-    # power of two keeps moving; any other cycle settles on a copied cell.
-    root = np.arange(total, dtype=np.int32)
-    root += step
-    spare = np.empty_like(root)
+    # its end. Only explicit cells end chains (a self-copy points to itself
+    # but is no end), and chains are shorter than total, so every root is
+    # explicit after total.bit_length() rounds unless some chain cycles.
+    # the steps become the first pointers in place, the cell indices taken
+    # from the buffer the first round overwrites: no temporary of the grid
+    root, spare = step, np.arange(total, dtype=np.int32)
+    root += spare
+    ends = np.zeros(total, dtype=bool)
+    ends[cells] = True
+    at_root = np.empty_like(ends)
     for _ in range(total.bit_length() + 1):
         root.take(root, out=spare, mode="clip")  # "clip" writes unbuffered
-        if (spare == root).all():
-            break
         root, spare = spare, root
-    # without self-copies only explicit cells take no step, so every chain
-    # ends at one iff no root takes a step
-    if loops or step.take(root, out=spare, mode="clip").any():
-        ends = np.zeros(total, dtype=bool)
-        ends[cells] = True
-        cur, seen = int(np.argmin(ends[root])), set()  # the first cell that misses
-        for view, shift in jumped:  # walk the one-shift chain
-            view.fill(shift)
-        while cur not in seen:
-            seen.add(cur)
-            cur += int(step[cur])
-        return fail("cycle", cur)
-    return SchemeCheck(True, size), (root, tokens)
+        if ends.take(root, out=at_root, mode="clip").all():
+            return SchemeCheck(True, size), (root, tokens)
+    # rebuild the one-shift steps and walk the chain of the first cell that misses
+    cur, seen = int(at_root.argmin()), set()
+    step = np.zeros(total, dtype=np.int32)
+    grid = step.reshape(dims)
+    for cut, shift in zip(cuts, shifts):
+        grid[cut] = shift
+    while cur not in seen:
+        seen.add(cur)
+        cur += int(step[cur])
+    return fail("cycle", cur)
 
 
 def decoded_cells(
@@ -307,7 +313,7 @@ def decoded_cells(
     return cells_tuple(lookup.take(root), len(alphabet)), alphabet
 
 
-def _analyze(s: MacroScheme2D):
+def _analyze(s: MacroScheme2D, budget: WorkBudget | None = None):
     """analyze_boxes in 2D terms: cells print as (i,j), phrases as Phrase."""
 
     def at(pos) -> str:
@@ -339,7 +345,7 @@ def _analyze(s: MacroScheme2D):
         return "CyclicMap", f"copy chain through {cell(where)} never reaches an explicit cell"
 
     phrases = [((p.i1, p.j1), (p.i2, p.j2), (p.si, p.sj)) for p in s.phrases]
-    return analyze_boxes((s.rows, s.cols), s.explicit, phrases, s.size, describe)
+    return analyze_boxes((s.rows, s.cols), s.explicit, phrases, s.size, describe, budget)
 
 
 def validate_scheme(s: MacroScheme2D) -> SchemeCheck:
@@ -347,12 +353,13 @@ def validate_scheme(s: MacroScheme2D) -> SchemeCheck:
 
 
 def decode(s: MacroScheme2D, budget: WorkBudget | None = None) -> Matrix2D:
-    """The matrix the scheme represents; raises on invalid schemes."""
-    check, data = _analyze(s)
+    """The matrix the scheme represents; raises on invalid schemes. Charges
+    rows * cols "scheme decode" steps once the header passes the dims and
+    cell-cap checks, so a budget too small for the grid raises before any
+    other fault of the scheme is looked for."""
+    check, data = _analyze(s, ensure_budget(budget))
     if not check.ok:
         raise _ERRORS[check.error](check.message)
-    budget = ensure_budget(budget)
-    budget.charge(s.rows * s.cols, "scheme decode")
     return Matrix2D(s.rows, s.cols, *decoded_cells(*data))
 
 

@@ -244,6 +244,18 @@ def test_macro_minimize_exits_on_budget(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_macro_decode_charges_before_it_checks(tmp_path):
+    # a budget too small for the grid wins over a fault of the scheme
+    cycle = tmp_path / "cycle.txt"  # cells 2 -> 3 -> 4 -> 2 never reach cell 1
+    cycle.write_text("scheme 1 4\nexp 1 1 0\nphr 1 2 1 2 1 3\nphr 1 3 1 3 1 4\nphr 1 4 1 4 1 2\n")
+    r = run("macro", "decode", "--in", str(cycle), "--budget", "3")
+    assert r.returncode == 3, r.stderr
+    assert "work budget exceeded during scheme decode: 4 > limit 3" in r.stderr
+    r = run("macro", "decode", "--in", str(cycle), "--budget", "4")
+    assert r.returncode == 2 and "CyclicMap" in r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_macro_rejects_bad_scheme_files(tmp_path):
     huge = tmp_path / "huge.txt"
     huge.write_text("scheme 100000 100000\n")

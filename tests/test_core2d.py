@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -98,8 +99,10 @@ def _outcome(encode, tokens):
     return ids, alphabet
 
 
-# every one-character letter of U+0000..U+00FF that is a valid token
+# every one-character letter of U+0000..U+00FF that is a valid token, and
+# every one that is whitespace
 LATIN1 = [chr(c) for c in range(256) if chr(c).split() == [chr(c)]]
+SPACES = [chr(c) for c in range(256) if chr(c).split() != [chr(c)]]
 
 
 def test_encode_tokens_equals_the_dict_oracle():
@@ -130,15 +133,51 @@ def test_encode_tokens_equals_the_dict_oracle():
         [1, "a b", 2],
         ["\xa0"],
     ]
+    # more tokens than the one-character byte path needs, and as many as it
+    # skips; among them the ones it must refuse or report
+    cut = core2d._BYTE_PATH_MIN
+    assert len(SPACES) == 12 and "\n" in SPACES
+    for body in (list("ab" * cut), list("ba" * (cut // 2)), (LATIN1 * 2)[: cut + 1], LATIN1 * 3):
+        for odd in (["", "ab"], ["ab", ""], ["a\nb", "c"], ["\n"], ["", "\n\n"], ["\xff", "Ā"], ["Ā"],
+                    ["é", "\xff"], [Loud("a")], [Quiet("a"), Quiet("ÿ")], [1, True], []):
+            cases += [odd + body, body + odd, body[:40] + odd + body[40:]]
+        for space in SPACES:
+            cases += [[space] + body, body + [space], body[:33] + [space] + body[33:] + [space]]
+        cases.append(body[:40] + [SPACES[-1]] + body[40:] + [SPACES[0]])
     rng = random.Random(41)
     pool = ["a", "b", "é", "€", "ab", 0, 1, 2.5, True, Loud("a"), Quiet("b"), "", "a b"]
     for _ in range(300):
         k = rng.randint(1, 6)
         cases.append([rng.choice(pool[: rng.randint(1, len(pool))]) for _ in range(k)])
+    letters = ["a", "b", "ÿ", "\x00", 7, Quiet("c")] + SPACES + ["Ā", "ab", Loud("d")]
+    for _ in range(200):
+        k = rng.randint(cut - 2, 3 * cut)
+        pool = letters[: rng.choice([2, 4, 6, 8, len(letters)])]
+        cases.append([rng.choice(pool) if rng.random() < 0.05 else rng.choice("xyz") for _ in range(k)])
     for tokens in cases:
         for order in (tokens, tokens[::-1]):
             got = _outcome(encode_tokens, iter(order))
             assert got == _outcome(dict_encode_tokens, order), order
+
+
+def test_one_character_grids_skip_the_per_token_dict():
+    # a 512 x 512 grid of one-character tokens finds its letters through
+    # bytes, with no dict of its tokens
+    rng = random.Random(44)
+    grid = [[rng.choice("01") for _ in range(512)] for _ in range(512)]
+    called = []
+
+    def record(frame, event, arg):
+        if event == "c_call":
+            called.append(arg.__name__)
+
+    sys.setprofile(record)
+    try:
+        m = Matrix2D.from_tokens(grid)
+    finally:
+        sys.setprofile(None)
+    assert "join" in called and "fromkeys" not in called, sorted(set(called))
+    assert (m.cells, m.alphabet) == dict_encode_tokens(t for row in grid for t in row)
 
 
 def test_from_tokens_reports_the_first_bad_token_before_a_row_mismatch(monkeypatch):
@@ -151,6 +190,8 @@ def test_from_tokens_reports_the_first_bad_token_before_a_row_mismatch(monkeypat
         [["a", "b"], ["€", "é"], ["x y", 1]],
         [[1, True], ["1", 1.0]],
         [["é", "x"], ["x", "é", "z"]],
+        [["a"] * 200, ["b"] * 199 + ["\t"], ["c"]],
+        [["a"] * 200, ["b"] * 200, ["c", "\t"]],
     ]
     seen = []
 

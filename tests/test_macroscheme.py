@@ -31,13 +31,16 @@ from repet2d import (
 )
 from repet2d import macroscheme, multidim
 from repet2d.accept import random_grammar
+from repet2d.budget import WorkBudget
 from repet2d.core2d import MAX_CELLS
 from repet2d.errors import (
+    BadParam,
     CyclicMap,
     NotPartition,
     OutOfBoundsSource,
     ParseError,
     Repet2dError,
+    ShapeTooLarge,
     TooLarge,
 )
 from repet2d.macroscheme import _ERRORS, analyze_boxes, square_phrase_bound
@@ -331,8 +334,8 @@ def _checked_against(oracle, record):
     asserts the same check repr (a cycle cell is in its message) and the
     same chain ends; ``record(dims, boxes, check)`` sees every check."""
 
-    def both(dims, explicit, boxes, size, describe):
-        got = analyze_boxes(dims, explicit, boxes, size, describe)
+    def both(dims, explicit, boxes, size, describe, budget=None):
+        got = analyze_boxes(dims, explicit, boxes, size, describe, budget)
         want = oracle(dims, explicit, boxes, size, describe)
         assert repr(got[0]) == repr(want[0]), (dims, explicit, boxes)
         if want[1] is None:
@@ -565,6 +568,28 @@ def test_decode_charges_one_step_per_cell():
         assert ledger.steps == {"scheme decode": s.rows * s.cols}
 
 
+def test_decode_charges_before_it_allocates():
+    s = identity_scheme(1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeTooLarge) as err:
+            decode(s, WorkBudget(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "work budget exceeded during scheme decode: 1048576 > limit 10"
+    assert peak < 1 << 20, peak
+    # the charge follows the dims and cell-cap checks and precedes the others
+    raises(BadParam, decode, MacroScheme2D(0, 4, {}, ()), WorkBudget(1))
+    raises(TooLarge, decode, MacroScheme2D(100000, 100000, {}, ()), WorkBudget(1))
+    cycle = scheme_of(1, 4, {(1, 1): "0"}, [(1, 2, 1, 2, 1, 3), (1, 3, 1, 3, 1, 4), (1, 4, 1, 4, 1, 2)])
+    bad_token = scheme_of(1, 2, {(1, 1): "0", (1, 2): "a b"}, [])
+    for broken, error in ((cycle, CyclicMap), (bad_token, BadParam)):
+        raises(error, decode, broken, WorkBudget(broken.rows * broken.cols))
+        exc = raises(ShapeTooLarge, decode, broken, WorkBudget(broken.rows * broken.cols - 1))
+        assert "during scheme decode" in str(exc)
+
+
 # ---------------------------------------------------------------------------
 # boxes whose source meets their target, written as exits
 # ---------------------------------------------------------------------------
@@ -714,12 +739,52 @@ def _jumping_rounds(s) -> int:
     return rounds
 
 
-def test_self_overlapping_boxes_take_two_rounds():
+def test_self_overlapping_boxes_take_one_round():
     # one hop leaves each box, so a chain of the identity scheme makes two
-    # (diagonal box, then row or column), and the round after them changes
-    # nothing; stepping one shift a cell took 11 and 8 rounds
-    assert _jumping_rounds(identity_scheme(1024)) <= 2
-    assert _jumping_rounds(from_grammar(build_zeros_rlslp(64))) <= 2
+    # (diagonal box, then row or column) and one round joins them; stepping
+    # one shift a cell takes 11 and 8 rounds
+    assert _jumping_rounds(identity_scheme(1024)) <= 1
+    assert _jumping_rounds(from_grammar(build_zeros_rlslp(64))) <= 1
+
+
+@pytest.mark.parametrize("oracle", ["against_oracle", "against_plain_shifts"])
+def test_the_run_stops_where_the_oracles_do(oracle, request):
+    # the run stops once every root is explicit: self-copies and cycles
+    # never get there, and valid chains of every length do
+    checks = request.getfixturevalue(oracle)
+    rng = random.Random(614)
+    # self-copying boxes: alone, at the end of a chain, and beside valid parts
+    assert _check_both_ways((1, 5), {(1, 1): "a"}, [((1, 2), (1, 5), (1, 2))]).error == "CyclicMap"
+    parts = [((3,), (3,), (6,)), ((4,), (5,), (1,)), ((6,), (6,), (6,))]
+    assert _check_both_ways((6,), {(1,): "a", (2,): "b"}, parts).error == "CyclicMap"
+    explicit = {c: "ab"[sum(c) % 2] for c in _box_cells((1, 1), (4, 4)) if min(c) == 1}
+    assert _check_both_ways((4, 4), explicit, [((2, 2), (4, 4), (2, 2))]).error == "CyclicMap"
+    # cycles whose length is no power of two: no round settles them, so
+    # only the round bound ends the run
+    for length in (3, 5, 6, 7, 9, 12, 31, 33, 100):
+        for lead in (0, 2, 40):
+            for dims in ((length + lead + 3,), (3, -(-(length + lead + 3) // 3))):
+                explicit, boxes = cycle_parts(rng, dims, length, lead)
+                assert _check_both_ways(dims, explicit, boxes).error == "CyclicMap"
+    # one chain of unit boxes through every cell: 9 rounds, or a cycle of 51
+    cells = [(k,) for k in range(1, 301)]
+    boxes = [(c, c, p) for p, c in zip(cells, cells[1:])]
+    rng.shuffle(boxes)
+    assert _check_both_ways((300,), {(1,): "a"}, boxes).ok
+    looped = [(lo, hi, (200,) if lo == (150,) else p) for lo, hi, p in boxes]  # 150..200 cycle
+    assert _check_both_ways((300,), {(1,): "a"}, looped).error == "CyclicMap"
+    # schemes over 255, 256 and 257 letters (ids take one byte up to 256):
+    # row 1 explicit, the rows below copied from the row above
+    for letters in (255, 256, 257):
+        explicit = {(1, j): f"t{j:03d}" for j in range(1, letters + 1)}
+        rows = [((2, 1), (8, letters), (1, 1))]
+        assert _check_both_ways((8, letters), explicit, rows).ok
+        shifted = [((2, 1), (8, letters - 1), (1, 2)), ((2, letters), (8, letters), (1, 1))]
+        assert _check_both_ways((8, letters), explicit, shifted).ok
+        del explicit[(1, letters)]
+        looped = rows + [((1, letters), (1, letters), (8, letters))]
+        assert _check_both_ways((8, letters), explicit, looped).error == "CyclicMap"
+    assert len(checks) > 100
 
 
 def test_exits_are_written_in_place():
@@ -750,16 +815,17 @@ def test_exits_do_not_wrap_int32():
 
 
 def test_decode_peak_memory():
-    # decode's peak: the pointer jumping holds three int32 arrays of the
-    # grid plus the intp copy numpy's take makes of int32 indices (20 MB);
-    # the cells are read back through one byte a cell (the int32 ids and
-    # their list made 24 MB)
+    # the peak of decode and validate: the pointer jumping holds two int32
+    # arrays of the grid, two one-byte masks and the intp copy numpy's take
+    # makes of int32 indices (18 MB); the cells are read back through one
+    # byte a cell (the int32 ids and their list made 24 MB)
     s = identity_scheme(1024)
-    decode(s)
-    tracemalloc.start()
-    try:
-        decode(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 21 << 20, peak
+    for run in (decode, validate_scheme):
+        run(s)
+        tracemalloc.start()
+        try:
+            run(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 << 20, (run, peak)
