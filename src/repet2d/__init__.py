@@ -5,7 +5,8 @@ repetitiveness measures lifted to matrices — substring complexity
 (delta), string attractors (gamma), straight-line grammars with and
 without run-length rules (g, g_rl), bidirectional macro schemes (b) —
 plus block trees, heavy-path direct access on grammars, Hilbert-style
-linearizations, and d-dimensional generalizations of all of the above.
+linearizations, and for d-dimensional strings delta, factor counts,
+grammars and text I/O.
 
 Importing the package loads none of its submodules: each public name
 (and each submodule, as ``repet2d.<submodule>``) is imported on first

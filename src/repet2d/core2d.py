@@ -83,6 +83,14 @@ TokenGrid = tuple[tuple[str, ...], ...]
 #: hard cap on cells, matching the documented family caps (~16M)
 MAX_CELLS = 1 << 24
 
+
+def check_cap(dims: Sequence[int]) -> None:
+    """Raise TooLarge when a grid of extents ``dims`` would hold more than
+    ``MAX_CELLS`` cells; called before any cell is built."""
+    if prod(dims) > MAX_CELLS:
+        raise TooLarge(f"{'x'.join(map(str, dims))} exceeds the {MAX_CELLS}-cell cap")
+
+
 #: budget labels of the 2D ranking passes along axis 1 (rows) and axis 2
 RANKING_2D = ("column ranking", "row ranking")
 
@@ -214,8 +222,7 @@ class Matrix2D:
             raise BadParam("a 2D string must have at least one cell")
         rows = len(grid)
         cols = len(grid[0])
-        if rows * cols > MAX_CELLS:
-            raise TooLarge(f"{rows}x{cols} exceeds the {MAX_CELLS}-cell cap")
+        check_cap((rows, cols))
         flat: list[object] = []
         for r, row in enumerate(grid, start=1):
             if len(row) != cols:

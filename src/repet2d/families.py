@@ -12,19 +12,13 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
-from .core2d import MAX_CELLS, Matrix2D
-from .errors import BadParam, TooLarge
+from .core2d import Matrix2D, check_cap
+from .errors import BadParam
 
 
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise BadParam(msg)
-
-
-def _fits(rows: int, cols: int) -> None:
-    """The cell cap, checked before the cells are built (as from_tokens)."""
-    if rows * cols > MAX_CELLS:
-        raise TooLarge(f"{rows}x{cols} exceeds the {MAX_CELLS}-cell cap")
 
 
 def _bits(rows: int, cols: int, cells: list[int]) -> Matrix2D:
@@ -40,7 +34,7 @@ def _bits(rows: int, cols: int, cells: list[int]) -> Matrix2D:
 def identity(n: int) -> Matrix2D:
     """n x n identity: 1 on the main diagonal, 0 elsewhere."""
     _check(n >= 1, f"identity needs n >= 1, got {n}")
-    _fits(n, n)
+    check_cap((n, n))
     cells = [0] * (n * n)
     cells[:: n + 1] = [1] * n
     return _bits(n, n, cells)
@@ -49,21 +43,21 @@ def identity(n: int) -> Matrix2D:
 def zeros(m: int, n: int) -> Matrix2D:
     """All-zero m x n matrix."""
     _check(m >= 1 and n >= 1, f"zeros needs m,n >= 1, got {m},{n}")
-    _fits(m, n)
+    check_cap((m, n))
     return Matrix2D(m, n, (0,) * (m * n), ("0",))
 
 
 def alt(m: int, n: int) -> Matrix2D:
     """m x n matrix whose every row is 0101..."""
     _check(m >= 1 and n >= 1, f"alt needs m,n >= 1, got {m},{n}")
-    _fits(m, n)
+    check_cap((m, n))
     return _bits(m, n, [j % 2 for j in range(n)] * m)
 
 
 def diagpad(m: int, n: int) -> Matrix2D:
     """Identity of order min(m,n) in the top-left corner, zeros elsewhere."""
     _check(m >= 1 and n >= 1, f"diagpad needs m,n >= 1, got {m},{n}")
-    _fits(m, n)
+    check_cap((m, n))
     k = min(m, n)
     cells = [0] * (m * n)
     cells[: k * (n + 1) : n + 1] = [1] * k
@@ -74,7 +68,7 @@ def staircase(n: int) -> Matrix2D:
     """Identity of order n-1, a row of 0's appended below, then a column of
     1's appended at the right; the result is n x n."""
     _check(n >= 2, f"staircase needs n >= 2, got {n}")
-    _fits(n, n)
+    check_cap((n, n))
     cells = [0] * (n * n)
     cells[:: n + 1] = [1] * n  # the last diagonal cell is in the 1's column
     cells[n - 1 :: n] = [1] * n
@@ -86,7 +80,7 @@ def ek(k: int) -> Matrix2D:
     least-significant bit in row 1; equivalently row i is the periodic string
     (0^(2^(i-1)) 1^(2^(i-1)))^(2^(k-i))."""
     _check(1 <= k <= 20, f"ek needs 1 <= k <= 20, got {k}")
-    _fits(k, 1 << k)
+    check_cap((k, 1 << k))
     cells: list[int] = []
     for i in range(1, k + 1):
         half = 1 << (i - 1)
@@ -119,21 +113,24 @@ def debruijn_bits(k: int) -> list[int]:
     return seq
 
 
-def debruijn1d(k: int) -> Matrix2D:
-    """1 x (2^k + k - 1) string: the least de Bruijn cycle of order k
-    linearized by appending its first k-1 symbols, so every binary string of
-    length k occurs exactly once as a window."""
+def padded_debruijn(k: int) -> list[int]:
+    """The least de Bruijn cycle of order k linearized by appending its
+    first k-1 bits, so every binary string of length k occurs exactly once
+    in the 2^k + k - 1 bits."""
     bits = debruijn_bits(k)
-    bits = bits + bits[: k - 1]
-    return Matrix2D.from_tokens([[str(b) for b in bits]])
+    return bits + bits[: k - 1]
+
+
+def debruijn1d(k: int) -> Matrix2D:
+    """1 x (2^k + k - 1) string: the padded de Bruijn bits of order k."""
+    return Matrix2D.from_tokens([[str(b) for b in padded_debruijn(k)]])
 
 
 def bk(k: int) -> Matrix2D:
     """n x n de Bruijn product matrix, n = 2^k + k - 1: cell (i, j) is the
     pair (D_k[i], D_k[j]) encoded as the id 2*D_k[i] + D_k[j]."""
     _check(1 <= k <= 12, f"bk needs 1 <= k <= 12, got {k}")
-    d = debruijn_bits(k)
-    d = d + d[: k - 1]
+    d = padded_debruijn(k)
     return Matrix2D.from_tokens(
         [[str(2 * a + b) for b in d] for a in d]
     )

@@ -82,11 +82,6 @@ Rule = Union[Terminal, Horiz, Vert, RunH, RunV]
 
 
 @dataclass(frozen=True)
-class TerminalNd:
-    token: str
-
-
-@dataclass(frozen=True)
 class ConcatNd:
     axis: int
     first: str
@@ -100,15 +95,14 @@ class RunNd:
     child: str
 
 
-RuleNd = Union[TerminalNd, ConcatNd, RunNd]
-_TERMINALS = (Terminal, TerminalNd)
+RuleNd = Union[Terminal, ConcatNd, RunNd]
 
 # Every rule of either family read as (token, axis, count, children): token
-# is None for non-terminals and count is 0 for concatenations. The 2D rules
-# glue or repeat along axis 1 (rows: Vert, RunV) or 2 (columns: Horiz, RunH).
+# is None for non-terminals and count is 0 for concatenations. Both families
+# share Terminal. The 2D rules glue or repeat along axis 1 (rows: Vert, RunV)
+# or 2 (columns: Horiz, RunH).
 _RHS = {
     Terminal: lambda r: (r.token, 0, 0, ()),
-    TerminalNd: lambda r: (r.token, 0, 0, ()),
     Horiz: lambda r: (None, 2, 0, (r.left, r.right)),
     Vert: lambda r: (None, 1, 0, (r.top, r.bottom)),
     RunH: lambda r: (None, 2, r.count, (r.child,)),
@@ -119,7 +113,7 @@ _RHS = {
 
 
 def rule_size(rule: Rule | RuleNd) -> int:
-    return 1 if isinstance(rule, _TERMINALS) else 2
+    return 1 if isinstance(rule, Terminal) else 2
 
 
 def rule_bit_size(rule: Rule) -> int:

@@ -163,7 +163,8 @@ def analyze_boxes(
     describe: Callable[[str, object], tuple[str, str]],
     budget: WorkBudget | None = None,
 ) -> tuple[SchemeCheck, tuple[np.ndarray, dict[int, str]] | None]:
-    """Checks shared by the 2D and dD schemes over any number of axes.
+    """The scheme check, written for any number of axes; ``_analyze`` is
+    its 2D caller.
 
     ``boxes`` holds (lo, hi, src) corner triples, 1-based and inclusive. The
     cell cap is checked before anything is allocated; then ``budget``, when

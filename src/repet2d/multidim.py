@@ -8,14 +8,12 @@ is ``core2d.densest_shape`` (which prunes the passes by its three exact
 rules: saturation, the bound stop and determinism, the last off only with a
 table or on cubes, which ``delta_nd`` never asks for), grammar validation
 and expansion are ``grammar2d.resolve_dims`` and ``grammar2d.expand_ids``
-(which read ``ConcatNd``/``RunNd`` and the 2D rules alike), and scheme
-checking and decoding is ``macroscheme.analyze_boxes``.  This module holds
-the dD types, the adapters of the public dD functions (window labels are
-read off ``rank_windows`` directly), the dD de Bruijn cube, its grammar and
-the ``nd`` format; ``to_nd``/``to_2d``/``grammar_to_nd`` embed 2D losslessly.
-
-Macro schemes generalize to boxes with source corners; only validation
-and decoding are provided in dD (no exact solvers).
+(which read ``ConcatNd``/``RunNd`` and the 2D rules alike, with one
+``Terminal``).  This module holds the dD types, the adapters of the public
+dD functions (window labels are read off ``rank_windows`` directly), the dD
+de Bruijn cube, its grammar and the ``nd`` format;
+``to_nd``/``to_2d``/``grammar_to_nd`` embed 2D losslessly.  Macro schemes
+are 2D only (``macroscheme``).
 """
 
 from __future__ import annotations
@@ -30,29 +28,28 @@ import numpy as np
 
 from .budget import WorkBudget, ensure_budget
 from .core2d import (
-    MAX_CELLS,
     Matrix2D,
     _id_grid,
     cells_tuple,
+    check_cap,
     densest_shape,
     encode_tokens,
     rank_windows,
 )
-from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError, TooLarge
-from .families import debruijn_bits
+from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError
+from .families import padded_debruijn
 from .grammar2d import (
     ConcatNd,
     Grammar2D,
     RuleNd,
     RunNd,
-    TerminalNd,
+    Terminal,
     _rhs_key,
     balanced_slp,
     expand_ids,
     resolve_dims,
     rule_size,
 )
-from .macroscheme import _ERRORS, SchemeCheck, analyze_boxes, decoded_cells
 
 #: budget label of every dD ranking pass, whatever its axis
 _RANKING = ("window ranking",)
@@ -78,9 +75,8 @@ class NdString:
         dims = tuple(int(n) for n in dims)
         if not dims or any(n < 1 for n in dims):
             raise BadParam(f"dims must be a non-empty tuple of >= 1, got {dims}")
+        check_cap(dims)
         total = prod(dims)
-        if total > MAX_CELLS:
-            raise TooLarge(f"{'x'.join(map(str, dims))} exceeds the {MAX_CELLS}-cell cap")
         cells, alphabet = encode_tokens(tokens)
         if len(cells) != total:
             raise ParseError(
@@ -135,13 +131,14 @@ def concat_axis(a: NdString, b: NdString, axis: int) -> NdString:
             raise AxisMismatch(
                 f"axis {j} extents differ ({p} vs {q}); only axis {axis} may"
             )
+    dims = list(a.dims)
+    dims[axis - 1] += b.dims[axis - 1]
+    check_cap(dims)
     alphabet = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
     index = {t: i for i, t in enumerate(alphabet)}
     map_a = np.array([index[t] for t in a.alphabet], dtype=np.int64)
     map_b = np.array([index[t] for t in b.alphabet], dtype=np.int64)
     out = np.concatenate([map_a[a._grid], map_b[b._grid]], axis=axis - 1)
-    if out.size > MAX_CELLS:
-        raise TooLarge(f"concatenation exceeds the {MAX_CELLS}-cell cap")
     return NdString(tuple(out.shape), cells_tuple(out, len(alphabet)), alphabet)
 
 
@@ -192,9 +189,9 @@ def grammar_to_nd(g: Grammar2D) -> GrammarNd:
     """Embed a 2D grammar: rows are axis 1, columns axis 2."""
     rules: dict[str, RuleNd] = {}
     for name, rule in g.rules.items():
-        token, axis, count, children = _rhs_key(rule)
-        if token is not None:
-            rules[name] = TerminalNd(token)
+        _, axis, count, children = _rhs_key(rule)
+        if isinstance(rule, Terminal):
+            rules[name] = rule
         elif count:
             rules[name] = RunNd(axis, count, *children)
         else:
@@ -212,21 +209,14 @@ def _check_bdk(d: int, k: int) -> None:
         raise BadParam(f"need d, k >= 1 and d*k <= 18, got d={d}, k={k}")
 
 
-def _padded_debruijn(k: int) -> list[int]:
-    bits = debruijn_bits(k)
-    return bits + bits[: k - 1]
-
-
 def bdk(d: int, k: int) -> NdString:
     """d-dimensional hypercube of side 2^k + k - 1 whose cell at (i_1..i_d)
     is the d-bit value D[i_1]...D[i_d] (first axis most significant), D the
     padded de Bruijn string of order k.  Every k x ... x k subcube encodes a
     distinct tuple of k-bit windows, so all 2^(dk) of them are distinct."""
     _check_bdk(d, k)
-    seq = np.array(_padded_debruijn(k), dtype=np.int64)
+    seq = np.array(padded_debruijn(k), dtype=np.int64)
     n = len(seq)
-    if n**d > MAX_CELLS:
-        raise TooLarge(f"side {n} in {d} axes exceeds the {MAX_CELLS}-cell cap")
     grid = np.zeros((n,) * d, dtype=np.int64)
     for i in range(d):
         shape = [1] * d
@@ -245,7 +235,7 @@ def build_bdk_grammar(d: int, k: int) -> GrammarNd:
     sizes follow |G_d| = 2 |G_(d-1)| + |G_1| - 2.
     """
     _check_bdk(d, k)
-    dstr = "".join(str(b) for b in _padded_debruijn(k))
+    dstr = "".join(str(b) for b in padded_debruijn(k))
     rules: dict[str, RuleNd] = {}
 
     def grammar_for(dim: int, tag: int) -> str:
@@ -255,7 +245,7 @@ def build_bdk_grammar(d: int, k: int) -> GrammarNd:
             for bit in "01":
                 tok = str(tag * 2 + int(bit))
                 tname = f"T{tok}"
-                rules.setdefault(tname, TerminalNd(tok))
+                rules.setdefault(tname, Terminal(tok))
                 leaf[bit] = tname
         else:
             a0 = grammar_for(dim - 1, tag * 2)
@@ -289,73 +279,6 @@ def factor_count_nd(
 def delta_nd(x: NdString, budget: WorkBudget | None = None) -> Fraction:
     """max over window shapes of (#distinct windows) / (window volume)."""
     return densest_shape(x._grid, False, ensure_budget(budget), _RANKING * x.ndim)[0]
-
-
-# ---------------------------------------------------------------------------
-# dD macro schemes (validator/decoder only)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoxNd:
-    """A copied box: 1-based inclusive corners ``lo``..``hi`` with the
-    source box of the same extents starting at corner ``src``."""
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-    src: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MacroSchemeNd:
-    dims: tuple[int, ...]
-    explicit: Mapping[tuple[int, ...], str]
-    boxes: tuple[BoxNd, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.explicit) + len(self.boxes)
-
-
-def _analyze_scheme(s: MacroSchemeNd):
-    """analyze_boxes in dD terms: positions print as tuples, boxes by corners."""
-    boxes = [(tuple(b.lo), tuple(b.hi), tuple(b.src)) for b in s.boxes]
-
-    def describe(fault: str, at) -> tuple[str, str]:
-        if fault == "dims":
-            return "BadParam", f"bad dims {s.dims}"
-        if fault == "cap":
-            return "TooLarge", f"{prod(s.dims)} cells exceed the cap"
-        if fault == "explicit":
-            pos, token, _, outside = at
-            if outside:
-                return "OutOfBounds", f"explicit cell {pos}"
-            return "BadParam", f"invalid token {token!r}"
-        if fault in ("inverted", "target"):
-            return "OutOfBounds", "box {}..{}".format(*boxes[at])
-        if fault == "source":
-            return "OutOfBoundsSource", "box {}..{} from {}".format(*boxes[at])
-        if fault == "overlap":
-            pos = tuple(int(p) + 1 for p in np.unravel_index(at, s.dims))
-            return "NotPartition", f"cell {pos} covered twice"
-        if fault == "holes":
-            return "NotPartition", f"{at[0]} cells uncovered"
-        return "CyclicMap", f"copy cycle through cell {at}"
-
-    return analyze_boxes(s.dims, s.explicit, boxes, s.size, describe)
-
-
-def validate_nd_scheme(s: MacroSchemeNd) -> SchemeCheck:
-    """Partition + bounds + acyclic copy map, reported without raising."""
-    return _analyze_scheme(s)[0]
-
-
-def decode_nd_scheme(s: MacroSchemeNd) -> NdString:
-    """The unique d-dimensional string the scheme describes."""
-    check, data = _analyze_scheme(s)
-    if not check.ok:
-        raise _ERRORS[check.error](check.message)
-    return NdString(s.dims, *decoded_cells(*data))
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +321,6 @@ def parse_nd(text: str) -> NdString:
         raise ParseError(f"header declares {d} axes but lists {len(dims)} extents")
     if any(n < 1 for n in dims):
         raise ParseError(f"extents must be >= 1, got {dims}")
-    if prod(dims) > MAX_CELLS:
-        raise TooLarge(f"{'x'.join(map(str, dims))} exceeds the {MAX_CELLS}-cell cap")
-    if len(toks) != prod(dims):
-        raise ParseError(
-            f"expected {prod(dims)} tokens for dims {dims}, got {len(toks)}"
-        )
     return NdString.from_tokens(dims, toks)
 
 

@@ -5,12 +5,11 @@ import random
 
 import numpy as np
 
-from repet2d import alt, bk, concat_h, concat_v, identity
+from repet2d import bk, concat_h, concat_v, core2d, identity
 from repet2d.errors import (
     AxisMismatch,
     BadParam,
     CycleDetected,
-    CyclicMap,
     DanglingVariable,
     DimMismatch,
     DuplicateRHS,
@@ -18,21 +17,17 @@ from repet2d.errors import (
     TooLarge,
 )
 from repet2d.core2d import ShapeBox, densest_shape, rank_windows
-from repet2d.grammar2d import build_bk_grammar, validate_grammar
+from repet2d.families import debruijn_bits
+from repet2d.grammar2d import Terminal, build_bk_grammar, validate_grammar
 from repet2d.measures import delta
 from repet2d.multidim import (
-    BoxNd,
     ConcatNd,
     GrammarNd,
-    MacroSchemeNd,
     NdString,
     RunNd,
-    TerminalNd,
     bdk,
     build_bdk_grammar,
     concat_axis,
-    debruijn_bits,
-    decode_nd_scheme,
     delta_nd,
     expand_nd,
     factor_count_nd,
@@ -43,7 +38,6 @@ from repet2d.multidim import (
     to_2d,
     to_nd,
     validate_nd,
-    validate_nd_scheme,
     write_nd,
 )
 
@@ -84,30 +78,44 @@ def test_concat_axis_matches_2d_concats():
     raises(AxisMismatch, concat_axis, a, one, 1)
 
 
+def test_concat_axis_checks_the_cap_before_it_concatenates(monkeypatch):
+    a = NdString.from_tokens((2, 3), "abcabc")
+    b = NdString.from_tokens((3, 3), "abcabcabc")
+    calls = []
+    concatenate = np.concatenate
+    monkeypatch.setattr(np, "concatenate", lambda *args, **kw: calls.append(1) or concatenate(*args, **kw))
+    monkeypatch.setattr(core2d, "MAX_CELLS", 14)
+    exc = raises(TooLarge, concat_axis, a, b, 1)
+    assert str(exc) == "5x3 exceeds the 14-cell cap"
+    assert not calls
+    monkeypatch.setattr(core2d, "MAX_CELLS", 15)
+    assert concat_axis(a, b, 1).dims == (5, 3) and calls
+
+
 def test_grammar_validation_taxonomy():
-    ok = GrammarNd(2, "S", {"S": ConcatNd(1, "A", "A"), "A": TerminalNd("x")})
+    ok = GrammarNd(2, "S", {"S": ConcatNd(1, "A", "A"), "A": Terminal("x")})
     info = validate_nd(ok)
     assert info.size == 3 and info.dims == (2, 1)
     assert info.var_dims["A"] == (1, 1)
     raises(DanglingVariable, validate_nd,
-           GrammarNd(2, "S", {"S": ConcatNd(1, "A", "B"), "A": TerminalNd("x")}))
+           GrammarNd(2, "S", {"S": ConcatNd(1, "A", "B"), "A": Terminal("x")}))
     raises(CycleDetected, validate_nd,
-           GrammarNd(2, "S", {"S": ConcatNd(1, "S", "A"), "A": TerminalNd("x")}))
+           GrammarNd(2, "S", {"S": ConcatNd(1, "S", "A"), "A": Terminal("x")}))
     raises(DuplicateRHS, validate_nd,
            GrammarNd(2, "S", {"S": ConcatNd(1, "A", "B"),
-                              "A": TerminalNd("x"), "B": TerminalNd("x")}))
+                              "A": Terminal("x"), "B": Terminal("x")}))
     # joining along axis 1 requires equal extent on axis 2
     raises(DimMismatch, validate_nd,
-           GrammarNd(2, "S", {"S": ConcatNd(1, "A", "B"), "A": TerminalNd("x"),
+           GrammarNd(2, "S", {"S": ConcatNd(1, "A", "B"), "A": Terminal("x"),
                               "B": ConcatNd(2, "C", "D"),
-                              "C": TerminalNd("y"), "D": TerminalNd("z")}))
+                              "C": Terminal("y"), "D": Terminal("z")}))
     raises(BadParam, validate_nd,
-           GrammarNd(2, "S", {"S": RunNd(1, 1, "A"), "A": TerminalNd("x")}))
+           GrammarNd(2, "S", {"S": RunNd(1, 1, "A"), "A": Terminal("x")}))
     raises(BadParam, validate_nd,
-           GrammarNd(2, "S", {"S": ConcatNd(0, "A", "A"), "A": TerminalNd("x")}))
+           GrammarNd(2, "S", {"S": ConcatNd(0, "A", "A"), "A": Terminal("x")}))
     raises(BadParam, validate_nd,
-           GrammarNd(2, "S", {"S": ConcatNd(3, "A", "A"), "A": TerminalNd("x")}))
-    raises(BadParam, validate_nd, GrammarNd(0, "S", {"S": TerminalNd("x")}))
+           GrammarNd(2, "S", {"S": ConcatNd(3, "A", "A"), "A": Terminal("x")}))
+    raises(BadParam, validate_nd, GrammarNd(0, "S", {"S": Terminal("x")}))
 
 
 def test_lifted_2d_grammars_expand_identically():
@@ -207,41 +215,6 @@ def test_shape_labels_agree_with_2d():
         assert shapes == [(a, b) for a in range(1, m.rows + 1) for b in range(1, m.cols + 1)]
         for k1, k2, lab in iter_shape_labels(m, shapes):
             assert np.array_equal(lab, nd[(k1, k2)])
-
-
-def test_scheme_validate_and_decode():
-    sch = MacroSchemeNd((2, 2), {(1, 1): "0", (1, 2): "1"},
-                        (BoxNd((2, 1), (2, 2), (1, 1)),))
-    chk = validate_nd_scheme(sch)
-    assert chk.ok and chk.size == 3
-    assert decode_nd_scheme(sch) == to_nd(alt(2, 2))
-
-    def err(s):
-        c = validate_nd_scheme(s)
-        assert not c.ok
-        return c.error
-
-    assert err(MacroSchemeNd((2, 2), {(1, 1): "0", (1, 2): "1"}, ())) == "NotPartition"
-    assert err(MacroSchemeNd((2, 2), {(1, 1): "0", (1, 2): "1", (2, 1): "0"},
-                             (BoxNd((2, 1), (2, 2), (1, 1)),))) == "NotPartition"
-    assert err(MacroSchemeNd((2, 2), {(1, 1): "0", (1, 2): "1"},
-                             (BoxNd((2, 1), (2, 2), (2, 2)),))) == "OutOfBoundsSource"
-    assert err(MacroSchemeNd((2, 2), {(1, 1): "0", (1, 2): "1"},
-                             (BoxNd((2, 1), (2, 2), (2, 1)),))) == "CyclicMap"
-    two = MacroSchemeNd((2, 2), {}, (BoxNd((1, 1), (1, 2), (2, 1)),
-                                     BoxNd((2, 1), (2, 2), (1, 1))))
-    assert err(two) == "CyclicMap"
-    raises(CyclicMap, decode_nd_scheme, two)
-    # chains through another box are fine as long as they bottom out
-    chain = MacroSchemeNd((2, 2), {(1, 2): "1", (2, 2): "0"},
-                          (BoxNd((1, 1), (2, 1), (1, 2)),))
-    assert validate_nd_scheme(chain).ok
-    got = decode_nd_scheme(chain)
-    assert [got.at((1, 1)), got.at((2, 1))] == ["1", "0"]
-    # only the dims are large: the cap is checked before anything is allocated
-    huge = MacroSchemeNd((5000, 5000), {}, ())
-    assert err(huge) == "TooLarge"
-    raises(TooLarge, decode_nd_scheme, huge)
 
 
 def test_text_roundtrip():

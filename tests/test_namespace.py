@@ -85,13 +85,14 @@ def test_every_module_level_import_is_read():
 
 def test_every_module_level_private_function_and_class_is_read():
     # a private helper that no other code of the package reads is left over
-    # from code that went away; a read inside its own definition does not
+    # from code that went away, and so is a public function or class that
+    # is not in __all__ either; a read inside its own definition does not
     # count, and dunder names are read by Python itself
     trees = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(pathlib.Path(repet2d.__file__).parent.glob("*.py"))
     ]
-    private = {}
+    private, public = {}, {}
     read = set()
     for tree in trees:
         for top in tree.body:
@@ -99,6 +100,8 @@ def test_every_module_level_private_function_and_class_is_read():
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if own.startswith("_") and not own.startswith("__"):
                     private[own] = top.lineno
+                elif not own.startswith("_") and own not in repet2d.__all__:
+                    public[own] = top.lineno
             read |= {
                 node.id if isinstance(node, ast.Name) else node.attr
                 for node in ast.walk(top)
@@ -106,3 +109,5 @@ def test_every_module_level_private_function_and_class_is_read():
             } - {own}
     unread = {name: line for name, line in private.items() if name not in read}
     assert private and not unread, f"private helpers nothing reads: {unread}"
+    unread = {name: line for name, line in public.items() if name not in read}
+    assert public and not unread, f"public names outside __all__ that nothing reads: {unread}"

@@ -67,6 +67,7 @@ from operator import add, le, mul, sub
 import numpy as np
 
 from repet2d import Matrix2D
+from repet2d.accept import random_matrix
 from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, access, hop_bound
 from repet2d.blocktree2d import BlockNode, BlockTree, _fresh_sentinel, iter_nodes
 from repet2d.budget import WorkBudget, ensure_budget
@@ -110,14 +111,6 @@ def raises(exc_type, fn, *args, **kwargs):
 def mat(*rows: str) -> Matrix2D:
     """Matrix from strings, one character per cell: mat('01','10')."""
     return Matrix2D.from_tokens([list(r) for r in rows])
-
-
-def random_matrix(rng, max_rows=4, max_cols=4, alphabet="01"):
-    rows = rng.randint(1, max_rows)
-    cols = rng.randint(1, max_cols)
-    return Matrix2D.from_tokens(
-        [[rng.choice(alphabet) for _ in range(cols)] for _ in range(rows)]
-    )
 
 
 def repetitive_cells(rng, dims, kind, alphabet="01"):
@@ -872,6 +865,35 @@ def walk_chains(source: list[int]) -> tuple[list[int] | None, int | None]:
         for c in path:
             root[c] = end
     return root, None
+
+
+def nd_describe(dims, boxes):
+    """``describe`` for ``analyze_boxes`` with the messages of the retired
+    d-dimensional scheme check: positions print as tuples, boxes by their
+    (lo, hi, src) corners and a cycle cell by its flat index."""
+
+    def describe(fault, at):
+        if fault == "dims":
+            return "BadParam", f"bad dims {dims}"
+        if fault == "cap":
+            return "TooLarge", f"{prod(dims)} cells exceed the cap"
+        if fault == "explicit":
+            pos, token, _, outside = at
+            if outside:
+                return "OutOfBounds", f"explicit cell {pos}"
+            return "BadParam", f"invalid token {token!r}"
+        if fault in ("inverted", "target"):
+            return "OutOfBounds", "box {}..{}".format(*boxes[at])
+        if fault == "source":
+            return "OutOfBoundsSource", "box {}..{} from {}".format(*boxes[at])
+        if fault == "overlap":
+            pos = tuple(int(p) + 1 for p in np.unravel_index(at, dims))
+            return "NotPartition", f"cell {pos} covered twice"
+        if fault == "holes":
+            return "NotPartition", f"{at[0]} cells uncovered"
+        return "CyclicMap", f"copy cycle through cell {at}"
+
+    return describe
 
 
 def reference_analyze_boxes(dims, explicit, boxes, size, describe):
