@@ -37,8 +37,9 @@ an end id of its own (Karp, Miller and Rosenberg 1972; Manber and Myers
 1993), and the LCP of each suffix with the one sorted before it, lifted over
 the doubling levels, give every such count: the length-j substrings are the
 suffixes of length >= j whose LCP is below j (as in Kasai et al. 2001).
-``densest_shape`` switches a long chain to this sort (``_chain_counts``)
-once it has made ``_SORT_AFTER * ceil(log2 n)`` passes.
+``densest_shape``'s walk (``rank_windows`` with ``densest``) switches a
+long chain to this sort (``_chain_counts``) once it has made
+``_SORT_AFTER * ceil(log2 n)`` passes.
 
 Determinism is the counting step behind the Morse-Hedlund theorem (Morse and
 Hedlund, "Symbolic dynamics", 1938) and behind delta <= gamma (Kociumaka,
@@ -275,6 +276,7 @@ def concat_h(a: Matrix2D, b: Matrix2D) -> Matrix2D:
             f"horizontal concatenation needs equal row counts, "
             f"got {a.rows} and {b.rows}"
         )
+    check_cap((a.rows, a.cols + b.cols))
     grid = [ra + rb for ra, rb in zip(a.tokens(), b.tokens())]
     return Matrix2D.from_tokens(grid)
 
@@ -286,6 +288,7 @@ def concat_v(a: Matrix2D, b: Matrix2D) -> Matrix2D:
             f"vertical concatenation needs equal column counts, "
             f"got {a.cols} and {b.cols}"
         )
+    check_cap((a.rows + b.rows, a.cols))
     return Matrix2D.from_tokens(a.tokens() + b.tokens())
 
 
@@ -382,7 +385,7 @@ _SORT_AFTER = 11
 
 
 def _chain_counts(
-    grid: np.ndarray, axis: int, id_range: int, budget: WorkBudget | None, what: str
+    grid: np.ndarray, axis: int, id_range: int, budget: WorkBudget, what: str
 ) -> memoryview:
     """The number of distinct substrings of each length k (index k, 0 to n)
     of the lines of the id grid ``grid`` along ``axis`` (every id below
@@ -398,14 +401,12 @@ def _chain_counts(
     n = grid.shape[axis]
     lines = np.moveaxis(grid, axis, -1).reshape(-1, n)
     size = lines.size + len(lines)
-    if budget is not None:
-        budget.charge(size, what)
+    budget.charge(size, what)
     ends = np.arange(id_range, id_range + len(lines))[:, None]
     levels = [np.concatenate((lines, ends), axis=1, dtype=np.int32).reshape(-1)]
     count = id_range + len(lines)
     while count < size:
-        if budget is not None:
-            budget.charge(size, what)
+        budget.charge(size, what)
         h = 1 << (len(levels) - 1)
         pairs = np.multiply(levels[-1], count + 1, dtype=np.int64)
         pairs[: size - h] += levels[-1][h:] + 1  # 0 past the text's end
@@ -418,8 +419,7 @@ def _chain_counts(
     prev, this, common = order[:-1], order[1:], lcp[1:]
     levels.pop()  # no two suffixes share that many first ids
     while levels:
-        if budget is not None:
-            budget.charge(size, what)
+        budget.charge(size, what)
         ranks = levels.pop()
         common += (ranks[prev + common] == ranks[this + common]) << len(levels)
     # an end sorts after every id, so no suffix sorts between two that share
@@ -452,8 +452,7 @@ def rank_windows(
     budget: WorkBudget | None,
     what: Sequence[str],
     stop: Callable[[int, tuple[int, ...]], bool] | None = None,
-    one_way_stop: bool = False,
-    sort_chains: bool = False,
+    densest: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray | None, int]]:
     """Yield (shape, labels, count) for every wanted window shape of an id
     grid with any number of axes.
@@ -469,20 +468,20 @@ def rank_windows(
     ``stop`` is asked before every pass with its axis and the shape it would
     rank; when it answers true the chain along that axis ends there, so
     neither that shape nor any later shape of the chain, nor any shape
-    reached through them, is ranked or yielded. With ``one_way_stop`` a
-    chain also ends, unyielded, at the first shape whose pass has no more
-    windows than the shape before and pairs each window of the shape before
-    (that has a next slab) with one next slab only (``densest_shape``'s
-    determinism stop).
+    reached through them, is ranked or yielded.
 
-    With ``sort_chains`` (and every shape wanted, as a ``ShapeBox`` without
-    ``cubes``) a chain whose shapes need counts only, one along the first
-    axis or along an axis whose earlier extents are all 1 (no shape is
-    reached from it), makes at most ``_SORT_AFTER * ceil(log2 n)`` passes
-    (n its extent). The counts of the rest of it then come from one
-    ``_chain_counts`` of the labels of its last pass (module docstring),
-    and those shapes are yielded with labels None; ``stop`` is still asked
-    before each of them.
+    ``densest`` is set by ``densest_shape``'s walk over every shape, which
+    needs a budget, and does two things. A chain also ends, unyielded, at
+    the first shape whose pass has no more windows than the shape before
+    and pairs each window of the shape before (that has a next slab) with
+    one next slab only (the determinism stop). And when every shape is
+    wanted, as a ``ShapeBox`` without ``cubes``, a chain whose shapes need
+    counts only, one along the first axis or along an axis whose earlier
+    extents are all 1 (no shape is reached from it), makes at most
+    ``_SORT_AFTER * ceil(log2 n)`` passes (n its extent). The counts of the
+    rest of it then come from one ``_chain_counts`` of the labels of its
+    last pass (module docstring), and those shapes are yielded with labels
+    None; ``stop`` is still asked before each of them.
     """
     dims = grid.shape
     if isinstance(wanted, ShapeBox) and not wanted.cubes:
@@ -509,7 +508,7 @@ def rank_windows(
         flat = axis == 0 or every and prod(dims[:axis]) == 1
         # the first extent the suffix sort counts, if the chain switches
         sort_at = -1
-        if sort_chains and every and flat:
+        if densest and every and flat:
             sort_at = _SORT_AFTER * (n - 1).bit_length() + 2
         for k in range(1, (node if every else max(node)) + 1):
             shape = (1,) * axis + (k,) + suffix
@@ -533,7 +532,7 @@ def rank_windows(
                         base[lead + (slice(k - 1, n),)],
                         base_range,
                     )
-                    if one_way_stop and values.size <= count and _one_way(values, base_range):
+                    if densest and values.size <= count and _one_way(values, base_range):
                         return
                     count = values.size
             if not (every or k in node):
@@ -552,16 +551,13 @@ def densest_shape(
     cubes_only: bool,
     budget: WorkBudget,
     what: Sequence[str],
-    with_table: bool = False,
-) -> tuple[Fraction, tuple[int, ...], dict[tuple[int, ...], int] | None]:
-    """(value, shape, table) for the window shape of an id grid with the most
+) -> tuple[Fraction, tuple[int, ...]]:
+    """(value, shape) for the window shape of an id grid with the most
     distinct windows per unit of volume (cubes (k, ..., k) only if
     ``cubes_only``).
 
     ``value`` is count(shape) / vol(shape), maximal over the shapes; ties go
-    to the smallest volume, then to the smallest shape tuple. ``table`` maps
-    every shape to its count, in ascending order of reversed tuples, when
-    ``with_table`` is set, else it is None.
+    to the smallest volume, then to the smallest shape tuple.
 
     Windows are ranked by ``rank_windows``' passes, whose chains end as soon
     as no shape left on them can change the answer. All three prunings are
@@ -573,18 +569,18 @@ def densest_shape(
       different pairs of equal windows of s; so s' needs no pass, and as
       W(s') <= W(s) - 1 <= count(s) and vol(s') > vol(s), its value is
       below that of s. s itself keeps its count.
-    * bound stop (not with a table): count(s)/vol(s) <= W(s)/vol(s), which
-      falls along every axis, so a chain ends once that bound is strictly
-      below the best value so far; ties can still reach the smallest shape.
-    * determinism (not with a table, nor with ``cubes_only``): a chain ends
-      at the first pass from t to t + e_a that pairs each window of t with
-      one next slab only. Every shape left on the chain, and every shape
-      reached from one through the axes before, has at most as many windows
-      as its t-part, which was ranked or pruned, and a larger volume (module
-      docstring), so its value is strictly lower. A table must list every
-      count. With ``cubes_only`` the t-parts of the cubes left are not
-      cubes, so they bound nothing. Such a chain leaves no ``first_sat``
-      entry, which only means fewer chains end by saturation.
+    * bound stop: count(s)/vol(s) <= W(s)/vol(s), which falls along every
+      axis, so a chain ends once that bound is strictly below the best value
+      so far; ties can still reach the smallest shape.
+    * determinism (not with ``cubes_only``): a chain ends at the first pass
+      from t to t + e_a that pairs each window of t with one next slab only.
+      Every shape left on the chain, and every shape reached from one
+      through the axes before, has at most as many windows as its t-part,
+      which was ranked or pruned, and a larger volume (module docstring), so
+      its value is strictly lower. With ``cubes_only`` the t-parts of the
+      cubes left are not cubes, so they bound nothing. Such a chain leaves
+      no ``first_sat`` entry, which only means fewer chains end by
+      saturation.
 
     A chain that needs counts only (along the first axis, or along an axis
     whose earlier extents are all 1) switches, once it has made
@@ -592,16 +588,13 @@ def densest_shape(
     sort of the lines of its last labels that counts the rest of its shapes
     at once (module docstring). Those counts are the ones its passes would
     give, and they are read in chain order through the same stop,
-    saturation and best-value code, so value, shape, tie-break and table
-    stay the same; past the switch the determinism test is not made, which
-    only means the chain ends by the other two rules, both exact. The
-    switch reads only the extent and the passes made, so step ledgers stay
-    deterministic. It is on with a table, which needs exactly these counts,
-    and off with ``cubes_only``.
+    saturation and best-value code, so value, shape and tie-break stay the
+    same; past the switch the determinism test is not made, which only
+    means the chain ends by the other two rules, both exact. The switch
+    reads only the extent and the passes made, so step ledgers stay
+    deterministic. It is off with ``cubes_only``.
     """
     dims = grid.shape
-    shapes = ShapeBox(dims, cubes_only)
-
     sides = tuple(n + 1 for n in dims)
 
     def windows(shape: tuple[int, ...]) -> int:
@@ -622,7 +615,6 @@ def densest_shape(
     # the chain's end when none), read once as the chain starts
     near_sat: dict[tuple[int, tuple[int, ...]], int] = {}
     sat_cube = min(dims) + 1  # the smallest cube extent with count >= W - 1
-    counts: dict[tuple[int, ...], int] = {}
     best_count, best_vol, best_shape = 0, 1, ()
 
     def stop(axis: int, shape: tuple[int, ...]) -> bool:
@@ -649,11 +641,9 @@ def densest_shape(
                 first_sat.setdefault(chain, k)
                 return True
             low = shape
-        return not with_table and windows(low) * best_vol < best_count * prod(low)
+        return windows(low) * best_vol < best_count * prod(low)
 
-    walk = rank_windows(
-        grid, shapes, budget, what, stop, not (with_table or cubes_only), not cubes_only
-    )
+    walk = rank_windows(grid, ShapeBox(dims, cubes_only), budget, what, stop, not cubes_only)
     for shape, labels, count in walk:
         if count >= (windows(shape) if labels is None else labels.size) - 1:
             if cubes_only:
@@ -664,16 +654,11 @@ def densest_shape(
                 first = next((i for i, k in enumerate(shape) if k > 1), len(shape) - 1)
                 for axis in range(first + 1):
                     first_sat.setdefault((axis, shape[axis + 1 :]), shape[axis])
-        if with_table:
-            counts[shape] = count
         vol = prod(shape)
         gain = count * best_vol - best_count * vol
         if gain > 0 or gain == 0 and (vol, shape) < (best_vol, best_shape):
             best_count, best_vol, best_shape = count, vol, shape
-    table = None
-    if with_table:
-        table = {s: counts[s] if s in counts else windows(s) for s in shapes}
-    return Fraction(best_count, best_vol), best_shape, table
+    return Fraction(best_count, best_vol), best_shape
 
 
 def _check_shape(m: Matrix2D, k1: int, k2: int) -> None:

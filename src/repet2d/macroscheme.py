@@ -227,7 +227,7 @@ def analyze_boxes(
             view[...] = True
         return None
 
-    def bounds_fault(k: int, lo, hi, src):
+    def bounds_fault(k: int, lo, hi):
         """Box k fails a bounds check: its fault, unless an earlier box
         overlaps."""
         cell = first_overlap()
@@ -250,7 +250,7 @@ def analyze_boxes(
             and all(map(le, hi, dims))
             and all(map(le, map(add, src, ext), dims))
         ):
-            return bounds_fault(k, lo, hi, src)
+            return bounds_fault(k, lo, hi)
         cut = tuple(map(slice, map(sub, lo, ones), hi))
         view = grid[cut]
         shift = sum(map(mul, map(sub, src, lo), strides))

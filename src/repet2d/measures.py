@@ -4,17 +4,17 @@ delta is reported as an exact rational (Fraction) so argmax shapes are
 reproducible. It is ``core2d.densest_shape``, which skips the ranking passes
 that cannot change the answer (shapes above one with at most one pair of
 equal windows, which are all distinct; shapes whose window count bound is
-below the best value so far; and, except with a table or on squares only,
-shapes past a pass where every window extends in one way, whose windows are
-all fixed by a smaller shape) instead of making one pass per shape; all three
-prunings are exact, and each pass made is linear-time counting in the usual
+below the best value so far; and, except on squares only, shapes past a
+pass where every window extends in one way, whose windows are all fixed by
+a smaller shape) instead of making one pass per shape; all three prunings
+are exact, and each pass made is linear-time counting in the usual
 case of dense window ids. A long chain whose shapes need counts only (along
 the first axis, or along the row of a 1 x n string) switches after
 11 * ceil(log2 n) passes to one prefix-doubling suffix sort of its lines
 with LCPs, which gives the number of distinct length-k windows for every k
 at once. Its windows of extent k are exactly the length-k substrings of
 those lines, so the counts equal the passes' counts; they go through the
-same prunings and tie-break, and value, shape and table do not change.
+same prunings and tie-break, and value and shape do not change.
 gamma is computed exactly by a minimum-hitting-set search over distinct
 factor contents (the problem is NP-hard, so only tiny instances are
 accepted — see the cell_limit parameter).
@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,34 +77,30 @@ class DeltaResult:
     """delta value with the shape that attains it.
 
     Ties between shapes are broken by smallest area k1*k2, then smallest k1.
-    ``table`` maps (k1, k2) -> P_M(k1, k2) when requested.
+    ``table`` is always None: delta counts only the shapes its prunings
+    leave, so it has no table of every count to give. The field stays
+    because the recorded benchmark digests hash this repr, ``table=None``
+    included; it can go when they are recorded again.
     """
 
     value: Fraction
     argmax_shape: FactorShape
-    table: Mapping[tuple[int, int], int] | None = None
+    table: None = None
 
 
 def delta(
     m: Matrix2D,
     square_only: bool = False,
-    with_table: bool = False,
     budget: WorkBudget | None = None,
 ) -> DeltaResult:
     """max over factor shapes of P_M(k1, k2) / (k1*k2), as an exact rational."""
-    value, shape, table = densest_shape(
-        m._grid, square_only, ensure_budget(budget), RANKING_2D, with_table
-    )
-    return DeltaResult(value, FactorShape(*shape), table)
+    value, shape = densest_shape(m._grid, square_only, ensure_budget(budget), RANKING_2D)
+    return DeltaResult(value, FactorShape(*shape))
 
 
-def delta_square(
-    m: Matrix2D,
-    with_table: bool = False,
-    budget: WorkBudget | None = None,
-) -> DeltaResult:
+def delta_square(m: Matrix2D, budget: WorkBudget | None = None) -> DeltaResult:
     """delta restricted to square factor shapes (k, k)."""
-    return delta(m, square_only=True, with_table=with_table, budget=budget)
+    return delta(m, True, budget)
 
 
 @dataclass(frozen=True)

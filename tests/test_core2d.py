@@ -280,6 +280,21 @@ def test_concat_merges_alphabets():
     assert glued.tokens() == (("a", "a", "z", "z"),)
 
 
+def test_concat_checks_the_cell_cap_before_building_tokens(monkeypatch):
+    # a result over the cap raises TooLarge before either operand's token
+    # grid is built; one at the cap is built as before
+    a, b = mat("012", "345"), mat("67", "89")
+    calls = []
+    tokens = Matrix2D.tokens
+    monkeypatch.setattr(Matrix2D, "tokens", lambda m: calls.append(1) or tokens(m))
+    monkeypatch.setattr(core2d, "MAX_CELLS", 9)
+    assert str(raises(TooLarge, concat_h, a, b)) == "2x5 exceeds the 9-cell cap"
+    assert str(raises(TooLarge, concat_v, a, a)) == "4x3 exceeds the 9-cell cap"
+    assert not calls
+    monkeypatch.setattr(core2d, "MAX_CELLS", 12)
+    assert concat_h(a, b) == mat("01267", "34589") and concat_v(a, a).rows == 4 and calls
+
+
 def test_factor_count_against_naive_oracle():
     rng = random.Random(20260814)
     for _ in range(150):

@@ -1,10 +1,12 @@
 """The package namespace: every public name is imported from its submodule
-on first access, ``import repet2d`` alone loads no submodule, and every
-submodule reads each name it imports."""
+on first access, ``import repet2d`` alone loads no submodule, every
+submodule reads each name it imports, and every function reads each of its
+parameters."""
 
 import ast
 import importlib
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -111,3 +113,30 @@ def test_every_module_level_private_function_and_class_is_read():
     assert private and not unread, f"private helpers nothing reads: {unread}"
     unread = {name: line for name, line in public.items() if name not in read}
     assert public and not unread, f"public names outside __all__ that nothing reads: {unread}"
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function or lambda never reads is an option left
+    # over from code that went away. The criteria of accept share one
+    # signature, as _CRITERIA dispatches them, so they are exempt
+    unread = []
+    for path in sorted(pathlib.Path(repet2d.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            if path.name == "accept.py" and re.fullmatch(r"_criterion_\d+", name):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [(path.name, fn.lineno, name, p.arg) for p in params if p.arg not in read]
+    assert not unread, f"parameters never read: {unread}"

@@ -11,7 +11,7 @@ window-id table that ranked each shape lazily on its own chain loop, which the t
 read off one ranking walk must match label for label and count for count,
 charging no budget either; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
-value, argmax shape and table; ``pass_only_densest_shape``, delta with every
+value and argmax shape; ``pass_only_densest_shape``, delta with every
 pruning but counting each shape by a ranking pass, which the delta whose
 long chains count from a suffix sort must reproduce in repr; ``reference_is_attractor`` and
 ``reference_gamma_lower_bound_unique``, the attractor check and the
@@ -638,14 +638,15 @@ def reference_delta_nd(x, budget=None):
     return -best[0], best[2]
 
 
-def pass_only_densest_shape(grid, cubes_only, budget, what, with_table=False):
+def pass_only_densest_shape(grid, cubes_only, budget, what):
     """``core2d.densest_shape`` as it was before a long chain could count
     the rest of its shapes from one suffix sort: every shape it does not
     prune comes from a ranking pass of ``rank_windows``, so the faster one
-    must return the same (value, shape, table) and, where no chain switches,
-    the same step ledger."""
+    must return the same (value, shape) and, where no chain switches, the
+    same step ledger. The shapes go to ``rank_windows`` as a list, which
+    keeps the determinism stop of its ``densest`` walk but never sorts a
+    chain: only a ``ShapeBox`` of every shape does."""
     dims = grid.shape
-    shapes = ShapeBox(dims, cubes_only)
 
     def windows(shape: tuple[int, ...]) -> int:
         return prod(n - k + 1 for n, k in zip(dims, shape))
@@ -662,7 +663,6 @@ def pass_only_densest_shape(grid, cubes_only, budget, what, with_table=False):
     # chain too.
     first_sat: dict[tuple[int, tuple[int, ...]], int] = {}
     sat_cube = min(dims) + 1  # the smallest cube extent with count >= W - 1
-    counts: dict[tuple[int, ...], int] = {}
     best_count, best_vol, best_shape = 0, 1, ()
 
     def stop(axis: int, shape: tuple[int, ...]) -> bool:
@@ -683,9 +683,9 @@ def pass_only_densest_shape(grid, cubes_only, budget, what, with_table=False):
                 first_sat.setdefault(chain, k)
                 return True
             low = shape
-        return not with_table and windows(low) * best_vol < best_count * prod(low)
+        return windows(low) * best_vol < best_count * prod(low)
 
-    walk = rank_windows(grid, shapes, budget, what, stop, not (with_table or cubes_only))
+    walk = rank_windows(grid, list(ShapeBox(dims, cubes_only)), budget, what, stop, not cubes_only)
     for shape, labels, count in walk:
         if count >= labels.size - 1:
             if cubes_only:
@@ -696,16 +696,11 @@ def pass_only_densest_shape(grid, cubes_only, budget, what, with_table=False):
                 first = next((i for i, k in enumerate(shape) if k > 1), len(shape) - 1)
                 for axis in range(first + 1):
                     first_sat.setdefault((axis, shape[axis + 1 :]), shape[axis])
-        if with_table:
-            counts[shape] = count
         vol = prod(shape)
         gain = count * best_vol - best_count * vol
         if gain > 0 or gain == 0 and (vol, shape) < (best_vol, best_shape):
             best_count, best_vol, best_shape = count, vol, shape
-    table = None
-    if with_table:
-        table = {s: counts[s] if s in counts else windows(s) for s in shapes}
-    return Fraction(best_count, best_vol), best_shape, table
+    return Fraction(best_count, best_vol), best_shape
 
 
 def recursive_grammar_tree(g) -> GrammarTree:
