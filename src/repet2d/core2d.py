@@ -134,28 +134,31 @@ def _one_byte_letters(toks: list[str]) -> bytes | None:
 
 def encode_tokens(
     tokens: Iterable[object],
-) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """Dense ids of the str()-ed tokens into their sorted alphabet.
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Dense ids of the str()-ed tokens into their sorted alphabet, as a
+    one-axis array of ``id_dtype(len(alphabet))``.
 
     Each distinct token is validated once, in order of first occurrence, so
     the first invalid token of the sequence is the one reported. Tokens that
     are all plain ``str`` are used as they are (a ``str`` subclass may print
-    otherwise, so one of them sends every token through ``str()``). More
-    than 256 tokens that are each one character up to U+00FF take a byte
-    path: the letters, read as latin-1 bytes, are found with one
-    ``np.bincount``, and a whitespace letter is reported at its first
-    occurrence. Otherwise the distinct tokens are found with a dict. When
-    every letter is one character up to U+00FF, hence at most 256 letters,
-    the ids come from one byte translation of the joined tokens; otherwise
-    from one dict lookup a token.
+    otherwise, so one of them sends every token through ``str()``); a list
+    is read in place, never copied. More than 256 tokens that are each one
+    character up to U+00FF take a byte path: the letters, read as latin-1
+    bytes, are marked in a 256-entry table, and a whitespace letter is
+    reported at its first occurrence. Otherwise the distinct tokens are
+    found with a dict. When every letter is one character up to U+00FF,
+    hence at most 256 letters, the ids are one byte translation of the
+    joined tokens, read as an array with no copy; otherwise one dict lookup
+    a token.
     """
-    toks = list(tokens)
+    toks = tokens if type(tokens) is list else list(tokens)
     if list(map(type, toks)).count(str) != len(toks):
         toks = list(map(str, toks))
     letters = _one_byte_letters(toks) if len(toks) > _BYTE_PATH_MIN else None
     if letters is not None:
-        counts = np.bincount(np.frombuffer(letters, dtype=np.uint8), minlength=256)
-        alphabet = tuple(map(chr, np.flatnonzero(counts).tolist()))
+        seen = np.zeros(256, dtype=bool)
+        seen[np.frombuffer(letters, dtype=np.uint8)] = True
+        alphabet = tuple(map(chr, np.flatnonzero(seen).tolist()))
         bad = [tok for tok in alphabet if tok.split() != [tok]]
         if bad:  # the one that occurs first
             tok = min(bad, key=lambda tok: letters.index(ord(tok)))
@@ -168,53 +171,125 @@ def encode_tokens(
         alphabet = tuple(sorted(distinct))
         if not all(len(tok) == 1 and tok <= "\xff" for tok in alphabet):
             index = {tok: i for i, tok in enumerate(alphabet)}
-            return tuple(map(index.__getitem__, toks)), alphabet
+            ids = map(index.__getitem__, toks)
+            return np.fromiter(ids, id_dtype(len(alphabet)), len(toks)), alphabet
         letters = "".join(toks).encode("latin-1")
     table = bytearray(256)
     for i, tok in enumerate(alphabet):
         table[ord(tok)] = i
-    return tuple(letters.translate(table)), alphabet
+    return np.frombuffer(letters.translate(table), dtype=np.uint8), alphabet
 
 
 def id_dtype(letters: int) -> type[np.integer]:
     """The dtype of cell ids over ``letters`` letters: one byte a cell for
-    at most 256, which cells_tuple and _id_grid read through bytes."""
+    at most 256."""
     return np.uint8 if letters <= 256 else np.int32
 
 
-def cells_tuple(ids: np.ndarray, letters: int) -> tuple[int, ...]:
-    """The ``cells`` tuple of an id array over ``letters`` ids, in row-major
-    order, read through bytes when ids are one byte a cell."""
-    if id_dtype(letters) is np.uint8:
-        return tuple(ids.astype(np.uint8, copy=False).tobytes())
-    return tuple(ids.ravel().tolist())
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class IdString:
+    """Storage shared by ``Matrix2D`` and ``NdString``: an immutable string
+    with extents ``dims`` over an ordered token alphabet.
 
-
-def _id_grid(cells: tuple[int, ...], letters: int, dims: tuple[int, ...]) -> np.ndarray:
-    """A read-only int64 array of ``cells`` shaped ``dims`` (the inverse of
-    ``cells_tuple``)."""
-    if id_dtype(letters) is np.uint8:
-        arr = np.frombuffer(bytes(cells), dtype=np.uint8).astype(np.int64)
-    else:
-        arr = np.array(cells, dtype=np.int64)
-    arr = arr.reshape(dims)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class Matrix2D:
-    """An immutable m x n string over an ordered token alphabet.
-
-    ``cells`` holds dense integer ids (row-major) into ``alphabet``, which is
-    always the sorted tuple of the distinct tokens actually present, so two
-    matrices are equal exactly when their token grids are equal.
+    ``ids`` is a read-only array of shape ``dims`` and dtype
+    ``id_dtype(len(alphabet))`` holding dense ids into ``alphabet`` (the
+    last axis varies fastest), which is always the sorted tuple of the
+    distinct tokens actually present, so two strings are equal exactly when
+    their token grids are. The ids may be given as an array, which the
+    string then owns (no one may write it after), or as a sequence of ints
+    in row-major order. ``cells``, the same ids as a tuple of ints, is
+    built on first read and kept; a tuple given is kept as it is.
+    ``repr``, ``==``, ``hash`` and pickling read the fields ``_FIELDS``
+    names, as for a frozen dataclass of those fields; each subclass is
+    frozen too, so that no attribute of it can be set.
     """
 
-    rows: int
-    cols: int
-    cells: tuple[int, ...]
+    dims: tuple[int, ...]
+    ids: np.ndarray
     alphabet: tuple[str, ...]
+
+    def __init__(self, dims: Sequence[int], ids: Sequence[int] | np.ndarray,
+                 alphabet: tuple[str, ...]):
+        dims = tuple(dims)
+        dtype = id_dtype(len(alphabet))
+        if not isinstance(ids, np.ndarray):
+            self.__dict__["cells"] = cells = tuple(ids)
+            # bytes() of one-byte ids is the fast way from a tuple
+            if dtype is np.uint8:
+                ids = np.frombuffer(bytes(cells), dtype=np.uint8)
+            else:
+                ids = np.array(cells, dtype=dtype)
+        ids = ids.astype(dtype, copy=False).reshape(dims)  # a view of its own
+        ids.setflags(write=False)
+        self.__dict__.update(dims=dims, ids=ids, alphabet=alphabet)
+
+    @classmethod
+    def _encoded(cls, dims: tuple[int, ...], tokens: Iterable[object]):
+        """The string of extents ``dims`` holding ``tokens`` in row-major
+        order (non-str tokens are str()-ed); the caller has checked ``dims``
+        with ``check_cap``."""
+        ids, alphabet = encode_tokens(tokens)
+        total = prod(dims)
+        if len(ids) != total:
+            raise ParseError(f"expected {total} tokens for dims {dims}, got {len(ids)}")
+        out = cls.__new__(cls)
+        IdString.__init__(out, dims, ids, alphabet)
+        return out
+
+    @cached_property
+    def cells(self) -> tuple[int, ...]:
+        """The ids as a tuple of ints, in row-major order."""
+        if self.ids.dtype == np.uint8:
+            return tuple(self.ids.tobytes())
+        return tuple(self.ids.ravel().tolist())
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        """The ids as a read-only int64 array of shape ``dims``, the form
+        the window ranking reads."""
+        grid = self.ids.astype(np.int64)
+        grid.setflags(write=False)
+        return grid
+
+    @property
+    def area(self) -> int:
+        return self.ids.size
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.dims == other.dims
+            and self.alphabet == other.alphabet
+            and np.array_equal(self.ids, other.ids)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # the constructor takes the fields in order, the ids for the cells
+        args = (self.ids if name == "cells" else getattr(self, name) for name in self._FIELDS)
+        return type(self), tuple(args)
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class Matrix2D(IdString):
+    """An immutable m x n string over an ordered token alphabet: an
+    ``IdString`` of extents ``(rows, cols)`` read at 1-based (i, j)."""
+
+    _FIELDS = ("rows", "cols", "cells", "alphabet")
+
+    def __init__(self, rows: int, cols: int, ids: Sequence[int] | np.ndarray,
+                 alphabet: tuple[str, ...]):
+        IdString.__init__(self, (rows, cols), ids, alphabet)
 
     @classmethod
     def from_tokens(cls, grid: Sequence[Sequence[object]]) -> "Matrix2D":
@@ -232,32 +307,31 @@ class Matrix2D:
                     f"row {r} has {len(row)} tokens, expected {cols}"
                 )
             flat.extend(row)
-        return cls(rows, cols, *encode_tokens(flat))
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        return _id_grid(self.cells, len(self.alphabet), (self.rows, self.cols))
+        return cls._encoded((rows, cols), flat)
 
     @property
-    def area(self) -> int:
-        return self.rows * self.cols
+    def rows(self) -> int:
+        return self.dims[0]
+
+    @property
+    def cols(self) -> int:
+        return self.dims[1]
 
     def id_at(self, i: int, j: int) -> int:
         self._check_pos(i, j)
-        return self.cells[(i - 1) * self.cols + (j - 1)]
+        return self.ids.item(i - 1, j - 1)
 
     def at(self, i: int, j: int) -> str:
         """Token at 1-based position (i, j)."""
         return self.alphabet[self.id_at(i, j)]
 
     def tokens(self) -> TokenGrid:
-        letter, c, w = self.alphabet.__getitem__, self.cells, self.cols
-        return tuple(tuple(map(letter, c[r : r + w])) for r in range(0, len(c), w))
+        letter = self.alphabet.__getitem__
+        return tuple(tuple(map(letter, row)) for row in self.ids.tolist())
 
     def row_tokens(self, i: int) -> tuple[str, ...]:
         self._check_pos(i, 1)
-        w = self.cols
-        return tuple(map(self.alphabet.__getitem__, self.cells[(i - 1) * w : i * w]))
+        return tuple(map(self.alphabet.__getitem__, self.ids[i - 1].tolist()))
 
     def _check_pos(self, i: int, j: int) -> None:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
@@ -293,15 +367,19 @@ def concat_v(a: Matrix2D, b: Matrix2D) -> Matrix2D:
 
 
 def submatrix(m: Matrix2D, i1: int, j1: int, i2: int, j2: int) -> Matrix2D:
-    """The factor M[i1..i2][j1..j2] (1-based, inclusive)."""
+    """The factor M[i1..i2][j1..j2] (1-based, inclusive): a copy of that
+    slice of the ids, renumbered into the letters it holds."""
     if not (1 <= i1 <= i2 <= m.rows and 1 <= j1 <= j2 <= m.cols):
         raise OutOfBounds(
             f"rectangle ({i1},{j1})..({i2},{j2}) outside {m.rows}x{m.cols}"
         )
-    grid = m.tokens()
-    return Matrix2D.from_tokens(
-        [row[j1 - 1 : j2] for row in grid[i1 - 1 : i2]]
-    )
+    ids = m.ids[i1 - 1 : i2, j1 - 1 : j2]
+    seen = np.zeros(len(m.alphabet), dtype=bool)
+    seen[ids] = True
+    letters = np.flatnonzero(seen).tolist()
+    # the alphabet is sorted, so the letters kept keep their order
+    ids = (np.cumsum(seen) - 1)[ids] if len(letters) < len(m.alphabet) else ids.copy()
+    return Matrix2D(i2 - i1 + 1, j2 - j1 + 1, ids, tuple(map(m.alphabet.__getitem__, letters)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
+import numpy as np
+
 from .core2d import Matrix2D, check_cap
 from .errors import BadParam
 
@@ -21,47 +23,43 @@ def _check(cond: bool, msg: str) -> None:
         raise BadParam(msg)
 
 
-def _bits(rows: int, cols: int, cells: list[int]) -> Matrix2D:
-    """The matrix of row-major 0/1 ``cells`` over the tokens "0" and "1"
-    that occur in it."""
-    if 1 not in cells:
-        return Matrix2D(rows, cols, tuple(cells), ("0",))
-    if 0 not in cells:
-        return Matrix2D(rows, cols, (0,) * len(cells), ("1",))
-    return Matrix2D(rows, cols, tuple(cells), ("0", "1"))
+def _bits(ids: np.ndarray) -> Matrix2D:
+    """The matrix of the 0/1 uint8 id array ``ids`` over the tokens "0" and
+    "1" that occur in it."""
+    rows, cols = ids.shape
+    if not ids.any():
+        return Matrix2D(rows, cols, ids, ("0",))
+    if ids.all():
+        return Matrix2D(rows, cols, ids ^ 1, ("1",))
+    return Matrix2D(rows, cols, ids, ("0", "1"))
 
 
 def identity(n: int) -> Matrix2D:
     """n x n identity: 1 on the main diagonal, 0 elsewhere."""
     _check(n >= 1, f"identity needs n >= 1, got {n}")
     check_cap((n, n))
-    cells = [0] * (n * n)
-    cells[:: n + 1] = [1] * n
-    return _bits(n, n, cells)
+    return _bits(np.eye(n, dtype=np.uint8))
 
 
 def zeros(m: int, n: int) -> Matrix2D:
     """All-zero m x n matrix."""
     _check(m >= 1 and n >= 1, f"zeros needs m,n >= 1, got {m},{n}")
     check_cap((m, n))
-    return Matrix2D(m, n, (0,) * (m * n), ("0",))
+    return Matrix2D(m, n, np.zeros((m, n), dtype=np.uint8), ("0",))
 
 
 def alt(m: int, n: int) -> Matrix2D:
     """m x n matrix whose every row is 0101..."""
     _check(m >= 1 and n >= 1, f"alt needs m,n >= 1, got {m},{n}")
     check_cap((m, n))
-    return _bits(m, n, [j % 2 for j in range(n)] * m)
+    return _bits(np.tile(np.arange(n, dtype=np.uint8) % 2, (m, 1)))
 
 
 def diagpad(m: int, n: int) -> Matrix2D:
     """Identity of order min(m,n) in the top-left corner, zeros elsewhere."""
     _check(m >= 1 and n >= 1, f"diagpad needs m,n >= 1, got {m},{n}")
     check_cap((m, n))
-    k = min(m, n)
-    cells = [0] * (m * n)
-    cells[: k * (n + 1) : n + 1] = [1] * k
-    return _bits(m, n, cells)
+    return _bits(np.eye(m, n, dtype=np.uint8))
 
 
 def staircase(n: int) -> Matrix2D:
@@ -69,10 +67,9 @@ def staircase(n: int) -> Matrix2D:
     1's appended at the right; the result is n x n."""
     _check(n >= 2, f"staircase needs n >= 2, got {n}")
     check_cap((n, n))
-    cells = [0] * (n * n)
-    cells[:: n + 1] = [1] * n  # the last diagonal cell is in the 1's column
-    cells[n - 1 :: n] = [1] * n
-    return _bits(n, n, cells)
+    ids = np.eye(n, dtype=np.uint8)  # the last diagonal cell is in the 1's column
+    ids[:, -1] = 1
+    return _bits(ids)
 
 
 def ek(k: int) -> Matrix2D:
@@ -81,11 +78,8 @@ def ek(k: int) -> Matrix2D:
     (0^(2^(i-1)) 1^(2^(i-1)))^(2^(k-i))."""
     _check(1 <= k <= 20, f"ek needs 1 <= k <= 20, got {k}")
     check_cap((k, 1 << k))
-    cells: list[int] = []
-    for i in range(1, k + 1):
-        half = 1 << (i - 1)
-        cells += ([0] * half + [1] * half) * (1 << (k - i))
-    return _bits(k, 1 << k, cells)
+    bits = np.arange(1 << k) >> np.arange(k)[:, None] & 1
+    return _bits(bits.astype(np.uint8))
 
 
 def debruijn_bits(k: int) -> list[int]:

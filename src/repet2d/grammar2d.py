@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget, stop_node
-from .core2d import MAX_CELLS, Matrix2D, TokenGrid, WindowIds, cells_tuple
+from .core2d import MAX_CELLS, Matrix2D, TokenGrid, WindowIds, id_dtype
 from .errors import (
     BadParam,
     CycleDetected,
@@ -267,9 +267,10 @@ def expand_ids(
     dims: Mapping[str, tuple[int, ...]],
     budget: WorkBudget | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The id array derived from the axiom of a grammar checked by
-    resolve_dims, plus the sorted tokens its ids index. Each variable the
-    axiom reaches is built once, children first, charging its cell count."""
+    """The id array (of ``id_dtype`` of its tokens) derived from the axiom
+    of a grammar checked by resolve_dims, plus the sorted tokens its ids
+    index. Each variable the axiom reaches is built once, children first,
+    charging its cell count."""
     budget = ensure_budget(budget)
     shape = dims[axiom]
     if prod(shape) > MAX_CELLS:
@@ -281,12 +282,13 @@ def expand_ids(
     order = list(_postorder({n: key[3] for n, key in parts.items()}, [axiom]))
     tokens = tuple(sorted(parts[n][0] for n in order if parts[n][0] is not None))
     token_id = {t: i for i, t in enumerate(tokens)}
+    dtype = id_dtype(len(tokens))
     arrays: dict[str, np.ndarray] = {}
     for name in order:
         token, axis, count, children = parts[name]
         budget.charge(prod(dims[name]), "grammar expansion")
         if token is not None:
-            arr = np.full((1,) * len(shape), token_id[token], dtype=np.int64)
+            arr = np.full((1,) * len(shape), token_id[token], dtype=dtype)
         elif count:
             reps = [1] * len(shape)
             reps[axis - 1] = count
@@ -319,7 +321,7 @@ def expand(g: Grammar2D, budget: WorkBudget | None = None) -> Matrix2D:
     """The matrix derived from the axiom."""
     info = validate_grammar(g)
     root, tokens = expand_ids(g.axiom, g.rules, info.dims, budget)
-    return Matrix2D(info.rows, info.cols, cells_tuple(root, len(tokens)), tokens)
+    return Matrix2D(info.rows, info.cols, root, tokens)
 
 
 # ---------------------------------------------------------------------------

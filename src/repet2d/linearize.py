@@ -17,6 +17,8 @@ of an identity matrix.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core2d import Matrix2D
 from .errors import BadParam, NotPowerOfTwoSquare
 from .measures import AttractorSet
@@ -41,7 +43,7 @@ _ORDERS: dict[str, tuple[tuple[int, int, str], ...]] = {
 
 def rlin(m: Matrix2D) -> Matrix2D:
     """Row-major flattening of ``m`` into a 1 x (rows*cols) string."""
-    return Matrix2D(1, m.area, m.cells, m.alphabet)
+    return Matrix2D(1, m.area, m.ids, m.alphabet)
 
 
 def _check_side(n: int) -> None:
@@ -49,37 +51,42 @@ def _check_side(n: int) -> None:
         raise NotPowerOfTwoSquare(f"side must be a power of two, got {n}")
 
 
-def scan_coords(n: int, kind: str = RS) -> tuple[tuple[int, int], ...]:
-    """1-based (row, col) visit order of a ``kind`` scan over an n x n grid.
+def _scan_order(n: int, kind: str) -> np.ndarray:
+    """The 0-based row-major indices of the cells of an n x n grid in the
+    visit order of a ``kind`` scan.
 
-    The traversal is resolved with an explicit stack; the recursion depth
-    would otherwise be log2(n) but large grids produce n*n frames worth of
-    children, and an iterative loop keeps memory proportional to the stack
-    of pending quadrants only.
+    A scan of side 2s is four scans of side s, one per quadrant in the
+    order ``_ORDERS`` gives, so the scans of every kind are built a side at
+    a time from side 1, each from four shifted copies of the ones before
+    (the last side builds ``kind`` only).
     """
     if kind not in _ORDERS:
         raise BadParam(f"unknown scan kind {kind!r}")
     _check_side(n)
-    out: list[tuple[int, int]] = []
-    stack = [(1, 1, n, kind)]
-    while stack:
-        top, left, side, k = stack.pop()
-        if side == 1:
-            out.append((top, left))
-            continue
-        half = side // 2
-        for dy, dx, sub in reversed(_ORDERS[k]):
-            stack.append((top + dy * half, left + dx * half, half, sub))
-    return tuple(out)
+    order = dict.fromkeys(_ORDERS, np.zeros(1, dtype=np.int64))
+    side = 1
+    while side < n:
+        kinds = _ORDERS if 2 * side < n else (kind,)
+        order = {
+            k: np.concatenate([order[sub] + (dy * n + dx) * side for dy, dx, sub in _ORDERS[k]])
+            for k in kinds
+        }
+        side *= 2
+    return order[kind]
+
+
+def scan_coords(n: int, kind: str = RS) -> tuple[tuple[int, int], ...]:
+    """1-based (row, col) visit order of a ``kind`` scan over an n x n grid."""
+    rows, cols = np.divmod(_scan_order(n, kind), n)
+    return tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
 def scan(m: Matrix2D, kind: str = RS) -> Matrix2D:
-    """Flatten a 2^k x 2^k matrix along the ``kind`` quadrant scan."""
+    """Flatten a 2^k x 2^k matrix along the ``kind`` quadrant scan: one
+    gather of the id array."""
     if m.rows != m.cols:
         raise NotPowerOfTwoSquare(f"scan needs a square matrix, got {m.rows}x{m.cols}")
-    cells, n = m.cells, m.cols
-    flat = tuple(cells[(y - 1) * n + x - 1] for y, x in scan_coords(n, kind))
-    return Matrix2D(1, m.area, flat, m.alphabet)
+    return Matrix2D(1, m.area, m.ids.take(_scan_order(m.cols, kind)), m.alphabet)
 
 
 def phlin_kind(n: int) -> str:
@@ -136,6 +143,6 @@ def onerun_certificate(s: Matrix2D, k: int) -> bool:
         raise BadParam(f"certificate expects a 1-row string, got {s.rows} rows")
     if k < 1:
         raise BadParam(f"k must be >= 1, got {k}")
-    ones = [j for j in range(1, s.cols + 1) if s.at(1, j) == "1"]
+    ones = [j for j, tok in enumerate(s.row_tokens(1), 1) if tok == "1"]
     gaps = {b - a - 1 for a, b in zip(ones, ones[1:])}
     return all((4**level - 1) // 3 in gaps for level in range(1, k + 1))

@@ -53,7 +53,6 @@ from .core2d import (
     Position,
     WindowIds,
     _box_mask,
-    cells_tuple,
     encode_tokens,
     factor_count,
     id_dtype,
@@ -119,6 +118,19 @@ _ERRORS = {
 }
 
 _FREE = -(1 << 31)  # no shift between two cells of the cap is this small
+
+#: cells one gather reads at once: numpy copies int32 indices to intp, so a
+#: take over the whole grid would hold 8 bytes a cell beside it
+_GATHER = 1 << 16
+
+
+def _gather(src: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i] = src[index[i]]`` for the int32 ``index`` (every entry in
+    range), a slice of ``_GATHER`` cells at a time; returns ``out``."""
+    for lo in range(0, index.size, _GATHER):
+        hi = lo + _GATHER
+        src.take(index[lo:hi], out=out[lo:hi], mode="clip")  # "clip" writes unbuffered
+    return out
 
 
 def _write_exits(
@@ -288,9 +300,8 @@ def analyze_boxes(
     ends[cells] = True
     at_root = np.empty_like(ends)
     for _ in range(total.bit_length() + 1):
-        root.take(root, out=spare, mode="clip")  # "clip" writes unbuffered
-        root, spare = spare, root
-        if ends.take(root, out=at_root, mode="clip").all():
+        root, spare = _gather(root, root, spare), root
+        if _gather(ends, root, at_root).all():
             return SchemeCheck(True, size), (root, tokens)
     # rebuild the one-shift steps and walk the chain of the first cell that misses
     cur, seen = int(at_root.argmin()), set()
@@ -306,12 +317,13 @@ def analyze_boxes(
 
 def decoded_cells(
     root: np.ndarray, tokens: Mapping[int, str]
-) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """Cell ids and alphabet of a decoded scheme (see analyze_boxes)."""
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The cell ids (one axis, of ``id_dtype``) and alphabet of a decoded
+    scheme (see analyze_boxes)."""
     ids, alphabet = encode_tokens(tokens.values())
     lookup = np.zeros(len(root), dtype=id_dtype(len(alphabet)))
     lookup[list(tokens)] = ids
-    return cells_tuple(lookup.take(root), len(alphabet)), alphabet
+    return _gather(lookup, root, np.empty_like(lookup)), alphabet
 
 
 def _analyze(s: MacroScheme2D, budget: WorkBudget | None = None):

@@ -1,7 +1,8 @@
 """d-dimensional strings: axis concatenation, grammars, window complexity.
 
 An ``NdString`` stores dense ids in generalized row-major order (the last
-axis varies fastest), like ``Matrix2D`` does for two axes.  The algorithms
+axis varies fastest) in the same ``core2d.IdString`` storage as
+``Matrix2D``, whose id array ``to_nd``/``to_2d`` share.  The algorithms
 are written once for any number of axes and the 2D functions are their
 d = 2 case: window ranking is the one loop ``core2d.rank_windows``, delta
 is ``core2d.densest_shape`` (which prunes the passes by its three exact
@@ -20,20 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from math import prod
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget
 from .core2d import (
+    IdString,
     Matrix2D,
-    _id_grid,
-    cells_tuple,
     check_cap,
     densest_shape,
-    encode_tokens,
+    id_dtype,
     rank_windows,
 )
 from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError
@@ -55,18 +54,13 @@ from .grammar2d import (
 _RANKING = ("window ranking",)
 
 
-@dataclass(frozen=True)
-class NdString:
-    """A d-dimensional string over a finite alphabet.
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class NdString(IdString):
+    """A d-dimensional string over a finite alphabet: an ``IdString`` read
+    at 1-based position tuples, ``Matrix2D``'s storage for any number of
+    axes."""
 
-    ``cells`` holds dense ids into ``alphabet`` in generalized row-major
-    order; ``alphabet`` is the sorted tuple of tokens actually present,
-    mirroring the 2D representation.
-    """
-
-    dims: tuple[int, ...]
-    cells: tuple[int, ...]
-    alphabet: tuple[str, ...]
+    _FIELDS = ("dims", "cells", "alphabet")
 
     @classmethod
     def from_tokens(
@@ -76,25 +70,11 @@ class NdString:
         if not dims or any(n < 1 for n in dims):
             raise BadParam(f"dims must be a non-empty tuple of >= 1, got {dims}")
         check_cap(dims)
-        total = prod(dims)
-        cells, alphabet = encode_tokens(tokens)
-        if len(cells) != total:
-            raise ParseError(
-                f"expected {total} tokens for dims {dims}, got {len(cells)}"
-            )
-        return cls(dims, cells, alphabet)
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        return _id_grid(self.cells, len(self.alphabet), self.dims)
+        return cls._encoded(dims, tokens)
 
     @property
     def ndim(self) -> int:
         return len(self.dims)
-
-    @property
-    def area(self) -> int:
-        return prod(self.dims)
 
     def at(self, pos: Sequence[int]) -> str:
         """Token at a 1-based position tuple."""
@@ -103,21 +83,21 @@ class NdString:
             not 1 <= p <= n for p, n in zip(pos, self.dims)
         ):
             raise OutOfBounds(f"position {pos} outside dims {self.dims}")
-        return self.alphabet[int(self._grid[tuple(p - 1 for p in pos)])]
+        return self.alphabet[self.ids[tuple(p - 1 for p in pos)]]
 
     def tokens_flat(self) -> tuple[str, ...]:
-        return tuple(map(self.alphabet.__getitem__, self.cells))
+        return tuple(map(self.alphabet.__getitem__, self.ids.ravel().tolist()))
 
 
 def to_nd(m: Matrix2D) -> NdString:
-    """Embed a matrix as a 2-dimensional NdString (same cells, same ids)."""
-    return NdString((m.rows, m.cols), m.cells, m.alphabet)
+    """Embed a matrix as a 2-dimensional NdString (the same id array)."""
+    return NdString(m.dims, m.ids, m.alphabet)
 
 
 def to_2d(x: NdString) -> Matrix2D:
     if x.ndim != 2:
         raise BadParam(f"need a 2-dimensional string, got {x.ndim} axes")
-    return Matrix2D(x.dims[0], x.dims[1], x.cells, x.alphabet)
+    return Matrix2D(x.dims[0], x.dims[1], x.ids, x.alphabet)
 
 
 def concat_axis(a: NdString, b: NdString, axis: int) -> NdString:
@@ -136,10 +116,11 @@ def concat_axis(a: NdString, b: NdString, axis: int) -> NdString:
     check_cap(dims)
     alphabet = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
     index = {t: i for i, t in enumerate(alphabet)}
-    map_a = np.array([index[t] for t in a.alphabet], dtype=np.int64)
-    map_b = np.array([index[t] for t in b.alphabet], dtype=np.int64)
-    out = np.concatenate([map_a[a._grid], map_b[b._grid]], axis=axis - 1)
-    return NdString(tuple(out.shape), cells_tuple(out, len(alphabet)), alphabet)
+    dtype = id_dtype(len(alphabet))
+    map_a = np.array([index[t] for t in a.alphabet], dtype=dtype)
+    map_b = np.array([index[t] for t in b.alphabet], dtype=dtype)
+    out = np.concatenate([map_a[a.ids], map_b[b.ids]], axis=axis - 1)
+    return NdString(tuple(dims), out, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +163,7 @@ def expand_nd(g: GrammarNd, budget: WorkBudget | None = None) -> NdString:
     """The d-dimensional string derived from the axiom."""
     info = validate_nd(g)
     root, tokens = expand_ids(g.axiom, g.rules, info.var_dims, budget)
-    return NdString(info.dims, cells_tuple(root, len(tokens)), tokens)
+    return NdString(info.dims, root, tokens)
 
 
 def grammar_to_nd(g: Grammar2D) -> GrammarNd:

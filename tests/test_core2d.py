@@ -1,20 +1,30 @@
 import ast
+import pickle
 import random
 import sys
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
+from math import prod
 from pathlib import Path
 
 import numpy as np
 
 from repet2d import (
     Matrix2D,
+    bk,
+    build_ek_grammar,
     concat_h,
     concat_v,
+    decode,
     distinct_factors,
+    ek,
+    expand,
     factor_count,
     format_matrix,
+    identity,
+    identity_scheme,
     parse_matrix,
+    small_instances,
     submatrix,
 )
 from repet2d.errors import (
@@ -37,10 +47,21 @@ from repet2d.core2d import (
     encode_tokens,
     rank_windows,
 )
-from repet2d.multidim import NdString
+from repet2d.linearize import rlin, scan
+from repet2d.multidim import (
+    NdString,
+    bdk,
+    build_bdk_grammar,
+    concat_axis,
+    expand_nd,
+    to_2d,
+    to_nd,
+)
 
 from util import (
     Ledger,
+    TupleMatrix2D,
+    TupleNdString,
     _pair_rank as unique_pair_rank,
     dict_encode_tokens,
     iter_shape_labels,
@@ -51,6 +72,7 @@ from util import (
     raises,
     reference_shape_labels,
     reference_window_ids,
+    tokens_submatrix,
     unique_dense_rank,
 )
 
@@ -91,10 +113,17 @@ class Quiet(str):
 
 
 def _outcome(encode, tokens):
+    """(ids, alphabet) of an encoding, the ids as a tuple of ints, or the
+    ParseError it raises. The library returns a one-axis array of
+    ``id_dtype(len(alphabet))``, the oracle a tuple of ints."""
     try:
         ids, alphabet = encode(tokens)
     except ParseError as exc:
         return "ParseError", str(exc)
+    if encode is encode_tokens:
+        assert type(ids) is np.ndarray and ids.ndim == 1, type(ids)
+        assert ids.dtype == core2d.id_dtype(len(alphabet)), (ids.dtype, len(alphabet))
+        ids = tuple(ids.tolist())
     assert type(ids) is tuple and all(type(i) is int for i in ids)
     return ids, alphabet
 
@@ -232,6 +261,146 @@ def test_cells_read_back_on_both_sides_of_256_letters():
         x = NdString((rows, cols), m.cells, m.alphabet)
         assert x.tokens_flat() == sum(map(tuple, grid), ())
         assert x._grid.dtype == np.int64 and x._grid.tolist() == m._grid.tolist()
+
+
+def _same_as_oracle(x, ref):
+    """x, over a read-only id array, stores what the tuple-backed oracle
+    ref does: its cells, repr (but for the class name) and hash, and
+    pickling keeps them all."""
+    assert type(x.cells) is tuple and x.cells == ref.cells
+    assert x.alphabet == ref.alphabet
+    assert repr(x) == repr(ref).replace("Tuple", "", 1)
+    assert hash(x) == hash(ref)
+    assert x.ids.shape == x.dims and x.ids.dtype == core2d.id_dtype(len(x.alphabet))
+    assert not x.ids.flags.writeable
+    y, ref_y = pickle.loads(pickle.dumps(x)), pickle.loads(pickle.dumps(ref))
+    assert type(y) is type(x) and y == x and ref_y == ref
+    assert repr(y) == repr(x) and hash(y) == hash(ref_y)
+    assert not y.ids.flags.writeable
+
+
+def test_strings_over_an_id_array_equal_the_tuple_backed_oracle():
+    # on the families, bdk cubes and seeded random grids of 1 to 300 letters
+    # (past 256 the ids are int32), in 1 to 3 axes, built from tokens or
+    # from a tuple of cells
+    rng = random.Random(49)
+    pairs = [(m, TupleMatrix2D.from_tokens(m.tokens())) for _, m in small_instances(6, 8)]
+    pairs += [(m, TupleMatrix2D.from_tokens(m.tokens())) for m in (identity(64), ek(7), bk(3))]
+    for d, k in ((1, 3), (2, 2), (3, 1), (2, 3), (3, 2)):
+        x = bdk(d, k)
+        pairs.append((x, TupleNdString.from_tokens(x.dims, x.tokens_flat())))
+    for letters in (1, 2, 3, 16, 255, 256, 257, 300):
+        alphabet = list("0123456789abcdef"[:letters]) if letters <= 16 else [f"t{i:03d}" for i in range(letters)]
+        for ndim in (1, 2, 3, 2):
+            dims = [rng.randint(1, 4) for _ in range(ndim - 1)]
+            dims.append(-(-letters // prod(dims)) + rng.randint(0, 3))
+            rng.shuffle(dims)
+            flat = alphabet + [rng.choice(alphabet) for _ in range(prod(dims) - letters)]
+            rng.shuffle(flat)
+            if ndim == 2:
+                grid = [flat[r * dims[1] : (r + 1) * dims[1]] for r in range(dims[0])]
+                m = Matrix2D.from_tokens(grid)
+                pairs.append((m, TupleMatrix2D.from_tokens(grid)))
+                pairs.append((Matrix2D(*dims, m.cells, m.alphabet), pairs[-1][1]))
+            else:
+                x = NdString.from_tokens(dims, flat)
+                pairs.append((x, TupleNdString.from_tokens(dims, flat)))
+                pairs.append((NdString(x.dims, x.cells, x.alphabet), pairs[-1][1]))
+    for x, ref in pairs:
+        _same_as_oracle(x, ref)
+    # equal exactly where the oracles are, across classes, dims and
+    # alphabets; the pairs hold equal strings built in different ways
+    for (x, ref), (y, ref_y) in product(pairs[::3] + pairs[1::7], repeat=2):
+        assert (x == y) == (ref == ref_y) and (x != y) == (ref != ref_y), (x, y)
+
+
+def test_strings_hold_no_cells_tuple_until_it_is_read():
+    # every producer writes the id array; a cell or token read builds no
+    # tuple, and the tuple, once read, is kept
+    rng = random.Random(50)
+    grid = [[rng.choice("ab") for _ in range(24)] for _ in range(16)]
+    m = Matrix2D.from_tokens(grid)
+    x = NdString.from_tokens((2, 3, 4), [rng.choice("xyz") for _ in range(24)])
+    made = {
+        "decode": decode(identity_scheme(64)),
+        "expand": expand(build_ek_grammar(5)),
+        "expand_nd": expand_nd(build_bdk_grammar(2, 2)),
+        "from_tokens": m,
+        "from_tokens, few tokens": Matrix2D.from_tokens([["b", "a"], ["a", "c"]]),
+        "from_tokens, many letters": Matrix2D.from_tokens([[f"t{i}" for i in range(300)]]),
+        "NdString.from_tokens": x,
+        "rlin": rlin(m),
+        "scan": scan(identity(16), "ds"),
+        "to_nd": to_nd(m),
+        "to_2d": to_2d(to_nd(m)),
+        "concat_axis": concat_axis(x, x, 2),
+        "submatrix": submatrix(m, 2, 3, 9, 20),
+        "identity": identity(8),
+    }
+    for name, s in made.items():
+        assert "cells" not in s.__dict__, name
+        if isinstance(s, Matrix2D):
+            s.at(s.rows, s.cols), s.row_tokens(1), s.tokens(), str(s)
+        else:
+            s.at(s.dims), s.tokens_flat()
+        s._grid, s.area
+        assert "cells" not in s.__dict__, name
+        cells = s.cells
+        assert s.__dict__["cells"] is cells and s.cells is cells, name
+        assert cells == tuple(s.ids.ravel().tolist()), name
+
+
+def test_one_character_build_holds_no_tuple_or_intp_copy():
+    # a 1024 x 1024 build of one-character tokens reads its letters through
+    # a 256-entry mark, not an intp copy of them (8 MB), and keeps one byte a
+    # cell, not a tuple of the cells (8 MB); the row-major token list it
+    # gathers (8 MB) and one type a token (8 MB) remain
+    rng = random.Random(51)
+    grid = [[rng.choice("01") for _ in range(1024)] for _ in range(1024)]
+    Matrix2D.from_tokens(grid[:2])
+    tracemalloc.start()
+    try:
+        m = Matrix2D.from_tokens(grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20, peak
+    assert held < 2 << 20, held
+    assert "cells" not in m.__dict__ and m.row_tokens(7) == tuple(grid[6])
+
+
+def test_submatrix_slices_the_id_array():
+    # a factor equals the one cut out of the whole token grid, on the
+    # families and on seeded grids, every rectangle of the small ones
+    rng = random.Random(52)
+    inputs = [m for _, m in small_instances(4, 5)] + [identity(9), ek(4), bk(2)]
+    inputs += [random_matrix(rng, 6, 6, alphabet) for alphabet in ("01", "abc", "0123456789abcdef") for _ in range(4)]
+    many = Matrix2D.from_tokens([[f"t{rng.randrange(300)}" for _ in range(30)] for _ in range(20)])
+    for m in inputs + [many]:
+        if m.area <= 36:
+            rects = [(i1, j1, i2, j2) for i1, i2 in combinations(range(1, m.rows + 1), 2)
+                     for j1, j2 in combinations(range(1, m.cols + 1), 2)]
+            rects += [(i, j, i, j) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1)]
+        else:
+            rects = []
+            for _ in range(60):
+                i1, i2 = sorted(rng.randint(1, m.rows) for _ in range(2))
+                j1, j2 = sorted(rng.randint(1, m.cols) for _ in range(2))
+                rects.append((i1, j1, i2, j2))
+        for rect in rects:
+            got = submatrix(m, *rect)
+            assert repr(got) == repr(tokens_submatrix(m, *rect)), (str(m), rect)
+            assert not np.shares_memory(got.ids, m.ids), rect
+    # its cost follows the factor: a 2 x 2 corner of a 1024 x 1024 matrix
+    # builds no token grid (8 MB of rows before)
+    big = identity(1024)
+    tracemalloc.start()
+    try:
+        corner = submatrix(big, 1, 1, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corner == mat("10", "01") and peak < 1 << 16, peak
 
 
 def test_window_ids_refuse_a_table_over_the_cap():

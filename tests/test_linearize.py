@@ -15,7 +15,7 @@ from repet2d.linearize import (
 )
 from repet2d.measures import delta
 
-from util import mat, random_matrix
+from util import mat, random_matrix, stack_scan_coords, tuple_scan
 
 
 def word(m: Matrix2D) -> str:
@@ -52,6 +52,24 @@ def test_curve_scan_fixed_values():
             for kind in SCAN_KINDS:
                 want = Matrix2D.from_tokens([[r.at(y, x) for y, x in scan_coords(n, kind)]])
                 assert scan(r, kind) == want, (str(r), kind)
+
+
+def test_scans_gather_what_the_cell_by_cell_walk_reads():
+    # on every power-of-two side up to 64 and every scan kind, the visit
+    # order and the scan of identities and of seeded grids over one-byte
+    # and int32 ids equal the stack walk's, read one cell at a time
+    rng = random.Random(13)
+    many = [f"t{i}" for i in range(300)]
+    for k in range(7):
+        n = 1 << k
+        inputs = [identity(n)]
+        for alphabet in ("01", "0123456789abcdef", many):
+            inputs.append(Matrix2D.from_tokens([[rng.choice(alphabet) for _ in range(n)] for _ in range(n)]))
+        for kind in SCAN_KINDS:
+            assert scan_coords(n, kind) == stack_scan_coords(n, kind), (n, kind)
+            for m in inputs:
+                got, want = scan(m, kind), tuple_scan(m, kind)
+                assert got == want and repr(got) == repr(want), (n, kind, m.alphabet)
 
 
 def test_scan_coords_is_a_continuous_permutation():

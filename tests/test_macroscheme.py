@@ -32,7 +32,7 @@ from repet2d import (
 from repet2d import macroscheme
 from repet2d.accept import random_grammar
 from repet2d.budget import WorkBudget
-from repet2d.core2d import MAX_CELLS
+from repet2d.core2d import MAX_CELLS, id_dtype
 from repet2d.errors import (
     BadParam,
     CyclicMap,
@@ -464,10 +464,16 @@ def _break(rng, dims, explicit, boxes):
 def _check_both_ways(dims, explicit, boxes):
     """analyze_boxes on any number of axes, with the dD messages, and when
     d = 2 also validate and decode; returns the analyze_boxes check. A
-    valid scheme must decode to the oracle's cells."""
+    valid scheme must decode to the oracle's cells: the id array of
+    ``decoded_cells`` read as a tuple, and the decoded matrix's ``cells``."""
     size = len(explicit) + len(boxes)
     check, data = macroscheme.analyze_boxes(dims, explicit, boxes, size, nd_describe(dims, boxes))
-    decoded = [decoded_cells(*data)] if check.ok else []
+    decoded = []
+    if check.ok:
+        ids, alphabet = decoded_cells(*data)
+        assert type(ids) is np.ndarray and ids.shape == (prod(dims),), (type(ids), dims)
+        assert ids.dtype == id_dtype(len(alphabet)), (ids.dtype, len(alphabet))
+        decoded.append((tuple(ids.tolist()), alphabet))
     if len(dims) == 2:
         s = MacroScheme2D(*dims, explicit, tuple(Phrase(*lo, *hi, *src) for lo, hi, src in boxes))
         check_2d = validate_scheme(s)
@@ -719,16 +725,18 @@ def test_exits_equal_plain_shifts_on_identity_and_run_length_schemes(against_pla
 
 
 def _jumping_rounds(s) -> int:
-    """The pointer-jumping rounds of validate_scheme(s): the calls made from
-    the line of analyze_boxes that takes each cell's pointer's pointer."""
-    code = analyze_boxes.__code__
+    """The pointer-jumping rounds of validate_scheme(s): the gathers called
+    from the line of analyze_boxes that takes each cell's pointer's
+    pointer."""
+    code, gather = analyze_boxes.__code__, macroscheme._gather.__code__
     lines, first = inspect.getsourcelines(analyze_boxes)
-    (line,) = [first + i for i, text in enumerate(lines) if "root.take(root" in text]
+    (line,) = [first + i for i, text in enumerate(lines) if "_gather(root, root" in text]
     rounds = 0
 
     def count(frame, event, arg):
         nonlocal rounds
-        if event == "c_call" and frame.f_code is code and frame.f_lineno == line:
+        caller = frame.f_back
+        if event == "call" and frame.f_code is gather and caller.f_code is code and caller.f_lineno == line:
             rounds += 1
 
     sys.setprofile(count)
@@ -817,9 +825,11 @@ def test_exits_do_not_wrap_int32():
 
 def test_decode_peak_memory():
     # the peak of decode and validate: the pointer jumping holds two int32
-    # arrays of the grid, two one-byte masks and the intp copy numpy's take
-    # makes of int32 indices (18 MB); the cells are read back through one
-    # byte a cell (the int32 ids and their list made 24 MB)
+    # arrays of the grid and two one-byte masks (10 MB); its gathers take
+    # 65,536 cells at a time, so numpy's intp copy of the int32 indices is
+    # 0.5 MB (it was 8 MB with one take over the grid, an 18 MB peak); the
+    # cells are read back through one byte a cell (the int32 ids and their
+    # list made 24 MB)
     s = identity_scheme(1024)
     for run in (decode, validate_scheme):
         run(s)
@@ -829,4 +839,26 @@ def test_decode_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 19 << 20, (run, peak)
+        assert peak < 12 << 20, (run, peak)
+
+
+def test_decoded_matrix_holds_one_byte_a_cell():
+    # decode(identity_scheme(1024)) keeps its one-byte id array and builds
+    # no tuple of its 1M cells (the tuple alone was 8 MB); one cell read
+    # builds none either, and the tuple read later is the oracle's
+    s = identity_scheme(1024)
+    tracemalloc.start()
+    try:
+        m = decode(s)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert (m.at(512, 512), m.at(512, 513), m.id_at(1, 1)) == ("1", "0", 1)
+        at_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 2 << 20, held
+    assert at_peak < 1 << 12, at_peak
+    assert "cells" not in m.__dict__ and m.ids.nbytes == 1 << 20
+    assert m.cells == tuple(1 if i == j else 0 for i in range(1024) for j in range(1024))
+    # a grid of no whole number of gathers (90,000 cells) decodes alike
+    assert decode(identity_scheme(300)) == identity(300)

@@ -35,7 +35,13 @@ fault for fault; ``pointer_jumping_analyze_boxes``, that check as it was
 before self-overlapping boxes were written as exits, which the check must
 match in repr, root array and cycle cell; ``dict_encode_tokens``, the token
 encoding that str()-ed every token and looked each up in a dict, which the
-encoding must match in ids, alphabet and error; ``reference_b_exact``, the scheme search that walks every
+encoding must match in ids, alphabet and error; ``TupleMatrix2D`` and
+``TupleNdString``, the strings that stored a tuple of cell ids, which the
+strings over an id array must match in cells, repr, equality, hash and
+pickling; ``tokens_submatrix``, the factor cut out of the whole token grid,
+which the factor sliced from the id array must equal;
+``stack_scan_coords``/``tuple_scan``, the quadrant scan walked cell by cell
+on a stack, which the scan gathered from the id array must equal; ``reference_b_exact``, the scheme search that walks every
 chain with ``walk_chains`` after each source choice, which the search that
 walks only the new part's chains must reproduce in result, exception text,
 step ledger and budget; and
@@ -91,6 +97,7 @@ from repet2d.grammar2d import (
     expand,
     validate_grammar,
 )
+from repet2d.linearize import _ORDERS
 from repet2d.macroscheme import _FREE, MacroScheme2D, Phrase, SchemeCheck
 from repet2d.measures import AttractorCheck, AttractorSet, DeltaResult
 
@@ -1218,6 +1225,66 @@ def dict_encode_tokens(tokens):
     alphabet = tuple(sorted(distinct))
     index = {tok: i for i, tok in enumerate(alphabet)}
     return tuple(map(index.__getitem__, toks)), alphabet
+
+
+@dataclass(frozen=True)
+class TupleMatrix2D:
+    """``core2d.Matrix2D`` as it was: a frozen dataclass whose ``cells`` is
+    a tuple of ids built with every matrix. Only its class name differs in
+    its repr; its hash, equality and pickling are the dataclass's."""
+
+    rows: int
+    cols: int
+    cells: tuple[int, ...]
+    alphabet: tuple[str, ...]
+
+    @classmethod
+    def from_tokens(cls, grid):
+        return cls(len(grid), len(grid[0]), *dict_encode_tokens(t for row in grid for t in row))
+
+
+@dataclass(frozen=True)
+class TupleNdString:
+    """``multidim.NdString`` as it was, like ``TupleMatrix2D``."""
+
+    dims: tuple[int, ...]
+    cells: tuple[int, ...]
+    alphabet: tuple[str, ...]
+
+    @classmethod
+    def from_tokens(cls, dims, tokens):
+        return cls(tuple(dims), *dict_encode_tokens(tokens))
+
+
+def tokens_submatrix(m, i1, j1, i2, j2):
+    """``core2d.submatrix`` as it was: the whole token grid is built, the
+    factor cut out of it and built again from its tokens."""
+    grid = m.tokens()
+    return Matrix2D.from_tokens([row[j1 - 1 : j2] for row in grid[i1 - 1 : i2]])
+
+
+def stack_scan_coords(n, kind):
+    """``linearize.scan_coords`` as it was: the quadrants of a power-of-two
+    side n resolved one cell at a time on an explicit stack."""
+    out = []
+    stack = [(1, 1, n, kind)]
+    while stack:
+        top, left, side, k = stack.pop()
+        if side == 1:
+            out.append((top, left))
+            continue
+        half = side // 2
+        for dy, dx, sub in reversed(_ORDERS[k]):
+            stack.append((top + dy * half, left + dx * half, half, sub))
+    return tuple(out)
+
+
+def tuple_scan(m, kind):
+    """``linearize.scan`` as it was: the cells tuple read one visited cell
+    at a time along ``stack_scan_coords``."""
+    cells, n = m.cells, m.cols
+    flat = tuple(cells[(y - 1) * n + x - 1] for y, x in stack_scan_coords(n, kind))
+    return Matrix2D(1, m.area, flat, m.alphabet)
 
 
 def reference_decoded_cells(root, tokens):
