@@ -12,14 +12,19 @@ A point query (``access``) binary-searches the deepest path node still
 containing the target cell and then hops into a light child whose expansion
 is at most half as large, so it makes at most floor(log2(rows*cols)) hops.
 
-A batch of queries (``access_many``, and the scans ``full_scan`` and
-``hop_bound_check``) takes the same hops in rounds, one numpy pass per hop
-count, so floor(log2(rows*cols)) + 1 rounds answer every query (Bille et
-al., "Random access to grammar-compressed strings and trees", SICOMP 2015).
-Each call concatenates the margin arrays of every path into one sorted table
-keyed by (path, margin array, margin), so one ``searchsorted`` per round
-finds the exit node of every active query along both axes; finished queries
-leave the batch.
+A batch of queries (``access_many``) takes the same hops in rounds, one
+numpy pass per hop count, so floor(log2(rows*cols)) + 1 rounds answer every
+query (Bille et al., "Random access to grammar-compressed strings and
+trees", SICOMP 2015). Each call concatenates the margin arrays of every path
+into one sorted table keyed by (path, margin array, margin), so one
+``searchsorted`` per round finds the exit node of every active query along
+both axes; finished queries leave the batch.
+
+A scan (``full_scan``, ``hop_bound_check``) is a traversal, not independent
+queries (Gasieniec et al., DCC 2005): when the index holds exactly the paths
+``build_index`` derives, the grid has at most ``MAX_CELLS`` cells and the
+budget affords every row, one walk over the paths fills every cell's symbol
+id and hop count (``_fill``); otherwise the batched descents answer it.
 
 A scan charges ``cols`` steps of "access scan" per row, as a cell-by-cell
 scan that charges each row before reading it would: it reads the cells of
@@ -38,7 +43,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .budget import WorkBudget, charge_each, ensure_budget
-from .core2d import Position
+from .core2d import MAX_CELLS, Position, id_dtype
 from .errors import BadParam, OutOfBounds, TooLarge
 from .grammar2d import Grammar2D, GrammarInfo, _rhs_key, expand_ids, validate_grammar
 
@@ -238,10 +243,15 @@ class _Tables:
     node: np.ndarray
 
 
+def _symbols(index: AccessIndex) -> tuple[str, ...]:
+    """The symbols the paths end in, sorted: a scan's symbol ids index them."""
+    return tuple(sorted({p.symbol for p in index.paths.values()}))
+
+
 def _tables(index: AccessIndex) -> _Tables:
     dims, paths = index.info.dims, index.paths
     vid = {name: v for v, name in enumerate(paths)}
-    tokens = tuple(sorted({p.symbol for p in paths.values()}))
+    tokens = _symbols(index)
     tid = {t: i for i, t in enumerate(tokens)}
     # every margin and every searched value is below the largest extent
     width = max(max(d) for d in dims.values()) + 2
@@ -369,8 +379,104 @@ class ScanReport:
         return self.matches and self.max_hops <= self.hop_bound
 
 
-# cells a scan descends at once: bounds its working memory on any grammar
+# cells a scan reads at once: bounds its working memory on any grammar
 _BLOCK = 1 << 16
+
+
+def _shifted(margins: tuple[int, ...], by: int) -> tuple[int, ...]:
+    """A child's path margins seen from its parent: a leading 0, then each
+    raised by the parent's margin ``by``."""
+    return (0,) + (tuple(map(by.__add__, margins)) if by else margins)
+
+
+def _paths_are_derived(index: AccessIndex) -> bool:
+    """Whether the index holds what ``build_index`` derives from its rules:
+    the axiom spans the grid, every extent adds up by its rule, a terminal's
+    path is itself, and any other variable's path is its heavy step (the
+    child of larger area, the first of equal ones) followed by the heavy
+    child's path shifted by that step. O(1) Python work a variable, plus
+    tuple compares."""
+    dims, paths, parts = index.info.dims, index.paths, index.parts
+    if not (paths.keys() == parts.keys() == dims.keys()):
+        return False
+    if dims[index.grammar.axiom] != (index.rows, index.cols):
+        return False
+    area = lambda v: dims[v][0] * dims[v][1]
+    for v, (token, axis, count, kids) in parts.items():
+        if token is not None:
+            want = HeavyPath((v,), (0,), (0,), (0,), (0,), token, 1, 1)
+            if dims[v] != (1, 1) or paths[v] != want:
+                return False
+            continue
+        a = axis - 1
+        ext = list(dims[kids[0]])
+        ext[a] = ext[a] * count if count else ext[a] + dims[kids[-1]][a]
+        if tuple(ext) != dims[v] or dims[kids[-1]][1 - a] != ext[1 - a]:
+            return False
+        heavy = max(kids, key=area)
+        q = paths[heavy]
+        before = 0 if heavy == kids[0] else dims[kids[0]][a]
+        after = dims[v][a] - before - dims[heavy][a]
+        by = (before, after, 0, 0) if a == 0 else (0, 0, before, after)
+        margins = map(_shifted, (q.u, q.d, q.l, q.r), by)
+        if paths[v] != HeavyPath((v, *q.names), *margins, q.symbol, q.y0 + by[0], q.x0 + by[2]):
+            return False
+    return True
+
+
+def _fill(index: AccessIndex, tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol id (into ``tokens``) and the hop count of every cell, as
+    flat row-major arrays of ``id_dtype`` and int8, for an index that passes
+    ``_paths_are_derived``. A variable's first occurrence walks its path
+    down to the first node already placed (or its terminal), then back up,
+    placing each node's light sibling one hop further down: the other child
+    of a concatenation, recursively, or copies 2..count of a run, copied
+    from the first and doubled. A later occurrence is one slice copy of the
+    first, its hops shifted. So the Python work is O(rules), each cell is
+    written once and the recursion is one level a hop deep."""
+    dims, parts, paths = index.info.dims, index.parts, index.paths
+    tid = {t: i for i, t in enumerate(tokens)}
+    sym = np.empty((index.rows, index.cols), dtype=id_dtype(len(tokens)))
+    hop = np.empty((index.rows, index.cols), dtype=np.int8)
+    placed: dict[str, tuple[int, int, int]] = {}  # top, left and base hops
+
+    def copy(sy: int, sx: int, y: int, x: int, m: int, n: int, shift: int) -> None:
+        sym[y : y + m, x : x + n] = sym[sy : sy + m, sx : sx + n]
+        np.add(hop[sy : sy + m, sx : sx + n], shift, out=hop[y : y + m, x : x + n])
+
+    def place(var: str, y: int, x: int, h: int) -> None:
+        p = paths[var]
+        k = next((i for i, name in enumerate(p.names) if name in placed), None)
+        if k is None:
+            k = len(p.names) - 1
+            ty, tx = y + p.u[k], x + p.l[k]
+            sym[ty, tx], hop[ty, tx] = tid[p.symbol], h
+            placed[p.names[k]] = (ty, tx, h)
+        else:
+            sy, sx, sh = placed[p.names[k]]
+            copy(sy, sx, y + p.u[k], x + p.l[k], *dims[p.names[k]], h - sh)
+        for i in range(k - 1, -1, -1):
+            name = p.names[i]
+            _, axis, count, kids = parts[name]
+            ny, nx = y + p.u[i], x + p.l[i]
+            m, n = dims[kids[0]]
+            dy, dx = (m, 0) if axis == 1 else (0, n)  # where a second child starts
+            if count:
+                copy(ny, nx, ny + dy, nx + dx, m, n, 1)
+                done = 1
+                while done < count - 1:
+                    c = min(done, count - 1 - done)
+                    copy(ny + dy, nx + dx, ny + (done + 1) * dy, nx + (done + 1) * dx,
+                         m + (c - 1) * dy, n + (c - 1) * dx, 0)
+                    done += c
+            elif p.names[i + 1] == kids[0]:
+                place(kids[-1], ny + dy, nx + dx, h + 1)
+            else:
+                place(kids[0], ny, nx, h + 1)
+            placed[name] = (ny, nx, h)
+
+    place(index.grammar.axiom, 0, 0, 0)
+    return sym.ravel(), hop.ravel()
 
 
 def _scan(
@@ -380,14 +486,34 @@ def _scan(
 ) -> ScanReport:
     """Access every cell in row-major order, charging each row, and count
     the cells per hop count; stop at the first cell whose symbol differs
-    from ``expected`` (the expansion's ids and their tokens)."""
-    t = _tables(index)
+    from ``expected`` (the expansion's ids and their tokens). The cells come
+    from ``_fill`` or, for an index it does not take, from batched descents;
+    either way they are read a block at a time, so the report, the charges
+    and any fault are the same."""
     rows, cols = index.rows, index.cols
+    if (
+        rows * cols <= MAX_CELLS
+        and (budget.limit - budget.used) // cols >= rows
+        and _paths_are_derived(index)
+    ):
+        tokens = _symbols(index)
+        sym_all, hops_all = _fill(index, tokens)
+        read = lambda cell, stop: (sym_all[cell:stop], hops_all[cell:stop])
+    else:
+        t = _tables(index)
+        tokens = t.tokens
+
+        def read(cell: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            flat = np.arange(cell, stop, dtype=np.int64)
+            return _descend(t, flat // cols + 1, flat % cols + 1)
+
     if expected is not None:
-        ids, tokens = expected
+        ids, expected_tokens = expected
         ids = ids.ravel()
-        mine = {token: i for i, token in enumerate(t.tokens)}
-        to_mine = np.array([mine.get(token, -1) for token in tokens], dtype=np.int64)
+        to_mine = None  # the same tokens number the same ids: no gather
+        if expected_tokens != tokens:
+            mine = {token: i for i, token in enumerate(tokens)}
+            to_mine = np.array([mine.get(token, -1) for token in expected_tokens], dtype=np.int64)
     counts = np.zeros(0, dtype=np.int64)
     charged = cell = 0
     mismatch = None
@@ -396,10 +522,10 @@ def _scan(
         stop = min(rows * cols, cell + _BLOCK, (charged + affordable) * cols)
         if stop <= cell:
             budget.charge(cols, "access scan")  # the next row is over the limit
-        flat = np.arange(cell, stop, dtype=np.int64)
-        sym, hops = _descend(t, flat // cols + 1, flat % cols + 1)
+        sym, hops = read(cell, stop)
         if expected is not None:
-            bad = np.flatnonzero(sym != to_mine[ids[cell:stop]])
+            want = ids[cell:stop] if to_mine is None else to_mine[ids[cell:stop]]
+            bad = np.flatnonzero(sym != want)
             if bad.size:
                 stop = cell + int(bad[0]) + 1
                 hops = hops[: bad[0] + 1]
@@ -407,22 +533,28 @@ def _scan(
         seen = np.bincount(hops, minlength=counts.size)
         seen[: counts.size] += counts
         counts = seen
-        read = -(-stop // cols)  # rows read so far, the last one maybe in part
-        for _ in range(charged, read):
+        read_rows = -(-stop // cols)  # rows read so far, the last one maybe in part
+        for _ in range(charged, read_rows):
             budget.charge(cols, "access scan")
-        charged, cell = read, stop
+        charged, cell = read_rows, stop
     hist = Counter({h: n for h, n in enumerate(counts.tolist()) if n})
     return ScanReport(mismatch is None, max(hist), hop_bound(index), mismatch, hist)
 
 
 def hop_bound_check(index: AccessIndex, budget: WorkBudget | None = None) -> int:
-    """Max hop count over all cells; callers compare it to hop_bound()."""
+    """Max hop count over all cells; callers compare it to hop_bound(). The
+    hops are filled by one walk over the paths, or found by batched descents
+    when the index is not what ``build_index`` derives, the grid is over
+    ``MAX_CELLS`` or the budget is short of every row."""
     return _scan(index, ensure_budget(budget), None).max_hops
 
 
 def full_scan(index: AccessIndex, budget: WorkBudget | None = None) -> ScanReport:
     """Access every cell, compare against the full expansion, and record the
-    worst hop count and the hop histogram of the cells scanned."""
+    worst hop count and the hop histogram of the cells scanned. The cells'
+    symbols and hops are filled by one walk over the paths, or found by
+    batched descents when the index is not what ``build_index`` derives or
+    the budget is short of every row."""
     budget = ensure_budget(budget)
     g = index.grammar
     return _scan(index, budget, expand_ids(g.axiom, g.rules, index.info.dims, budget))

@@ -343,6 +343,26 @@ class Matrix2D(IdString):
         return "\n".join(" ".join(row) for row in self.tokens())
 
 
+def concat_ids(
+    a: IdString, b: IdString, axis: int
+) -> tuple[tuple[int, ...], np.ndarray, tuple[str, ...]]:
+    """The extents, ids and alphabet of ``b`` glued after ``a`` along the
+    1-based ``axis`` (the caller has checked that every other extent
+    agrees): each operand's ids are remapped into the merged alphabet and
+    the two arrays concatenated. Raises TooLarge before any cell is built
+    when the result would pass the cap."""
+    dims = list(a.dims)
+    dims[axis - 1] += b.dims[axis - 1]
+    check_cap(dims)
+    alphabet = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
+    index = {t: i for i, t in enumerate(alphabet)}
+    dtype = id_dtype(len(alphabet))
+    map_a = np.array([index[t] for t in a.alphabet], dtype=dtype)
+    map_b = np.array([index[t] for t in b.alphabet], dtype=dtype)
+    ids = np.concatenate([map_a[a.ids], map_b[b.ids]], axis=axis - 1)
+    return tuple(dims), ids, alphabet
+
+
 def concat_h(a: Matrix2D, b: Matrix2D) -> Matrix2D:
     """Horizontal concatenation: glue b to the right of a (row counts match)."""
     if a.rows != b.rows:
@@ -350,9 +370,8 @@ def concat_h(a: Matrix2D, b: Matrix2D) -> Matrix2D:
             f"horizontal concatenation needs equal row counts, "
             f"got {a.rows} and {b.rows}"
         )
-    check_cap((a.rows, a.cols + b.cols))
-    grid = [ra + rb for ra, rb in zip(a.tokens(), b.tokens())]
-    return Matrix2D.from_tokens(grid)
+    (rows, cols), ids, alphabet = concat_ids(a, b, 2)
+    return Matrix2D(rows, cols, ids, alphabet)
 
 
 def concat_v(a: Matrix2D, b: Matrix2D) -> Matrix2D:
@@ -362,8 +381,8 @@ def concat_v(a: Matrix2D, b: Matrix2D) -> Matrix2D:
             f"vertical concatenation needs equal column counts, "
             f"got {a.cols} and {b.cols}"
         )
-    check_cap((a.rows + b.rows, a.cols))
-    return Matrix2D.from_tokens(a.tokens() + b.tokens())
+    (rows, cols), ids, alphabet = concat_ids(a, b, 1)
+    return Matrix2D(rows, cols, ids, alphabet)
 
 
 def submatrix(m: Matrix2D, i1: int, j1: int, i2: int, j2: int) -> Matrix2D:

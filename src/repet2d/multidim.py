@@ -31,8 +31,8 @@ from .core2d import (
     IdString,
     Matrix2D,
     check_cap,
+    concat_ids,
     densest_shape,
-    id_dtype,
     rank_windows,
 )
 from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError
@@ -111,16 +111,7 @@ def concat_axis(a: NdString, b: NdString, axis: int) -> NdString:
             raise AxisMismatch(
                 f"axis {j} extents differ ({p} vs {q}); only axis {axis} may"
             )
-    dims = list(a.dims)
-    dims[axis - 1] += b.dims[axis - 1]
-    check_cap(dims)
-    alphabet = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
-    index = {t: i for i, t in enumerate(alphabet)}
-    dtype = id_dtype(len(alphabet))
-    map_a = np.array([index[t] for t in a.alphabet], dtype=dtype)
-    map_b = np.array([index[t] for t in b.alphabet], dtype=dtype)
-    out = np.concatenate([map_a[a.ids], map_b[b.ids]], axis=axis - 1)
-    return NdString(tuple(dims), out, alphabet)
+    return NdString(*concat_ids(a, b, axis))
 
 
 # ---------------------------------------------------------------------------

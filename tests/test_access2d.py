@@ -2,7 +2,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 from repet2d import (
     WorkBudget,
@@ -18,9 +19,10 @@ from repet2d import (
     hop_bound_check,
 )
 from repet2d import access2d
+from repet2d.access2d import HeavyPath
 from repet2d.accept import random_grammar, sample_rlslp, sample_slp
 from repet2d.errors import BadParam, DanglingVariable, OutOfBounds, ShapeTooLarge, TooLarge
-from repet2d.grammar2d import Grammar2D, Horiz, Terminal
+from repet2d.grammar2d import Grammar2D, Horiz, RunH, RunV, Terminal, Vert
 
 from test_cli import ENV
 from test_grammar2d import deep_grammar
@@ -70,6 +72,13 @@ def _corruptions(index, rng):
     between its neighbours (so each margin array stays sorted), y0 moved by
     one, or the symbol replaced."""
     name = rng.choice(sorted(index.paths))
+    options = _corrupted_paths(index, name, rng)
+    for bad in rng.sample(options, min(3, len(options))):
+        yield replace(index, paths={**index.paths, name: bad})
+
+
+def _corrupted_paths(index, name, rng):
+    """Every path that ``_corruptions`` may put in place of ``name``'s."""
     path = index.paths[name]
     rows, cols = index.info.dims[name]
     options = [replace(path, symbol="?"), replace(path, symbol=rng.choice("01"))]
@@ -80,8 +89,7 @@ def _corruptions(index, rng):
             for v in (margins[e] - 1, margins[e] + 1):
                 if margins[e - 1] <= v <= (margins[e + 1] if e + 1 < len(margins) else max(rows, cols)):
                     options.append(replace(path, **{axis: margins[:e] + (v,) + margins[e + 1 :]}))
-    for bad in rng.sample(options, min(3, len(options))):
-        yield replace(index, paths={**index.paths, name: bad})
+    return options
 
 
 def _answers(index):
@@ -184,6 +192,144 @@ def test_scan_reads_one_block_at_a_time(monkeypatch):
     # the scan's working set for one block, far below one int64 array of
     # the 2^24 cells (128 MiB)
     assert peak < 32 << 20, peak
+
+
+def _spied(monkeypatch):
+    """The sizes of the batched descents the scans make, as they make them."""
+    calls = []
+    descend = access2d._descend
+    monkeypatch.setattr(access2d, "_descend", lambda t, y, x: calls.append(y.size) or descend(t, y, x))
+    return calls
+
+
+def test_filled_scans_equal_the_block_descent_and_the_cell_by_cell_scan(monkeypatch):
+    # on every index build_index makes, with a budget for every row, the
+    # scans fill the grid and never descend; their reports, histograms and
+    # ledgers equal those of the block descent and, on grids of at most
+    # 2^12 cells, those of the scan that calls access cell by cell
+    rng = random.Random(27)
+    grammars = [build_ek_grammar(k) for k in range(1, 9)] + [build_bk_grammar(k) for k in (1, 2, 3)]
+    grammars += [sample_slp(), sample_rlslp(), deep_grammar(3000)]
+    grammars += [build_zeros_rlslp(2**k) for k in range(1, 11)]
+    grammars += [random_grammar(rng, allow_runs=i % 4 != 0) for i in range(200)]
+    calls = _spied(monkeypatch)
+    derived = access2d._paths_are_derived
+    for g in grammars:
+        idx = build_index(g)
+        got_ledger = Ledger()
+        got = full_scan(idx, got_ledger)
+        assert hop_bound_check(idx) == got.max_hops and not calls, format(g)
+        monkeypatch.setattr(access2d, "_paths_are_derived", lambda index: False)
+        want_ledger = Ledger()
+        want = full_scan(idx, want_ledger)
+        assert calls
+        monkeypatch.setattr(access2d, "_paths_are_derived", derived)
+        calls.clear()
+        assert repr(got) == repr(want) and got.histogram == want.histogram, format(g)
+        assert (got_ledger.steps, got_ledger.calls) == (want_ledger.steps, want_ledger.calls)
+        if idx.rows * idx.cols <= 1 << 12:
+            ref_ledger = Ledger()
+            ref = reference_full_scan(idx, ref_ledger)
+            assert repr(got) == repr(ref) and got.histogram == ref.histogram
+            assert (got_ledger.steps, got_ledger.calls) == (ref_ledger.steps, ref_ledger.calls)
+    # an unreachable variable too large for the descent's keys stops
+    # access_many, but no longer a scan, which fills what the axiom reaches
+    g = Grammar2D("S", {"S": Horiz("Z", "O"), "O": Terminal("1"), "X": RunV(2**62, "Y"),
+                        "Y": RunH(2**62, "Z"), "Z": Terminal("0")})
+    idx = build_index(g)
+    assert full_scan(idx).ok and hop_bound_check(idx) == 1 and not calls
+    raises(TooLarge, access_many, idx, [(1, 1)])
+
+
+def _lighter_path(index, name):
+    """The path of ``name`` as build_index would store it if the lighter
+    child of its concatenation were the heavy one: every margin consistent
+    with the rule, but not the path build_index derives."""
+    dims = index.info.dims
+    _, axis, _, kids = index.parts[name]
+    light = kids[1] if index.heavy[name] == kids[0] else kids[0]
+    q = index.paths[light]
+    before = 0 if light == kids[0] else dims[kids[0]][axis - 1]
+    after = dims[name][axis - 1] - before - dims[light][axis - 1]
+    by = (before, after, 0, 0) if axis == 1 else (0, 0, before, after)
+    u, d, l, r = ((0, *(b + m for m in margins)) for b, margins in zip(by, (q.u, q.d, q.l, q.r)))
+    return HeavyPath((name, *q.names), u, d, l, r, q.symbol, q.y0 + by[0], q.x0 + by[2])
+
+
+def test_an_index_build_index_would_not_make_is_descended(monkeypatch):
+    # every corruption of _corruptions, a path that names its variable again
+    # in place of its heavy child, a path that follows the lighter child of
+    # a concatenation, an extent one off and a grid one row too tall send
+    # both scans to the block descent; on a changed path, its report,
+    # histogram and ledger equal those of the cell-by-cell scan (which
+    # expands the grammar by the extents it derives, not the index's)
+    rng = random.Random(31)
+    grammars = [build_ek_grammar(k) for k in (2, 3, 4)] + [build_bk_grammar(2), build_zeros_rlslp(5)]
+    grammars += [sample_slp(), sample_rlslp()] + [random_grammar(rng) for _ in range(30)]
+    calls = _spied(monkeypatch)
+    kinds = Counter()
+    for g in grammars:
+        idx = build_index(g)
+        dims = idx.info.dims
+        area = lambda v: dims[v][0] * dims[v][1]
+        bad = [("rows", replace(idx, info=replace(idx.info, rows=idx.rows + 1)))]
+        for name, path in idx.paths.items():
+            paths = [p for p in _corrupted_paths(idx, name, rng) if p != path]
+            _, _, count, kids = idx.parts[name]
+            if kids:
+                paths.append(replace(path, names=(name, name, *path.names[2:])))
+            if kids and not count and area(kids[0]) != area(kids[1]):
+                paths.append(_lighter_path(idx, name))
+            for p in paths:
+                kind = next(f.name for f in fields(p) if getattr(p, f.name) != getattr(path, f.name))
+                bad.append((kind, replace(idx, paths={**idx.paths, name: p})))
+            m, n = dims[name]
+            for extent in ((m + 1, n), (m, n + 1)):
+                bad.append(("dims", replace(idx, info=replace(idx.info, dims={**dims, name: extent}))))
+        for kind, index in bad:
+            for scan in (full_scan, hop_bound_check):
+                calls.clear()
+                try:
+                    scan(index)
+                except BadParam:
+                    pass
+                assert calls, (format(g), kind)
+            if index.info is idx.info and _answers(index) is not None:
+                got = _outcome(full_scan, index, Ledger())
+                assert got == _outcome(reference_full_scan, index, Ledger()), (format(g), kind)
+            kinds[kind] += 1
+    assert set(kinds) == {"names", "u", "d", "l", "r", "symbol", "y0", "dims", "rows"}, kinds
+    # S glues A and B (2 x 1 each); a rule that glues A to the 1 x 1 X keeps
+    # every extent sum along the glued axis, but not the rows. That index, a
+    # budget one step short of every row, and a grid over the cap descend
+    g = Grammar2D("S", {"S": Horiz("A", "B"), "A": Vert("X", "Y"), "B": Vert("Y", "X"),
+                        "X": Terminal("0"), "Y": Terminal("1")})
+    idx = build_index(g)
+    glued = replace(idx, parts={**idx.parts, "S": (None, 2, 0, ("A", "X"))})
+    ek = build_index(build_ek_grammar(4))
+    need = Ledger()
+    report = full_scan(ek, need)
+    for index, limit, descends in ((glued, need.limit, True), (ek, need.used - 1, True), (ek, need.used, False)):
+        calls.clear()
+        _outcome(full_scan, index, WorkBudget(limit=limit))
+        assert bool(calls) == descends, (format(index.grammar), limit)
+    monkeypatch.setattr(access2d, "MAX_CELLS", ek.rows * ek.cols - 1)
+    calls.clear()
+    assert hop_bound_check(ek) == report.max_hops and calls
+
+
+def test_full_scan_of_zeros_4096_fills_in_bounded_memory():
+    # the expansion, the symbol ids and the hops take one byte a cell each
+    # (48 MiB); the descents took 5 to 9 s here
+    idx = build_index(build_zeros_rlslp(4096))
+    tracemalloc.start()
+    try:
+        report = full_scan(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.histogram == {0: 1, 1: 8190, 2: 16769025}
+    assert peak <= 50 << 20, peak
 
 
 def test_hop_bound_is_floor_log2_area():

@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the children import the package from this checkout, as the tests do
@@ -221,6 +222,19 @@ def test_access_verify(tmp_path):
             "--budget", str(used + 3 * 1024 + 1))
     assert r.returncode == 3 and "Traceback" not in r.stderr
     assert f"during access scan: {used + 4 * 1024} > limit" in r.stderr
+
+
+def test_access_verify_all_on_zeros_4096_is_one_walk(tmp_path):
+    # 2^24 cells filled by one walk over the heavy paths: well under the 5
+    # to 9 s the scan alone took by batched descents
+    gpath = tmp_path / "g.txt"
+    run("grammar", "family", "--name", "zeros", "--param", "4096", "--out", str(gpath))
+    start = time.perf_counter()
+    r = run("access", "--grammar", str(gpath), "--verify-all")
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("cells 16777216  matches yes  max_hops 2  hop_bound 24\n")
+    assert elapsed < 3, elapsed
 
 
 def test_macro_roundtrip(tmp_path):

@@ -72,6 +72,8 @@ from util import (
     raises,
     reference_shape_labels,
     reference_window_ids,
+    tokens_concat_h,
+    tokens_concat_v,
     tokens_submatrix,
     unique_dense_rank,
 )
@@ -449,19 +451,50 @@ def test_concat_merges_alphabets():
     assert glued.tokens() == (("a", "a", "z", "z"),)
 
 
-def test_concat_checks_the_cell_cap_before_building_tokens(monkeypatch):
-    # a result over the cap raises TooLarge before either operand's token
-    # grid is built; one at the cap is built as before
+def test_concat_checks_the_cell_cap_before_it_concatenates(monkeypatch):
+    # a result over the cap raises TooLarge before the id arrays are
+    # concatenated; one at the cap is built as before
     a, b = mat("012", "345"), mat("67", "89")
     calls = []
-    tokens = Matrix2D.tokens
-    monkeypatch.setattr(Matrix2D, "tokens", lambda m: calls.append(1) or tokens(m))
+    concatenate = np.concatenate
+    monkeypatch.setattr(np, "concatenate", lambda *args, **kw: calls.append(1) or concatenate(*args, **kw))
     monkeypatch.setattr(core2d, "MAX_CELLS", 9)
     assert str(raises(TooLarge, concat_h, a, b)) == "2x5 exceeds the 9-cell cap"
     assert str(raises(TooLarge, concat_v, a, a)) == "4x3 exceeds the 9-cell cap"
     assert not calls
     monkeypatch.setattr(core2d, "MAX_CELLS", 12)
     assert concat_h(a, b) == mat("01267", "34589") and concat_v(a, a).rows == 4 and calls
+
+
+def test_concat_joins_the_id_arrays():
+    # the concatenations equal the ones that joined token grids, in repr and
+    # alphabet, on the families and on seeded grids (alphabets that overlap,
+    # that are disjoint, and that merge past 256 letters)
+    rng = random.Random(53)
+    inputs = [m for _, m in small_instances(4, 5)] + [identity(9), ek(4), bk(2)]
+    inputs += [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), alphabet)
+                for alphabet in ("01", "abc", "0123456789abcdef") for _ in range(12)]
+    inputs += [Matrix2D.from_tokens([[f"{tag}{rng.randrange(200)}" for _ in range(20)] for _ in range(12)])
+               for tag in "tu"]
+    pairs = 0
+    for a, b in product(inputs, repeat=2):
+        for glue, oracle, agree in ((concat_h, tokens_concat_h, a.rows == b.rows),
+                                    (concat_v, tokens_concat_v, a.cols == b.cols)):
+            if agree:
+                got, want = glue(a, b), oracle(a, b)
+                assert got == want and repr(got) == repr(want), (str(a), str(b))
+                assert got.alphabet == want.alphabet and got.ids.dtype == want.ids.dtype
+                pairs += 1
+    assert pairs > 500, pairs
+    # no token grid is built: 13.6 MB and 60 ms through the token grids
+    left = identity(512)
+    tracemalloc.start()
+    try:
+        glued = concat_h(left, left)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert glued == tokens_concat_h(left, left) and peak < 2 << 20, peak
 
 
 def test_factor_count_against_naive_oracle():

@@ -40,6 +40,9 @@ encoding must match in ids, alphabet and error; ``TupleMatrix2D`` and
 strings over an id array must match in cells, repr, equality, hash and
 pickling; ``tokens_submatrix``, the factor cut out of the whole token grid,
 which the factor sliced from the id array must equal;
+``tokens_concat_h``/``tokens_concat_v``, the concatenations that joined
+token grids, which the concatenation of id arrays must equal in repr and
+alphabet;
 ``stack_scan_coords``/``tuple_scan``, the quadrant scan walked cell by cell
 on a stack, which the scan gathered from the id array must equal; ``reference_b_exact``, the scheme search that walks every
 chain with ``walk_chains`` after each source choice, which the search that
@@ -53,8 +56,8 @@ that charges one step a node, its level sides ranked on one chain walk,
 which the tree built a level at a time from sides ranked by doubling must
 reproduce in repr, block-tree steps and budget fault; ``reference_scan``/
 ``reference_full_scan``, the scan that calls ``access`` cell by cell, which
-the batched scan must match in report, histogram, step ledger and budget
-fault; and
+the filled and the batched scans must match in report, histogram, step
+ledger and budget fault; and
 ``reference_g_exact``, the recursive grammar search that recomputes the
 closure of its member set at every node, and ``slicing_g_exact``, the search
 over content ids that slices and hashes token grids, which the search over
@@ -1261,6 +1264,18 @@ def tokens_submatrix(m, i1, j1, i2, j2):
     factor cut out of it and built again from its tokens."""
     grid = m.tokens()
     return Matrix2D.from_tokens([row[j1 - 1 : j2] for row in grid[i1 - 1 : i2]])
+
+
+def tokens_concat_h(a, b):
+    """``core2d.concat_h`` as it was: both token grids built and their rows
+    joined, then encoded again (the row counts are assumed equal)."""
+    return Matrix2D.from_tokens([ra + rb for ra, rb in zip(a.tokens(), b.tokens())])
+
+
+def tokens_concat_v(a, b):
+    """``core2d.concat_v`` as it was: both token grids built, one stacked
+    on the other, then encoded again (the column counts are assumed equal)."""
+    return Matrix2D.from_tokens(a.tokens() + b.tokens())
 
 
 def stack_scan_coords(n, kind):
