@@ -29,11 +29,9 @@ EXIT_PARSE = 4
 
 
 def _budget(args: argparse.Namespace) -> WorkBudget:
-    if args.budget is not None:
-        if args.budget <= 0:
-            raise BadParam(f"--budget must be positive, got {args.budget}")
-        return WorkBudget(limit=args.budget)
-    return WorkBudget()
+    """The invocation's budget: ``--budget`` (``main`` has checked that it
+    is positive), else the default."""
+    return WorkBudget() if args.budget is None else WorkBudget(limit=args.budget)
 
 
 def _emit(args: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
@@ -241,7 +239,7 @@ def _cmd_macro(args: argparse.Namespace) -> int:
     )
 
     if args.action == "validate":
-        check = validate_scheme(read_scheme(args.infile))
+        check = validate_scheme(read_scheme(args.infile), _budget(args))
         _emit(args, ("property", "value"), [
             ("valid", "yes" if check.ok else "no"),
             ("size", check.size),
@@ -507,6 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget is not None and args.budget <= 0:
+            raise BadParam(f"--budget must be positive, got {args.budget}")
         return args.func(args)
     except ParseError as exc:
         print(f"repet2d: parse error: {exc}", file=sys.stderr)

@@ -10,11 +10,16 @@ analyze_boxes checks and resolves schemes over any number of axes. It writes
 each box's step (source cell minus cell) into an int32 array with one slice,
 checks the partition once (the part volumes add up to the grid and no cell
 is left free), then resolves every chain at once by pointer jumping, as in
-list ranking: each round replaces every cell's pointer by its pointer's
-pointer, so a scheme of N cells whose longest chain has L hops is resolved
-in O(N log L) array work. After each round one gather of a one-byte mask
-tells whether every root is an explicit cell; the run stops at the first
-round where it is. A box whose source meets its own target copies a
+list ranking (Wyllie, 1979): each round replaces every cell's pointer by its
+pointer's pointer, so a scheme of N cells whose longest chain has L hops is
+resolved in O(N log L) array work. The steps turn into pointers and the
+rounds jump in place, in the same array, one slice at a time; a pointer
+read from a slice that has already jumped only lies further down its chain.
+After each round one gather through a code table (a token's id at an
+explicit cell, a sentinel elsewhere; one byte a cell below 256 letters)
+tells whether every chain has ended and, in the round where all have, reads
+the tokens: its output is the decoded ids. So the run holds 4 + 2 bytes a
+cell and one slice. A box whose source meets its own target copies a
 periodic block, as an overlapping copy does in LZ77 decoding (Ziv and
 Lempel, 1977): a cell's chain stays in the box for q shifts, q the number
 that carries it out, so the cell's step is q times the shift, written in
@@ -53,7 +58,6 @@ from .core2d import (
     Position,
     WindowIds,
     _box_mask,
-    encode_tokens,
     factor_count,
     id_dtype,
 )
@@ -126,11 +130,22 @@ _GATHER = 1 << 16
 
 def _gather(src: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[i] = src[index[i]]`` for the int32 ``index`` (every entry in
-    range), a slice of ``_GATHER`` cells at a time; returns ``out``."""
+    range), a slice of ``_GATHER`` cells at a time; returns ``out``. "clip"
+    writes unbuffered unless ``out`` overlaps ``src``: then numpy buffers
+    one slice."""
     for lo in range(0, index.size, _GATHER):
         hi = lo + _GATHER
-        src.take(index[lo:hi], out=out[lo:hi], mode="clip")  # "clip" writes unbuffered
+        src.take(index[lo:hi], out=out[lo:hi], mode="clip")
     return out
+
+
+def _jump(root: np.ndarray) -> None:
+    """One round of pointer jumping in place, ``root[c] = root[root[c]]``
+    for every cell, a slice of ``_GATHER`` cells at a time. A pointer read
+    from a slice that has already jumped lies further down the same chain,
+    so the round takes each pointer at least as far as a round into a second
+    array would, never past its chain's end (an end points to itself)."""
+    _gather(root, root, root)
 
 
 def _write_exits(
@@ -174,7 +189,7 @@ def analyze_boxes(
     size: int,
     describe: Callable[[str, object], tuple[str, str]],
     budget: WorkBudget | None = None,
-) -> tuple[SchemeCheck, tuple[np.ndarray, dict[int, str]] | None]:
+) -> tuple[SchemeCheck, tuple[np.ndarray, tuple[str, ...]] | None]:
     """The scheme check, written for any number of axes; ``_analyze`` is
     its 2D caller.
 
@@ -182,9 +197,10 @@ def analyze_boxes(
     cell cap is checked before anything is allocated; then ``budget``, when
     given, is charged one "scheme decode" step a cell, before any other
     check and before anything of the grid's size is allocated. On success
-    returns the check and ``(root, tokens)``: ``root`` is an int32 array
-    that maps each flat cell index to the explicit cell its copy chain ends
-    at, ``tokens`` maps explicit flat indices to their tokens. Otherwise the
+    returns the check and ``(ids, alphabet)``: ``ids`` holds, for each flat
+    cell index, the id of the token at the explicit cell its copy chain ends
+    at, one axis of ``id_dtype(len(alphabet))``, and ``alphabet`` is the
+    sorted tokens of the explicit cells. Otherwise the
     check carries ``describe(fault, at)``, the error name and message for
     the first fault found: "dims", "cap", "explicit" (at: position, token,
     whether the token is invalid, whether the position is outside),
@@ -288,42 +304,38 @@ def analyze_boxes(
             return fail("overlap", cell)
         free = np.flatnonzero(step == _FREE)
         return fail("holes", (len(free), int(free[0])))
-    # Pointer jumping: after t rounds root[c] is 2^t hops down c's chain, or
-    # its end. Only explicit cells end chains (a self-copy points to itself
-    # but is no end), and chains are shorter than total, so every root is
-    # explicit after total.bit_length() rounds unless some chain cycles.
-    # the steps become the first pointers in place, the cell indices taken
-    # from the buffer the first round overwrites: no temporary of the grid
-    root, spare = step, np.arange(total, dtype=np.int32)
-    root += spare
-    ends = np.zeros(total, dtype=bool)
-    ends[cells] = True
-    at_root = np.empty_like(ends)
+    # Pointer jumping: after t rounds root[c] is at least 2^t hops down c's
+    # chain, or its end. Only explicit cells end chains (a self-copy points
+    # to itself but is no end), and chains are shorter than total, so every
+    # root is explicit after total.bit_length() rounds unless some chain
+    # cycles. The steps become the first pointers in place.
+    root = step
+    for lo in range(0, total, _GATHER):
+        part = root[lo : lo + _GATHER]
+        part += np.arange(lo, lo + part.size, dtype=np.int32)
+    # code[c]: the id of c's token at an explicit cell, else ``letters``. The
+    # ids are encode_tokens' (the sorted alphabet's indices), looked up here
+    # as the tokens were checked above: encode_tokens would check them again
+    # and cost a small scheme's validate_scheme about 4 us more, about 7%
+    alphabet = tuple(sorted(set(tokens.values())))
+    letters = len(alphabet)
+    index = {tok: i for i, tok in enumerate(alphabet)}
+    code = np.full(total, letters, dtype=id_dtype(letters + 1))
+    code[cells] = list(map(index.__getitem__, tokens.values()))
+    out = np.empty_like(code)
     for _ in range(total.bit_length() + 1):
-        root, spare = _gather(root, root, spare), root
-        if _gather(ends, root, at_root).all():
-            return SchemeCheck(True, size), (root, tokens)
-    # rebuild the one-shift steps and walk the chain of the first cell that misses
-    cur, seen = int(at_root.argmin()), set()
-    step = np.zeros(total, dtype=np.int32)
-    grid = step.reshape(dims)
+        _jump(root)
+        if _gather(code, root, out).max() < letters:
+            return SchemeCheck(True, size), (out.astype(id_dtype(letters), copy=False), alphabet)
+    # write the one-shift steps back and walk the chain of the first cell
+    # that misses: it never meets an explicit cell, whose step is not read
+    cur, seen = int(out.argmax()), set()
     for cut, shift in zip(cuts, shifts):
         grid[cut] = shift
     while cur not in seen:
         seen.add(cur)
         cur += int(step[cur])
     return fail("cycle", cur)
-
-
-def decoded_cells(
-    root: np.ndarray, tokens: Mapping[int, str]
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The cell ids (one axis, of ``id_dtype``) and alphabet of a decoded
-    scheme (see analyze_boxes)."""
-    ids, alphabet = encode_tokens(tokens.values())
-    lookup = np.zeros(len(root), dtype=id_dtype(len(alphabet)))
-    lookup[list(tokens)] = ids
-    return _gather(lookup, root, np.empty_like(lookup)), alphabet
 
 
 def _analyze(s: MacroScheme2D, budget: WorkBudget | None = None):
@@ -361,8 +373,10 @@ def _analyze(s: MacroScheme2D, budget: WorkBudget | None = None):
     return analyze_boxes((s.rows, s.cols), s.explicit, phrases, s.size, describe, budget)
 
 
-def validate_scheme(s: MacroScheme2D) -> SchemeCheck:
-    return _analyze(s)[0]
+def validate_scheme(s: MacroScheme2D, budget: WorkBudget | None = None) -> SchemeCheck:
+    """The scheme's check. Charges rows * cols "scheme decode" steps as
+    decode does, once the header passes the dims and cell-cap checks."""
+    return _analyze(s, ensure_budget(budget))[0]
 
 
 def decode(s: MacroScheme2D, budget: WorkBudget | None = None) -> Matrix2D:
@@ -373,7 +387,7 @@ def decode(s: MacroScheme2D, budget: WorkBudget | None = None) -> Matrix2D:
     check, data = _analyze(s, ensure_budget(budget))
     if not check.ok:
         raise _ERRORS[check.error](check.message)
-    return Matrix2D(s.rows, s.cols, *decoded_cells(*data))
+    return Matrix2D(s.rows, s.cols, *data)
 
 
 def identity_scheme(n: int) -> MacroScheme2D:

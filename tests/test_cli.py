@@ -11,6 +11,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the children import the package from this checkout, as the tests do
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -92,6 +94,37 @@ def test_measure_of_a_long_string_fits_its_budget(tmp_path):
         r = run("--budget", limit, "measure", "--in", str(string))
         assert r.returncode == 3, (limit, r.stderr)
         assert "row ranking" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+
+# each command with the arguments its parser requires; the files need not
+# exist, as the budget is checked before a command runs
+COMMANDS = {
+    "gen": (),
+    "measure": ("--in", "m.txt"),
+    "grammar": ("validate",),
+    "access": ("--grammar", "g.txt"),
+    "macro": ("validate", "--in", "s.txt"),
+    "blocktree": ("--in", "m.txt"),
+    "linearize": ("--in", "m.txt", "--method", "hilbert"),
+    "nd": ("measure",),
+    "experiment": ("--list",),
+    "selftest": ("--quick",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_rejects_a_budget_below_one(command, tmp_path):
+    from repet2d.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert set(sub.choices) == set(COMMANDS)
+    for where, value in (("after", "0"), ("before", "-5")):
+        flag = ("--budget", value)
+        args = (command, *COMMANDS[command], *flag) if where == "after" else (*flag, command, *COMMANDS[command])
+        r = run(*args, cwd=tmp_path)
+        assert r.returncode == 2, (args, r.stderr)
+        assert f"BadParam: --budget must be positive, got {value}" in r.stderr, r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == "", (r.stdout, r.stderr)
 
 
 def test_malformed_budget_variable_is_a_usage_error(tmp_path):
@@ -256,6 +289,34 @@ def test_macro_minimize_exits_on_budget(tmp_path):
     assert r.returncode == 3, r.stderr
     assert "work budget exceeded during scheme search: 3 > limit 2" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_macro_validate_exits_on_budget_before_it_allocates(tmp_path):
+    # identity_scheme(4096) has 2^24 cells, 64 MiB as one int32 array: the
+    # child stops at the charge, well below that, as macro decode does
+    from repet2d import format_scheme, identity_scheme
+
+    spath = tmp_path / "s.txt"
+    spath.write_text(format_scheme(identity_scheme(4096)))
+    # the child's own peak: ru_maxrss would carry this process's over exec
+    probe = """
+import runpy
+try:
+    runpy.run_module("repet2d.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as fh:
+        print(*[line for line in fh if line.startswith("VmHWM:")])
+"""
+    for action in ("validate", "decode"):
+        r = subprocess.run(
+            [sys.executable, "-c", probe, "macro", action, "--in", str(spath), "--budget", "10"],
+            capture_output=True, text=True, timeout=300, env=ENV,
+        )
+        assert r.returncode == 3, r.stderr
+        assert "work budget exceeded during scheme decode: 16777216 > limit 10" in r.stderr
+        assert "Traceback" not in r.stderr, r.stderr
+        label, peak_kb, unit = r.stdout.split()
+        assert (label, unit) == ("VmHWM:", "kB") and int(peak_kb) < 48 << 10, (action, r.stdout)
 
 
 def test_macro_decode_charges_before_it_checks(tmp_path):

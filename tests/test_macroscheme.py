@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import itertools
 import random
 import sys
@@ -43,7 +42,7 @@ from repet2d.errors import (
     ShapeTooLarge,
     TooLarge,
 )
-from repet2d.macroscheme import _ERRORS, analyze_boxes, decoded_cells, square_phrase_bound
+from repet2d.macroscheme import _ERRORS, analyze_boxes, square_phrase_bound
 
 from util import (
     Ledger,
@@ -55,6 +54,7 @@ from util import (
     reference_analyze_boxes,
     reference_b_exact,
     reference_decoded_cells,
+    two_array_analyze_boxes,
 )
 
 
@@ -332,7 +332,9 @@ def test_scheme_over_the_cell_cap():
 def _checked_against(oracle, record):
     """analyze_boxes that also runs ``oracle`` with the same describe and
     asserts the same check repr (a cycle cell is in its message) and the
-    same chain ends; ``record(dims, boxes, check)`` sees every check."""
+    same decoded ids: those of the oracle's chain ends, read by
+    ``reference_decoded_cells``; ``record(dims, boxes, check)`` sees every
+    check."""
 
     def both(dims, explicit, boxes, size, describe, budget=None):
         got = analyze_boxes(dims, explicit, boxes, size, describe, budget)
@@ -341,9 +343,9 @@ def _checked_against(oracle, record):
         if want[1] is None:
             assert got[1] is None
         else:
-            (root, tokens), (want_root, want_tokens) = got[1], want[1]
-            assert root.dtype == np.int32 and np.array_equal(root, want_root)
-            assert list(tokens.items()) == list(want_tokens.items())
+            (ids, alphabet), want_ids = got[1], reference_decoded_cells(*want[1])
+            assert ids.dtype == id_dtype(len(alphabet)) and ids.shape == (prod(dims),)
+            assert (tuple(ids.tolist()), alphabet) == want_ids
         record(dims, boxes, got[0])
         return got
 
@@ -464,13 +466,14 @@ def _break(rng, dims, explicit, boxes):
 def _check_both_ways(dims, explicit, boxes):
     """analyze_boxes on any number of axes, with the dD messages, and when
     d = 2 also validate and decode; returns the analyze_boxes check. A
-    valid scheme must decode to the oracle's cells: the id array of
-    ``decoded_cells`` read as a tuple, and the decoded matrix's ``cells``."""
+    valid scheme must decode to the oracle's cells: the id array that
+    analyze_boxes returns, read as a tuple, and the decoded matrix's
+    ``cells``."""
     size = len(explicit) + len(boxes)
     check, data = macroscheme.analyze_boxes(dims, explicit, boxes, size, nd_describe(dims, boxes))
     decoded = []
     if check.ok:
-        ids, alphabet = decoded_cells(*data)
+        ids, alphabet = data
         assert type(ids) is np.ndarray and ids.shape == (prod(dims),), (type(ids), dims)
         assert ids.dtype == id_dtype(len(alphabet)), (ids.dtype, len(alphabet))
         decoded.append((tuple(ids.tolist()), alphabet))
@@ -599,6 +602,30 @@ def test_decode_charges_before_it_allocates():
         assert "during scheme decode" in str(exc)
 
 
+def test_validate_charges_as_decode_does():
+    # the same "scheme decode" steps as decode, charged at the same point:
+    # under WorkBudget(10) validate stops before it allocates the grid
+    for s in (identity_scheme(64), from_grammar(build_ek_grammar(7))):
+        ledger = Ledger()
+        assert validate_scheme(s, ledger).ok
+        assert ledger.steps == {"scheme decode": s.rows * s.cols}
+    s = identity_scheme(1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeTooLarge) as err:
+            validate_scheme(s, WorkBudget(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "work budget exceeded during scheme decode: 1048576 > limit 10"
+    assert peak < 1 << 20, peak
+    assert validate_scheme(MacroScheme2D(0, 4, {}, ()), WorkBudget(1)).error == "BadParam"
+    assert validate_scheme(MacroScheme2D(100000, 100000, {}, ()), WorkBudget(1)).error == "TooLarge"
+    cycle = scheme_of(1, 4, {(1, 1): "0"}, [(1, 2, 1, 2, 1, 3), (1, 3, 1, 3, 1, 4), (1, 4, 1, 4, 1, 2)])
+    assert validate_scheme(cycle, WorkBudget(4)).error == "CyclicMap"
+    raises(ShapeTooLarge, validate_scheme, cycle, WorkBudget(3))
+
+
 # ---------------------------------------------------------------------------
 # boxes whose source meets their target, written as exits
 # ---------------------------------------------------------------------------
@@ -611,6 +638,17 @@ def against_plain_shifts(monkeypatch):
     check) made."""
     checks = []
     both = _checked_against(pointer_jumping_analyze_boxes, lambda *made: checks.append(made))
+    monkeypatch.setattr(macroscheme, "analyze_boxes", both)
+    return checks
+
+
+@pytest.fixture
+def against_two_arrays(monkeypatch):
+    """Run every scheme check through both analyze_boxes and the check that
+    jumped each round into a second array and read the tokens in a further
+    gather. Yields the list of checks made."""
+    checks = []
+    both = _checked_against(two_array_analyze_boxes, lambda dims, boxes, check: checks.append(check))
     monkeypatch.setattr(macroscheme, "analyze_boxes", both)
     return checks
 
@@ -725,18 +763,15 @@ def test_exits_equal_plain_shifts_on_identity_and_run_length_schemes(against_pla
 
 
 def _jumping_rounds(s) -> int:
-    """The pointer-jumping rounds of validate_scheme(s): the gathers called
-    from the line of analyze_boxes that takes each cell's pointer's
-    pointer."""
-    code, gather = analyze_boxes.__code__, macroscheme._gather.__code__
-    lines, first = inspect.getsourcelines(analyze_boxes)
-    (line,) = [first + i for i, text in enumerate(lines) if "_gather(root, root" in text]
+    """The pointer-jumping rounds of validate_scheme(s): the calls of
+    ``_jump``, the round that takes each cell's pointer's pointer, made
+    from analyze_boxes."""
+    code, jump = analyze_boxes.__code__, macroscheme._jump.__code__
     rounds = 0
 
     def count(frame, event, arg):
         nonlocal rounds
-        caller = frame.f_back
-        if event == "call" and frame.f_code is gather and caller.f_code is code and caller.f_lineno == line:
+        if event == "call" and frame.f_code is jump and frame.f_back.f_code is code:
             rounds += 1
 
     sys.setprofile(count)
@@ -756,7 +791,7 @@ def test_self_overlapping_boxes_take_one_round():
     assert _jumping_rounds(from_grammar(build_zeros_rlslp(64))) <= 1
 
 
-@pytest.mark.parametrize("oracle", ["against_oracle", "against_plain_shifts"])
+@pytest.mark.parametrize("oracle", ["against_oracle", "against_plain_shifts", "against_two_arrays"])
 def test_the_run_stops_where_the_oracles_do(oracle, request):
     # the run stops once every root is explicit: self-copies and cycles
     # never get there, and valid chains of every length do
@@ -782,14 +817,20 @@ def test_the_run_stops_where_the_oracles_do(oracle, request):
     assert _check_both_ways((300,), {(1,): "a"}, boxes).ok
     looped = [(lo, hi, (200,) if lo == (150,) else p) for lo, hi, p in boxes]  # 150..200 cycle
     assert _check_both_ways((300,), {(1,): "a"}, looped).error == "CyclicMap"
-    # schemes over 255, 256 and 257 letters (ids take one byte up to 256):
-    # row 1 explicit, the rows below copied from the row above
+    # schemes over 255, 256 and 257 letters (ids take one byte up to 256,
+    # and the end sentinel one more id): row 1 explicit, the rows below
+    # copied from the row above; decode must equal the independent decoder
     for letters in (255, 256, 257):
         explicit = {(1, j): f"t{j:03d}" for j in range(1, letters + 1)}
         rows = [((2, 1), (8, letters), (1, 1))]
         assert _check_both_ways((8, letters), explicit, rows).ok
         shifted = [((2, 1), (8, letters - 1), (1, 2)), ((2, letters), (8, letters), (1, 1))]
         assert _check_both_ways((8, letters), explicit, shifted).ok
+        for parts in (rows, shifted):
+            s = MacroScheme2D(8, letters, explicit, tuple(Phrase(*lo, *hi, *src) for lo, hi, src in parts))
+            m = decode(s)
+            assert m.ids.dtype == id_dtype(letters) and len(m.alphabet) == letters
+            assert [list(r) for r in m.tokens()] == naive_decode(s)
         del explicit[(1, letters)]
         looped = rows + [((1, letters), (1, letters), (8, letters))]
         assert _check_both_ways((8, letters), explicit, looped).error == "CyclicMap"
@@ -824,12 +865,12 @@ def test_exits_do_not_wrap_int32():
 
 
 def test_decode_peak_memory():
-    # the peak of decode and validate: the pointer jumping holds two int32
-    # arrays of the grid and two one-byte masks (10 MB); its gathers take
-    # 65,536 cells at a time, so numpy's intp copy of the int32 indices is
-    # 0.5 MB (it was 8 MB with one take over the grid, an 18 MB peak); the
-    # cells are read back through one byte a cell (the int32 ids and their
-    # list made 24 MB)
+    # the peak of decode and validate: the pointer jumping holds one int32
+    # array of the grid, jumped in place, a one-byte code table and the
+    # one-byte ids of the last gather (6 MiB), plus one slice of 65,536
+    # cells: numpy's intp copy of its int32 indices and its buffered out
+    # (0.75 MiB). Two int32 arrays, two masks and a third gather for the
+    # ids peaked at 10.5 MiB; one take over the grid made 18 MiB
     s = identity_scheme(1024)
     for run in (decode, validate_scheme):
         run(s)
@@ -839,7 +880,7 @@ def test_decode_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 << 20, (run, peak)
+        assert peak < 8 << 20, (run, peak)
 
 
 def test_decoded_matrix_holds_one_byte_a_cell():

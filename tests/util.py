@@ -32,8 +32,11 @@ the grammar search's result must reproduce name for name and rule for rule;
 check that fills a Python list box by box and walks every copy chain cell
 by cell with ``walk_chains``, which the pointer-jumping check must match
 fault for fault; ``pointer_jumping_analyze_boxes``, that check as it was
-before self-overlapping boxes were written as exits, which the check must
-match in repr, root array and cycle cell; ``dict_encode_tokens``, the token
+before self-overlapping boxes were written as exits, and
+``two_array_analyze_boxes``, the check as it was before its rounds jumped in
+place in one array, which the check must match in repr, decoded ids and
+cycle cell; ``reference_decoded_cells``, the ids of an oracle's roots read
+one dict lookup a cell; ``dict_encode_tokens``, the token
 encoding that str()-ed every token and looked each up in a dict, which the
 encoding must match in ids, alphabet and error; ``TupleMatrix2D`` and
 ``TupleNdString``, the strings that stored a tuple of cell ids, which the
@@ -71,7 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
-from operator import add, le, mul, sub
+from operator import add, floordiv, le, mul, sub
 
 import numpy as np
 
@@ -101,7 +104,7 @@ from repet2d.grammar2d import (
     validate_grammar,
 )
 from repet2d.linearize import _ORDERS
-from repet2d.macroscheme import _FREE, MacroScheme2D, Phrase, SchemeCheck
+from repet2d.macroscheme import _FREE, MacroScheme2D, Phrase, SchemeCheck, _gather, _write_exits
 from repet2d.measures import AttractorCheck, AttractorSet, DeltaResult
 
 
@@ -1060,6 +1063,131 @@ def pointer_jumping_analyze_boxes(dims, explicit, boxes, size, describe):
             cur += int(step[cur])
         return fail("cycle", cur)
     return SchemeCheck(True, size), (root, tokens)
+
+
+def two_array_analyze_boxes(dims, explicit, boxes, size, describe):
+    """macroscheme.analyze_boxes as it was before the rounds jumped in
+    place: the steps turned into pointers beside a second int32 array of
+    the grid, each round gathered into the other array, a one-byte mask of
+    the explicit cells showed after each round whether every root was
+    explicit, and the tokens were read in a further gather (as
+    ``reference_decoded_cells`` reads them). Same returns as
+    ``reference_analyze_boxes``, the root as an int32 array."""
+
+    def fail(fault, at=None):
+        return SchemeCheck(False, size, *describe(fault, at)), None
+
+    d = len(dims)
+    if d < 1 or any(n < 1 for n in dims):
+        return fail("dims")
+    total = prod(dims)
+    if total > MAX_CELLS:
+        return fail("cap")
+    strides = [prod(dims[a + 1 :]) for a in range(d)]
+    origin = sum(strides)  # flat index of a position is sum(p * st) - origin
+
+    def inside(lo, hi):
+        """Are both corners of the box lo..hi (lo <= hi) in the grid?"""
+        return len(lo) == len(hi) == d and min(lo) >= 1 and all(map(le, hi, dims))
+
+    tokens = {}
+    for pos, tok in explicit.items():
+        pos = tuple(pos)
+        bad_token = not tok or str(tok).split() != [str(tok)]
+        if bad_token or not inside(pos, pos):
+            return fail("explicit", (pos, tok, bad_token, not inside(pos, pos)))
+        tokens[sum(map(mul, pos, strides)) - origin] = str(tok)
+    cells = list(tokens)
+    step = np.full(total, _FREE, dtype=np.int32)  # source cell minus cell
+    step[cells] = 0  # an explicit cell ends its chain at itself
+    grid = step.reshape(dims)
+    cuts = []  # the boxes written so far
+    shifts = []  # and the flat shift of each
+
+    def first_overlap():
+        """The cell an in-order fill of ``cuts`` finds taken: in the first
+        box that meets an earlier part, the first such cell in row-major
+        order."""
+        taken = np.zeros(dims, dtype=bool)
+        taken.flat[cells] = True
+        for cut in cuts:
+            view = taken[cut]
+            if view.any():
+                at = np.unravel_index(int(view.argmax()), view.shape)
+                return int(sum((c.start + a) * st for c, a, st in zip(cut, at, strides)))
+            view[...] = True
+        return None
+
+    def bounds_fault(k, lo, hi):
+        """Box k fails a bounds check: its fault, unless an earlier box
+        overlaps."""
+        cell = first_overlap()
+        if cell is not None:
+            return fail("overlap", cell)
+        ext = tuple(map(sub, hi, lo))
+        if min(ext, default=0) < 0:
+            return fail("inverted", k)
+        return fail("source" if inside(lo, hi) else "target", k)
+
+    covered = len(cells)
+    ones, threes = (1,) * d, (3,) * d
+    for k, (lo, hi, src) in enumerate(boxes):
+        ext = tuple(map(sub, hi, lo))
+        if not (
+            len(lo) == len(hi) == len(src) == d
+            and min(ext) >= 0
+            and min(lo) >= 1
+            and min(src) >= 1
+            and all(map(le, hi, dims))
+            and all(map(le, map(add, src, ext), dims))
+        ):
+            return bounds_fault(k, lo, hi)
+        cut = tuple(map(slice, map(sub, lo, ones), hi))
+        view = grid[cut]
+        shift = sum(map(mul, map(sub, src, lo), strides))
+        # jump when some chain makes 4 hops in the box, i.e. |offset| <=
+        # ext // 3 on every axis (the box then has 4 cells or more): shorter
+        # ones cost more numpy calls than the rounds they save, and the size
+        # test spares small boxes the per-axis one
+        if (
+            shift
+            and view.size >= 4
+            and all(map(le, map(abs, map(sub, src, lo)), map(floordiv, ext, threes)))
+        ):
+            _write_exits(view, tuple(map(sub, src, lo)), ext, shift)
+        else:
+            view.fill(shift)
+        covered += view.size
+        cuts.append(cut)
+        shifts.append(shift)
+    # the parts partition the grid iff their volumes add up and none is free
+    if covered != total or step.min() == _FREE:
+        cell = first_overlap()
+        if cell is not None:
+            return fail("overlap", cell)
+        free = np.flatnonzero(step == _FREE)
+        return fail("holes", (len(free), int(free[0])))
+    # after t rounds root[c] is 2^t hops down c's chain, or its end; the
+    # cell indices come from the buffer the first round overwrites
+    root, spare = step, np.arange(total, dtype=np.int32)
+    root += spare
+    ends = np.zeros(total, dtype=bool)
+    ends[cells] = True
+    at_root = np.empty_like(ends)
+    for _ in range(total.bit_length() + 1):
+        root, spare = _gather(root, root, spare), root
+        if _gather(ends, root, at_root).all():
+            return SchemeCheck(True, size), (root, tokens)
+    # rebuild the one-shift steps and walk the chain of the first cell that misses
+    cur, seen = int(at_root.argmin()), set()
+    step = np.zeros(total, dtype=np.int32)
+    grid = step.reshape(dims)
+    for cut, shift in zip(cuts, shifts):
+        grid[cut] = shift
+    while cur not in seen:
+        seen.add(cur)
+        cur += int(step[cur])
+    return fail("cycle", cur)
 
 
 def reference_b_exact(
