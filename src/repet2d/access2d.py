@@ -10,27 +10,26 @@ its light siblings contribute.
 
 A point query (``access``) binary-searches the deepest path node still
 containing the target cell and then hops into a light child whose expansion
-is at most half as large, so it makes at most floor(log2(rows*cols)) hops.
+is at most half as large, so it makes at most floor(log2(rows*cols)) hops
+(Bille et al., "Random access to grammar-compressed strings and trees",
+SICOMP 2015).
 
-A batch of queries (``access_many``) takes the same hops in rounds, one
-numpy pass per hop count, so floor(log2(rows*cols)) + 1 rounds answer every
-query (Bille et al., "Random access to grammar-compressed strings and
-trees", SICOMP 2015). Each call concatenates the margin arrays of every path
-into one sorted table keyed by (path, margin array, margin), so one
-``searchsorted`` per round finds the exit node of every active query along
-both axes; finished queries leave the batch.
+``access_many`` answers a list of queries by ``access`` one at a time,
+after checking that every one lies inside the expansion.
 
 A scan (``full_scan``, ``hop_bound_check``) is a traversal, not independent
 queries (Gasieniec et al., DCC 2005): when the index holds exactly the paths
 ``build_index`` derives, the grid has at most ``MAX_CELLS`` cells and the
 budget affords every row, one walk over the paths fills every cell's symbol
-id and hop count (``_fill``); otherwise the batched descents answer it.
+id and hop count (``_fill``); otherwise ``access`` answers it cell by cell,
+and the scan stops at the first cell ``access`` refuses.
 
 A scan charges ``cols`` steps of "access scan" per row, as a cell-by-cell
 scan that charges each row before reading it would: it reads the cells of
 the rows the budget can still afford, in row-major blocks of at most
-``_BLOCK`` cells, charges the rows it read up to the first mismatching cell,
-and charges the next row, which then raises, only when no row is affordable.
+``_BLOCK`` cells, charges the rows it read up to the first mismatching or
+refused cell, and charges the next row, which then raises, only when no row
+is affordable.
 """
 
 from __future__ import annotations
@@ -38,13 +37,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .budget import WorkBudget, charge_each, ensure_budget
 from .core2d import MAX_CELLS, Position, id_dtype
-from .errors import BadParam, OutOfBounds, TooLarge
+from .errors import BadParam, OutOfBounds
 from .grammar2d import Grammar2D, GrammarInfo, _rhs_key, expand_ids, validate_grammar
 
 # The repr of HeavyPath, AccessIndex and ScanReport is what the benchmark's
@@ -219,143 +219,22 @@ def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
         hops += 1
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """The index as int arrays for batched descents. Variables are numbered
-    in rule order, symbols by their position in ``tokens`` (sorted).
-
-    ``keys`` concatenates per variable its u, d, l and r margins, the a-th
-    of its four arrays raised by (4·variable + a)·``width``, so the table is
-    sorted and no array's keys reach the next one's. ``path`` has one row
-    per variable: the keys searched for y - 1 above y0 (``+ y``) and for
-    rows - y below it (``- y``), the same for x, the table positions of its
-    four arrays, y0, x0, the path length k, the row of its first node in
-    ``node``, and its symbol id. ``node`` has one row per path node: the u
-    and l margins, whether the node's rule glues rows, the first child's
-    extent along the rule's axis, the modulus that maps a run's copies onto
-    the first (``width`` for a concatenation, where it changes nothing), and
-    the first and second child (the first again for runs)."""
-
-    axiom: int
-    tokens: tuple[str, ...]
-    keys: np.ndarray
-    path: np.ndarray
-    node: np.ndarray
-
-
 def _symbols(index: AccessIndex) -> tuple[str, ...]:
     """The symbols the paths end in, sorted: a scan's symbol ids index them."""
     return tuple(sorted({p.symbol for p in index.paths.values()}))
 
 
-def _tables(index: AccessIndex) -> _Tables:
-    dims, paths = index.info.dims, index.paths
-    vid = {name: v for v, name in enumerate(paths)}
-    tokens = _symbols(index)
-    tid = {t: i for i, t in enumerate(tokens)}
-    # every margin and every searched value is below the largest extent
-    width = max(max(d) for d in dims.values()) + 2
-    if 4 * len(paths) * width > np.iinfo(np.int64).max:
-        raise TooLarge(
-            f"{index.rows}x{index.cols} expansion is too large for batched access"
-        )
-    moves = {}
-    for name, (_, axis, count, kids) in index.parts.items():
-        if kids:
-            ext = dims[kids[0]][axis - 1]
-            moves[name] = (axis == 1, ext, ext if count else width, vid[kids[0]], vid[kids[-1]])
-        else:
-            moves[name] = (0, 0, width, 0, 0)
-    path, node, margins = [], [], []
-    for v, (name, p) in enumerate(paths.items()):
-        (rows, cols), k, at = dims[name], len(p.names), 4 * len(node)
-        key = 4 * v * width
-        path.append((
-            key - 1, key + width + rows, key + 2 * width - 1, key + 3 * width + cols,
-            at, at + k, at + 2 * k, at + 3 * k,
-            p.y0, p.x0, k, len(node), tid[p.symbol],
-        ))
-        node += [(u, l, *moves[n]) for n, u, l in zip(p.names, p.u, p.l)]
-        margins += p.u + p.d + p.l + p.r
-    path = np.array(path, dtype=np.int64)
-    keys = np.array(margins, dtype=np.int64) + np.repeat(
-        np.arange(4 * len(paths), dtype=np.int64) * width, np.repeat(path[:, 10], 4)
-    )
-    return _Tables(
-        vid[index.grammar.axiom], tokens, keys, path, np.array(node, dtype=np.int64)
-    )
-
-
-def _descend(t: _Tables, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol ids and hop counts of the 1-based cells (y, x), by the rules
-    of ``access`` applied to every query still active, one hop a round."""
-    n = y.size
-    sym = np.empty(n, dtype=np.int64)
-    hops = np.empty(n, dtype=np.int64)
-    at = np.arange(n)
-    var = np.full(n, t.axiom, dtype=np.int64)
-    h = 0
-    while True:
-        above, below, left, right, su, sd, sl, sr, y0, x0, k, first, s = t.path.take(var, 0).T
-        down, across = y > y0, x > x0
-        pos = np.searchsorted(t.keys, np.concatenate((
-            np.where(down, below - y, above + y),
-            np.where(across, right - x, left + x),
-        )), "right")
-        i = np.where(y == y0, k, pos[:n] - np.where(down, sd, su))
-        j = np.where(x == x0, k, pos[n:] - np.where(across, sr, sl))
-        step = np.minimum(i, j)
-        end = step == k
-        node = first + step - 1
-        if end.any():
-            sym[at[end]] = s[end]
-            hops[at[end]] = h
-            go = ~end
-            at = at[go]
-            n = at.size
-            if not n:
-                return sym, hops
-            y, x, node = y[go], x[go], node[go]
-        # the cell leaves the heavy path below node ``step`` along the axis of
-        # its rule: into the other child of a concatenation or a later copy
-        # of a run
-        du, dl, rows, ext, mod, var, other = t.node.take(node, 0).T
-        y, x = y - du, x - dl
-        rows = rows > 0
-        c = (np.where(rows, y, x) - 1) % mod + 1
-        later = c > ext
-        c -= later * ext
-        y, x = np.where(rows, c, y), np.where(rows, x, c)
-        var = np.where(later, other, var)
-        h += 1
-        # each hop moves into a proper descendant of the variable, so a
-        # descent takes at most one round per variable unless the index's
-        # paths disagree with its grammar
-        if h == len(t.path):
-            raise BadParam(
-                f"access index paths disagree with the grammar: {n} cell(s) "
-                f"still unresolved after {h} rounds, one per variable"
-            )
-
-
 def access_many(
     index: AccessIndex, queries: Iterable[tuple[int, int]]
 ) -> list[tuple[str, int]]:
-    """``access`` for every 1-based (y, x) pair, in order, answered in at
-    most floor(log2(rows*cols)) + 1 batched rounds. Every pair is checked
-    before the first round: the first one outside the expansion raises.
-    An index whose paths disagree with its grammar raises ``BadParam`` once
-    a descent outlasts one round per variable."""
+    """``access`` for every 1-based (y, x) pair, in order. Every pair is
+    checked before the first is answered: the first one outside the
+    expansion raises."""
     queries = list(queries)
     for y, x in queries:
         if not (1 <= y <= index.rows and 1 <= x <= index.cols):
             raise _out_of_bounds(index, y, x)
-    if not queries:
-        return []
-    t = _tables(index)
-    yx = np.array(queries, dtype=np.int64)
-    sym, hops = _descend(t, yx[:, 0], yx[:, 1])
-    return list(zip(map(t.tokens.__getitem__, sym.tolist()), hops.tolist()))
+    return [access(index, y, x) for y, x in queries]
 
 
 def hop_bound(index: AccessIndex) -> int:
@@ -479,6 +358,24 @@ def _fill(index: AccessIndex, tokens: tuple[str, ...]) -> tuple[np.ndarray, np.n
     return sym.ravel(), hop.ravel()
 
 
+def _access_block(
+    index: AccessIndex, tokens: tuple[str, ...], cell: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, BadParam | None]:
+    """``access`` of the row-major cells ``cell`` to ``stop - 1``: their
+    symbol ids (into ``tokens``) and hop counts up to the first cell that
+    ``access`` refuses, and that refusal (None when every cell is answered)."""
+    answers, refused = [], None
+    try:
+        for y, x in map(divmod, range(cell, stop), repeat(index.cols)):
+            answers.append(access(index, y + 1, x + 1))
+    except BadParam as exc:
+        refused = exc
+    tid = {t: i for i, t in enumerate(tokens)}
+    sym = np.array([tid[s] for s, _ in answers], dtype=np.int64)
+    hops = np.array([h for _, h in answers], dtype=np.int64)
+    return sym, hops, refused
+
+
 def _scan(
     index: AccessIndex,
     budget: WorkBudget,
@@ -486,27 +383,22 @@ def _scan(
 ) -> ScanReport:
     """Access every cell in row-major order, charging each row, and count
     the cells per hop count; stop at the first cell whose symbol differs
-    from ``expected`` (the expansion's ids and their tokens). The cells come
-    from ``_fill`` or, for an index it does not take, from batched descents;
-    either way they are read a block at a time, so the report, the charges
-    and any fault are the same."""
+    from ``expected`` (the expansion's ids and their tokens), or raise the
+    ``BadParam`` of the first cell ``access`` refuses. The cells come from
+    ``_fill`` or, for an index it does not take, from ``access`` cell by
+    cell; either way they are read a block at a time, so the report, the
+    charges and any fault are those of calling ``access`` on each cell."""
     rows, cols = index.rows, index.cols
+    tokens = _symbols(index)
     if (
         rows * cols <= MAX_CELLS
         and (budget.limit - budget.used) // cols >= rows
         and _paths_are_derived(index)
     ):
-        tokens = _symbols(index)
         sym_all, hops_all = _fill(index, tokens)
-        read = lambda cell, stop: (sym_all[cell:stop], hops_all[cell:stop])
+        read = lambda cell, stop: (sym_all[cell:stop], hops_all[cell:stop], None)
     else:
-        t = _tables(index)
-        tokens = t.tokens
-
-        def read(cell: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            flat = np.arange(cell, stop, dtype=np.int64)
-            return _descend(t, flat // cols + 1, flat % cols + 1)
-
+        read = lambda cell, stop: _access_block(index, tokens, cell, stop)
     if expected is not None:
         ids, expected_tokens = expected
         ids = ids.ravel()
@@ -522,14 +414,18 @@ def _scan(
         stop = min(rows * cols, cell + _BLOCK, (charged + affordable) * cols)
         if stop <= cell:
             budget.charge(cols, "access scan")  # the next row is over the limit
-        sym, hops = read(cell, stop)
+        sym, hops, refused = read(cell, stop)
+        end = cell + sym.size
+        if refused is not None:
+            stop = end + 1  # the refused cell's row is charged before it raises
         if expected is not None:
-            want = ids[cell:stop] if to_mine is None else to_mine[ids[cell:stop]]
+            want = ids[cell:end] if to_mine is None else to_mine[ids[cell:end]]
             bad = np.flatnonzero(sym != want)
             if bad.size:
                 stop = cell + int(bad[0]) + 1
                 hops = hops[: bad[0] + 1]
                 mismatch = ((stop - 1) // cols + 1, (stop - 1) % cols + 1)
+                refused = None
         seen = np.bincount(hops, minlength=counts.size)
         seen[: counts.size] += counts
         counts = seen
@@ -537,24 +433,26 @@ def _scan(
         for _ in range(charged, read_rows):
             budget.charge(cols, "access scan")
         charged, cell = read_rows, stop
+        if refused is not None:
+            raise refused
     hist = Counter({h: n for h, n in enumerate(counts.tolist()) if n})
     return ScanReport(mismatch is None, max(hist), hop_bound(index), mismatch, hist)
 
 
 def hop_bound_check(index: AccessIndex, budget: WorkBudget | None = None) -> int:
     """Max hop count over all cells; callers compare it to hop_bound(). The
-    hops are filled by one walk over the paths, or found by batched descents
-    when the index is not what ``build_index`` derives, the grid is over
-    ``MAX_CELLS`` or the budget is short of every row."""
+    hops are filled by one walk over the paths, or read through ``access``
+    cell by cell when the index is not what ``build_index`` derives, the
+    grid is over ``MAX_CELLS`` or the budget is short of every row."""
     return _scan(index, ensure_budget(budget), None).max_hops
 
 
 def full_scan(index: AccessIndex, budget: WorkBudget | None = None) -> ScanReport:
     """Access every cell, compare against the full expansion, and record the
     worst hop count and the hop histogram of the cells scanned. The cells'
-    symbols and hops are filled by one walk over the paths, or found by
-    batched descents when the index is not what ``build_index`` derives or
-    the budget is short of every row."""
+    symbols and hops are filled by one walk over the paths, or read through
+    ``access`` cell by cell when the index is not what ``build_index``
+    derives or the budget is short of every row."""
     budget = ensure_budget(budget)
     g = index.grammar
     return _scan(index, budget, expand_ids(g.axiom, g.rules, index.info.dims, budget))

@@ -3,7 +3,8 @@
 A grammar has one rule per variable: a terminal (single symbol), a horizontal
 or vertical concatenation of two variables, or — in run-length grammars — a
 horizontal/vertical run X -> B^k with k >= 2. Size counts 1 per terminal rule
-and 2 per other rule; run exponents are charged separately by bit_size.
+and 2 per other rule; ``GrammarInfo.bit_size`` adds the bits of the run
+exponents.
 
 The d-dimensional rules (concatenation or run along an explicit axis) live
 here too: validation (resolve_dims) and expansion (expand_ids) read both rule
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget, stop_node
-from .core2d import MAX_CELLS, Matrix2D, TokenGrid, WindowIds, id_dtype
+from .core2d import Matrix2D, TokenGrid, WindowIds, check_cap, id_dtype
 from .errors import (
     BadParam,
     CycleDetected,
@@ -116,12 +117,6 @@ def rule_size(rule: Rule | RuleNd) -> int:
     return 1 if isinstance(rule, Terminal) else 2
 
 
-def rule_bit_size(rule: Rule) -> int:
-    """Like rule_size but additionally charges the bits of run exponents."""
-    count = _rhs_key(rule)[2]
-    return 2 + count.bit_length() if count else rule_size(rule)
-
-
 def _rhs_key(rule: Rule | RuleNd) -> tuple:
     """The rule as (token, axis, count, children); two rules have the same
     right-hand side iff their keys are equal."""
@@ -139,10 +134,6 @@ class Grammar2D:
     @property
     def size(self) -> int:
         return sum(rule_size(r) for r in self.rules.values())
-
-    @property
-    def bit_size(self) -> int:
-        return sum(rule_bit_size(r) for r in self.rules.values())
 
     @property
     def is_runlength(self) -> bool:
@@ -273,11 +264,7 @@ def expand_ids(
     charging its cell count."""
     budget = ensure_budget(budget)
     shape = dims[axiom]
-    if prod(shape) > MAX_CELLS:
-        raise TooLarge(
-            f"expansion is {'x'.join(map(str, shape))}; refusing more "
-            f"than {MAX_CELLS} cells"
-        )
+    check_cap(shape)
     parts = {name: _rhs_key(rule) for name, rule in rules.items()}
     order = list(_postorder({n: key[3] for n, key in parts.items()}, [axiom]))
     tokens = tuple(sorted(parts[n][0] for n in order if parts[n][0] is not None))

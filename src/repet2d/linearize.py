@@ -28,8 +28,6 @@ DS = "ds"
 US = "us"
 LS = "ls"
 
-SCAN_KINDS = (LS, RS, US, DS)
-
 # Quadrant visit order per scan kind.  Each entry is (dy, dx, kind) where
 # (dy, dx) selects the quadrant in units of the half side; the listed
 # order keeps the traversal continuous and exits on the advertised side.

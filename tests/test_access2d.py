@@ -21,7 +21,7 @@ from repet2d import (
 from repet2d import access2d
 from repet2d.access2d import HeavyPath
 from repet2d.accept import random_grammar, sample_rlslp, sample_slp
-from repet2d.errors import BadParam, DanglingVariable, OutOfBounds, ShapeTooLarge, TooLarge
+from repet2d.errors import BadParam, DanglingVariable, OutOfBounds, ShapeTooLarge
 from repet2d.grammar2d import Grammar2D, Horiz, RunH, RunV, Terminal, Vert
 
 from test_cli import ENV
@@ -58,12 +58,12 @@ def test_access_random_grammars():
 
 
 def _outcome(fn, index, budget):
-    """The report of a scan, or the text of the budget fault it raised, with
-    the steps used either way."""
+    """The report of a scan, or the class and text of the budget fault or
+    refused cell it raised, with the steps used either way."""
     try:
         out = fn(index, budget)
-    except ShapeTooLarge as exc:
-        return f"raised {exc}", budget.used
+    except (ShapeTooLarge, BadParam) as exc:
+        return f"raised {type(exc).__name__}: {exc}", budget.used
     return repr(out), sorted(getattr(out, "histogram", {}).items()), budget.used
 
 
@@ -92,13 +92,13 @@ def _corrupted_paths(index, name, rng):
     return options
 
 
-def _answers(index):
-    """``access`` of every cell in row-major order, or None when a cell
-    makes it raise BadParam, as a corrupted index can."""
+def _answers(fn, *args):
+    """What ``fn(*args)`` returns, or the class and text of the BadParam it
+    raises, as ``access`` does on a cell a corrupted index sends astray."""
     try:
-        return [access(index, y, x) for y in range(1, index.rows + 1) for x in range(1, index.cols + 1)]
-    except BadParam:
-        return None
+        return fn(*args)
+    except BadParam as exc:
+        return type(exc).__name__, str(exc)
 
 
 def test_index_and_scans_equal_the_class_switching_oracle():
@@ -108,7 +108,7 @@ def test_index_and_scans_equal_the_class_switching_oracle():
     grammars += [build_zeros_rlslp(n) for n in (2, 3, 16)]
     grammars += [sample_slp(), sample_rlslp()]
     grammars += [random_grammar(rng, allow_runs=i % 4 != 0) for i in range(200)]
-    corrupted = mismatched = faults = 0
+    corrupted = refused = mismatched = faults = 0
     for n, g in enumerate(grammars):
         got_ledger, want_ledger = Ledger(), Ledger()
         idx = build_index(g, got_ledger)
@@ -126,33 +126,44 @@ def test_index_and_scans_equal_the_class_switching_oracle():
         assert got_ledger.steps == want_ledger.steps
         assert scan.histogram == ref.histogram
         assert hop_bound_check(idx) == scan.max_hops
-        # the batched scan also agrees with the cell-by-cell scan on indexes
-        # that give wrong answers, and stops at the same budget fault
-        indexes = [idx]
-        for bad in _corruptions(idx, rng):
-            bad_answers = _answers(bad)
-            if bad_answers is not None:
-                assert access_many(bad, cells) == bad_answers
-                indexes.append(bad)
-                corrupted += 1
+        # the scans and access_many also agree with access cell by cell on
+        # indexes that give wrong answers or refuse a cell, and stop at the
+        # same mismatch, refused cell or budget fault
+        indexes = [idx, *_corruptions(idx, rng)]
+        corrupted += len(indexes) - 1
         expansion = want_ledger.steps["grammar expansion"]
         for index in indexes:
-            got = _outcome(full_scan, index, Ledger())
-            assert got == _outcome(reference_full_scan, index, Ledger()), format(g)
-            mismatched += "matches=False" in got[0]
-            if n % 8:
-                continue
-            for k in range(idx.rows + 1):
-                for limit in {expansion + k * idx.cols + d for d in (-1, 0, 1)} - {0}:
-                    got = _outcome(full_scan, index, WorkBudget(limit=limit))
-                    assert got == _outcome(reference_full_scan, index, WorkBudget(limit=limit))
+            point = _answers(lambda: [access(index, y, x) for y, x in cells])
+            assert _answers(access_many, index, cells) == point, format(g)
+            refused += isinstance(point, tuple)
+            offsets = [None]  # no limit
+            if n % 8 == 0:
+                offsets += [k * idx.cols + d for k in range(idx.rows + 1) for d in (-1, 0, 1)]
+            for offset in offsets:
+                for scan, reference, base in (
+                    (full_scan, reference_full_scan, expansion),
+                    (hop_bound_check, _reference_max_hops, 0),
+                ):
+                    limit = None if offset is None else base + offset
+                    if limit is not None and limit < 1:
+                        continue
+                    got = _outcome(scan, index, _budget(limit))
+                    assert got == _outcome(reference, index, _budget(limit)), (format(g), limit)
+                    mismatched += "matches=False" in got[0]
                     faults += got[0].startswith("raised")
-                scan_limit = k * idx.cols + 1
-                assert _outcome(hop_bound_check, index, WorkBudget(limit=scan_limit)) == _outcome(
-                    lambda i, b: reference_scan(i, b, None).max_hops, index, WorkBudget(limit=scan_limit)
-                )
-    # 516 corrupted indexes, 192 scans that stop at a mismatch, 824 faults
-    assert corrupted > 400 and mismatched > 150 and faults > 600, (corrupted, mismatched, faults)
+    # 550 corrupted indexes, 34 of them refusing a cell, 342 scans that stop
+    # at a mismatch, 1711 that raise
+    assert corrupted > 400 and refused > 0 and mismatched > 150 and faults > 600, (
+        corrupted, refused, mismatched, faults
+    )
+
+
+def _budget(limit):
+    return Ledger() if limit is None else WorkBudget(limit=limit)
+
+
+def _reference_max_hops(index, budget):
+    return reference_scan(index, budget, None).max_hops
 
 
 def test_scan_step_ledger_is_pinned():
@@ -166,18 +177,24 @@ def test_scan_step_ledger_is_pinned():
         assert ledger.steps == pinned
 
 
+def _spied(monkeypatch):
+    """The sizes of the blocks the scans read through ``access``, as they
+    read them."""
+    calls = []
+    block = access2d._access_block
+    monkeypatch.setattr(
+        access2d,
+        "_access_block",
+        lambda index, tokens, cell, stop: calls.append(stop - cell) or block(index, tokens, cell, stop),
+    )
+    return calls
+
+
 def test_scan_reads_one_block_at_a_time(monkeypatch):
     # 2^24 cells: the scan reads only the rows the budget affords and stops
     # at the first row over it, without holding more than a block of cells
     idx = build_index(build_zeros_rlslp(4096))
-    read = []
-    descend = access2d._descend
-
-    def counted(t, y, x):
-        read.append(y.size)
-        return descend(t, y, x)
-
-    monkeypatch.setattr(access2d, "_descend", counted)
+    read = _spied(monkeypatch)
     exc = raises(ShapeTooLarge, hop_bound_check, idx, WorkBudget(limit=3 * 4096 + 1))
     assert str(exc) == "work budget exceeded during access scan: 16384 > limit 12289"
     assert read == [3 * 4096]
@@ -194,19 +211,12 @@ def test_scan_reads_one_block_at_a_time(monkeypatch):
     assert peak < 32 << 20, peak
 
 
-def _spied(monkeypatch):
-    """The sizes of the batched descents the scans make, as they make them."""
-    calls = []
-    descend = access2d._descend
-    monkeypatch.setattr(access2d, "_descend", lambda t, y, x: calls.append(y.size) or descend(t, y, x))
-    return calls
-
-
 def test_filled_scans_equal_the_block_descent_and_the_cell_by_cell_scan(monkeypatch):
     # on every index build_index makes, with a budget for every row, the
-    # scans fill the grid and never descend; their reports, histograms and
-    # ledgers equal those of the block descent and, on grids of at most
-    # 2^12 cells, those of the scan that calls access cell by cell
+    # scans fill the grid and never call access; their reports, histograms
+    # and ledgers equal those of the scans read through access a block at
+    # a time and, on grids of at most 2^12 cells, those of the scan that
+    # calls access cell by cell
     rng = random.Random(27)
     grammars = [build_ek_grammar(k) for k in range(1, 9)] + [build_bk_grammar(k) for k in (1, 2, 3)]
     grammars += [sample_slp(), sample_rlslp(), deep_grammar(3000)]
@@ -232,13 +242,13 @@ def test_filled_scans_equal_the_block_descent_and_the_cell_by_cell_scan(monkeypa
             ref = reference_full_scan(idx, ref_ledger)
             assert repr(got) == repr(ref) and got.histogram == ref.histogram
             assert (got_ledger.steps, got_ledger.calls) == (ref_ledger.steps, ref_ledger.calls)
-    # an unreachable variable too large for the descent's keys stops
-    # access_many, but no longer a scan, which fills what the axiom reaches
+    # an unreachable variable with 2^124 cells: the scans fill what the
+    # axiom reaches, and access_many answers as access does
     g = Grammar2D("S", {"S": Horiz("Z", "O"), "O": Terminal("1"), "X": RunV(2**62, "Y"),
                         "Y": RunH(2**62, "Z"), "Z": Terminal("0")})
     idx = build_index(g)
     assert full_scan(idx).ok and hop_bound_check(idx) == 1 and not calls
-    raises(TooLarge, access_many, idx, [(1, 1)])
+    assert access_many(idx, [(1, 1), (1, 2)]) == [access(idx, 1, 1), access(idx, 1, 2)] == [("0", 0), ("1", 1)]
 
 
 def _lighter_path(index, name):
@@ -260,9 +270,10 @@ def test_an_index_build_index_would_not_make_is_descended(monkeypatch):
     # every corruption of _corruptions, a path that names its variable again
     # in place of its heavy child, a path that follows the lighter child of
     # a concatenation, an extent one off and a grid one row too tall send
-    # both scans to the block descent; on a changed path, its report,
-    # histogram and ledger equal those of the cell-by-cell scan (which
-    # expands the grammar by the extents it derives, not the index's)
+    # both scans to access, a block at a time; on a changed path, the
+    # report, histogram and ledger of full_scan, or the cell access
+    # refuses, equal those of the cell-by-cell scan (which expands the
+    # grammar by the extents it derives, not the index's)
     rng = random.Random(31)
     grammars = [build_ek_grammar(k) for k in (2, 3, 4)] + [build_bk_grammar(2), build_zeros_rlslp(5)]
     grammars += [sample_slp(), sample_rlslp()] + [random_grammar(rng) for _ in range(30)]
@@ -294,14 +305,15 @@ def test_an_index_build_index_would_not_make_is_descended(monkeypatch):
                 except BadParam:
                     pass
                 assert calls, (format(g), kind)
-            if index.info is idx.info and _answers(index) is not None:
+            if index.info is idx.info:
                 got = _outcome(full_scan, index, Ledger())
                 assert got == _outcome(reference_full_scan, index, Ledger()), (format(g), kind)
             kinds[kind] += 1
     assert set(kinds) == {"names", "u", "d", "l", "r", "symbol", "y0", "dims", "rows"}, kinds
     # S glues A and B (2 x 1 each); a rule that glues A to the 1 x 1 X keeps
     # every extent sum along the glued axis, but not the rows. That index, a
-    # budget one step short of every row, and a grid over the cap descend
+    # budget one step short of every row, and a grid over the cap are read
+    # through access
     g = Grammar2D("S", {"S": Horiz("A", "B"), "A": Vert("X", "Y"), "B": Vert("Y", "X"),
                         "X": Terminal("0"), "Y": Terminal("1")})
     idx = build_index(g)
@@ -309,10 +321,10 @@ def test_an_index_build_index_would_not_make_is_descended(monkeypatch):
     ek = build_index(build_ek_grammar(4))
     need = Ledger()
     report = full_scan(ek, need)
-    for index, limit, descends in ((glued, need.limit, True), (ek, need.used - 1, True), (ek, need.used, False)):
+    for index, limit, through_access in ((glued, need.limit, True), (ek, need.used - 1, True), (ek, need.used, False)):
         calls.clear()
         _outcome(full_scan, index, WorkBudget(limit=limit))
-        assert bool(calls) == descends, (format(index.grammar), limit)
+        assert bool(calls) == through_access, (format(index.grammar), limit)
     monkeypatch.setattr(access2d, "MAX_CELLS", ek.rows * ek.cols - 1)
     calls.clear()
     assert hop_bound_check(ek) == report.max_hops and calls
@@ -350,10 +362,11 @@ def test_access_bounds_checked():
     # every pair is checked first; the first bad one names itself as access does
     exc = raises(OutOfBounds, access_many, idx, [(1, 1), (1, 7), (0, 1)])
     assert str(exc) == str(raises(OutOfBounds, access, idx, 1, 7))
-    # margins keyed per path must stay below 2^63
+    # margins past 2^63 are Python ints, in access and access_many alike
     huge = build_index(build_zeros_rlslp(2**62))
     assert access(huge, 2**62, 1) == ("0", 1)
-    raises(TooLarge, access_many, huge, [(1, 1)])
+    queries = [(1, 1), (2**62, 1), (2**61 + 3, 2**62)]
+    assert access_many(huge, queries) == [access(huge, y, x) for y, x in queries]
 
 
 def test_build_index_validates():
@@ -396,8 +409,9 @@ def test_budget_applies_to_scan():
 
 def test_descent_on_an_index_that_disagrees_with_its_grammar_stops():
     # the axiom's y0 moved below its expansion: a cell's step comes out 0,
-    # so a descent without a round bound would cycle forever; run in a child
-    # so that a hang fails the test instead of stalling the suite
+    # so a descent without a bound would cycle forever; each call raises
+    # access's refusal of the first cell it reaches in its order. Run in a
+    # child so that a hang fails the test instead of stalling the suite
     code = """
 from dataclasses import replace
 from repet2d import build_ek_grammar, build_index, access_many, full_scan, hop_bound_check
@@ -415,11 +429,9 @@ for fn, arg in ((access_many, [(1, 1), (2, 3)]), (full_scan, None), (hop_bound_c
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
     )
     assert r.returncode == 0, r.stderr
-    rounds = len(build_index(build_ek_grammar(3)).paths)
     assert r.stdout.splitlines() == [
-        f"access index paths disagree with the grammar: {n} cell(s) still unresolved "
-        f"after {rounds} rounds, one per variable"
-        for n in (1, 10, 10)
+        f"access index paths disagree with the grammar at cell {cell} after 1 hop(s)"
+        for cell in ((2, 3), (2, 2), (2, 2))
     ], r.stdout
 
 

@@ -6,6 +6,7 @@ import sys
 from repet2d import (
     Grammar2D,
     Matrix2D,
+    WorkBudget,
     alt,
     bk,
     build_bk_grammar,
@@ -17,6 +18,7 @@ from repet2d import (
     expand,
     format_grammar,
     from_grammar,
+    full_scan,
     g_exact,
     grammar_tree,
     identity,
@@ -33,6 +35,7 @@ from repet2d.errors import (
     DuplicateRHS,
     ParseError,
     Repet2dError,
+    TooLarge,
 )
 from repet2d import access2d, grammar2d
 from repet2d.grammar2d import Horiz, RunH, Terminal, Vert, _ContentTable, _grammar_from_contents
@@ -87,7 +90,8 @@ def test_validation_reads_each_rule_once(monkeypatch):
     reads.clear()
     info = validate_grammar(g)
     assert len(reads) == len(g.rules)
-    assert (info.size, info.bit_size, info.is_runlength) == (8, g.bit_size, True)
+    # bit_size adds the bits of the run exponents 3 and 4 to the size: 8 + 2 + 3
+    assert (info.size, info.bit_size, info.is_runlength) == (8, 13, True)
 
 
 def test_dims_keep_the_recursive_resolution_order():
@@ -190,6 +194,18 @@ def test_expand_fixtures():
         assert expand(build_ek_grammar(k)) == ek(k)
     for k in (1, 2, 3):
         assert expand(build_bk_grammar(k)) == bk(k)
+
+
+def test_expansions_over_the_cell_cap_raise_before_any_work():
+    # the 2D and dD expansions and the scan's expansion all check the cap
+    # with core2d.check_cap: one check, one message
+    g = build_zeros_rlslp(4097)
+    idx = build_index(g)
+    for fn, arg in ((expand, g), (expand_nd, grammar_to_nd(g)), (full_scan, idx)):
+        budget = WorkBudget()
+        exc = raises(TooLarge, fn, arg, budget)
+        assert str(exc) == "4097x4097 exceeds the 16777216-cell cap", fn
+        assert budget.used == 0, fn
 
 
 def test_builder_sizes():

@@ -4,7 +4,6 @@ from repet2d import alt, ek, identity, is_attractor, zeros
 from repet2d.core2d import Matrix2D
 from repet2d.errors import BadParam, NotPowerOfTwoSquare
 from repet2d.linearize import (
-    SCAN_KINDS,
     ek_rlin_attractor,
     onerun_certificate,
     phlin,
@@ -16,6 +15,9 @@ from repet2d.linearize import (
 from repet2d.measures import delta
 
 from util import mat, random_matrix, stack_scan_coords, tuple_scan
+
+# the four scans, named after the side they finish on
+SCAN_KINDS = ("ls", "rs", "us", "ds")
 
 
 def word(m: Matrix2D) -> str:

@@ -1,7 +1,7 @@
 """The package namespace: every public name is imported from its submodule
 on first access, ``import repet2d`` alone loads no submodule, every
-submodule reads each name it imports, and every function reads each of its
-parameters."""
+submodule reads each name it imports or assigns at module level, and every
+function reads each of its parameters."""
 
 import ast
 import importlib
@@ -113,6 +113,33 @@ def test_every_module_level_private_function_and_class_is_read():
     assert private and not unread, f"private helpers nothing reads: {unread}"
     unread = {name: line for name, line in public.items() if name not in read}
     assert public and not unread, f"public names outside __all__ that nothing reads: {unread}"
+
+
+def test_every_module_level_assignment_is_read():
+    # a constant or table that no code of the package reads is left over
+    # from code that went away; a read inside its own assignment does not
+    # count, and dunder names are read by Python itself
+    bound, read = {}, set()
+    for path in sorted(pathlib.Path(repet2d.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = set()
+            if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                own = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                for name in own:
+                    bound.setdefault(name, (path.name, top.lineno))
+            read |= {
+                node.attr if isinstance(node, ast.Attribute) else node.id
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute)
+                or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            } - own
+    unread = {
+        name: where
+        for name, where in bound.items()
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert bound and not unread, f"module-level names nothing reads: {unread}"
 
 
 def test_every_parameter_is_read():
