@@ -166,7 +166,8 @@ def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
     """Symbol at 1-based (y, x) of the expansion, plus the number of
     light-child hops the query needed. An index whose paths disagree with
     its grammar raises ``BadParam`` once the cell falls outside the variable
-    it is in or the descent outlasts one hop per variable."""
+    it is in, the descent reaches a variable with no path or it outlasts one
+    hop per variable."""
     if not (1 <= y <= index.rows and 1 <= x <= index.cols):
         raise _out_of_bounds(index, y, x)
     qy, qx = y, x
@@ -175,7 +176,11 @@ def access(index: AccessIndex, y: int, x: int) -> tuple[str, int]:
     var = index.grammar.axiom
     hops = 0
     while True:
-        path = index.paths[var]
+        path = index.paths.get(var)
+        if path is None:
+            raise BadParam(
+                f"access index has no path of {var!r} at cell ({qy}, {qx}) after {hops} hop(s)"
+            )
         m1, n1 = dims[var]
         k = len(path.names)
         if y == path.y0:

@@ -406,12 +406,37 @@ def submatrix(m: Matrix2D, i1: int, j1: int, i2: int, j2: int) -> Matrix2D:
 # ---------------------------------------------------------------------------
 
 
-#: the counting rank marks every possible pair id in a bool array; it beats
-#: the packed-key sort while that range is at most this many times the number
-#: of pairs (timed on 1,024 to 1,048,576 random pairs: 0.3-0.7x the sort's
-#: time at 2 times, 0.6-1.0x at 7-8 times, 1.5-2.1x at 10-12 times from
-#: 16,384 pairs; below about 4,096 pairs it stays ahead up to 12-24 times)
+#: the counting rank marks every possible pair id in a bool array and reads
+#: each pair's rank from a table over that range; up to this many entries
+#: (512 KiB) the table holds int64, the labels' dtype, so one gather gives
+#: the labels with no widening copy. A larger table holds int32 ranks (ids
+#: stay far below 2^31) and is widened after the gather: half the bytes, so
+#: the peak RSS of the benchmark's measure-mix worker stays where it was
+#: (38.3 MB; int64 tables up to 1 MiB raised it to 39.3), and short of the
+#: 4 MiB from which numpy advises huge pages, which a sparse scatter would
+#: touch in 2 MiB pages. Widening a 2^16-2^17-entry table's gather cost less
+#: in a replay of measure-mix's ranks than an int64 table did
+_INT64_TABLE = 1 << 16
+
+#: the counting rank beats the packed-key sort while the pair-id range is at
+#: most ``_COUNTING_RANGE`` times the number of pairs, or, up to a range of
+#: ``_SMALL_PASS_SPAN``, ``_SMALL_PASS_RANGE`` times: so up to 32 times up to
+#: 4,096 pairs, 16 times at 8,192 and 8 from 16,384. On the recorded ranks
+#: of the benchmark's measure-mix delta jobs (about 4,500 a seed), each
+#: timed alone on both paths (min of 5), counting took 0.5-0.9 times the
+#: sort's time at 12-32 times the pairs from 2,048 to 8,192 pairs and 0.7
+#: at 8 times at 16,384. Replayed in order (min of 10 alternating rounds, a
+#: 2-core VM), the calls of two seeds took 53.4 and 51.1 ms with this rule
+#: against 57.5 and 57.6 ms with 8 times for every size; 24 or 48 times in
+#: place of 32 were within 1% of it
 _COUNTING_RANGE = 8
+_SMALL_PASS_RANGE = 32
+_SMALL_PASS_SPAN = 1 << 17
+
+
+def _counting(n: int, span: int) -> bool:
+    """Whether ``_dense_rank`` ranks ``n`` ids below ``span`` by counting."""
+    return span <= _COUNTING_RANGE * n or span <= min(_SMALL_PASS_RANGE * n, _SMALL_PASS_SPAN)
 
 
 def _pair_rank(
@@ -429,19 +454,22 @@ def _dense_rank(combo: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense int64 ranks of the int64 ids ``combo`` (below ``span``) in
     value order, and the sorted distinct ids (one per rank).
 
-    A dense range is marked in a bool array. A sparse one is sorted once as
-    packed keys id << shift | position, whose low ``shift`` bits hold the
-    position: a run of equal ids is one rank, scattered back to the
-    positions in its low bits, and the id of each run is a distinct id.
-    Keys that would pass 63 bits (grids of about 2^21 cells) go to
-    np.unique instead."""
+    A range dense enough for ``_counting`` is marked in a bool array. A
+    sparser one is sorted once as packed keys id << shift | position, whose
+    low ``shift`` bits hold the position: a run of equal ids is one rank,
+    scattered back to the positions in its low bits, and the id of each run
+    is a distinct id. Keys that would pass 63 bits (grids of about 2^21
+    cells) go to np.unique instead."""
     n = combo.size
-    if span <= _COUNTING_RANGE * n:
+    if _counting(n, span):
         seen = np.zeros(span, dtype=bool)
         seen[combo] = True
         values = seen.nonzero()[0]
-        # int32 halves the table (ids stay far below 2^31); only the marked
-        # entries are written and read
+        # only the marked entries of the table are written and read
+        if span <= _INT64_TABLE:
+            ids = np.empty(span, dtype=np.int64)
+            ids[values] = np.arange(values.size)
+            return ids.take(combo), values
         ids = np.empty(span, dtype=np.int32)
         ids[values] = np.arange(values.size, dtype=np.int32)
         return ids[combo].astype(np.int64), values
@@ -456,9 +484,12 @@ def _dense_rank(combo: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     start = np.empty(n, dtype=bool)  # where a run of equal ids starts
     start[:1] = True
     np.not_equal(ids[1:], ids[:-1], out=start[1:])
+    values = ids[start]
+    start[:1] = False  # so the first run's rank is 0
+    key &= (1 << shift) - 1  # the positions
     labels = np.empty(n, dtype=np.int64)
-    labels[key & ((1 << shift) - 1)] = np.cumsum(start) - 1
-    return labels.reshape(combo.shape), ids[start]
+    labels[key] = np.cumsum(start)
+    return labels.reshape(combo.shape), values
 
 
 def _one_way(values: np.ndarray, b_range: int) -> bool:

@@ -320,7 +320,10 @@ def analyze_boxes(
     alphabet = tuple(sorted(set(tokens.values())))
     letters = len(alphabet)
     index = {tok: i for i, tok in enumerate(alphabet)}
-    code = np.full(total, letters, dtype=id_dtype(letters + 1))
+    # the code ``letters`` needs one more id than the letters: a uint16 table
+    # from 256 letters, half the int32 bytes id_dtype would give it
+    wide = 256 <= letters < 1 << 16
+    code = np.full(total, letters, dtype=np.uint16 if wide else id_dtype(letters + 1))
     code[cells] = list(map(index.__getitem__, tokens.values()))
     out = np.empty_like(code)
     for _ in range(total.bit_length() + 1):

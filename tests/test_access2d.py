@@ -435,6 +435,27 @@ for fn, arg in ((access_many, [(1, 1), (2, 3)]), (full_scan, None), (hop_bound_c
     ], r.stdout
 
 
+def test_a_descent_to_a_variable_with_no_path_raises_bad_param():
+    # S1's path removed: cells (1, 3) and (1, 4) descend into S1 after one
+    # hop, (1, 7) and (1, 8) after two, and every call that reaches one
+    # refuses it
+    idx = build_index(build_ek_grammar(3))
+    bad = replace(idx, paths={v: p for v, p in idx.paths.items() if v != "S1"})
+    message = "access index has no path of 'S1' at cell ({}, {}) after {} hop(s)"
+    for y, x, hops in ((1, 3, 1), (1, 4, 1), (1, 7, 2), (1, 8, 2)):
+        assert str(raises(BadParam, access, bad, y, x)) == message.format(y, x, hops)
+    assert access(bad, 1, 1) == access(idx, 1, 1)
+    exc = raises(BadParam, access_many, bad, [(1, 1), (1, 8), (1, 3)])
+    assert str(exc) == message.format(1, 8, 2)
+    # the scans stop where the cell-by-cell scan does, charging as much
+    for scan, oracle in ((full_scan, reference_full_scan),
+                         (hop_bound_check, lambda i, b: reference_scan(i, b, None))):
+        got, want = WorkBudget(), WorkBudget()
+        assert str(raises(BadParam, scan, bad, got)) == message.format(1, 3, 1)
+        assert str(raises(BadParam, oracle, bad, want)) == message.format(1, 3, 1)
+        assert got.used == want.used
+
+
 def test_point_access_on_an_index_that_disagrees_with_its_grammar_raises():
     # the axiom's y0 moved below its expansion, so cell (2, 3) leaves the
     # variable it descends into; and S2's path names its ancestor R3, so a

@@ -70,6 +70,7 @@ from util import (
     naive_factors,
     random_matrix,
     raises,
+    reference_dense_rank,
     reference_shape_labels,
     reference_window_ids,
     tokens_concat_h,
@@ -570,8 +571,15 @@ def test_window_ids_follow_token_order_and_equal_the_ranking(monkeypatch):
                 assert (a < b, a == b) == (x < y, x == y), (m, h, w)
 
 
+def _counting_limit(n):
+    """The largest pair-id range ``_dense_rank`` counts for ``n`` pairs: 32
+    times the pairs up to a range of 2^17, that range up to 16,384 pairs, 8
+    times the pairs from there."""
+    return max(8 * n, min(32 * n, 1 << 17))
+
+
 def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
-    # ranges below, at and above the counting threshold, 1 to 1000 pairs,
+    # ranges below, at and above the counting limit, 1 to 20,000 pairs,
     # contiguous arrays and strided slices like the ranking passes take; both
     # paths give the sorted distinct pair ids, and the determinism test read
     # off them agrees with the pairs themselves. Only the counting path calls
@@ -599,11 +607,10 @@ def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
         return path, answer
 
     rng = np.random.default_rng(11)
-    limit = core2d._COUNTING_RANGE
     answers = set()
-    for n in (1, 2, 7, 64, 1000):
+    for n in (1, 2, 7, 64, 1000, 4096, 5000, 16384, 20000):
         for extra in (-1, 0, 1):
-            span = limit * n + extra
+            span = _counting_limit(n) + extra
             for a_range, b_range in ((span, 1), (1, span), (span // 3, 3), (5, span // 5)):
                 if min(a_range, b_range) < 1:
                     continue
@@ -612,7 +619,7 @@ def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
                              (whole[::2, 0], whole[1::2, 1]),
                              (whole[:, 0].reshape(n, 2)[:, :1], whole[:, 1].reshape(n, 2)[:, 1:])):
                     path, answer = ranked(a, a_range, b, b_range)
-                    sort = a_range * b_range > limit * n
+                    sort = a_range * b_range > _counting_limit(n)
                     assert path == ([] if sort else ["zeros"])
                     answers.add((sort, answer))
     assert answers == {(False, False), (False, True), (True, False), (True, True)}
@@ -633,6 +640,59 @@ def test_pair_rank_paths_equal_the_unique_oracle(monkeypatch):
     assert values.tolist() == [0, 5, top]
 
 
+def test_dense_rank_equals_the_former_kernel_at_every_boundary():
+    # one id below and at each limit the kernel tells apart: the counting
+    # limit of small passes (32 times the pairs), of middle ones (a range
+    # of 2^17) and of large ones (8 times), the table that holds int64 (up
+    # to 2^16 entries) or int32, and the 63-bit keys past which the sort
+    # gives way to np.unique; on contiguous ids, a strided slice of them and
+    # a 2D slice of a larger grid
+    rng = np.random.default_rng(19)
+    cases = [
+        (1000, 32000),  # 32 times: counting, then the sort
+        (3000, 1 << 16),  # counting both, into an int64 then an int32 table
+        (4096, 1 << 17),  # 32 times and a range of 2^17
+        (8192, 1 << 17),  # a range of 2^17, 16 times
+        (20000, 160000),  # 8 times
+        (4, 1 << 61),  # keys of 63 bits, then 64
+    ]
+    checked = 0
+    for n, limit in cases:
+        for span in (limit, limit + 1):
+            # some repeated ids, the least and the largest among them
+            pool = np.unique(np.concatenate(([0, span - 1], rng.integers(0, span, size=n))))
+            whole = rng.choice(pool, size=(2 * n, 3))
+            whole[0, 0], whole[-1, -1] = 0, span - 1
+            strided = whole.reshape(-1)[: 2 * n : 2]
+            for combo in (np.ascontiguousarray(whole[:, 0][:n]), strided, whole[: n // 2 + 1, 1:]):
+                got, want = core2d._dense_rank(combo, span), reference_dense_rank(combo, span)
+                for x, y in zip(got, want):
+                    assert x.dtype == y.dtype and x.shape == y.shape, (n, span)
+                    assert np.array_equal(x, y), (n, span)
+                assert got[0].dtype == np.int64
+                checked += 1
+    assert checked == 36
+
+
+def test_a_counting_table_past_the_int64_cap_holds_four_bytes_an_entry():
+    # the first counting range past the 2^16-entry cap: 4,096 pairs over
+    # 100 ids below 2^16 + 1. Its table of int32 takes 256 KiB, one of
+    # int64 would take 512 KiB alone: tables that size raised the benchmark
+    # worker's peak RSS, and larger ones grow into numpy's huge-page range
+    span = (1 << 16) + 1
+    assert core2d._counting(4096, span)
+    combo = np.random.default_rng(5).choice(np.arange(0, span, span // 99), size=4096)
+    core2d._dense_rank(combo, span)
+    tracemalloc.start()
+    try:
+        labels, values = core2d._dense_rank(combo, span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.dtype == np.int64 and values.size == 100
+    assert peak < 8 * span, peak
+
+
 def test_chain_counts_equal_those_ranked_with_unique(monkeypatch):
     # the suffix sort's later levels have sparse pair-id ranges, which the
     # packed-key sort ranks; the counts and the step ledger equal those of
@@ -641,7 +701,7 @@ def test_chain_counts_equal_those_ranked_with_unique(monkeypatch):
     dense_rank = core2d._dense_rank
 
     def spy(combo, span):
-        sorted_levels.append(span > core2d._COUNTING_RANGE * combo.size)
+        sorted_levels.append(span > _counting_limit(combo.size))
         return dense_rank(combo, span)
 
     rng = np.random.default_rng(31)

@@ -883,6 +883,26 @@ def test_decode_peak_memory():
         assert peak < 8 << 20, (run, peak)
 
 
+def test_decode_over_256_letters_keeps_a_two_byte_code_table():
+    # 256 letters need a code of 256 for a cell not resolved yet, one past
+    # a byte: the code table and the gathered ids take 2 bytes a cell, not
+    # 4 (13.0 MiB at the peak of a 4096 x 256 decode with int32 ones), and
+    # 300 letters decode alike
+    for rows, cols, letters in ((4096, 256, 256), (64, 300, 300)):
+        explicit = {(1, j): f"t{j % letters:03}" for j in range(1, cols + 1)}
+        s = MacroScheme2D(rows, cols, explicit, (Phrase(2, 1, rows, cols, 1, 1),))
+        tracemalloc.start()
+        try:
+            m = decode(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == Matrix2D.from_tokens([[explicit[1, j] for j in range(1, cols + 1)]] * rows)
+        assert len(m.alphabet) == letters and validate_scheme(s).ok
+        if rows == 4096:
+            assert m.ids.dtype == np.uint8 and peak < 10 << 20, peak
+
+
 def test_decoded_matrix_holds_one_byte_a_cell():
     # decode(identity_scheme(1024)) keeps its one-byte id array and builds
     # no tuple of its 1M cells (the tuple alone was 8 MB); one cell read

@@ -47,6 +47,7 @@ from util import (
     raises,
     reference_coverage_masks,
     reference_delta,
+    reference_dense_rank,
     reference_gamma_lower_bound_unique,
     reference_is_attractor,
     reference_shape_labels,
@@ -553,6 +554,41 @@ def test_delta_steps_stay_at_most_the_recorded_ledger():
         assert set(ledger.steps) <= set(pinned), name
         for label, steps in ledger.steps.items():
             assert steps <= pinned[label], (name, label, steps)
+
+
+def test_delta_equals_the_one_crossover_rank_kernel(monkeypatch):
+    # the family, blocky and 1 x n inputs of the benchmark's measure mix,
+    # whose passes sit on both sides of every crossover of the rank kernel:
+    # the same repr and step ledger as under the kernel with one crossover
+    rng = np.random.default_rng(96)
+
+    def blocky(rows, cols, block):
+        small = rng.integers(0, 3, size=(-(-rows // block), -(-cols // block)))
+        return Matrix2D.from_tokens(small.repeat(block, 0).repeat(block, 1)[:rows, :cols].tolist())
+
+    inputs = [
+        (identity(64), False), (phlin(identity(64)), False), (identity(32), False),
+        (staircase(32), False), (diagpad(24, 40), False), (ek(6), False), (bk(3), False),
+        (bk(4), False), (ek(5), True), (staircase(16), True), (rlin(ek(5)), False),
+        (phlin(identity(32)), False), (blocky(64, 96, 8), False), (blocky(48, 48, 6), False),
+        (blocky(12, 12, 3), False),
+    ]
+    kernel, former_calls = core2d._dense_rank, []
+
+    def former(combo, span):
+        former_calls.append(span)
+        return reference_dense_rank(combo, span)
+
+    for m, square in inputs:
+        run = delta_square if square else delta
+        got_ledger, want_ledger = Ledger(), Ledger()
+        monkeypatch.setattr(core2d, "_dense_rank", kernel)
+        got = run(m, budget=got_ledger)
+        monkeypatch.setattr(core2d, "_dense_rank", former)
+        want = run(m, budget=want_ledger)
+        assert repr(got) == repr(want), (m.rows, m.cols, square)
+        assert got_ledger.steps == want_ledger.steps and got_ledger.calls == want_ledger.calls
+    assert len(former_calls) > 2000
 
 
 def _pass_only_delta(m, square_only, budget):

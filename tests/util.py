@@ -5,7 +5,11 @@ so the fast implementations are checked against independent code. The
 exceptions are the former implementations kept as oracles:
 ``unique_dense_rank``, the dense rank that sorted a sparse pair-id range
 with np.unique, which the suffix sort's counts must not tell apart from the
-packed-key sort; ``reference_shape_labels``, the 2D-only window ranking that
+packed-key sort; ``reference_dense_rank``, the rank kernel with one
+counting crossover for every pass size, an int32 table widened after its
+gather and a sort path that ranks from 1, which the kernel must match in
+labels, values, dtype and shape on both sides of each of its boundaries,
+and under which delta must give the same repr and ledger; ``reference_shape_labels``, the 2D-only window ranking that
 the d-axis ranking must reproduce id for id; ``reference_window_ids``, the
 window-id table that ranked each shape lazily on its own chain loop, which the table
 read off one ranking walk must match label for label and count for count,
@@ -84,7 +88,7 @@ from repet2d.access2d import AccessIndex, HeavyPath, ScanReport, SuffixForest, a
 from repet2d.blocktree2d import BlockNode, BlockTree, _fresh_sentinel, iter_nodes
 from repet2d.budget import WorkBudget, ensure_budget
 from repet2d.core2d import (
-    _COUNTING_RANGE, MAX_CELLS, RANKING_2D, FactorShape, Position, ShapeBox, TokenGrid, WindowIds,
+    MAX_CELLS, RANKING_2D, FactorShape, Position, ShapeBox, TokenGrid, WindowIds,
     _check_shape, rank_windows, submatrix,
 )
 from repet2d.core2d import _pair_rank as counting_pair_rank
@@ -239,19 +243,52 @@ def _pair_rank(a, b):
     return inv.reshape(a.shape).astype(np.int64)
 
 
+#: the one counting crossover the former rank kernels used: a pair-id range
+#: of at most this many times the number of pairs was counted
+FORMER_COUNTING_RANGE = 8
+
+
 def unique_dense_rank(combo, span):
     """``core2d._dense_rank`` as it was before a sparse range was ranked by
     one packed-key sort: a dense range is marked in a bool array, a sparse
     one is ranked by np.unique."""
-    if span > _COUNTING_RANGE * combo.size:
+    if span > FORMER_COUNTING_RANGE * combo.size:
         values, labels = np.unique(combo, return_inverse=True)
         return labels.reshape(combo.shape).astype(np.int64, copy=False), values
+    return _former_counting_rank(combo, span)
+
+
+def _former_counting_rank(combo, span):
     seen = np.zeros(span, dtype=bool)
     seen[combo] = True
     values = seen.nonzero()[0]
     ids = np.empty(span, dtype=np.int32)
     ids[values] = np.arange(values.size, dtype=np.int32)
     return ids[combo].astype(np.int64), values
+
+
+def reference_dense_rank(combo, span):
+    """``core2d._dense_rank`` as it was before its crossover depended on the
+    pass size: counting up to ``FORMER_COUNTING_RANGE`` times the pairs into
+    an int32 table, else one sort of packed keys id << shift | position,
+    ranked by a cumsum of the run starts minus 1; np.unique past 63 bits."""
+    n = combo.size
+    if span <= FORMER_COUNTING_RANGE * n:
+        return _former_counting_rank(combo, span)
+    shift = (n - 1).bit_length()
+    if (span - 1).bit_length() + shift > 63:
+        values, labels = np.unique(combo, return_inverse=True)
+        return labels.reshape(combo.shape).astype(np.int64, copy=False), values
+    key = combo.reshape(-1) << shift
+    key |= np.arange(n)
+    key.sort()
+    ids = key >> shift
+    start = np.empty(n, dtype=bool)
+    start[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=start[1:])
+    labels = np.empty(n, dtype=np.int64)
+    labels[key & ((1 << shift) - 1)] = np.cumsum(start) - 1
+    return labels.reshape(combo.shape), ids[start]
 
 
 def reference_shape_labels(m: Matrix2D, wanted, budget=None):
