@@ -19,12 +19,12 @@ ranks the (window id, next cell id) pairs, in linear time by marking them in
 a bool array over the pair-id range, or, when that range is sparse, by one
 sort of keys that pack each pair id with its position. No hashing is
 involved, so there are no collisions to resolve and results are
-deterministic. ``densest_shape`` (delta for any number of axes)
-walks the same passes over every shape without listing them, and ends a
-chain once the answer is settled, by saturation, by a bound stop or by
-determinism; all three prunings are exact. Block trees need only the
-squares whose side is a power of their arity, and rank those by doubling
-with the same pair rank instead (``blocktree2d``).
+deterministic. ``densest_shape`` (delta for any number of axes) walks the
+same passes over every shape without listing them, and ends a chain once
+the answer is settled, by a bound stop or by determinism; both prunings are
+exact. Block trees need only the squares whose side is a power of their
+arity, and rank those by doubling with the same pair rank instead
+(``blocktree2d``).
 
 A chain whose shapes need counts only, not labels (one along the first
 axis, or along an axis whose earlier extents are all 1, as on a 1 x n
@@ -579,7 +579,7 @@ def rank_windows(
     wanted: Iterable[Sequence[int]] | ShapeBox,
     budget: WorkBudget | None,
     what: Sequence[str],
-    stop: Callable[[int, tuple[int, ...]], bool] | None = None,
+    stop: Callable[[tuple[int, ...]], bool] | None = None,
     densest: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray | None, int]]:
     """Yield (shape, labels, count) for every wanted window shape of an id
@@ -593,10 +593,11 @@ def rank_windows(
     yielded in ascending order of their reversed tuples, and only the passes
     on the way to a wanted shape are made.
 
-    ``stop`` is asked before every pass with its axis and the shape it would
-    rank; when it answers true the chain along that axis ends there, so
-    neither that shape nor any later shape of the chain, nor any shape
-    reached through them, is ranked or yielded.
+    ``stop`` is asked before every pass with the shape it would rank, which
+    is (1, ..., 1, k, suffix) with k > 1, so the chain's axis is the number
+    of leading extents equal to 1; when it answers true the chain along
+    that axis ends there, so neither that shape nor any later shape of the
+    chain, nor any shape reached through them, is ranked or yielded.
 
     ``densest`` is set by ``densest_shape``'s walk over every shape, which
     needs a budget, and does two things. A chain also ends, unyielded, at
@@ -641,7 +642,7 @@ def rank_windows(
         for k in range(1, (node if every else max(node)) + 1):
             shape = (1,) * axis + (k,) + suffix
             if k > 1:
-                if stop is not None and stop(axis, shape):
+                if stop is not None and stop(shape):
                     return
                 if k == sort_at:
                     # runs[j]: the distinct runs of j windows of extent
@@ -688,100 +689,52 @@ def densest_shape(
     to the smallest volume, then to the smallest shape tuple.
 
     Windows are ranked by ``rank_windows``' passes, whose chains end as soon
-    as no shape left on them can change the answer. All three prunings are
+    as no shape left on them can change the answer. Both prunings are
     exact:
 
-    * saturation: once a shape s has count(s) >= W(s) - 1 (W(s) = prod(n_i -
-      k_i + 1) windows, so at most one pair of them equal), every shape
-      s' > s has count W(s'), since two equal windows of s' would give two
-      different pairs of equal windows of s; so s' needs no pass, and as
-      W(s') <= W(s) - 1 <= count(s) and vol(s') > vol(s), its value is
-      below that of s. s itself keeps its count.
-    * bound stop: count(s)/vol(s) <= W(s)/vol(s), which falls along every
-      axis, so a chain ends once that bound is strictly below the best value
-      so far; ties can still reach the smallest shape.
+    * bound stop: count(s)/vol(s) <= W(s)/vol(s) (W(s) = prod(n_i - k_i +
+      1) windows), which falls along every axis, so a chain ends once that
+      bound is strictly below the best value so far; ties can still reach
+      the smallest shape. With ``cubes_only`` the bound is read on the
+      cube the chain leads to.
     * determinism (not with ``cubes_only``): a chain ends at the first pass
       from t to t + e_a that pairs each window of t with one next slab only.
       Every shape left on the chain, and every shape reached from one
       through the axes before, has at most as many windows as its t-part,
       which was ranked or pruned, and a larger volume (module docstring), so
       its value is strictly lower. With ``cubes_only`` the t-parts of the
-      cubes left are not cubes, so they bound nothing. Such a chain leaves
-      no ``first_sat`` entry, which only means fewer chains end by
-      saturation.
+      cubes left are not cubes, so they bound nothing.
+
+    The shapes above a saturated one need no rule of their own. Once a
+    shape s has count(s) >= W(s) - 1 (at most one pair of equal windows),
+    each shape t above it has W(t) <= W(s) - 1 <= count(s) and vol(t) >
+    vol(s), so W(t)/vol(t) < count(s)/vol(s) <= best. s is yielded before
+    the stop at t is asked (shapes come in ascending order of their
+    reversed tuples), so the bound stop ends t's chain at t.
 
     A chain that needs counts only (along the first axis, or along an axis
     whose earlier extents are all 1) switches, once it has made
     ``_SORT_AFTER * ceil(log2 n)`` passes (n its extent), to one suffix
     sort of the lines of its last labels that counts the rest of its shapes
     at once (module docstring). Those counts are the ones its passes would
-    give, and they are read in chain order through the same stop,
-    saturation and best-value code, so value, shape and tie-break stay the
-    same; past the switch the determinism test is not made, which only
-    means the chain ends by the other two rules, both exact. The switch
-    reads only the extent and the passes made, so step ledgers stay
-    deterministic. It is off with ``cubes_only``.
+    give, and they are read in chain order through the same stop and
+    best-value code, so value, shape and tie-break stay the same; past the
+    switch the determinism test is not made, which only means the chain
+    ends by the bound stop, which is exact. The switch reads only the
+    extent and the passes made, so step ledgers stay deterministic. It is
+    off with ``cubes_only``.
     """
-    dims = grid.shape
-    sides = tuple(n + 1 for n in dims)
-
-    def windows(shape: tuple[int, ...]) -> int:
-        return prod(map(sub, sides, shape))  # prod(n - k + 1)
-
-    # Saturation is looked up per chain. A chain is keyed by (axis, the
-    # extents after it) and holds the shapes (1, ..., 1, k, extents);
-    # first_sat maps it to the smallest k whose shape saturates every larger
-    # one: it has count >= W - 1, or lies above such a shape. The next shape
-    # of a chain lies above such a shape iff the shape before it on the
-    # chain saturates or, for some later axis, the shape at k with that
-    # extent one lower does. Those chains come earlier in the order of
-    # reversed tuples, so their entries are final; one that ended on the
-    # bound before k has a bound above this chain's, which then ends this
-    # chain too.
-    first_sat: dict[tuple[int, tuple[int, ...]], int] = {}
-    # per chain, the smallest first_sat entry of those neighbour chains (past
-    # the chain's end when none), read once as the chain starts
-    near_sat: dict[tuple[int, tuple[int, ...]], int] = {}
-    sat_cube = min(dims) + 1  # the smallest cube extent with count >= W - 1
+    sides = tuple(n + 1 for n in grid.shape)
     best_count, best_vol, best_shape = 0, 1, ()
 
-    def stop(axis: int, shape: tuple[int, ...]) -> bool:
+    def stop(shape: tuple[int, ...]) -> bool:
         if cubes_only:
             # every wanted shape left on this chain is >= the next cube
-            k = shape[-1]
-            if k > sat_cube:
-                return True
-            low = (k,) * len(shape)
-        else:
-            k, after = shape[axis], shape[axis + 1 :]
-            chain = (axis, after)
-            near = near_sat.get(chain)
-            if near is None:
-                near = near_sat[chain] = min(
-                    (
-                        first_sat.get((axis, after[:j] + (e - 1,) + after[j + 1 :]), sides[axis])
-                        for j, e in enumerate(after)
-                        if e > 1
-                    ),
-                    default=sides[axis],
-                )
-            if first_sat.get(chain, k) < k or near <= k:
-                first_sat.setdefault(chain, k)
-                return True
-            low = shape
-        return windows(low) * best_vol < best_count * prod(low)
+            shape = (shape[-1],) * len(shape)
+        return prod(map(sub, sides, shape)) * best_vol < best_count * prod(shape)
 
-    walk = rank_windows(grid, ShapeBox(dims, cubes_only), budget, what, stop, not cubes_only)
-    for shape, labels, count in walk:
-        if count >= (windows(shape) if labels is None else labels.size) - 1:
-            if cubes_only:
-                sat_cube = min(sat_cube, shape[0])
-            else:
-                # the shape is on the chains of the axes up to its first
-                # extent above 1
-                first = next((i for i, k in enumerate(shape) if k > 1), len(shape) - 1)
-                for axis in range(first + 1):
-                    first_sat.setdefault((axis, shape[axis + 1 :]), shape[axis])
+    walk = rank_windows(grid, ShapeBox(grid.shape, cubes_only), budget, what, stop, not cubes_only)
+    for shape, _, count in walk:
         vol = prod(shape)
         gain = count * best_vol - best_count * vol
         if gain > 0 or gain == 0 and (vol, shape) < (best_vol, best_shape):

@@ -2,13 +2,13 @@
 
 delta is reported as an exact rational (Fraction) so argmax shapes are
 reproducible. It is ``core2d.densest_shape``, which skips the ranking passes
-that cannot change the answer (shapes above one with at most one pair of
-equal windows, which are all distinct; shapes whose window count bound is
-below the best value so far; and, except on squares only, shapes past a
-pass where every window extends in one way, whose windows are all fixed by
-a smaller shape) instead of making one pass per shape; all three prunings
-are exact, and each pass made is linear-time counting in the usual
-case of dense window ids. A long chain whose shapes need counts only (along
+that cannot change the answer (shapes whose window count bound is below the
+best value so far, which takes in every shape above one with at most one
+pair of equal windows; and, except on squares only, shapes past a pass
+where every window extends in one way, whose windows are all fixed by a
+smaller shape) instead of making one pass per shape; both prunings are
+exact, and each pass made is linear-time counting in the usual case of
+dense window ids. A long chain whose shapes need counts only (along
 the first axis, or along the row of a 1 x n string) switches after
 11 * ceil(log2 n) passes to one prefix-doubling suffix sort of its lines
 with LCPs, which gives the number of distinct length-k windows for every k
@@ -206,9 +206,9 @@ def _first_miss(
             sums = sums[lead + (slice(k, None),)] - sums[lead + (slice(-k),)]
         return sums.ravel() > 0
 
-    def stop(axis: int, shape: tuple[int, ...]) -> bool:
+    def stop(shape: tuple[int, ...]) -> bool:
         if cubes:
-            if axis < d - 1:
+            if max(shape[:-1], default=1) > 1:
                 return False  # the chain only leads to the cube asked about
             shape = (shape[-1],) * d
         return miss is not None and shape >= miss[0] or bool(hits(shape).all())
@@ -270,8 +270,9 @@ def _unique_windows(
     before: list[np.ndarray | None] = [None] * d
     end = list(dims)
 
-    def stop(axis: int, shape: tuple[int, ...]) -> bool:
-        return shape[axis] > end[axis]
+    def stop(shape: tuple[int, ...]) -> bool:
+        k = max(shape)
+        return k > end[shape.index(k)]
 
     windows: list[tuple[int, int, int]] = []
     for shape, labels, count in rank_windows(grid, lines, budget, what, stop):

@@ -5,9 +5,9 @@ axis varies fastest) in the same ``core2d.IdString`` storage as
 ``Matrix2D``, whose id array ``to_nd``/``to_2d`` share.  The algorithms
 are written once for any number of axes and the 2D functions are their
 d = 2 case: window ranking is the one loop ``core2d.rank_windows``, delta
-is ``core2d.densest_shape`` (which prunes the passes by its three exact
-rules: saturation, the bound stop and determinism, the last off only on
-cubes, which ``delta_nd`` never asks for), grammar validation
+is ``core2d.densest_shape`` (which prunes the passes by its two exact
+rules: the bound stop and determinism, the last off only on cubes, which
+``delta_nd`` never asks for), grammar validation
 and expansion are ``grammar2d.resolve_dims`` and ``grammar2d.expand_ids``
 (which read ``ConcatNd``/``RunNd`` and the 2D rules alike, with one
 ``Terminal``).  This module holds the dD types, the adapters of the public

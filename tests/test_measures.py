@@ -664,16 +664,17 @@ def test_delta_equals_the_pass_only_oracle_on_long_chains(monkeypatch):
 
 
 def test_delta_stops_where_the_pass_only_oracle_stops(monkeypatch):
-    # saturation of the neighbour chains is read once per chain; every stop
-    # answer, and so the step ledger, is the oracle's, on grids of 1 to 3
-    # axes (random, periodic, with a defect, blocky, families) whose chains
-    # all stay on passes
+    # the oracle also ends a chain by saturation, which the bound stop
+    # implies: every stop answer, and so the step ledger, is the oracle's,
+    # on grids of 1 to 4 axes (random, periodic, with a defect, blocky,
+    # families) whose chains all stay on passes, and on matrices with one
+    # pair of equal windows, where saturation first applies
     rank_windows = core2d.rank_windows
 
     def recording(answers):
         def walk(grid, wanted, budget, what, stop, *flags):
-            def asked(axis, shape):
-                answers.append((axis, shape, stop(axis, shape)))
+            def asked(shape):
+                answers.append((shape, stop(shape)))
                 return answers[-1][-1]
 
             return rank_windows(grid, wanted, budget, what, asked, *flags)
@@ -690,6 +691,10 @@ def test_delta_stops_where_the_pass_only_oracle_stops(monkeypatch):
         kind = ("periodic", "defect", "blocky")[trial % 3]
         m = repetitive_matrix(rng, rng.randint(1, 14), rng.randint(1, 14), kind, ("01", "012")[trial // 3 % 2])
         grids.append(m._grid)
+    for trial in range(40):
+        dims = tuple(rng.randint(1, 4) for _ in range(4))
+        grids.append(np.array([rng.randrange(1 + trial % 3) for _ in range(prod(dims))]).reshape(dims))
+    grids += [m._grid for m in _one_equal_pair_inputs(rng, 40)]
     for grid in grids:
         what = RANKING_2D if grid.ndim == 2 else ("window ranking",) * grid.ndim
         for cubes_only in (False, True):

@@ -1,7 +1,7 @@
 """The package namespace: every public name is imported from its submodule
 on first access, ``import repet2d`` alone loads no submodule, every
 submodule reads each name it imports or assigns at module level, and every
-function reads each of its parameters."""
+function reads each of its parameters and each name it binds."""
 
 import ast
 import importlib
@@ -167,3 +167,39 @@ def test_every_parameter_is_read():
             }
             unread += [(path.name, fn.lineno, name, p.arg) for p in params if p.arg not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_every_local_assignment_is_read():
+    # a name that a function binds and never reads, in itself or in a
+    # function nested in it, is state left over from code that went away.
+    # Names starting with _ are bound to be dropped, and a name declared
+    # nonlocal or global belongs to the scope that reads it
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = []
+    for path in sorted(pathlib.Path(repet2d.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, scopes):
+                continue
+            # the names the function binds itself, not those nested scopes bind
+            bound, outer, todo = {}, set(), list(ast.iter_child_nodes(fn))
+            while todo:
+                node = todo.pop()
+                if isinstance(node, (ast.Nonlocal, ast.Global)):
+                    outer.update(node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    bound.setdefault(node.id, node.lineno)
+                if not isinstance(node, scopes + (ast.ClassDef,)):
+                    todo.extend(ast.iter_child_nodes(node))
+            read = {
+                node.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            name = getattr(fn, "name", "<lambda>")
+            unread += [
+                (path.name, line, name, local)
+                for local, line in sorted(bound.items())
+                if local not in read | outer and not local.startswith("_")
+            ]
+    assert not unread, f"local names never read: {unread}"

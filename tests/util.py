@@ -16,8 +16,9 @@ read off one ranking walk must match label for label and count for count,
 charging no budget either; ``reference_delta``/``reference_delta_nd``,
 the delta that ranks every shape, which the pruned delta must reproduce in
 value and argmax shape; ``pass_only_densest_shape``, delta with every
-pruning but counting each shape by a ranking pass, which the delta whose
-long chains count from a suffix sort must reproduce in repr; ``reference_is_attractor`` and
+pruning and saturation as a rule of its own but counting each shape by a
+ranking pass, which the delta whose long chains count from a suffix sort
+must reproduce in repr and whose stop answers the delta must reproduce; ``reference_is_attractor`` and
 ``reference_gamma_lower_bound_unique``, the attractor check and the
 unique-factor bound that rank every shape, which the early-stopping ones
 must reproduce in result with no more steps per label;
@@ -590,7 +591,7 @@ def two_axis_is_attractor(m: Matrix2D, candidate, square_only=False, budget=None
 
     failure = None
     for (k1, k2), labels, count in rank_windows(
-        m._grid, ShapeBox((rows, cols), square_only), budget, RANKING_2D, stop
+        m._grid, ShapeBox((rows, cols), square_only), budget, RANKING_2D, axis_stop(stop)
     ):
         flat = labels.ravel()
         hit_count = np.bincount(flat[hits(k1, k2)], minlength=count)
@@ -639,7 +640,8 @@ def two_axis_unique_windows(m: Matrix2D, budget) -> list[tuple[int, int, int, in
         return k2 > wide_end if axis == 1 else k2 == 1 and k1 > tall_end
 
     windows = []
-    for (k1, k2), labels, count in rank_windows(m._grid, sorted(shapes), budget, RANKING_2D, stop):
+    walk = rank_windows(m._grid, sorted(shapes), budget, RANKING_2D, axis_stop(stop))
+    for (k1, k2), labels, count in walk:
         unique = (np.bincount(labels.ravel(), minlength=count) == 1)[labels]
         keep = unique
         if k2 == 1:
@@ -676,6 +678,13 @@ def two_axis_gamma_lower_bound_unique(m: Matrix2D, budget=None) -> int:
     return taken
 
 
+def axis_stop(stop):
+    """A stop written as ``stop(axis, shape)``, as ``rank_windows`` asks
+    it, with the shape only. It asks at shapes (1, ..., 1, k, suffix) with
+    k > 1, so the axis is the number of leading extents equal to 1."""
+    return lambda shape: stop(next(i for i, k in enumerate(shape) if k > 1), shape)
+
+
 def reference_delta_nd(x, budget=None):
     """(value, shape) of dD delta over every window shape; ties go to the
     smallest volume, then the smallest shape tuple."""
@@ -695,7 +704,15 @@ def pass_only_densest_shape(grid, cubes_only, budget, what):
     must return the same (value, shape) and, where no chain switches, the
     same step ledger. The shapes go to ``rank_windows`` as a list, which
     keeps the determinism stop of its ``densest`` walk but never sorts a
-    chain: only a ``ShapeBox`` of every shape does."""
+    chain: only a ``ShapeBox`` of every shape does.
+
+    It keeps saturation as a rule of its own, which the library leaves to
+    its bound stop: a chain ends at a shape t above a shape s already
+    yielded with count(s) >= W(s) - 1 (W the number of window positions).
+    That t has W(t) <= W(s) - 1 <= count(s) and vol(t) > vol(s), so its
+    bound W(t)/vol(t) is below count(s)/vol(s) <= best and the bound stop
+    ends the chain there too. So the library must answer every stop as this
+    one does, and a bound stop that missed such a t would show."""
     dims = grid.shape
 
     def windows(shape: tuple[int, ...]) -> int:
@@ -735,7 +752,8 @@ def pass_only_densest_shape(grid, cubes_only, budget, what):
             low = shape
         return windows(low) * best_vol < best_count * prod(low)
 
-    walk = rank_windows(grid, list(ShapeBox(dims, cubes_only)), budget, what, stop, not cubes_only)
+    shapes = list(ShapeBox(dims, cubes_only))
+    walk = rank_windows(grid, shapes, budget, what, axis_stop(stop), not cubes_only)
     for shape, labels, count in walk:
         if count >= labels.size - 1:
             if cubes_only:
