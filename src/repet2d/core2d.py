@@ -60,9 +60,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, islice, product
 from math import prod
-from operator import sub
+from operator import countOf, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -113,13 +113,12 @@ class FactorShape:
 _BYTE_PATH_MIN = 256
 
 
-def _one_byte_letters(toks: list[str]) -> bytes | None:
-    """The latin-1 bytes of ``toks`` when every token is one character up to
-    U+00FF, else None. Joined with newlines, n tokens are one character
-    each iff the text is 2n - 1 long, every odd index holds a newline and
-    no even index does (a token holding a newline adds one)."""
-    n = len(toks)
-    text = "\n".join(toks)
+def _one_byte_letters(text: str, n: int) -> bytes | None:
+    """The latin-1 bytes of the ``n`` tokens that ``text`` joins with
+    newlines when every token is one character up to U+00FF, else None.
+    The n tokens are one character each iff the text is 2n - 1 long, every
+    odd index holds a newline and no even index does (a token holding a
+    newline adds one)."""
     if len(text) != 2 * n - 1:
         return None
     try:
@@ -130,6 +129,28 @@ def _one_byte_letters(toks: list[str]) -> bytes | None:
     if b"\n" in letters or data[1::2].count(b"\n") != n - 1:
         return None
     return letters
+
+
+def _letter_ids(
+    letters: bytes, alphabet: tuple[str, ...] | None = None
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The ids and alphabet of tokens that are one latin-1 byte each, given
+    as the bytes ``letters``: one byte translation of them, read as an array
+    with no copy. Unless ``alphabet`` is given, the letters are marked in a
+    256-entry table, and a whitespace letter is reported at its first
+    occurrence."""
+    if alphabet is None:
+        seen = np.zeros(256, dtype=bool)
+        seen[np.frombuffer(letters, dtype=np.uint8)] = True
+        alphabet = tuple(map(chr, np.flatnonzero(seen).tolist()))
+        bad = [tok for tok in alphabet if tok.split() != [tok]]
+        if bad:  # the one that occurs first
+            tok = min(bad, key=lambda tok: letters.index(ord(tok)))
+            raise ParseError(f"invalid token {tok!r}")
+    table = bytearray(256)
+    for i, tok in enumerate(alphabet):
+        table[ord(tok)] = i
+    return np.frombuffer(letters.translate(table), dtype=np.uint8), alphabet
 
 
 def encode_tokens(
@@ -143,41 +164,28 @@ def encode_tokens(
     are all plain ``str`` are used as they are (a ``str`` subclass may print
     otherwise, so one of them sends every token through ``str()``); a list
     is read in place, never copied. More than 256 tokens that are each one
-    character up to U+00FF take a byte path: the letters, read as latin-1
-    bytes, are marked in a 256-entry table, and a whitespace letter is
-    reported at its first occurrence. Otherwise the distinct tokens are
-    found with a dict. When every letter is one character up to U+00FF,
-    hence at most 256 letters, the ids are one byte translation of the
-    joined tokens, read as an array with no copy; otherwise one dict lookup
-    a token.
+    character up to U+00FF take a byte path (``_letter_ids``). Otherwise the
+    distinct tokens are found with a dict. When every letter is one
+    character up to U+00FF, hence at most 256 letters, the ids are one byte
+    translation of the joined tokens; otherwise one dict lookup a token.
     """
     toks = tokens if type(tokens) is list else list(tokens)
-    if list(map(type, toks)).count(str) != len(toks):
+    if countOf(map(type, toks), str) != len(toks):
         toks = list(map(str, toks))
-    letters = _one_byte_letters(toks) if len(toks) > _BYTE_PATH_MIN else None
-    if letters is not None:
-        seen = np.zeros(256, dtype=bool)
-        seen[np.frombuffer(letters, dtype=np.uint8)] = True
-        alphabet = tuple(map(chr, np.flatnonzero(seen).tolist()))
-        bad = [tok for tok in alphabet if tok.split() != [tok]]
-        if bad:  # the one that occurs first
-            tok = min(bad, key=lambda tok: letters.index(ord(tok)))
+    if len(toks) > _BYTE_PATH_MIN:
+        letters = _one_byte_letters("\n".join(toks), len(toks))
+        if letters is not None:
+            return _letter_ids(letters)
+    distinct = dict.fromkeys(toks)
+    for tok in distinct:
+        if tok.split() != [tok]:
             raise ParseError(f"invalid token {tok!r}")
-    else:
-        distinct = dict.fromkeys(toks)
-        for tok in distinct:
-            if tok.split() != [tok]:
-                raise ParseError(f"invalid token {tok!r}")
-        alphabet = tuple(sorted(distinct))
-        if not all(len(tok) == 1 and tok <= "\xff" for tok in alphabet):
-            index = {tok: i for i, tok in enumerate(alphabet)}
-            ids = map(index.__getitem__, toks)
-            return np.fromiter(ids, id_dtype(len(alphabet)), len(toks)), alphabet
-        letters = "".join(toks).encode("latin-1")
-    table = bytearray(256)
-    for i, tok in enumerate(alphabet):
-        table[ord(tok)] = i
-    return np.frombuffer(letters.translate(table), dtype=np.uint8), alphabet
+    alphabet = tuple(sorted(distinct))
+    if not all(len(tok) == 1 and tok <= "\xff" for tok in alphabet):
+        index = {tok: i for i, tok in enumerate(alphabet)}
+        ids = map(index.__getitem__, toks)
+        return np.fromiter(ids, id_dtype(len(alphabet)), len(toks)), alphabet
+    return _letter_ids("".join(toks).encode("latin-1"), alphabet)
 
 
 def id_dtype(letters: int) -> type[np.integer]:
@@ -293,21 +301,30 @@ class Matrix2D(IdString):
 
     @classmethod
     def from_tokens(cls, grid: Sequence[Sequence[object]]) -> "Matrix2D":
-        """Build from rows of tokens (non-str tokens are str()-ed)."""
+        """Build from rows of tokens (non-str tokens are str()-ed).
+
+        More than 256 tokens that are all plain ``str`` are joined row by
+        row, with no flat list of them, and when each is one character up
+        to U+00FF take ``encode_tokens``' byte path from that text; all
+        other tokens go through ``encode_tokens`` as one flat list."""
         if not grid or not grid[0]:
             raise BadParam("a 2D string must have at least one cell")
         rows = len(grid)
         cols = len(grid[0])
         check_cap((rows, cols))
-        flat: list[object] = []
         for r, row in enumerate(grid, start=1):
             if len(row) != cols:
-                encode_tokens(flat)  # a bad token in an earlier row wins
+                # a bad token in an earlier row wins
+                encode_tokens(chain.from_iterable(islice(grid, r - 1)))
                 raise RowMismatch(
                     f"row {r} has {len(row)} tokens, expected {cols}"
                 )
-            flat.extend(row)
-        return cls._encoded((rows, cols), flat)
+        n = rows * cols
+        if n > _BYTE_PATH_MIN and countOf(map(type, chain.from_iterable(grid)), str) == n:
+            letters = _one_byte_letters("\n".join(map("\n".join, grid)), n)
+            if letters is not None:
+                return cls(rows, cols, *_letter_ids(letters))
+        return cls._encoded((rows, cols), chain.from_iterable(grid))
 
     @property
     def rows(self) -> int:
@@ -440,26 +457,43 @@ def _counting(n: int, span: int) -> bool:
 
 
 def _pair_rank(
-    a: np.ndarray, a_range: int, b: np.ndarray, b_range: int
+    a: np.ndarray, a_range: int, b: np.ndarray, b_range: int, held: int = 1, scale: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense int64 ranks of the element-wise pairs (a, b), ids in value
-    order, and the sorted distinct pair ids a * b_range + b (one per rank);
-    ``a`` holds ids below ``a_range`` and ``b`` ids below ``b_range``."""
+    order, each times ``scale``, and the sorted distinct pair ids
+    a * b_range + b (one per rank); ``a`` holds ids below ``a_range``, each
+    times ``held``, and ``b`` ids below ``b_range``.
+
+    ``held`` and ``scale`` are 1 or ``b_range``: a chain of
+    ``rank_windows``' densest walk that needs counts only keeps its labels
+    times ``b_range``, so that each pass after its first builds its pair
+    ids with one add, and that walk yields those labels as None."""
+    if held > 1:
+        return _dense_rank(np.add(a, b), a_range * b_range, scale)
     combo = np.multiply(a, b_range, dtype=np.int64)
     combo += b
-    return _dense_rank(combo, a_range * b_range)
+    return _dense_rank(combo, a_range * b_range, scale)
 
 
-def _dense_rank(combo: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+def _dense_rank(
+    combo: np.ndarray, span: int, scale: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """Dense int64 ranks of the int64 ids ``combo`` (below ``span``) in
-    value order, and the sorted distinct ids (one per rank).
+    value order, each times ``scale``, and the sorted distinct ids (one per
+    rank). ``scale`` is 1 but for a counts-only chain of ``rank_windows``'
+    densest walk, which keeps its labels times its base range so that its
+    next pair ids come from one add (``_pair_rank``), and which yields
+    those labels as None.
 
-    A range dense enough for ``_counting`` is marked in a bool array. A
-    sparser one is sorted once as packed keys id << shift | position, whose
-    low ``shift`` bits hold the position: a run of equal ids is one rank,
-    scattered back to the positions in its low bits, and the id of each run
-    is a distinct id. Keys that would pass 63 bits (grids of about 2^21
-    cells) go to np.unique instead."""
+    A range dense enough for ``_counting`` is marked in a bool array, and
+    the ranks are read from a table over the range: one of int64 holds them
+    times ``scale``, one of int32 holds them as they are and the widening
+    multiplies them (a scaled rank may pass 2^31). A sparser range is
+    sorted once as packed keys id << shift | position, whose low ``shift``
+    bits hold the position: a run of equal ids is one rank, scattered back
+    to the positions in its low bits, and the id of each run is a distinct
+    id. Keys that would pass 63 bits (grids of about 2^21 cells) go to
+    np.unique instead. Those two multiply the ranks by ``scale``."""
     n = combo.size
     if _counting(n, span):
         seen = np.zeros(span, dtype=bool)
@@ -468,15 +502,16 @@ def _dense_rank(combo: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
         # only the marked entries of the table are written and read
         if span <= _INT64_TABLE:
             ids = np.empty(span, dtype=np.int64)
-            ids[values] = np.arange(values.size)
+            ids[values] = np.arange(0, values.size * scale, scale)
             return ids.take(combo), values
         ids = np.empty(span, dtype=np.int32)
         ids[values] = np.arange(values.size, dtype=np.int32)
-        return ids[combo].astype(np.int64), values
+        return np.multiply(ids[combo], scale, dtype=np.int64), values
     shift = (n - 1).bit_length()
     if (span - 1).bit_length() + shift > 63:
         values, labels = np.unique(combo, return_inverse=True)
-        return labels.reshape(combo.shape).astype(np.int64, copy=False), values
+        labels = labels.reshape(combo.shape).astype(np.int64, copy=False)
+        return (labels * scale if scale > 1 else labels), values
     key = combo.reshape(-1) << shift
     key |= np.arange(n)
     key.sort()
@@ -487,8 +522,11 @@ def _dense_rank(combo: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     values = ids[start]
     start[:1] = False  # so the first run's rank is 0
     key &= (1 << shift) - 1  # the positions
+    ranks = np.cumsum(start)
+    if scale > 1:
+        ranks *= scale
     labels = np.empty(n, dtype=np.int64)
-    labels[key] = np.cumsum(start)
+    labels[key] = ranks
     return labels.reshape(combo.shape), values
 
 
@@ -600,17 +638,21 @@ def rank_windows(
     chain, nor any shape reached through them, is ranked or yielded.
 
     ``densest`` is set by ``densest_shape``'s walk over every shape, which
-    needs a budget, and does two things. A chain also ends, unyielded, at
-    the first shape whose pass has no more windows than the shape before
-    and pairs each window of the shape before (that has a next slab) with
-    one next slab only (the determinism stop). And when every shape is
-    wanted, as a ``ShapeBox`` without ``cubes``, a chain whose shapes need
-    counts only, one along the first axis or along an axis whose earlier
-    extents are all 1 (no shape is reached from it), makes at most
-    ``_SORT_AFTER * ceil(log2 n)`` passes (n its extent). The counts of the
-    rest of it then come from one ``_chain_counts`` of the labels of its
-    last pass (module docstring), and those shapes are yielded with labels
-    None; ``stop`` is still asked before each of them.
+    needs a budget and reads counts only, and does three things. A chain
+    also ends, unyielded, at the first shape whose pass has no more windows
+    than the shape before and pairs each window of the shape before (that
+    has a next slab) with one next slab only (the determinism stop). A
+    chain whose shapes need counts only, one along the first axis or along
+    an axis whose earlier extents are all 1 (no shape is reached from it),
+    keeps its labels multiplied by its base range (the id range of the
+    shape it starts from), so each pass after its first builds its pair ids
+    with one add (``_pair_rank``), and it yields every shape with labels
+    None. And when every shape is wanted, as a ``ShapeBox`` without
+    ``cubes``, such a chain makes at most ``_SORT_AFTER * ceil(log2 n)``
+    passes (n its extent). The counts of the rest of it then come from one
+    ``_chain_counts`` of the labels of its last pass, divided back by the
+    base range (module docstring); ``stop`` is still asked before each of
+    those shapes.
     """
     dims = grid.shape
     if isinstance(wanted, ShapeBox) and not wanted.cubes:
@@ -631,43 +673,54 @@ def rank_windows(
         every = type(node) is int
         n = base.shape[axis]
         lead = (slice(None),) * axis  # index prefix reaching ``axis``
+        head = (1,) * axis
+        lines = base.size // n  # a pass of width w ranks lines * w windows
+        label = what[axis]
         cur, count = base, base_range
         # every shape on the chain is (1, ..., 1, k, suffix): nothing below it
         # but extents of 1, so a shape is yielded without a walk below
         flat = axis == 0 or every and prod(dims[:axis]) == 1
+        # densest reads counts only: such a chain yields None for its labels
+        # and keeps them times base_range from its first pass on
+        scaled = densest and flat
+        scale = base_range if scaled else 1
+        held = 1  # what the labels in cur are multiplied by
         # the first extent the suffix sort counts, if the chain switches
         sort_at = -1
-        if densest and every and flat:
+        if scaled and every:
             sort_at = _SORT_AFTER * (n - 1).bit_length() + 2
         for k in range(1, (node if every else max(node)) + 1):
-            shape = (1,) * axis + (k,) + suffix
+            shape = head + (k,) + suffix
             if k > 1:
                 if stop is not None and stop(shape):
                     return
                 if k == sort_at:
                     # runs[j]: the distinct runs of j windows of extent
                     # k - 1, one per window of extent k - 2 + j
-                    runs = _chain_counts(cur, axis, count, budget, what[axis])
+                    runs = _chain_counts(cur // held, axis, count, budget, label)
                     cur = None
                 if cur is None:
                     count = runs[k - sort_at + 2]
                 else:
                     width = n - k + 1
                     if budget is not None:
-                        budget.charge(cur.size // cur.shape[axis] * width, what[axis])
+                        budget.charge(lines * width, label)
                     cur, values = _pair_rank(
                         cur[lead + (slice(0, width),)],
                         count,
                         base[lead + (slice(k - 1, n),)],
                         base_range,
+                        held,
+                        scale,
                     )
+                    held = scale
                     if densest and values.size <= count and _one_way(values, base_range):
                         return
                     count = values.size
             if not (every or k in node):
                 continue
             if flat:
-                yield shape, cur, count
+                yield shape, None if scaled else cur, count
             else:
                 below = dims[axis - 1] if every else node[k]
                 yield from extend(axis - 1, cur, count, below, (k,) + suffix)
@@ -895,9 +948,25 @@ def parse_matrix(text: str) -> Matrix2D:
     return Matrix2D.from_tokens(grid)
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of the file at ``path``, read as UTF-8 whatever the locale;
+    bytes that are not UTF-8 raise ParseError naming the first one's offset.
+    Every file format is read through it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
+def write_utf8(path: str | Path, text: str) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8, whatever the locale."""
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def read_matrix(path: str | Path) -> Matrix2D:
-    return parse_matrix(Path(path).read_text())
+    return parse_matrix(read_utf8(path))
 
 
 def write_matrix(m: Matrix2D, path: str | Path) -> None:
-    Path(path).write_text(format_matrix(m))
+    write_utf8(path, format_matrix(m))

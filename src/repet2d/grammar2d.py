@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .budget import WorkBudget, ensure_budget, stop_node
-from .core2d import Matrix2D, TokenGrid, WindowIds, check_cap, id_dtype
+from .core2d import Matrix2D, TokenGrid, WindowIds, check_cap, id_dtype, read_utf8, write_utf8
 from .errors import (
     BadParam,
     CycleDetected,
@@ -949,10 +949,8 @@ def parse_grammar(text: str) -> Grammar2D:
 
 
 def read_grammar(path) -> Grammar2D:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_grammar(fh.read())
+    return parse_grammar(read_utf8(path))
 
 
 def write_grammar(g: Grammar2D, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_grammar(g))
+    write_utf8(path, format_grammar(g))

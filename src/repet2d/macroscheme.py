@@ -60,6 +60,8 @@ from .core2d import (
     _box_mask,
     factor_count,
     id_dtype,
+    read_utf8,
+    write_utf8,
 )
 from .errors import (
     BadParam,
@@ -672,10 +674,8 @@ def parse_scheme(text: str) -> MacroScheme2D:
 
 
 def read_scheme(path) -> MacroScheme2D:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scheme(fh.read())
+    return parse_scheme(read_utf8(path))
 
 
 def write_scheme(s: MacroScheme2D, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_scheme(s))
+    write_utf8(path, format_scheme(s))

@@ -34,6 +34,8 @@ from .core2d import (
     concat_ids,
     densest_shape,
     rank_windows,
+    read_utf8,
+    write_utf8,
 )
 from .errors import AxisMismatch, BadParam, OutOfBounds, ParseError
 from .families import padded_debruijn
@@ -297,10 +299,8 @@ def parse_nd(text: str) -> NdString:
 
 
 def read_nd(path) -> NdString:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_nd(fh.read())
+    return parse_nd(read_utf8(path))
 
 
 def write_nd(path, x: NdString) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_nd(x))
+    write_utf8(path, format_nd(x))

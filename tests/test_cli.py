@@ -76,6 +76,51 @@ def test_exit_codes(tmp_path):
     assert run("experiment", "--name", "nosuch").returncode == 2
 
 
+# one file of each format, with the byte 0xff where {} stands
+NOT_UTF8 = [
+    (("measure",), "2d 1 2\n{} a\n"),
+    (("grammar", "validate"), "axiom S\nS = h X Y\nX = term a\nY = term {}\n"),
+    (("macro", "validate"), "scheme 1 2\nexp 1 1 a\nexp 1 2 {}\n"),
+    (("nd", "measure"), "nd 1 2\n{} a\n"),
+]
+
+
+@pytest.mark.parametrize("command, text", NOT_UTF8, ids=[c[0] for c, _ in NOT_UTF8])
+def test_a_file_that_is_not_utf8_is_a_parse_error(command, text, tmp_path):
+    # files are read as UTF-8; a byte that is not is named by its offset
+    head, tail = text.split("{}")
+    path = tmp_path / "bad.txt"
+    path.write_bytes(head.encode() + b"\xff" + tail.encode())
+    r = run(*command, "--in", str(path))
+    assert r.returncode == 4, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"byte {len(head)} is not UTF-8" in r.stderr
+
+
+def test_files_are_utf8_under_any_locale(tmp_path):
+    # under the C locale with UTF-8 mode off the locale encoding is ASCII;
+    # a matrix holding a token outside it still writes and reads as UTF-8
+    code = """
+import locale, sys
+from repet2d.core2d import Matrix2D, read_matrix, write_matrix
+m = Matrix2D.from_tokens([["\\u00e9", "a"], ["a", "\\u00e9"]])
+write_matrix(m, sys.argv[1])
+assert read_matrix(sys.argv[1]) == m
+print(locale.getpreferredencoding(False))
+"""
+    path = tmp_path / "m.txt"
+    r = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+        timeout=120, env={**ENV, "LC_ALL": "C", "PYTHONUTF8": "0"},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().lower() not in ("utf-8", "utf8")
+    assert path.read_bytes() == "2d 2 2\n\u00e9 a\na \u00e9\n".encode()
+    r = run("measure", "--in", str(path), env={"LC_ALL": "C", "PYTHONUTF8": "0"})
+    assert r.returncode == 0, r.stderr
+    assert "alphabet 2" in " ".join(r.stdout.split())
+
+
 def test_measure_of_a_long_string_fits_its_budget(tmp_path):
     # delta of the 1 x 65536 string phlin(identity(256)) counts the rest of
     # its one long chain from a suffix sort: 13,544,951 steps. With a pass

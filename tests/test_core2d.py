@@ -47,7 +47,7 @@ from repet2d.core2d import (
     encode_tokens,
     rank_windows,
 )
-from repet2d.linearize import rlin, scan
+from repet2d.linearize import phlin, rlin, scan
 from repet2d.multidim import (
     NdString,
     bdk,
@@ -242,6 +242,12 @@ def test_from_tokens_reports_the_first_bad_token_before_a_row_mismatch(monkeypat
     seen.append(outcome())
     assert seen[0] == seen[1]
     assert {o[0] for o in seen[0] if isinstance(o[0], str)} == {"ParseError", "RowMismatch"}
+    # past 256 one-character tokens the rows are joined in place, and the
+    # first bad letter still wins, over a later one and over a short row
+    big = [["a"] * 20 for _ in range(15)]
+    big[3][5], big[9][2] = "\t", " "
+    for grid in (big, big + [["a"]]):
+        assert str(raises(ParseError, Matrix2D.from_tokens, grid)) == "invalid token '\\t'"
 
 
 def test_cells_read_back_on_both_sides_of_256_letters():
@@ -356,8 +362,10 @@ def test_strings_hold_no_cells_tuple_until_it_is_read():
 def test_one_character_build_holds_no_tuple_or_intp_copy():
     # a 1024 x 1024 build of one-character tokens reads its letters through
     # a 256-entry mark, not an intp copy of them (8 MB), and keeps one byte a
-    # cell, not a tuple of the cells (8 MB); the row-major token list it
-    # gathers (8 MB) and one type a token (8 MB) remain
+    # cell, not a tuple of the cells (8 MB). It joins the rows in place and
+    # counts the tokens' types as it goes: a row-major token list (8 MB) and
+    # a list of one type a token (8 MB) made the peak 16.9 MB; the text of
+    # the joined rows and its bytes remain (6.3 MB)
     rng = random.Random(51)
     grid = [[rng.choice("01") for _ in range(1024)] for _ in range(1024)]
     Matrix2D.from_tokens(grid[:2])
@@ -367,7 +375,7 @@ def test_one_character_build_holds_no_tuple_or_intp_copy():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 << 20, peak
+    assert peak < 8 << 20, peak
     assert held < 2 << 20, held
     assert "cells" not in m.__dict__ and m.row_tokens(7) == tuple(grid[6])
 
@@ -670,6 +678,13 @@ def test_dense_rank_equals_the_former_kernel_at_every_boundary():
                     assert x.dtype == y.dtype and x.shape == y.shape, (n, span)
                     assert np.array_equal(x, y), (n, span)
                 assert got[0].dtype == np.int64
+                # ranks times a scale, as a chain that needs counts only
+                # keeps them; the last scale takes the larger ones past 2^31
+                for scale in (3, span // pool.size, 1 << 20):
+                    labels, values = core2d._dense_rank(combo, span, scale)
+                    assert labels.dtype == np.int64 and labels.shape == combo.shape
+                    assert np.array_equal(labels, got[0] * scale), (n, span, scale)
+                    assert np.array_equal(values, got[1]), (n, span, scale)
                 checked += 1
     assert checked == 36
 
@@ -749,6 +764,44 @@ def test_the_lazy_box_equals_the_explicit_list():
                 assert lab.dtype == np.int64 and np.array_equal(lab, ref)
                 assert count == int(ref.max()) + 1
             assert got_ledger.steps == want_ledger.steps
+
+
+def test_the_densest_walk_counts_as_the_plain_walk_does(monkeypatch):
+    # the densest walk keeps the labels of a chain that needs counts only
+    # times its base range and yields them as None: every count it yields
+    # is the one the plain walk gives that shape. Blocky grids rank such
+    # chains by counting and by the packed-key sort, and the 1 x 1024
+    # string phlin(identity(32)) and its columns switch to the
+    # suffix sort, whose lines are those labels divided back
+    paths = set()
+    dense_rank, chain_counts = core2d._dense_rank, core2d._chain_counts
+
+    def spy(combo, span, scale=1):
+        paths.add((scale > 1, core2d._counting(combo.size, span)))
+        return dense_rank(combo, span, scale)
+
+    def spy_counts(*args):
+        paths.add("switch")
+        return chain_counts(*args)
+
+    monkeypatch.setattr(core2d, "_dense_rank", spy)
+    monkeypatch.setattr(core2d, "_chain_counts", spy_counts)
+    rng = np.random.default_rng(23)
+    grids = [rng.integers(0, 2, size=(5, 4, 6))]
+    for rows, cols, block, letters in ((24, 24, 3, 3), (20, 30, 2, 2), (16, 16, 2, 3)):
+        small = rng.integers(0, letters, size=(-(-rows // block), -(-cols // block)))
+        grids.append(small.repeat(block, 0).repeat(block, 1)[:rows, :cols])
+    line = phlin(identity(32))._grid[0]
+    grids += [line.reshape(1, -1), line.reshape(-1, 1), np.stack([line, np.roll(line, 5)], 1)]
+    for grid in grids:
+        what = ("window ranking",) * grid.ndim
+        plain = {shape: count for shape, _, count in rank_windows(grid, ShapeBox(grid.shape), None, what)}
+        walk = list(rank_windows(grid, ShapeBox(grid.shape), Ledger(), what, None, True))
+        assert all(labels is None for _, labels, _ in walk), grid.shape
+        assert [(shape, count) for shape, _, count in walk] == [
+            (shape, plain[shape]) for shape, _, _ in walk
+        ], grid.shape
+    assert paths >= {(True, True), (True, False), "switch"}
 
 
 def test_pair_rank_is_called_only_by_the_ranking_walk():

@@ -558,8 +558,11 @@ def test_delta_steps_stay_at_most_the_recorded_ledger():
 
 def test_delta_equals_the_one_crossover_rank_kernel(monkeypatch):
     # the family, blocky and 1 x n inputs of the benchmark's measure mix,
-    # whose passes sit on both sides of every crossover of the rank kernel:
-    # the same repr and step ledger as under the kernel with one crossover
+    # whose passes sit on both sides of every crossover of the rank kernel,
+    # plus identity(128), a second blocky 64 x 96 grid and an n x 1 column,
+    # whose counts-only chains keep their labels times their base range up
+    # to the suffix-sort switch: the same repr and step ledger as under the
+    # kernel with one crossover
     rng = np.random.default_rng(96)
 
     def blocky(rows, cols, block):
@@ -571,13 +574,16 @@ def test_delta_equals_the_one_crossover_rank_kernel(monkeypatch):
         (staircase(32), False), (diagpad(24, 40), False), (ek(6), False), (bk(3), False),
         (bk(4), False), (ek(5), True), (staircase(16), True), (rlin(ek(5)), False),
         (phlin(identity(32)), False), (blocky(64, 96, 8), False), (blocky(48, 48, 6), False),
-        (blocky(12, 12, 3), False),
+        (blocky(12, 12, 3), False), (identity(128), False), (blocky(64, 96, 4), False),
+        (Matrix2D.from_tokens([[t] for t in phlin(identity(64)).tokens()[0]]), False),
     ]
     kernel, former_calls = core2d._dense_rank, []
 
-    def former(combo, span):
+    def former(combo, span, scale=1):
+        # a chain that needs counts only asks for its ranks times its scale
         former_calls.append(span)
-        return reference_dense_rank(combo, span)
+        labels, values = reference_dense_rank(combo, span)
+        return labels * scale, values
 
     for m, square in inputs:
         run = delta_square if square else delta
@@ -735,8 +741,8 @@ def test_one_way_check_runs_only_behind_the_count_gate(monkeypatch):
     events = []
     rank, check = core2d._pair_rank, core2d._one_way
 
-    def spy_rank(a, a_range, b, b_range):
-        labels, values = rank(a, a_range, b, b_range)
+    def spy_rank(a, a_range, b, b_range, *scaling):
+        labels, values = rank(a, a_range, b, b_range, *scaling)
         events.append(("pass", values.size <= a_range))
         return labels, values
 

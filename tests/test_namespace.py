@@ -203,3 +203,28 @@ def test_every_local_assignment_is_read():
                 if local not in read | outer and not local.startswith("_")
             ]
     assert not unread, f"local names never read: {unread}"
+
+
+def test_every_text_file_is_opened_as_utf8():
+    # a file opened without an encoding is read in the locale's, so a UTF-8
+    # file fails under the C locale; every open, read_text and write_text
+    # in the package names encoding="utf-8"
+    loose = []
+    for path in sorted(pathlib.Path(repet2d.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name not in ("open", "read_text", "write_text"):
+                    continue
+                named = any(
+                    kw.arg == "encoding" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value == "utf-8"
+                    for kw in node.keywords
+                )
+                if not named:
+                    loose.append((path.name, getattr(top, "name", None), node.lineno))
+    assert not loose, f"text I/O without encoding='utf-8': {loose}"

@@ -754,8 +754,8 @@ def pass_only_densest_shape(grid, cubes_only, budget, what):
 
     shapes = list(ShapeBox(dims, cubes_only))
     walk = rank_windows(grid, shapes, budget, what, axis_stop(stop), not cubes_only)
-    for shape, labels, count in walk:
-        if count >= labels.size - 1:
+    for shape, _, count in walk:
+        if count >= windows(shape) - 1:
             if cubes_only:
                 sat_cube = min(sat_cube, shape[0])
             else:
