@@ -38,8 +38,11 @@ an end id of its own (Karp, Miller and Rosenberg 1972; Manber and Myers
 the doubling levels, give every such count: the length-j substrings are the
 suffixes of length >= j whose LCP is below j (as in Kasai et al. 2001).
 ``densest_shape``'s walk (``rank_windows`` with ``densest``) switches a
-long chain to this sort (``_chain_counts``) once it has made
-``_SORT_AFTER * ceil(log2 n)`` passes.
+chain to this sort (``_chain_counts``) once the passes it has left exceed
+what the sort costs, ``_SORT_AFTER * ceil(log2 n)`` passes: both the
+extents before its horizon, where the bound stop would end it, and the
+passes its count would take to reach its window count. ``densest_shape``
+then reads the sorted counts in one loop.
 
 Determinism is the counting step behind the Morse-Hedlund theorem (Morse and
 Hedlund, "Symbolic dynamics", 1938) and behind delta <= gamma (Kociumaka,
@@ -537,16 +540,17 @@ def _one_way(values: np.ndarray, b_range: int) -> bool:
     return not (left[1:] == left[:-1]).any()
 
 
-#: a chain of extent n that needs counts only makes this many passes per bit
-#: of n (ceil(log2 n) bits) before it counts the rest of its shapes from one
-#: suffix sort. At the switch the sort took the time of 5-9 passes per bit
-#: on the 1 x 1024 to 1 x 65536 strings phlin(identity(32..256)) and 4-9 on
-#: the first column chains of identity(128), identity(256) and a blocky
-#: 256 x 256 grid (medians of 15; passes timed over the chain before the
-#: switch). Switching once the passes made cost about what the sort costs
-#: keeps a chain within about twice its cheaper way; 11, at the top of that
-#: range, also keeps every chain of a 64-row grid (at most 63 passes, 6
-#: bits) on passes, so their step ledgers stay as they were
+#: the suffix sort of a chain of extent n costs about this many passes per
+#: bit of n (ceil(log2 n) bits): at a switch after 11 passes per bit it took
+#: the time of 5-9 passes per bit on the 1 x 1024 to 1 x 65536 strings
+#: phlin(identity(32..256)) and 4-9 on the first column chains of
+#: identity(128), identity(256) and a blocky 256 x 256 grid (medians of 15;
+#: passes timed over the chain before the switch). So a counts-only chain
+#: sorts, after ceil(log2 n) passes, once it would leave more passes than
+#: that (``rank_windows``). 11 keeps every chain of extent up to 85 on
+#: passes (it never leaves 11 passes per bit), so the step ledgers of grids
+#: that size stay as they were; a constant of 3 made identity(64) 26%
+#: slower, as its chains end soon after the switch by determinism
 _SORT_AFTER = 11
 
 
@@ -619,7 +623,8 @@ def rank_windows(
     what: Sequence[str],
     stop: Callable[[tuple[int, ...]], bool] | None = None,
     densest: bool = False,
-) -> Iterator[tuple[tuple[int, ...], np.ndarray | None, int]]:
+    horizon: Callable[[tuple[int, ...], int], int] | None = None,
+) -> Iterator[tuple[tuple[int, ...], np.ndarray | memoryview | None, int]]:
     """Yield (shape, labels, count) for every wanted window shape of an id
     grid with any number of axes.
 
@@ -648,11 +653,19 @@ def rank_windows(
     shape it starts from), so each pass after its first builds its pair ids
     with one add (``_pair_rank``), and it yields every shape with labels
     None. And when every shape is wanted, as a ``ShapeBox`` without
-    ``cubes``, such a chain makes at most ``_SORT_AFTER * ceil(log2 n)``
-    passes (n its extent). The counts of the rest of it then come from one
-    ``_chain_counts`` of the labels of its last pass, divided back by the
-    base range (module docstring); ``stop`` is still asked before each of
-    those shapes.
+    ``cubes``, and ``horizon(shape, axis)`` gives the first extent at which
+    ``stop`` would end the chain of ``shape``, such a chain of extent n
+    counts the rest of its shapes from one ``_chain_counts`` of the labels
+    of its last pass, divided back by the base range (module docstring),
+    once ``stop`` lets it go on to a shape (1, ..., 1, k, suffix) with k >=
+    ceil(log2 n) + 2 and both the extents left before the horizon and the
+    passes its count would take to reach its window count, at the growth of
+    its last pass, exceed ``_SORT_AFTER * ceil(log2 n)``. It then yields
+    that shape with labels a memoryview whose item j is the count of the
+    shape j extents on, up to extent n, and count the first of them, and
+    ends; the reader asks its stop itself. A chain too short ever to leave
+    that many passes does not read the rule: the test that would send it
+    there is the one that sets up a chain's first pass.
     """
     dims = grid.shape
     if isinstance(wanted, ShapeBox) and not wanted.cubes:
@@ -671,11 +684,7 @@ def rank_windows(
         # node maps the wanted extents along ``axis`` to the node below; an
         # int t stands for every extent up to t, each over every shape below
         every = type(node) is int
-        n = base.shape[axis]
-        lead = (slice(None),) * axis  # index prefix reaching ``axis``
         head = (1,) * axis
-        lines = base.size // n  # a pass of width w ranks lines * w windows
-        label = what[axis]
         cur, count = base, base_range
         # every shape on the chain is (1, ..., 1, k, suffix): nothing below it
         # but extents of 1, so a shape is yielded without a walk below
@@ -683,40 +692,62 @@ def rank_windows(
         # densest reads counts only: such a chain yields None for its labels
         # and keeps them times base_range from its first pass on
         scaled = densest and flat
-        scale = base_range if scaled else 1
-        held = 1  # what the labels in cur are multiplied by
-        # the first extent the suffix sort counts, if the chain switches
-        sort_at = -1
-        if scaled and every:
-            sort_at = _SORT_AFTER * (n - 1).bit_length() + 2
+        due = 2  # the next extent whose pass reads or updates the pass state
         for k in range(1, (node if every else max(node)) + 1):
             shape = head + (k,) + suffix
             if k > 1:
                 if stop is not None and stop(shape):
                     return
-                if k == sort_at:
-                    # runs[j]: the distinct runs of j windows of extent
-                    # k - 1, one per window of extent k - 2 + j
-                    runs = _chain_counts(cur // held, axis, count, budget, label)
-                    cur = None
-                if cur is None:
-                    count = runs[k - sort_at + 2]
-                else:
-                    width = n - k + 1
-                    if budget is not None:
-                        budget.charge(lines * width, label)
-                    cur, values = _pair_rank(
-                        cur[lead + (slice(0, width),)],
-                        count,
-                        base[lead + (slice(k - 1, n),)],
-                        base_range,
-                        held,
-                        scale,
-                    )
-                    held = scale
-                    if densest and values.size <= count and _one_way(values, base_range):
-                        return
-                    count = values.size
+                if k == due:
+                    if k == 2:
+                        # the chain's first pass: the state of its passes,
+                        # which a chain that ends before it does not build
+                        n = base.shape[axis]
+                        lead = (slice(None),) * axis  # index prefix reaching ``axis``
+                        lines = base.size // n  # a pass of width w ranks lines * w windows
+                        label = what[axis]
+                        scale = base_range if scaled else 1
+                        held = 1  # what the labels in cur are multiplied by
+                        due = 0
+                        if scaled and every and horizon is not None:
+                            bits = (n - 1).bit_length()
+                            least = _SORT_AFTER * bits  # the sort's cost in passes
+                            # only a chain that can leave more than that
+                            # after ceil(log2 n) passes reads the sort rule
+                            if n - bits - 1 > least:
+                                due = bits + 1
+                    else:
+                        # the sort rule, from extent ceil(log2 n) + 2 on. At
+                        # the growth of its last pass, the count reaches the
+                        # window count lines * (n - j + 1) in t passes, t *
+                        # (growth + lines) >= lines * (n - k + 2) - count;
+                        # the horizon, which costs more, is read second
+                        if k > bits + 1:
+                            rate = count - last + lines
+                            if (
+                                rate <= 0 or lines * (n - k + 2) - count > least * rate
+                            ) and horizon(shape, axis) - k > least:
+                                # runs[j]: the distinct runs of j windows of
+                                # extent k - 1, one per window of extent k - 2 + j
+                                runs = _chain_counts(cur // held, axis, count, budget, label)
+                                yield shape, runs[2:-1], runs[2]
+                                return
+                        last, due = count, k + 1
+                width = n - k + 1
+                if budget is not None:
+                    budget.charge(lines * width, label)
+                cur, values = _pair_rank(
+                    cur[lead + (slice(0, width),)],
+                    count,
+                    base[lead + (slice(k - 1, n),)],
+                    base_range,
+                    held,
+                    scale,
+                )
+                held = scale
+                if densest and values.size <= count and _one_way(values, base_range):
+                    return
+                count = values.size
             if not (every or k in node):
                 continue
             if flat:
@@ -766,16 +797,18 @@ def densest_shape(
     reversed tuples), so the bound stop ends t's chain at t.
 
     A chain that needs counts only (along the first axis, or along an axis
-    whose earlier extents are all 1) switches, once it has made
-    ``_SORT_AFTER * ceil(log2 n)`` passes (n its extent), to one suffix
-    sort of the lines of its last labels that counts the rest of its shapes
-    at once (module docstring). Those counts are the ones its passes would
-    give, and they are read in chain order through the same stop and
-    best-value code, so value, shape and tie-break stay the same; past the
-    switch the determinism test is not made, which only means the chain
-    ends by the bound stop, which is exact. The switch reads only the
-    extent and the passes made, so step ledgers stay deterministic. It is
-    off with ``cubes_only``.
+    whose earlier extents are all 1) may switch to one suffix sort that
+    counts the rest of its shapes at once (``rank_windows``), given its
+    horizon: the first extent at which the bound stop would end it, in
+    closed form, as along the chain W is linear in the extent and so is
+    vol. The sorted counts are the ones its passes would give, and they are
+    read here in one loop, in chain order, through the same stop
+    inequality, gain test and tie-break, so value, shape and tie-break stay
+    the same; past the switch the determinism test is not made, which only
+    means the chain ends by the bound stop, which is exact. The switch
+    reads only the input and the best value so far, which depends only on
+    the input, so step ledgers stay deterministic. It is off with
+    ``cubes_only``.
     """
     sides = tuple(n + 1 for n in grid.shape)
     best_count, best_vol, best_shape = 0, 1, ()
@@ -786,12 +819,45 @@ def densest_shape(
             shape = (shape[-1],) * len(shape)
         return prod(map(sub, sides, shape)) * best_vol < best_count * prod(shape)
 
-    walk = rank_windows(grid, ShapeBox(grid.shape, cubes_only), budget, what, stop, not cubes_only)
-    for shape, _, count in walk:
-        vol = prod(shape)
-        gain = count * best_vol - best_count * vol
-        if gain > 0 or gain == 0 and (vol, shape) < (best_vol, best_shape):
-            best_count, best_vol, best_shape = count, vol, shape
+    def along(shape: tuple[int, ...], axis: int) -> tuple[int, int, int]:
+        # (end, across, unit): the shape of extent j on the chain of
+        # ``shape`` along ``axis`` has (end - j) * across windows and
+        # volume j * unit
+        k, end = shape[axis], sides[axis]
+        return end, prod(map(sub, sides, shape)) // (end - k), prod(shape) // k
+
+    def horizon(shape: tuple[int, ...], axis: int) -> int:
+        # the least extent j with (end - j) * across * best_vol < best_count
+        # * j * unit: the bound stop's inequality, linear in j
+        end, across, unit = along(shape, axis)
+        return end * across * best_vol // (best_count * unit + across * best_vol) + 1
+
+    walk = rank_windows(
+        grid, ShapeBox(grid.shape, cubes_only), budget, what, stop, not cubes_only, horizon
+    )
+    for shape, counts, count in walk:
+        # the densest walk yields labels None but for a switched chain's
+        # counts; the cube walk yields labels
+        if counts is None or cubes_only:
+            vol = prod(shape)
+            gain = count * best_vol - best_count * vol
+            if gain > 0 or gain == 0 and (vol, shape) < (best_vol, best_shape):
+                best_count, best_vol, best_shape = count, vol, shape
+            continue
+        # a chain switched to the suffix sort: counts[j] is the count of the
+        # shape j extents past ``shape`` along its axis, up to its end
+        axis = next(a for a, k in enumerate(shape) if k > 1)
+        head, tail = shape[:axis], shape[axis + 1 :]
+        end, across, unit = along(shape, axis)
+        for k, count in zip(range(shape[axis], end), counts):
+            vol = k * unit
+            if (end - k) * across * best_vol < best_count * vol:
+                break
+            gain = count * best_vol - best_count * vol
+            if gain >= 0:
+                here = head + (k,) + tail
+                if gain > 0 or (vol, here) < (best_vol, best_shape):
+                    best_count, best_vol, best_shape = count, vol, here
     return Fraction(best_count, best_vol), best_shape
 
 

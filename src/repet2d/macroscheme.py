@@ -19,17 +19,19 @@ After each round one gather through a code table (a token's id at an
 explicit cell, a sentinel elsewhere; one byte a cell below 256 letters)
 tells whether every chain has ended and, in the round where all have, reads
 the tokens: its output is the decoded ids. So the run holds 4 + 2 bytes a
-cell and one slice. A box whose source meets its own target copies a
-periodic block, as an overlapping copy does in LZ77 decoding (Ziv and
-Lempel, 1977): a cell's chain stays in the box for q shifts, q the number
-that carries it out, so the cell's step is q times the shift, written in
-place from one short count array per axis. Chains then make one hop per box
-they pass (identity_scheme(1024): 1 round; one shift a hop takes 11) and
-end at the same explicit cells. Boxes whose longest in-box chain is below 4
-hops keep the plain shift. Only when a check fails does it replay the boxes
-in order, to name the same overlap, hole or cycle cell (the first repeated
-cell on the one-shift chain of the smallest cell that never reaches an
-explicit one) as a box-by-box, cell-by-cell check would.
+cell and one slice. validate_scheme, which drops the ids, gathers a table
+that only marks the explicit cells, and sorts no alphabet. A box whose
+source meets its own target copies a periodic block, as an overlapping copy
+does in LZ77 decoding (Ziv and Lempel, 1977): a cell's chain stays in the
+box for q shifts, q the number that carries it out, so the cell's step is q
+times the shift, written in place from one short count array per axis.
+Chains then make one hop per box they pass (identity_scheme(1024): 1 round;
+one shift a hop takes 11) and end at the same explicit cells. Boxes whose
+longest in-box chain is below 4 hops keep the plain shift. Only when a check
+fails does it replay the boxes in order, to name the same overlap, hole or
+cycle cell (the first repeated cell on the one-shift chain of the smallest
+cell that never reaches an explicit one) as a box-by-box, cell-by-cell check
+would.
 
 b_exact finds a smallest valid scheme by branch-and-bound over rectangle
 partitions in row-major order; it is exponential and guarded by cell_limit.
@@ -191,6 +193,8 @@ def analyze_boxes(
     size: int,
     describe: Callable[[str, object], tuple[str, str]],
     budget: WorkBudget | None = None,
+    *,
+    ids: bool = True,
 ) -> tuple[SchemeCheck, tuple[np.ndarray, tuple[str, ...]] | None]:
     """The scheme check, written for any number of axes; ``_analyze`` is
     its 2D caller.
@@ -202,7 +206,9 @@ def analyze_boxes(
     returns the check and ``(ids, alphabet)``: ``ids`` holds, for each flat
     cell index, the id of the token at the explicit cell its copy chain ends
     at, one axis of ``id_dtype(len(alphabet))``, and ``alphabet`` is the
-    sorted tokens of the explicit cells. Otherwise the
+    sorted tokens of the explicit cells; with ``ids`` false (a check that
+    drops them) it returns None there, and the rounds read a table that
+    only marks the explicit cells, so no alphabet is sorted. Otherwise the
     check carries ``describe(fault, at)``, the error name and message for
     the first fault found: "dims", "cap", "explicit" (at: position, token,
     whether the token is invalid, whether the position is outside),
@@ -318,19 +324,27 @@ def analyze_boxes(
     # code[c]: the id of c's token at an explicit cell, else ``letters``. The
     # ids are encode_tokens' (the sorted alphabet's indices), looked up here
     # as the tokens were checked above: encode_tokens would check them again
-    # and cost a small scheme's validate_scheme about 4 us more, about 7%
-    alphabet = tuple(sorted(set(tokens.values())))
-    letters = len(alphabet)
-    index = {tok: i for i, tok in enumerate(alphabet)}
-    # the code ``letters`` needs one more id than the letters: a uint16 table
-    # from 256 letters, half the int32 bytes id_dtype would give it
-    wide = 256 <= letters < 1 << 16
-    code = np.full(total, letters, dtype=np.uint16 if wide else id_dtype(letters + 1))
-    code[cells] = list(map(index.__getitem__, tokens.values()))
+    # and cost a small scheme's validate_scheme about 4 us more, about 7%.
+    # Without ids every explicit cell has code 0 of 1 letter
+    if ids:
+        alphabet = tuple(sorted(set(tokens.values())))
+        letters = len(alphabet)
+        index = {tok: i for i, tok in enumerate(alphabet)}
+        # the code ``letters`` needs one more id than the letters: a uint16
+        # table from 256 letters, half the int32 bytes id_dtype would give it
+        wide = 256 <= letters < 1 << 16
+        code = np.full(total, letters, dtype=np.uint16 if wide else id_dtype(letters + 1))
+        code[cells] = list(map(index.__getitem__, tokens.values()))
+    else:
+        letters = 1
+        code = np.ones(total, dtype=bool)
+        code[cells] = False
     out = np.empty_like(code)
     for _ in range(total.bit_length() + 1):
         _jump(root)
         if _gather(code, root, out).max() < letters:
+            if not ids:
+                return SchemeCheck(True, size), None
             return SchemeCheck(True, size), (out.astype(id_dtype(letters), copy=False), alphabet)
     # write the one-shift steps back and walk the chain of the first cell
     # that misses: it never meets an explicit cell, whose step is not read
@@ -343,7 +357,7 @@ def analyze_boxes(
     return fail("cycle", cur)
 
 
-def _analyze(s: MacroScheme2D, budget: WorkBudget | None = None):
+def _analyze(s: MacroScheme2D, budget: WorkBudget | None = None, ids: bool = True):
     """analyze_boxes in 2D terms: cells print as (i,j), phrases as Phrase."""
 
     def at(pos) -> str:
@@ -375,13 +389,13 @@ def _analyze(s: MacroScheme2D, budget: WorkBudget | None = None):
         return "CyclicMap", f"copy chain through {cell(where)} never reaches an explicit cell"
 
     phrases = [((p.i1, p.j1), (p.i2, p.j2), (p.si, p.sj)) for p in s.phrases]
-    return analyze_boxes((s.rows, s.cols), s.explicit, phrases, s.size, describe, budget)
+    return analyze_boxes((s.rows, s.cols), s.explicit, phrases, s.size, describe, budget, ids=ids)
 
 
 def validate_scheme(s: MacroScheme2D, budget: WorkBudget | None = None) -> SchemeCheck:
     """The scheme's check. Charges rows * cols "scheme decode" steps as
     decode does, once the header passes the dims and cell-cap checks."""
-    return _analyze(s, ensure_budget(budget))[0]
+    return _analyze(s, ensure_budget(budget), False)[0]
 
 
 def decode(s: MacroScheme2D, budget: WorkBudget | None = None) -> Matrix2D:

@@ -8,13 +8,14 @@ pair of equal windows; and, except on squares only, shapes past a pass
 where every window extends in one way, whose windows are all fixed by a
 smaller shape) instead of making one pass per shape; both prunings are
 exact, and each pass made is linear-time counting in the usual case of
-dense window ids. A long chain whose shapes need counts only (along
-the first axis, or along the row of a 1 x n string) switches after
-11 * ceil(log2 n) passes to one prefix-doubling suffix sort of its lines
-with LCPs, which gives the number of distinct length-k windows for every k
-at once. Its windows of extent k are exactly the length-k substrings of
-those lines, so the counts equal the passes' counts; they go through the
-same prunings and tie-break, and value and shape do not change.
+dense window ids. A chain whose shapes need counts only (along the first
+axis, or along the row of a 1 x n string) switches to one prefix-doubling
+suffix sort of its lines with LCPs, which gives the number of distinct
+length-k windows for every k at once, when the passes it has left exceed
+the sort's cost of 11 * ceil(log2 n) passes. Its windows of extent k are
+exactly the length-k substrings of those lines, so the counts equal the
+passes' counts; they are read in one loop through the same prunings and
+tie-break, and value and shape do not change.
 gamma is computed exactly by a minimum-hitting-set search over distinct
 factor contents (the problem is NP-hard, so only tiny instances are
 accepted — see the cell_limit parameter).

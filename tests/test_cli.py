@@ -123,19 +123,20 @@ print(locale.getpreferredencoding(False))
 
 def test_measure_of_a_long_string_fits_its_budget(tmp_path):
     # delta of the 1 x 65536 string phlin(identity(256)) counts the rest of
-    # its one long chain from a suffix sort: 13,544,951 steps. With a pass
-    # per shape the budget ran out near 20,000,000 in the passes
+    # its one long chain from a suffix sort after 16 passes: 3,079,591
+    # steps. Switching after 11 passes per bit it took 13,544,951, and with
+    # a pass per shape the budget ran out near 20,000,000 in the passes
     square, string = tmp_path / "identity.txt", tmp_path / "string.txt"
     assert run("gen", "--family", "identity", "--params", "256", "--out", str(square)).returncode == 0
     r = run("linearize", "--in", str(square), "--method", "hilbert", "--out", str(string))
     assert r.returncode == 0, r.stderr
-    r = run("--budget", "20000000", "measure", "--in", str(string))
+    r = run("--budget", "4000000", "measure", "--in", str(string))
     assert r.returncode == 0, r.stderr
     rows = dict(line.split() for line in r.stdout.splitlines())
     assert (rows["cols"], rows["delta"], rows["delta_shape"]) == ("65536", "2", "1x1")
     # out of budget in the first pass and in the suffix sort (the passes
-    # before it take 11,518,760 steps)
-    for limit in ("5000", "12000000"):
+    # before it take 1,048,440 steps, each level of the sort 65,521)
+    for limit in ("5000", "2000000"):
         r = run("--budget", limit, "measure", "--in", str(string))
         assert r.returncode == 3, (limit, r.stderr)
         assert "row ranking" in r.stderr and "Traceback" not in r.stderr, r.stderr
@@ -180,6 +181,21 @@ def test_malformed_budget_variable_is_a_usage_error(tmp_path):
         assert r.returncode == 2, (raw, r.stderr)
         assert "BadParam" in r.stderr and "REPET2D_BUDGET" in r.stderr, r.stderr
         assert "Traceback" not in r.stderr, r.stderr
+
+
+def test_the_budget_variable_is_read_once_a_process(monkeypatch):
+    # a default budget reads REPET2D_BUDGET when the first one is made and
+    # keeps that limit for the process, so a default budget costs no lookup
+    from repet2d.budget import WorkBudget, default_limit, ensure_budget
+
+    monkeypatch.setenv("REPET2D_BUDGET", "123")
+    default_limit.cache_clear()
+    try:
+        assert WorkBudget().limit == 123
+        monkeypatch.setenv("REPET2D_BUDGET", "456")
+        assert ensure_budget(None).limit == 123
+    finally:
+        default_limit.cache_clear()
 
 
 def test_commands_import_only_the_modules_they_use(tmp_path):

@@ -771,8 +771,10 @@ def test_the_densest_walk_counts_as_the_plain_walk_does(monkeypatch):
     # times its base range and yields them as None: every count it yields
     # is the one the plain walk gives that shape. Blocky grids rank such
     # chains by counting and by the packed-key sort, and the 1 x 1024
-    # string phlin(identity(32)) and its columns switch to the
-    # suffix sort, whose lines are those labels divided back
+    # string phlin(identity(32)) and its columns switch to the suffix sort,
+    # whose lines are those labels divided back. A switched chain yields
+    # the rest of its counts at once, read here shape by shape up to the
+    # chain's end; with no bound stop its horizon lies past that end
     paths = set()
     dense_rank, chain_counts = core2d._dense_rank, core2d._chain_counts
 
@@ -796,11 +798,23 @@ def test_the_densest_walk_counts_as_the_plain_walk_does(monkeypatch):
     for grid in grids:
         what = ("window ranking",) * grid.ndim
         plain = {shape: count for shape, _, count in rank_windows(grid, ShapeBox(grid.shape), None, what)}
-        walk = list(rank_windows(grid, ShapeBox(grid.shape), Ledger(), what, None, True))
-        assert all(labels is None for _, labels, _ in walk), grid.shape
-        assert [(shape, count) for shape, _, count in walk] == [
-            (shape, plain[shape]) for shape, _, _ in walk
-        ], grid.shape
+
+        def unbounded(shape, axis):
+            return grid.shape[axis] + 1
+
+        walk = []
+        for shape, labels, count in rank_windows(
+            grid, ShapeBox(grid.shape), Ledger(), what, None, True, unbounded
+        ):
+            if labels is None:
+                walk.append((shape, count))
+                continue
+            assert type(labels) is memoryview and count == labels[0], grid.shape
+            axis = next(a for a, k in enumerate(shape) if k > 1)
+            ends = range(shape[axis], grid.shape[axis] + 1)
+            assert len(labels) == len(ends), grid.shape
+            walk += [(shape[:axis] + (k,) + shape[axis + 1 :], c) for k, c in zip(ends, labels)]
+        assert walk == [(shape, plain[shape]) for shape, _ in walk], grid.shape
     assert paths >= {(True, True), (True, False), "switch"}
 
 

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 import numpy as np
@@ -536,16 +536,22 @@ def test_delta_steps_stay_at_most_the_recorded_ledger():
     # passes back fails here, however fast the machine is
     rng = random.Random(64)
     random64 = Matrix2D.from_tokens([[rng.choice("01") for _ in range(64)] for _ in range(64)])
-    # the 1 x 4096 and 1 x 65536 strings and the 4096 x 1 column count the
-    # rest of their one long chain from a suffix sort after 11 passes per
-    # bit of its extent (4,656,014 and 6,288,384 steps on 1 x 4096 before)
+    # the 1 x 4096, 1 x 16384 and 1 x 65536 strings, the 4096 x 1 column
+    # and the first column chains of identity(128) count the rest of their
+    # long chain from a suffix sort once it leaves more passes than the
+    # sort costs: 623,089 steps on 1 x 4096, 2,949,438 on 1 x 16384,
+    # 13,544,951 on 1 x 65536 and 48,639,529 on identity(128) when each
+    # switched after 11 passes per bit of its extent, and 4,656,014 and
+    # 6,288,384 on 1 x 4096 before any switched
     string = phlin(identity(64))
     column = Matrix2D.from_tokens([[t] for t in string.tokens()[0]])
     recorded = {
         "identity(64)": (identity(64), {"row ranking": 128960, "column ranking": 2970487}),
-        "phlin(identity(64))": (string, {"row ranking": 623089}),
-        "its transpose": (column, {"column ranking": 623089}),
-        "phlin(identity(256))": (phlin(identity(256)), {"row ranking": 13544951}),
+        "identity(128)": (identity(128), {"row ranking": 1040256, "column ranking": 33293697}),
+        "phlin(identity(64))": (string, {"row ranking": 143029}),
+        "its transpose": (column, {"column ranking": 143029}),
+        "phlin(identity(128))": (phlin(identity(128)), {"row ranking": 671288}),
+        "phlin(identity(256))": (phlin(identity(256)), {"row ranking": 3079591}),
         "random 64x64": (random64, {"row ranking": 44160, "column ranking": 111241}),
     }
     for name, (m, pinned) in recorded.items():
@@ -605,7 +611,8 @@ def _pass_only_delta(m, square_only, budget):
 def test_delta_equals_the_pass_only_oracle_on_long_chains(monkeypatch):
     # delta, square delta and dD delta, whose long chains count the rest of
     # their shapes from one suffix sort, reproduce the delta that ranks each
-    # shape by a pass; with no chain sorted the step ledger is the same too
+    # shape by a pass; with no chain sorted the step ledger is the same too.
+    # identity(128) sorts the first column chains of its 2D shapes
     sorts = []
     chain_counts = core2d._chain_counts
     monkeypatch.setattr(core2d, "_chain_counts", lambda *a: sorts.append(a) or chain_counts(*a))
@@ -629,7 +636,7 @@ def test_delta_equals_the_pass_only_oracle_on_long_chains(monkeypatch):
     grids = [Matrix2D.from_tokens([s]) for s in strings]
     for family in (identity(32), staircase(32), diagpad(32, 32)):
         grids += [phlin(family), rlin(family)]
-    grids.append(rlin(diagpad(24, 40)))
+    grids += [rlin(diagpad(24, 40)), identity(128)]
     # tall grids: one long chain along the first axis on 1 or 2 lines; the
     # two columns share long suffixes, and so do the lines of the 3D grids
     string = phlin(identity(64)).tokens()[0]
@@ -645,6 +652,7 @@ def test_delta_equals_the_pass_only_oracle_on_long_chains(monkeypatch):
         NdString.from_tokens((600, 2, 2), [tile[i % 6 * 4 + j] for i in range(600) for j in range(4)]),
         NdString.from_tokens((700, 2, 1), defect([tile[i % 6 * 4 + j] for i in range(700) for j in range(2)])),
         NdString.from_tokens((300, 3, 2), [rng.choice("01") for _ in range(1800)]),
+        NdString.from_tokens((512, 4, 2), string),  # two of its chains sort
     ]
     sides = set()
     for x in grids:
@@ -674,7 +682,9 @@ def test_delta_stops_where_the_pass_only_oracle_stops(monkeypatch):
     # implies: every stop answer, and so the step ledger, is the oracle's,
     # on grids of 1 to 4 axes (random, periodic, with a defect, blocky,
     # families) whose chains all stay on passes, and on matrices with one
-    # pair of equal windows, where saturation first applies
+    # pair of equal windows, where saturation first applies. delta and
+    # square delta of each matrix, and dD delta of each grid, are the
+    # oracle's too
     rank_windows = core2d.rank_windows
 
     def recording(answers):
@@ -715,6 +725,152 @@ def test_delta_stops_where_the_pass_only_oracle_stops(monkeypatch):
             assert repr(got) == repr(want), (grid.shape, cubes_only)
             assert got_answers == want_answers
             assert got_ledger.steps == want_ledger.steps
+            alphabet = tuple(map(str, range(int(grid.max()) + 1)))
+            if grid.ndim == 2:
+                run = delta_square if cubes_only else delta
+                got = run(Matrix2D(*grid.shape, grid.reshape(-1), alphabet))
+                assert repr(got) == repr(DeltaResult(want[0], FactorShape(*want[1])))
+            elif not cubes_only:
+                assert delta_nd(NdString(grid.shape, grid.reshape(-1), alphabet)) == want[0]
+
+
+def test_only_a_chain_that_leaves_many_passes_sorts(monkeypatch):
+    # a chain sorts once it leaves more passes than the sort costs: no chain
+    # of these family and blocky grids of up to 96 rows or columns does
+    # (their counts-only chains have at most 63 extents), while the one
+    # chain of the 1 x 4096 string phlin(identity(64)) does
+    sorts = []
+    chain_counts = core2d._chain_counts
+    monkeypatch.setattr(core2d, "_chain_counts", lambda *a: sorts.append(a[0].shape) or chain_counts(*a))
+    small = np.random.default_rng(96).integers(0, 3, size=(8, 12))
+    blocky = Matrix2D.from_tokens(small.repeat(8, 0).repeat(8, 1).tolist())
+    for m in (identity(64), blocky, staircase(32), diagpad(24, 40)):
+        delta(m)
+        assert not sorts, (m.rows, m.cols)
+    delta(phlin(identity(64)))
+    assert len(sorts) == 1
+
+
+def test_a_budget_runs_out_in_a_switched_chain_where_its_charges_do(monkeypatch):
+    # under every budget near each charge of the suffix sort (its levels and
+    # LCP rounds) and near the last pass before it, delta of a 1 x 4096
+    # string and dD delta of a 512 x 4 x 2 grid, two of whose chains sort,
+    # raise with the steps used and the label of the charge at which the
+    # charges of an unlimited run, made one by one, first pass the limit
+    charges, sorting = [], []
+
+    class Recording(WorkBudget):
+        def charge(self, steps, what="window scan"):
+            charges.append((steps, what, bool(sorting)))
+            super().charge(steps, what)
+
+    chain_counts = core2d._chain_counts
+
+    def spy(*args):
+        sorting.append(True)
+        try:
+            return chain_counts(*args)
+        finally:
+            sorting.pop()
+
+    monkeypatch.setattr(core2d, "_chain_counts", spy)
+    string = phlin(identity(64))
+    for run, x in ((delta, string), (delta_nd, NdString.from_tokens((512, 4, 2), string.tokens()[0]))):
+        charges.clear()
+        run(x, budget=Recording(limit=10**12))
+        used = list(accumulate(steps for steps, _, _ in charges))
+        at_sort = [i for i, (_, _, sorted_) in enumerate(charges) if sorted_]
+        assert at_sort, run
+        limits = {used[i] + d for i in at_sort + [at_sort[0] - 1] for d in (-1, 0, 1)}
+        for limit in sorted(limit for limit in limits if limit < used[-1]):
+            first = next(i for i, u in enumerate(used) if u > limit)
+            budget = WorkBudget(limit=limit)
+            err = raises(ShapeTooLarge, run, x, budget=budget)
+            assert budget.used == used[first], (run, limit)
+            assert str(err) == (
+                f"work budget exceeded during {charges[first][1]}: {used[first]} > limit {limit}"
+            )
+
+
+def test_the_horizon_is_where_the_bound_stop_ends_the_chain(monkeypatch):
+    # the closed form the sort rule reads is the first extent of the chain
+    # at which delta's bound stop answers true, given the best value so far
+    rank_windows, asked = core2d.rank_windows, []
+
+    def walk(grid, wanted, budget, what, stop, densest, horizon):
+        def checked(shape, axis):
+            def at(k):
+                return shape[:axis] + (k,) + shape[axis + 1 :]
+
+            want = next(k for k in range(shape[axis], grid.shape[axis] + 2) if stop(at(k)))
+            asked.append(shape)
+            assert horizon(shape, axis) == want, (grid.shape, shape)
+            return want
+
+        return rank_windows(grid, wanted, budget, what, stop, densest, checked)
+
+    monkeypatch.setattr(core2d, "rank_windows", walk)
+    string = phlin(identity(64))
+    delta(string)
+    delta(identity(128))
+    delta_nd(NdString.from_tokens((512, 4, 2), string.tokens()[0]))
+    assert len(asked) > 10
+
+
+def test_a_switched_chain_is_read_as_shape_by_shape(monkeypatch):
+    # densest_shape reads a switched chain's counts in one loop; fed the
+    # same counts one shape at a time, through the same stop, it picks the
+    # same value and shape, ties and bound stops included. A few shapes that
+    # the walk yields before it come first, then the chain of (k, w) from
+    # k = start, with counts at most the window count W. Then every grid of
+    # up to 10 x 6 where a saturated shape t of a chain ties a larger shape
+    # f seen before (count(f) = W(t) vol(f) / vol(t)): t's bound stop holds
+    # with equality, and t wins the tie
+    rng = random.Random(19)
+
+    def windows(shape, dims):
+        return prod(n - k + 1 for n, k in zip(dims, shape))
+
+    def read_both(dims, seen, chain, counts):
+        def bulk(grid, wanted, budget, what, stop, densest, horizon):
+            yield from ((shape, None, count) for shape, count in seen)
+            yield chain[0], memoryview(np.array(counts)), counts[0]
+
+        def one_by_one(grid, wanted, budget, what, stop, densest, horizon):
+            yield from ((shape, None, count) for shape, count in seen)
+            for shape, count in zip(chain, counts):
+                if stop(shape):
+                    return
+                yield shape, None, count
+
+        got = []
+        for walk in (bulk, one_by_one):
+            monkeypatch.setattr(core2d, "rank_windows", walk)
+            got.append(core2d.densest_shape(np.zeros(dims, dtype=np.int64), False, Ledger(), RANKING_2D))
+        assert got[0] == got[1], (dims, seen, chain[0], counts)
+        return got[0]
+
+    for trial in range(300):
+        dims = (rng.randint(4, 16), rng.randint(1, 6))
+        w, start = rng.randint(1, dims[1]), rng.randint(2, dims[0])
+        chain = [(k, w) for k in range(start, dims[0] + 1)]
+        firsts = [(r, c) for r in range(1, dims[0] + 1) for c in range(1, w + 1) if (c, r) < (w, start)]
+        seen = [(shape, rng.randint(1, windows(shape, dims))) for shape in rng.sample(firsts, min(3, len(firsts)))]
+        counts = [rng.choice((windows(shape, dims), rng.randint(1, windows(shape, dims)))) for shape in chain]
+        read_both(dims, seen, chain, counts)
+    ties = 0
+    for dims in product(range(4, 11), range(2, 7)):
+        for t in product(range(2, dims[0] + 1), range(2, dims[1] + 1)):
+            for f in product(range(1, dims[0] + 1), range(1, t[1])):
+                count = windows(t, dims) * prod(f)
+                if prod(f) <= prod(t) or count % prod(t) or count // prod(t) > windows(f, dims):
+                    continue
+                chain = [(k, t[1]) for k in range(2, dims[0] + 1)]
+                counts = [windows(shape, dims) if shape == t else 1 for shape in chain]
+                value, shape = read_both(dims, [(f, count // prod(t))], chain, counts)
+                assert (value, shape) == (Fraction(windows(t, dims), prod(t)), t)
+                ties += 1
+    assert ties > 30
 
 
 def test_delta_of_a_long_string_stays_under_its_memory_bound():
